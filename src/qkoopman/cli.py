@@ -61,6 +61,9 @@ from .spectral import (
 )
 
 SCHEMA_VERSION = 1
+# cmd_koopman builds dense (2J+1)^d square matrices over the kernel lattice;
+# 2048 modes keeps each one below 67 MB
+MAX_LATTICE_MODES = 2048
 
 # every key the config may carry; None marks scalar leaves
 _SCHEMA = {
@@ -157,11 +160,17 @@ def _rotation_system(config: dict) -> RotationSystem:
     return sys_
 
 
-def _system_x0(config: dict, d: int) -> np.ndarray:
-    x0 = config.get("system", {}).get("x0", [0.0] * d)
-    arr = np.atleast_1d(np.asarray(x0, dtype=float))
-    if arr.size != d:
-        raise ValidationError(f"x0 must have dimension {d}")
+def _x0(config: dict, block: str, d: int, default: float) -> np.ndarray:
+    """The finite d-dimensional point ``config[block]["x0"]``."""
+    x0 = config.get(block, {}).get("x0", [default] * d)
+    try:
+        arr = np.atleast_1d(np.asarray(x0, dtype=float))
+    except (TypeError, ValueError):
+        raise ValidationError(f"{block}.x0 must be a list of numbers") from None
+    if arr.shape != (d,):
+        raise ValidationError(f"{block}.x0 must have dimension {d}")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{block}.x0 must be finite")
     return arr
 
 
@@ -206,7 +215,7 @@ def cmd_rotate(config: dict, out: Path, seed: int) -> list[Path]:
     n = int(block.get("n", 100))
     if n < 1 or dt <= 0:
         raise ValidationError("rotate needs n >= 1 and dt > 0")
-    x0 = _system_x0(config, sys_.d)
+    x0 = _x0(config, "system", sys_.d, 0.0)
     trajectory = sample_trajectory(sys_, x0, dt, n)
     times = [k * dt for k in range(n)]
     body = format_trajectory_csv(times, trajectory)
@@ -286,26 +295,30 @@ def cmd_koopman(config: dict, out: Path, seed: int) -> list[Path]:
     weight, bandwidth = _kernel_weight(config)
     if weight.d != sys_.d:
         raise ValidationError("kernel dimension must match the system dimension")
+    modes = (2 * bandwidth + 1) ** sys_.d
+    if modes > MAX_LATTICE_MODES:
+        raise ValidationError(
+            f"kernel lattice has {modes} modes (J={bandwidth}, d={sys_.d}); "
+            f"the limit is {MAX_LATTICE_MODES}"
+        )
     block = config.get("koopman", {})
     t_grid = [float(t) for t in block.get("t_grid", [0.0, 0.5, 1.0])]
     m_values = [int(m) for m in block.get("m_values", [1, 2, 3])]
     n_values = [int(n) for n in block.get("n_values", [1, 2])]
-    x0 = np.atleast_1d(np.asarray(block.get("x0", [1.0] * sys_.d), dtype=float))
+    x0 = _x0(config, "koopman", sys_.d, 1.0)
     f = _observable(block.get("observable"), sys_.d)
     fock_weight = _fock_weight(config)
     state_kappa = float(block.get("state_kappa", 20.0))
-    # grading-m occupations grow combinatorially with the mode count
-    sq_bandwidth = min(bandwidth, 16 if sys_.d == 1 else 4)
     sq_common = dict(
         sigma=2.0 * weight.tau,
         tau=weight.tau,
         p=weight.p,
-        bandwidth=sq_bandwidth,
+        bandwidth=bandwidth,
         grid_size=int(block.get("grid_size", 256)),
         obs_concentration=float(block.get("obs_concentration", 4.0)),
         weight=fock_weight,
     )
-    lat = TruncatedLattice(sys_.d, sq_bandwidth)
+    lat = TruncatedLattice(sys_.d, bandwidth)
     gen = analytic_generator(sys_, lat)
     state = VonMisesDensity(x0, np.full(sys_.d, state_kappa))
 
@@ -368,7 +381,7 @@ def cmd_qcirc(config: dict, out: Path, seed: int) -> list[Path]:
     block = config.get("qcirc", {})
     q_values = [int(q) for q in block.get("q", [2, 3, 4, 5, 6])]
     t_grid = [float(t) for t in block.get("t_grid", [0.0, 1.0, 2.0])]
-    x0 = np.atleast_1d(np.asarray(block.get("x0", [1.0] * sys_.d), dtype=float))
+    x0 = _x0(config, "qcirc", sys_.d, 1.0)
     f = _observable(block.get("observable"), sys_.d)
 
     rows = []

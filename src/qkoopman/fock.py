@@ -11,11 +11,14 @@ by vectors xi = sum_n w^-2(n) eta^(vee n) built from a mode vector eta; with
 eta = a * z for nonnegative amplitudes a and unimodular phases z these points
 form tori on which the lifted evolution acts as a phase rotation.
 
-Two forecast schemes are built on this structure: a grading-m integral
-operator driven by smoothed kernel sections (evaluated against the feature
-point of a state-space location through the multiplicative pairing), and a
-tensor-power expectation whose state is an n-th root of a von Mises density
-evolved mode-wise.
+Two forecast schemes are built on this structure.  The grading-m scheme
+pairs the feature point of a state-space location against the lifted
+evolution of an integral operator driven by smoothed kernel sections.  It is
+computed in closed form, with no occupation enumeration: gradings are
+orthogonal, <a^(vee m), b^(vee m)> = w^2(m) <a, b>^m, and the lift acts mode
+by mode, so the Fock pairing of each section's m-th power is exactly the m-th
+power of a scalar pairing.  The tensor-power scheme is an expectation whose
+state is an n-th root of a von Mises density evolved mode-wise.
 """
 
 from __future__ import annotations
@@ -356,11 +359,15 @@ def eta_from_feature(
 class SecondQuantizationParams:
     """Knobs of the grading-m kernel-section forecast.
 
-    ``m`` is the tensor grading; ``sigma``/``tau`` the feature/section
-    smoothing parameters (tau <= sigma/2); ``obs_concentration`` the
-    concentration of the strictly positive observation kernel
-    exp(c (cos(x-y) - 1)); the grid drives the quadrature of the integral
-    operator.
+    ``m`` is the tensor grading, which enters the closed form as the power
+    k^m of the scalar section pairing (exact by grading orthogonality and
+    the multiplicative lift, so no occupations are enumerated);
+    ``sigma``/``tau`` the feature/section smoothing parameters
+    (tau <= sigma/2); ``obs_concentration`` the concentration of the
+    strictly positive observation kernel exp(c (cos(x-y) - 1)); the grid
+    drives the quadrature of the integral operator.  ``weight`` fixes the
+    cutoff of the reported xi-series tail; the forecast itself does not
+    depend on it.
     """
 
     m: int = 1
@@ -399,61 +406,6 @@ def _observation_kernel_coeffs(params: SecondQuantizationParams) -> np.ndarray:
     return base * float(i0e(params.obs_concentration))
 
 
-def kernel_section_fock_image(
-    f: FourierObservable,
-    sys: RotationSystem,
-    params: SecondQuantizationParams,
-) -> tuple[FockVector, float]:
-    """Quadrature image of f under the grading-m kernel-section operator.
-
-    Accumulates (1/G^d) sum_g f(y_g) kappa_tau(., y_g)^(vee m) over the
-    uniform grid, where the smoothed section kappa_tau(., y) has mode
-    coefficients sqrt(lambda_tau(j)) c_j e^{-i j.y}.  Expanding the m-th
-    symmetric power over occupations A turns the grid sum for each A into the
-    grid Fourier coefficient of f at the total frequency of A, which the FFT
-    supplies exactly.  Also returns the kernel mass left outside the lattice.
-    """
-    d = sys.d
-    lat = TruncatedLattice(d, params.bandwidth)
-    n_occupations = math.comb(lat.size + params.m - 1, params.m)
-    if n_occupations > 2_000_000:
-        raise ValidationError(
-            f"grading {params.m} over {lat.size} modes needs {n_occupations} "
-            "occupations; reduce m or the bandwidth"
-        )
-    w_tau = SubexpWeight(params.tau, params.p, d)
-    per_dim = _observation_kernel_coeffs(params)
-    c = np.ones(lat.size)
-    for axis in range(d):
-        c *= per_dim[np.abs(lat.indices[:, axis])]
-    b = np.sqrt(w_tau.lattice_values(lat)) * c
-    mode_tail = 1.0 - float(np.sum(c))
-
-    g = params.grid_size
-    fgrid = f.grid_values(g)
-    fhat = np.fft.fftn(fgrid) / g**d
-
-    m = params.m
-    fact_m = math.factorial(m)
-    terms = {}
-    for combo in itertools.combinations_with_replacement(range(lat.size), m):
-        occ = []
-        weight_prod = 1.0
-        denom = 1
-        total = np.zeros(d, dtype=int)
-        for pos, group in itertools.groupby(combo):
-            cnt = len(list(group))
-            occ.append((tuple(int(v) for v in lat.indices[pos]), cnt))
-            weight_prod *= b[pos] ** cnt
-            denom *= math.factorial(cnt)
-            total += cnt * lat.indices[pos]
-        fourier = fhat[tuple(int(s) % g for s in total)]
-        amp = (fact_m // denom) * weight_prod * fourier
-        if amp != 0:
-            terms[tuple(sorted(occ))] = amp
-    return FockVector(terms), mode_tail
-
-
 def second_quantization_forecast(
     f: FourierObservable,
     sys: RotationSystem,
@@ -463,31 +415,57 @@ def second_quantization_forecast(
 ) -> SecondQuantizationResult:
     """Normalized grading-m forecast of f at time t, evaluated at x.
 
-    The kernel-section images of f and of the constant 1 evolve under the
-    lifted rotation generator and are paired against the feature point of x
-    through the multiplicative functional; the forecast is the real part of
-    their ratio.  Only gradings up to m contribute to the pairing (the image
-    vectors are pure grading m), so the xi series is built to that order; the
-    reported state tail is the norm left beyond the configured cutoff.
+    In the Fock picture the quadrature images (1/G^d) sum_g f(y_g)
+    kappa_tau(., y_g)^(vee m) of f and of the constant 1, where the smoothed
+    section kappa_tau(., y) has mode coefficients sqrt(lambda_tau(j)) c_j
+    e^{-i j.y}, evolve under the lifted rotation and are paired against the
+    feature point xi of x; the forecast is the real part of their ratio.
+    Grading orthogonality leaves only w^-2(m) eta^(vee m) of xi in the
+    pairing, <a^(vee m), b^(vee m)> = w^2(m) <a, b>^m cancels that weight,
+    and the lift multiplies mode j by e^{i t j.alpha}.  So each grid point
+    contributes exactly k(y_g)^m, with the scalar pairing
+
+        k(y) = sum_j a_j e^{-i j.y},
+        a_j = conj(eta_j) sqrt(lambda_tau(j)) c_j e^{i t j.alpha},
+
+    and the forecast is Re(sum_g f(y_g) k(y_g)^m / sum_g k(y_g)^m) with
+    normalization |sum_g k(y_g)^m| / G^d.  k is evaluated on the grid as a
+    direct sum, contracting the coefficient box with the 1-d characters one
+    axis at a time.  The state tail is the norm of the xi series beyond the
+    configured cutoff; the kernel mode tail is the observation-kernel mass
+    outside the lattice.
     """
     d = sys.d
     if f.d != d:
         raise ValidationError("observable and system dimensions differ")
-    lat = TruncatedLattice(d, params.bandwidth)
+    J = params.bandwidth
+    lat = TruncatedLattice(d, J)
     w_sigma = SubexpWeight(params.sigma, params.p, d)
     w_tau = SubexpWeight(params.tau, params.p, d)
-
-    image_f, mode_tail = kernel_section_fock_image(f, sys, params)
-    image_1, _ = kernel_section_fock_image(FourierObservable.constant(1.0, d=d), sys, params)
-
-    freqs = {tuple(int(v) for v in j): float(j @ sys.alpha) for j in lat.indices}
-    evolved_f = evolve_lifted(freqs, image_f, t)
-    evolved_1 = evolve_lifted(freqs, image_1, t)
+    per_dim = _observation_kernel_coeffs(params)
+    c = np.ones(lat.size)
+    for axis in range(d):
+        c *= per_dim[np.abs(lat.indices[:, axis])]
+    mode_tail = 1.0 - float(np.sum(c))
 
     eta, eta_norm = eta_from_feature(w_sigma, w_tau, lat, x)
-    xi = xi_vector(eta, params.weight, nmax=params.m)
-    num = fock_inner(xi, evolved_f, params.weight)
-    den = fock_inner(xi, evolved_1, params.weight)
+    eta_vec = np.fromiter(eta.values(), dtype=complex, count=lat.size)
+    a = (
+        np.conj(eta_vec)
+        * np.sqrt(w_tau.lattice_values(lat))
+        * c
+        * np.exp(1j * t * (lat.indices @ sys.alpha))
+    )
+
+    g = params.grid_size
+    y = np.arange(g) * (2.0 * np.pi / g)
+    characters = np.exp(-1j * np.outer(np.arange(-J, J + 1), y))
+    k = a.reshape((2 * J + 1,) * d)
+    for _ in range(d):
+        k = np.tensordot(k, characters, axes=(0, 0))  # axis j_i becomes y_i
+    k_m = k**params.m
+    num = np.sum(f.grid_values(g) * k_m) / g**d
+    den = np.sum(k_m) / g**d
     if abs(den) < 1e-8:
         raise DegenerateNormalizationError(
             f"normalizing pairing {abs(den):.3e} below threshold 1e-8"

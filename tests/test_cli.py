@@ -137,6 +137,34 @@ class TestKoopman:
         _, rows = read_rows(tmp_path / "koopman.csv")
         assert all(float(r[4]) <= 1e-12 for r in rows)
 
+    def test_configured_bandwidth_used(self, tmp_path):
+        from qkoopman.dynamics import FourierObservable, RotationSystem
+        from qkoopman.fock import SecondQuantizationParams, second_quantization_forecast
+
+        payload = self.base_config()
+        payload["kernel"]["J"] = 24
+        payload["koopman"].update(t_grid=[1.0], n_samples=500)
+        cfg = write_config(tmp_path / "c.json", payload)
+        assert run_cli(["koopman", "--config", cfg, "--out", tmp_path]) == 0
+        _, rows = read_rows(tmp_path / "koopman.csv")
+        cos = FourierObservable({(1,): 0.5, (-1,): 0.5}, d=1)
+        for m in (1, 2, 3):
+            params = SecondQuantizationParams(m=m, sigma=0.4, tau=0.2, p=0.5, bandwidth=24)
+            res = second_quantization_forecast(cos, RotationSystem(np.array([ALPHA])),
+                                               params, [1.0], 1.0)
+            [row] = [r for r in rows if r[1] == f"m{m}"]
+            assert float(row[2]) == res.value
+
+    def test_lattice_size_capped(self, tmp_path, capsys):
+        payload = self.base_config()
+        payload["system"]["alpha"] = [ALPHA, 3**0.5, 5**0.5]
+        payload["kernel"].update(d=3, J=16)
+        payload["koopman"].update(x0=[1.0, 1.0, 1.0], observable={"1,0,0": [1.0, 0.0]})
+        cfg = write_config(tmp_path / "c.json", payload)
+        assert run_cli(["koopman", "--config", cfg, "--out", tmp_path]) == 2
+        assert "35937 modes" in capsys.readouterr().err
+        assert not (tmp_path / "koopman.csv").exists()
+
     def test_eigenfrequency_table(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", self.base_config())
         assert run_cli(["koopman", "--config", cfg, "--out", tmp_path]) == 0
@@ -201,6 +229,18 @@ class TestDeterminism:
         assert files_a == files_b and files_a
         for name in files_a:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+@pytest.mark.parametrize("x0", [[float("nan")], [1.0, 2.0], ["abc"]],
+                         ids=["nan", "dimension", "text"])
+@pytest.mark.parametrize("command", ["rotate", "koopman", "qcirc"])
+def test_bad_point_rejected(tmp_path, command, x0):
+    block = "system" if command == "rotate" else command
+    payload = {"system": {"kind": "rotation", "alpha": [ALPHA]}}
+    payload.setdefault(block, {})["x0"] = x0
+    cfg = write_config(tmp_path / "c.json", payload)
+    assert run_cli([command, "--config", cfg, "--out", tmp_path]) == 2
+    assert not any(tmp_path.glob("*.csv"))
 
 
 def test_console_entry_point(tmp_path):

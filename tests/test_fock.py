@@ -19,6 +19,7 @@ from qkoopman.fock import (
     SpectrumTorusPoint,
     TensorNetworkParams,
     apply_lifted_generator,
+    eta_from_feature,
     evolve_lifted,
     fock_inner,
     gelfand_eval,
@@ -319,25 +320,83 @@ class TestSecondQuantizationForecast:
             res = second_quantization_forecast(c, self.SYS, SecondQuantizationParams(m=2), [1.0], t)
             assert res.value == pytest.approx(2.5, abs=1e-12)
 
-    def test_matches_kernel_regression_oracle(self):
+    SYS2 = RotationSystem(np.array([math.sqrt(2.0), math.sqrt(3.0)]))
+    F2 = FourierObservable(
+        {(1, 0): 0.5, (-1, 0): 0.5, (0, 1): 0.25j, (1, -1): 0.2, (0, 0): 0.3}, d=2
+    )
+
+    @pytest.mark.parametrize("m", [1, 2, 3], ids=lambda m: f"m{m}")
+    @pytest.mark.parametrize("d", [1, 2], ids=lambda d: f"d{d}")
+    def test_matches_kernel_regression_oracle(self, d, m):
         from qkoopman.rkha import SubexpWeight, TruncatedLattice
         from qkoopman.dynamics import bessel_ratios
         from scipy.special import i0e
 
-        params = SecondQuantizationParams(m=2)
-        x, t = 1.0, 1.0
-        res = second_quantization_forecast(self.COS, self.SYS, params, [x], t)
-        lat = TruncatedLattice(1, params.bandwidth)
-        lam = SubexpWeight(params.sigma, params.p).lattice_values(lat)
+        if d == 1:
+            f, sys_, params = self.COS, self.SYS, SecondQuantizationParams(m=m)
+        else:
+            f, sys_ = self.F2, self.SYS2
+            params = SecondQuantizationParams(m=m, bandwidth=4, grid_size=32)
+        x, t = np.full(d, 1.0), 1.0
+        res = second_quantization_forecast(f, sys_, params, x, t)
+        lat = TruncatedLattice(d, params.bandwidth)
+        lam = SubexpWeight(params.sigma, params.p, d).lattice_values(lat)
         cj = bessel_ratios(params.obs_concentration, params.bandwidth) * i0e(
             params.obs_concentration
         )
-        c = cj[np.abs(lat.indices[:, 0])]
-        grid = np.arange(params.grid_size) * 2 * np.pi / params.grid_size
-        shift = x + t * self.SYS.alpha[0]
-        kernel = ((lam * c) @ np.exp(1j * np.outer(lat.indices[:, 0], shift - grid))).real
-        oracle = float((np.cos(grid) * kernel**2).sum() / (kernel**2).sum())
+        c = np.prod(cj[np.abs(lat.indices)], axis=1)
+        g = params.grid_size
+        axes = np.meshgrid(*[np.arange(g) * 2 * np.pi / g] * d, indexing="ij")
+        grid = np.stack([a.ravel() for a in axes], axis=1)
+        shift = x + t * sys_.alpha
+        kernel = ((lam * c) @ np.exp(1j * lat.indices @ (shift - grid).T)).real
+        fvals = f.grid_values(g).ravel()
+        oracle = float(((fvals * kernel**m).sum() / (kernel**m).sum()).real)
         assert res.value == pytest.approx(oracle, abs=1e-10)
+
+    @pytest.mark.parametrize("t", [0.0, 1.0], ids=lambda t: f"t{t:g}")
+    @pytest.mark.parametrize("m", [1, 2, 3], ids=lambda m: f"m{m}")
+    @pytest.mark.parametrize("d", [1, 2], ids=lambda d: f"d{d}")
+    def test_matches_fock_definition(self, d, m, t):
+        """The closed form against the grading-m image built from Fock vectors."""
+        from qkoopman.rkha import SubexpWeight, TruncatedLattice
+        from qkoopman.dynamics import bessel_ratios
+        from scipy.special import i0e
+
+        if d == 1:
+            f, sys_ = self.COS.plus(FourierObservable.constant(0.5)), self.SYS
+            params = SecondQuantizationParams(m=m, bandwidth=2, grid_size=8)
+        else:
+            f, sys_ = self.F2, self.SYS2
+            params = SecondQuantizationParams(m=m, bandwidth=1, grid_size=4)
+        x = np.full(d, 1.0)
+        lat = TruncatedLattice(d, params.bandwidth)
+        labels = [tuple(int(v) for v in j) for j in lat.indices]
+        w_tau = SubexpWeight(params.tau, params.p, d)
+        cj = bessel_ratios(params.obs_concentration, params.bandwidth) * i0e(
+            params.obs_concentration
+        )
+        b = np.sqrt(w_tau.lattice_values(lat)) * np.prod(cj[np.abs(lat.indices)], axis=1)
+        g = params.grid_size
+        fgrid = f.grid_values(g)
+        # (1/G^d) sum_g f(y_g) kappa_g^(vee m) and the same image of the constant 1
+        image_f, image_1 = FockVector(), FockVector()
+        for point in itertools.product(range(g), repeat=d):
+            y = np.array(point) * 2 * np.pi / g
+            section = b * np.exp(-1j * (lat.indices @ y))
+            power = vector_power(dict(zip(labels, section)), m)
+            image_f = image_f.plus(power.scaled(fgrid[point] / g**d))
+            image_1 = image_1.plus(power.scaled(1.0 / g**d))
+        freqs = {label: float(j @ sys_.alpha) for label, j in zip(labels, lat.indices)}
+        eta, _ = eta_from_feature(SubexpWeight(params.sigma, params.p, d), w_tau, lat, x)
+        xi = xi_vector(eta, params.weight, nmax=m)
+        num = fock_inner(xi, evolve_lifted(freqs, image_f, t), params.weight)
+        den = fock_inner(xi, evolve_lifted(freqs, image_1, t), params.weight)
+        value = (num / den).real
+
+        res = second_quantization_forecast(f, sys_, params, x, t)
+        assert abs(res.value - value) <= 1e-12 * abs(value)
+        assert abs(res.normalization - abs(den)) <= 1e-12 * abs(den)
 
     def test_smoothing_bias_at_t0(self):
         res = second_quantization_forecast(
