@@ -71,7 +71,7 @@ _SCHEMA = {
     "seed": None,
     "system": {"kind": None, "alpha": None, "M": None, "x0": None},
     "kernel": {"tau": None, "p": None, "d": None, "J": None},
-    "fock": {"sigma_w": None, "p_w": None, "Nmax": None, "modes": None},
+    "fock": {"sigma_w": None, "p_w": None, "Nmax": None},
     "qmda": {
         "L": None,
         "observation": {"kind": None, "scale": None},
@@ -381,18 +381,21 @@ def cmd_qcirc(config: dict, out: Path, seed: int) -> list[Path]:
     block = config.get("qcirc", {})
     q_values = [int(q) for q in block.get("q", [2, 3, 4, 5, 6])]
     t_grid = [float(t) for t in block.get("t_grid", [0.0, 1.0, 2.0])]
+    if not q_values or not t_grid:
+        raise ValidationError("qcirc.q and qcirc.t_grid must not be empty")
+    if min(q_values) < 1:
+        raise ValidationError("q must be >= 1")
+    # QubitEncoding rejects sizes over the statevector limit before anything is allocated
+    encodings = [QubitEncoding(d=sys_.d, q=q) for q in q_values]
     x0 = _x0(config, "qcirc", sys_.d, 1.0)
     f = _observable(block.get("observable"), sys_.d)
 
     rows = []
-    for q in q_values:
-        if q < 1:
-            raise ValidationError("q must be >= 1")
-        enc = QubitEncoding(d=sys_.d, q=q)
+    for enc in encodings:
         for t in t_grid:
             value = circuit_expectation(enc, weight, sys_, f, x0, t)
             exact = koopman_exact(f, sys_, t).evaluate(x0).real
-            rows.append((q, t, value, exact, abs(value - exact)))
+            rows.append((enc.q, t, value, exact, abs(value - exact)))
     csv_path = out / "qcirc.csv"
     write_csv(csv_path, config, ["q", "t", "value", "exact", "abs_error"], rows)
 
@@ -423,12 +426,9 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to the JSON config")
     parser.add_argument("--out", default=".", help="output directory for CSV files")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
     args = parser.parse_args(argv)
 
     try:
-        if args.threads < 1:
-            raise ValidationError("--threads must be >= 1")
         config = load_config(args.config)
         seed = args.seed if args.seed is not None else int(config.get("seed", 0))
         if not (0 <= seed < 2**64):

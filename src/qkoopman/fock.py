@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import convolve as nd_convolve
 from scipy.special import gammaincc, gamma as gamma_fn, i0e
 
 from .dynamics import (
@@ -39,7 +38,7 @@ from .dynamics import (
     von_mises_fourier,
 )
 from .errors import DegenerateNormalizationError, ValidationError
-from .rkha import SubexpWeight, TruncatedLattice
+from .rkha import SubexpWeight, TruncatedLattice, direct_convolve
 
 
 @dataclass(frozen=True)
@@ -552,10 +551,10 @@ def tensor_network_expectation(
 
     power = u
     for _ in range(n - 1):
-        power = nd_convolve(power, u, mode="full", method="direct")
+        power = direct_convolve(power, u)
 
     f_dense = _dense_coeffs(f, f.bandwidth if f.bandwidth > 0 else 0)
-    conv = nd_convolve(f_dense, power, mode="full", method="direct")
+    conv = direct_convolve(f_dense, power)
     aligned = _center_slice(conv, n * J, d)
     num = complex(np.vdot(power, aligned))
     den = float(np.vdot(power, power).real)

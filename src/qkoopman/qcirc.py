@@ -8,6 +8,13 @@ sum of single-qubit Z terms whose coefficients come from the Walsh
 term and no weight >= 2 content.  The induced unitary therefore factorizes
 into n independent single-qubit phase rotations: evolution costs O(n 2^n)
 scalar work on a statevector and never materializes a 2^n x 2^n matrix.
+
+The measured observable is the symmetrized multiplier
+S_f = (D^-1 C D + D C D^-1) / 2, with D = diag(sqrt(lambda(j))) and C the
+convolution by f's Fourier coefficients over the decoded indices.  For real
+f, C is Hermitian, so <psi, S_f psi> = Re <D^-1 psi, C D psi>, and C acts on
+a statevector as one shifted gather per support point of f in O(2^n |supp f|)
+work.  Only shot sampling, which needs the eigenbasis, builds S_f densely.
 """
 
 from __future__ import annotations
@@ -19,7 +26,12 @@ import numpy as np
 
 from .dynamics import FourierObservable, RotationSystem
 from .errors import NotAffineError, ValidationError
-from .rkha import SubexpWeight
+from .rkha import SubexpWeight, fourier_multiplier_matrix
+
+# a statevector of 2^20 complex amplitudes takes 16 MiB
+MAX_STATEVECTOR_QUBITS = 20
+# the dense observable of shot sampling, 2^10 x 2^10 complex, takes 16 MiB
+MAX_DENSE_QUBITS = 10
 
 
 @dataclass(frozen=True)
@@ -38,6 +50,11 @@ class QubitEncoding:
     def __post_init__(self):
         if self.d < 1 or self.q < 0:
             raise ValidationError("need d >= 1 and q >= 0")
+        if self.n_qubits > MAX_STATEVECTOR_QUBITS:
+            raise ValidationError(
+                f"encoding needs {self.n_qubits} qubits (d={self.d}, q={self.q}); "
+                f"the statevector limit is {MAX_STATEVECTOR_QUBITS}"
+            )
 
     @property
     def n_qubits(self) -> int:
@@ -83,14 +100,23 @@ class QubitEncoding:
         return tuple(out)
 
     def index_table(self) -> np.ndarray:
-        """Decoded multi-index for every computational basis state."""
-        return np.array([self.decode(b) for b in range(self.dim)], dtype=int)
+        """Decoded multi-index for every computational basis state (one row each)."""
+        width = self.q + 1
+        shifts = width * np.arange(self.d - 1, -1, -1)  # first dimension in the high bits
+        table = (np.arange(self.dim)[:, None] >> shifts) & (2**width - 1)
+        table -= 2**self.q
+        table[table >= 0] += 1
+        return table
+
+
+def _check_dims(enc: QubitEncoding, sys: RotationSystem) -> None:
+    if sys.d != enc.d:
+        raise ValidationError("system and encoding dimensions differ")
 
 
 def frequency_vector(enc: QubitEncoding, sys: RotationSystem) -> np.ndarray:
     """Frequency j.alpha of the decoded index at every basis state."""
-    if sys.d != enc.d:
-        raise ValidationError("system and encoding dimensions differ")
+    _check_dims(enc, sys)
     return enc.index_table() @ sys.alpha
 
 
@@ -164,12 +190,19 @@ def evolve_statevector(coeffs: WalshCoefficients, psi: np.ndarray, t: float) -> 
     return cube.reshape(-1)
 
 
+def _log_weights(table: np.ndarray, w: SubexpWeight) -> np.ndarray:
+    return -w.tau * np.sum(np.abs(table) ** w.p, axis=1)
+
+
+def _feature_amplitudes(table: np.ndarray, w: SubexpWeight, x) -> np.ndarray:
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    lam = np.exp(_log_weights(table, w))
+    return np.sqrt(lam) * np.exp(-1j * (table @ x))
+
+
 def feature_amplitudes(enc: QubitEncoding, w: SubexpWeight, x) -> np.ndarray:
     """Unnormalized feature-state amplitudes sqrt(lambda(j)) exp(-i j.x) per state."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    table = enc.index_table()
-    lam = np.exp(-w.tau * np.sum(np.abs(table) ** w.p, axis=1))
-    return np.sqrt(lam) * np.exp(-1j * (table @ x))
+    return _feature_amplitudes(enc.index_table(), w, x)
 
 
 def feature_state(enc: QubitEncoding, w: SubexpWeight, x) -> np.ndarray:
@@ -177,27 +210,55 @@ def feature_state(enc: QubitEncoding, w: SubexpWeight, x) -> np.ndarray:
     return amps / np.linalg.norm(amps)
 
 
+def _check_observable(enc: QubitEncoding, f: FourierObservable) -> None:
+    if f.d != enc.d:
+        raise ValidationError("observable and encoding dimensions differ")
+    if not f.is_real():
+        raise ValidationError("observable must be real-valued (conjugate-symmetric)")
+
+
+def _projected_observable(table: np.ndarray, w: SubexpWeight, f: FourierObservable) -> np.ndarray:
+    if table.shape[0] > 2**MAX_DENSE_QUBITS:
+        raise ValidationError(
+            f"a dense observable is limited to {MAX_DENSE_QUBITS} qubits; "
+            f"this encoding has {table.shape[0].bit_length() - 1}"
+        )
+    log_lam = _log_weights(table, w)
+    scale = np.exp(0.5 * (log_lam[None, :] - log_lam[:, None]))
+    m = fourier_multiplier_matrix(f.coeffs, table) * scale
+    return 0.5 * (m + m.conj().T)
+
+
 def projected_observable(
     enc: QubitEncoding, w: SubexpWeight, f: FourierObservable
 ) -> np.ndarray:
     """Symmetrized multiplier of f on the encoded subspace, a Hermitian matrix.
 
-    The raw multiplier has entries c(i-j) sqrt(lambda(j)/lambda(i)); only the
-    symmetrization (M + M*)/2 is a measurable observable, and its feature
-    state expectations agree with the raw multiplier's for real f.
+    The raw multiplier M = D^-1 C D has entries c(i-j) sqrt(lambda(j)/lambda(i));
+    only the symmetrization (M + M*)/2 is a measurable observable, and its
+    feature state expectations agree with the raw multiplier's for real f.
+    Dense, so limited to MAX_DENSE_QUBITS qubits.
     """
-    if not f.is_real():
-        raise ValidationError("observable must be real-valued (conjugate-symmetric)")
-    table = enc.index_table()
-    log_lam = -w.tau * np.sum(np.abs(table) ** w.p, axis=1)
-    m = np.zeros((enc.dim, enc.dim), dtype=complex)
-    for a in range(enc.dim):
-        for b in range(enc.dim):
-            key = tuple(int(v) for v in (table[a] - table[b]))
-            c = f.coeffs.get(key)
-            if c is not None:
-                m[a, b] = c * math.exp(0.5 * (log_lam[b] - log_lam[a]))
-    return 0.5 * (m + m.conj().T)
+    _check_observable(enc, f)
+    return _projected_observable(enc.index_table(), w, f)
+
+
+def _apply_convolution(table: np.ndarray, f: FourierObservable, v: np.ndarray) -> np.ndarray:
+    """(C v)(i) = sum_m c(m) v(i - m) over the decoded indices, matrix-free.
+
+    v is scattered into the (2^(q+1) + 1)^d box of indices (zero at j_i = 0),
+    then every support point m of f adds one shifted gather from that box.
+    """
+    half = int(np.max(table))
+    side = 2 * half + 1
+    box = np.zeros((side,) * table.shape[1], dtype=complex)
+    box[tuple((table + half).T)] = v
+    out = np.zeros(v.size, dtype=complex)
+    for m, c in f.coeffs.items():
+        src = table - np.asarray(m) + half
+        inside = np.all((src >= 0) & (src < side), axis=1)
+        out[inside] += c * box[tuple(src[inside].T)]
+    return out
 
 
 def circuit_expectation(
@@ -214,18 +275,29 @@ def circuit_expectation(
 
     The state evolves with exp(-t V) (state-side evolution; the sign is what
     makes the value track f composed with the forward flow, and is locked by
-    a regression test).  With ``shots`` the expectation is estimated by
-    sampling measurement outcomes in the observable's eigenbasis with a
-    seeded generator instead of being computed exactly.
+    a regression test).  The observable is S_f = (D^-1 C D + D C D^-1) / 2
+    (module docstring), and the exact value Re <D^-1 psi_t, C D psi_t> is
+    computed matrix-free.  The feature state is psi = D chi / |D chi| with
+    unimodular chi_j = exp(-i j.x), and D commutes with the diagonal
+    evolution, so the value is Re <chi_t, C lambda chi_t> / sum lambda and
+    nothing is divided by a weight.  With ``shots`` the expectation is
+    estimated by sampling measurement outcomes in the observable's eigenbasis
+    with a seeded generator; only that path builds the dense S_f, so it is
+    limited to MAX_DENSE_QUBITS qubits.
     """
-    freqs = frequency_vector(enc, sys)
-    coeffs = walsh_coefficients(freqs)
-    psi = feature_state(enc, w, x)
-    psi_t = evolve_statevector(coeffs, psi, -t)
-    s_f = projected_observable(enc, w, f)
+    _check_dims(enc, sys)
+    _check_observable(enc, f)
+    table = enc.index_table()
+    coeffs = walsh_coefficients(table @ sys.alpha)
     if shots is None:
-        return float(np.vdot(psi_t, s_f @ psi_t).real)
-    eigenvalues, vectors = np.linalg.eigh(s_f)
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        lam = np.exp(_log_weights(table, w))
+        chi_t = evolve_statevector(coeffs, np.exp(-1j * (table @ x)), -t)
+        value = np.vdot(chi_t, _apply_convolution(table, f, lam * chi_t)).real
+        return float(value / np.sum(lam))
+    amps = _feature_amplitudes(table, w, x)
+    psi_t = evolve_statevector(coeffs, amps / np.linalg.norm(amps), -t)
+    eigenvalues, vectors = np.linalg.eigh(_projected_observable(table, w, f))
     probs = np.abs(vectors.conj().T @ psi_t) ** 2
     probs = np.maximum(probs, 0.0)
     probs /= probs.sum()

@@ -32,7 +32,7 @@ from .errors import (
     ValidationError,
     ZeroEvidenceError,
 )
-from .rkha import TruncatedLattice
+from .rkha import TruncatedLattice, fourier_multiplier_matrix
 
 GAUSSIAN = "gaussian"
 VON_MISES = "vonmises"
@@ -159,15 +159,7 @@ def multiplication_operator_fourier(coeffs: dict, lat: TruncatedLattice) -> np.n
     Entries are c(i - j); a real multiplier (conjugate-symmetric c) gives a
     Hermitian Toeplitz-style matrix.
     """
-    n = lat.size
-    out = np.zeros((n, n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            m = tuple(int(v) for v in (lat.indices[a] - lat.indices[b]))
-            c = coeffs.get(m)
-            if c is not None:
-                out[a, b] = c
-    return out
+    return fourier_multiplier_matrix(coeffs, lat.indices)
 
 
 def expectation_classical(sigma: np.ndarray, f: np.ndarray, mu: np.ndarray) -> complex:

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import convolve
 
 from .dynamics import FourierObservable
 from .errors import ValidationError
@@ -159,6 +158,43 @@ def _dense_weight_array(w, lat: TruncatedLattice) -> np.ndarray:
     return flat.reshape((2 * lat.J + 1,) * lat.d)
 
 
+def direct_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full n-d convolution of two arrays of equal rank, as a direct sum.
+
+    Every output entry is a plain sum of products a[k] b[j-k], accumulated by
+    adding one shifted copy of ``b`` per nonzero entry of ``a`` (the operands
+    are swapped so that the loop runs over the sparser one).  Unlike an FFT,
+    convolving with a unit impulse reproduces the other operand exactly.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    if a.ndim != b.ndim:
+        raise ValidationError("convolution operands must have the same rank")
+    if np.count_nonzero(a) > np.count_nonzero(b):
+        a, b = b, a
+    shape = tuple(m + n - 1 for m, n in zip(a.shape, b.shape))
+    out = np.zeros(shape, dtype=np.result_type(a, b))
+    for k in zip(*np.nonzero(a)):
+        out[tuple(slice(i, i + n) for i, n in zip(k, b.shape))] += a[k] * b
+    return out
+
+
+def fourier_multiplier_matrix(coeffs: dict, indices: np.ndarray) -> np.ndarray:
+    """Dense matrix with entries c(i - j) over the rows of an index table.
+
+    Entries are gathered, not recomputed, from a box holding the coefficients
+    by index difference, so each one equals its dict value exactly (zero where
+    the difference carries no coefficient).
+    """
+    indices = np.asarray(indices, dtype=int).reshape(len(indices), -1)
+    span = indices.max(axis=0) - indices.min(axis=0)
+    box = np.zeros(tuple(2 * span + 1), dtype=complex)
+    for m, c in coeffs.items():
+        if len(m) == span.size and np.all(np.abs(m) <= span):
+            box[tuple(np.asarray(m) + span)] = c
+    diff = indices[:, None, :] - indices[None, :, :] + span
+    return box[tuple(np.moveaxis(diff, -1, 0))]
+
+
 def truncated_autoconvolution(w, lat: TruncatedLattice) -> np.ndarray:
     """(lambda * lambda)(j) = sum_{k, j-k in lat} lambda(k) lambda(j-k), on lat.
 
@@ -166,7 +202,7 @@ def truncated_autoconvolution(w, lat: TruncatedLattice) -> np.ndarray:
     injecting test weights such as the indicator of {0}).
     """
     cube = _dense_weight_array(w, lat)
-    full = convolve(cube, cube, mode="full", method="direct")
+    full = direct_convolve(cube, cube)
     J = lat.J
     center = tuple(slice(J, 3 * J + 1) for _ in range(lat.d))
     return full[center].reshape(lat.size)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -200,6 +201,36 @@ class TestQcirc:
         assert len(rz_lines) == 5  # d(q+1) for the largest q
 
 
+    @pytest.mark.parametrize(
+        "block",
+        [
+            {"q": []},
+            {"t_grid": []},
+            {"q": [0]},
+            {"q": [30]},
+            {"q": [2, 30]},
+        ],
+        ids=["empty-q", "empty-t", "q0", "q30", "q2-then-q30"],
+    )
+    def test_rejected_at_once(self, tmp_path, block):
+        payload = self.base_config()
+        payload["qcirc"].update(block)
+        cfg = write_config(tmp_path / "c.json", payload)
+        start = time.perf_counter()
+        assert run_cli(["qcirc", "--config", cfg, "--out", tmp_path]) == 2
+        assert time.perf_counter() - start < 5.0
+        assert not any(tmp_path.glob("*.csv"))
+
+    def test_statevector_cap_counts_every_dimension(self, tmp_path):
+        payload = self.base_config()
+        payload["system"]["alpha"] = [ALPHA, 3**0.5]
+        payload["kernel"]["d"] = 2
+        payload["qcirc"].update(q=[10], x0=[1.0, 1.0], observable={"1,0": [1.0, 0.0]})
+        cfg = write_config(tmp_path / "c.json", payload)
+        assert run_cli(["qcirc", "--config", cfg, "--out", tmp_path]) == 2
+        assert not any(tmp_path.glob("*.csv"))
+
+
 class TestDeterminism:
     def configs(self):
         return {
@@ -258,5 +289,21 @@ def test_console_entry_point(tmp_path):
 
 
 def test_threads_flag_validated(tmp_path):
+    # --threads and fock.modes never did anything and are now rejected outright
     cfg = write_config(tmp_path / "c.json", {"rotate": {"dt": 0.1, "n": 2}})
-    assert run_cli(["rotate", "--config", cfg, "--out", tmp_path, "--threads", 0]) == 2
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(["rotate", "--config", cfg, "--out", tmp_path, "--threads", 1])
+    assert exit_info.value.code == 2
+    cfg = write_config(tmp_path / "m.json", {"rotate": {"dt": 0.1, "n": 2}, "fock": {"modes": 4}})
+    assert run_cli(["rotate", "--config", cfg, "--out", tmp_path]) == 2
+    assert not (tmp_path / "rotate.csv").exists()
+
+
+def test_import_skips_scipy_signal():
+    code = (
+        "import sys, qkoopman.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'signal']))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -9,6 +9,8 @@ import scipy.linalg
 from qkoopman.dynamics import FourierObservable, RotationSystem, koopman_exact
 from qkoopman.errors import NotAffineError, ValidationError
 from qkoopman.qcirc import (
+    MAX_DENSE_QUBITS,
+    MAX_STATEVECTOR_QUBITS,
     QubitEncoding,
     WalshCoefficients,
     circuit_expectation,
@@ -25,6 +27,20 @@ from qkoopman.qcirc import (
 from qkoopman.rkha import SubexpWeight, TruncatedLattice
 
 COS = FourierObservable({(1,): 0.5, (-1,): 0.5}, d=1)
+# real observables whose support reaches past every encoded index difference
+# tested here (|m| up to 2^(q+1) + 3 for the largest q)
+MULTI_MODE = {
+    1: FourierObservable(
+        {(0,): 0.3, (1,): 0.5, (-1,): 0.5, (3,): 0.2 - 0.1j, (-3,): 0.2 + 0.1j,
+         (131,): 0.05j, (-131,): -0.05j},
+        d=1,
+    ),
+    2: FourierObservable(
+        {(0, 0): -0.4, (1, 0): 0.5, (-1, 0): 0.5, (1, -2): 0.2 - 0.1j, (-1, 2): 0.2 + 0.1j,
+         (0, 19): 0.3, (0, -19): 0.3},
+        d=2,
+    ),
+}
 
 
 class TestEncoding:
@@ -44,6 +60,21 @@ class TestEncoding:
         for b in range(enc.dim):
             j = enc.decode(b)
             assert enc.encode(j) == b
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("q", [0, 1, 2, 3, 4])
+    def test_index_table_matches_decode(self, d, q):
+        enc = QubitEncoding(d=d, q=q)
+        table = enc.index_table()
+        assert table.shape == (enc.dim, d)
+        assert np.array_equal(table, np.array([enc.decode(b) for b in range(enc.dim)]))
+
+    def test_statevector_cap(self):
+        assert QubitEncoding(d=1, q=MAX_STATEVECTOR_QUBITS - 1).n_qubits == MAX_STATEVECTOR_QUBITS
+        with pytest.raises(ValidationError):
+            QubitEncoding(d=1, q=MAX_STATEVECTOR_QUBITS)
+        with pytest.raises(ValidationError):
+            QubitEncoding(d=2, q=MAX_STATEVECTOR_QUBITS // 2)
 
     def test_zero_rejected(self):
         enc = QubitEncoding(d=1, q=2)
@@ -262,6 +293,30 @@ class TestProjectedObservable:
         with pytest.raises(ValidationError):
             projected_observable(enc, self.W, FourierObservable({(1,): 1.0}, d=1))
 
+    @pytest.mark.parametrize("d, q", [(1, 1), (1, 5), (2, 2)])
+    def test_matches_loop_oracle(self, d, q):
+        # the double loop projected_observable replaced; the weight ratios come
+        # from math.exp there and np.exp here, so they agree to rounding only
+        enc = QubitEncoding(d=d, q=q)
+        f = MULTI_MODE[d]
+        table = enc.index_table()
+        log_lam = -self.W.tau * np.sum(np.abs(table) ** self.W.p, axis=1)
+        raw = np.zeros((enc.dim, enc.dim), dtype=complex)
+        for a in range(enc.dim):
+            for b in range(enc.dim):
+                c = f.coeffs.get(tuple(int(v) for v in (table[a] - table[b])))
+                if c is not None:
+                    raw[a, b] = c * math.exp(0.5 * (log_lam[b] - log_lam[a]))
+        oracle = 0.5 * (raw + raw.conj().T)
+        s = projected_observable(enc, self.W, f)
+        assert np.array_equal(s == 0, oracle == 0)
+        assert np.max(np.abs(s - oracle)) <= 1e-15 * np.max(np.abs(oracle))
+
+    def test_dense_cap(self):
+        enc = QubitEncoding(d=1, q=MAX_DENSE_QUBITS)
+        with pytest.raises(ValidationError):
+            projected_observable(enc, self.W, COS)
+
 
 class TestCircuitExpectation:
     W = SubexpWeight(0.2, 0.5)
@@ -310,6 +365,38 @@ class TestCircuitExpectation:
             enc, self.W, self.SYS, COS, [1.0], 1.0, shots=200_000, seed=11
         )
         assert abs(sampled - exact) < 0.01
+
+    @pytest.mark.parametrize(
+        "d, q", [(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 1), (2, 2), (2, 3)]
+    )
+    @pytest.mark.parametrize("name", ["cos", "constant", "multi"])
+    def test_matrix_free_matches_dense(self, d, q, name):
+        enc = QubitEncoding(d=d, q=q)
+        sys = RotationSystem(np.array([math.sqrt(2.0), math.sqrt(3.0)])[:d])
+        f = {
+            "cos": FourierObservable({(1,) + (0,) * (d - 1): 0.5, (-1,) + (0,) * (d - 1): 0.5}, d=d),
+            "constant": FourierObservable.constant(1.75, d=d),
+            "multi": MULTI_MODE[d],
+        }[name]
+        x = [1.0, 2.5][:d]
+        s_f = projected_observable(enc, self.W, f)
+        coeffs = walsh_coefficients(frequency_vector(enc, sys))
+        for t in (0.0, 0.7, 2.0):
+            psi_t = evolve_statevector(coeffs, feature_state(enc, self.W, x), -t)
+            dense = np.vdot(psi_t, s_f @ psi_t).real
+            fast = circuit_expectation(enc, self.W, sys, f, x, t)
+            assert abs(fast - dense) <= 1e-12
+
+    @pytest.mark.parametrize("shots", [1, 1000])
+    def test_shots_over_dense_cap_rejected(self, shots):
+        enc = QubitEncoding(d=1, q=MAX_DENSE_QUBITS)
+        with pytest.raises(ValidationError):
+            circuit_expectation(enc, self.W, self.SYS, COS, [1.0], 1.0, shots=shots)
+
+    def test_non_real_rejected(self):
+        enc = QubitEncoding(d=1, q=2)
+        with pytest.raises(ValidationError):
+            circuit_expectation(enc, self.W, self.SYS, FourierObservable({(1,): 1.0}, d=1), [1.0], 0.0)
 
     def test_sampling_deterministic_per_seed(self):
         enc = QubitEncoding(d=1, q=2)

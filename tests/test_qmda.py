@@ -241,6 +241,35 @@ class TestEffects:
         check_effect(toeplitz)
 
 
+def loop_multiplier(coeffs, lat):
+    """The double loop that multiplication_operator_fourier replaced."""
+    out = np.zeros((lat.size, lat.size), dtype=complex)
+    for a in range(lat.size):
+        for b in range(lat.size):
+            c = coeffs.get(tuple(int(v) for v in (lat.indices[a] - lat.indices[b])))
+            if c is not None:
+                out[a, b] = c
+    return out
+
+
+@pytest.mark.parametrize("d, J", [(1, 0), (1, 6), (2, 2), (3, 1)])
+def test_multiplication_operator_matches_loop_oracle(d, J):
+    rng = np.random.default_rng(d * 10 + J)
+    lat = TruncatedLattice(d, J)
+    coeffs = {}
+    for _ in range(8):  # some keys fall outside every index difference
+        m = tuple(int(v) for v in rng.integers(-2 * J - 2, 2 * J + 3, d))
+        coeffs[m] = complex(rng.standard_normal(), rng.standard_normal())
+    coeffs[(0,) * d] = 0.25
+    assert np.array_equal(multiplication_operator_fourier(coeffs, lat), loop_multiplier(coeffs, lat))
+    if d == 1:
+        model = ObservationModel(kind="vonmises", scale=5.0)
+        coeffs = model.fourier_coeffs(1.3, 2 * J)
+        assert np.array_equal(
+            multiplication_operator_fourier(coeffs, lat), loop_multiplier(coeffs, lat)
+        )
+
+
 class TestCompression:
     def test_full_rank_unchanged(self):
         rng = np.random.default_rng(10)

@@ -16,6 +16,7 @@ from qkoopman.rkha import (
     beurling_domar_sum,
     compose_smoothers,
     comultiplication_pairs,
+    direct_convolve,
     feature_coefficients,
     grs_sequence,
     kernel_gram,
@@ -138,6 +139,36 @@ class TestSubconvolutivity:
         conv = truncated_autoconvolution(w, lat)
         lam = w.lattice_values(lat)
         assert conv[lat.position((0,))] == pytest.approx(np.sum(lam**2), abs=1e-12)
+
+
+class TestDirectConvolve:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matches_scipy_direct(self, d, dtype):
+        from scipy.signal import convolve  # the replaced path, kept as the oracle
+
+        rng = np.random.default_rng(d)
+        for _ in range(10):
+            arrays = []
+            for shape in (tuple(rng.integers(1, 7, d)), tuple(rng.integers(1, 7, d))):
+                a = rng.standard_normal(shape)
+                if dtype is complex:
+                    a = a + 1j * rng.standard_normal(shape)
+                arrays.append(a)
+            got = direct_convolve(*arrays)
+            want = convolve(*arrays, mode="full", method="direct")
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_unit_impulse_is_exact(self):
+        rng = np.random.default_rng(4)
+        b = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        assert np.array_equal(direct_convolve(np.ones((1, 1)), b), b)
+        assert np.array_equal(direct_convolve(b, np.ones((1, 1))), b)
+
+    def test_rank_mismatch_rejected(self):
+        with pytest.raises(ValidationError):
+            direct_convolve(np.ones(3), np.ones((3, 3)))
 
 
 class TestGrowthConditions:
