@@ -19,7 +19,6 @@ work.  Only shot sampling, which needs the eigenbasis, builds S_f densely.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,18 +157,19 @@ def walsh_coefficients(freqs: np.ndarray, rel_tol: float = 1e-10) -> WalshCoeffi
         raise ValidationError("frequency vector length must be a power of two")
     coeffs = _walsh_transform(freqs, n)
     scale = float(np.max(np.abs(freqs))) or 1.0
-    weight_one = np.zeros(n)
-    for s in range(size):
-        weight = bin(s).count("1")
-        if weight == 1:
-            # axis k of the cube is qubit k, most significant bit first
-            qubit = n - 1 - int(math.log2(s))
-            weight_one[qubit] = coeffs[s]
-        elif abs(coeffs[s]) > rel_tol * scale:
-            raise NotAffineError(
-                f"Walsh coefficient of weight {weight} at mask {s:#b} is "
-                f"{coeffs[s]:.3e}; frequencies are not affine in the bits"
-            )
+    masks = np.arange(size)
+    weight = np.zeros(size, dtype=int)
+    for bit in range(n):
+        weight += (masks >> bit) & 1
+    offending = np.flatnonzero((weight != 1) & (np.abs(coeffs) > rel_tol * scale))
+    if offending.size:
+        s = int(offending[0])
+        raise NotAffineError(
+            f"Walsh coefficient of weight {weight[s]} at mask {s:#b} is "
+            f"{coeffs[s]:.3e}; frequencies are not affine in the bits"
+        )
+    # axis k of the cube is qubit k, most significant bit first: mask 1 << b is qubit n-1-b
+    weight_one = coeffs[1 << np.arange(n - 1, -1, -1)]
     return WalshCoefficients(v=1j * weight_one)
 
 

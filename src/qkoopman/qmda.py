@@ -493,6 +493,11 @@ def run_torus_filter(
     half_kernel = bessel_ratios(model.scale / 2.0, 2 * lat.J) * float(i0e(model.scale / 2.0))
     theta_grid = np.arange(grid_size) * TWO_PI / grid_size
     j_all = lat.indices[:, 0]
+    # step-invariant: rotation phases, kernel magnitudes, grid evaluation matrix
+    rotate = np.exp(-1j * dt * alpha * j_all)
+    m_all = np.arange(-2 * lat.J, 2 * lat.J + 1)
+    kernel_abs = half_kernel[np.abs(m_all)]
+    on_grid = np.exp(1j * np.outer(theta_grid, j_all)) if run_quantum else None
 
     trace = FilterTrace(mode=mode)
     x = float(wrap_angles(x0)[0])
@@ -516,9 +521,8 @@ def run_torus_filter(
         consistency = 0.0
         min_sqrt = 0.0
         if run_quantum:
-            psi = psi * np.exp(-1j * dt * alpha * j_all)
-            m_all = np.arange(-2 * lat.J, 2 * lat.J + 1)
-            kernel_coeffs = half_kernel[np.abs(m_all)] * np.exp(-1j * m_all * y)
+            psi = psi * rotate
+            kernel_coeffs = kernel_abs * np.exp(-1j * m_all * y)
             full = np.convolve(kernel_coeffs, psi)
             center = (full.size - 1) // 2
             psi = full[center - lat.J : center + lat.J + 1]
@@ -531,7 +535,7 @@ def run_torus_filter(
             reference = _sqrt_von_mises_coeffs(mu_post, kap_post, lat)
             overlap = abs(np.vdot(reference, psi))
             consistency = 2.0 * math.sqrt(max(0.0, 1.0 - overlap**2))
-            values = np.exp(1j * np.outer(theta_grid, j_all)) @ psi
+            values = on_grid @ psi
             phase = values[int(np.argmax(np.abs(values)))]
             min_sqrt = float((values * (phase.conjugate() / abs(phase))).real.min())
             first = complex(np.sum(np.conj(psi[1:]) * psi[:-1]))

@@ -138,12 +138,25 @@ def kernel_row(w: SubexpWeight, lat: TruncatedLattice, x, grid: np.ndarray) -> n
 
 
 def kernel_gram(w: SubexpWeight, lat: TruncatedLattice, points: np.ndarray) -> np.ndarray:
-    pts = np.atleast_2d(points)
-    n = pts.shape[0]
-    gram = np.empty((n, n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            gram[a, b] = kernel_value(w, lat, pts[a], pts[b])
+    """Matrix k(x_a, x_b) over a point set, one row at a time.
+
+    Each entry uses kernel_value's phase j.(x_b - x_a), formed elementwise so
+    that swapping a and b negates it exactly: the matrix is exactly
+    Hermitian and every diagonal entry is the same sum of lambda.  Memory
+    is O(n |lat|).
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.shape[1] != lat.d:
+        raise ValidationError(f"points have dimension {pts.shape[1]}, lattice has {lat.d}")
+    lam = w.lattice_values(lat)
+    freqs = lat.indices.astype(float)
+    gram = np.empty((pts.shape[0],) * 2, dtype=complex)
+    for a, x in enumerate(pts):
+        diff = pts - x
+        phases = diff[:, :1] * freqs[:, 0]
+        for axis in range(1, lat.d):
+            phases = phases + diff[:, axis : axis + 1] * freqs[:, axis]
+        gram[a] = np.sum(lam * np.exp(1j * phases), axis=1)
     return gram
 
 

@@ -1,4 +1,5 @@
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -18,7 +19,8 @@ from qkoopman.dynamics import (
     von_mises_fourier,
     wrap_angles,
 )
-from qkoopman.errors import ValidationError
+from qkoopman import dynamics
+from qkoopman.errors import DegeneracyError, ValidationError
 
 TWO_PI = 2.0 * math.pi
 
@@ -244,6 +246,35 @@ class TestBesselRatios:
         got = bessel_ratios(0.0, 5)
         assert got[0] == 1.0
         assert np.all(got[1:] == 0.0)
+
+    @pytest.mark.parametrize(
+        "kappa, jmax",
+        [(150.0, 264), (6.0, 264), (75.0, 520), (0.5, 520), (1200.0, 32), (5000.0, 12)],
+    )
+    def test_long_sequences_against_mpmath(self, kappa, jmax):
+        # jmax in the hundreds: successive Miller runs never agree to 1e-15 here
+        mpmath.mp.dps = 40
+        got = bessel_ratios(kappa, jmax)
+        i0 = mpmath.besseli(0, kappa)
+        for j in range(jmax + 1):
+            exact = mpmath.besseli(j, kappa) / i0
+            if exact >= mpmath.mpf("1e-290"):
+                assert abs(got[j] - float(exact)) <= 1e-12 * float(exact), j
+
+    def test_negative_jmax_rejected(self):
+        with pytest.raises(ValidationError):
+            bessel_ratios(2.0, -1)
+
+    def test_no_doubling_cliff(self):
+        # the kappa=150, bandwidth=64 tensor-power call of demo 04
+        start = time.perf_counter()
+        bessel_ratios(150.0, 264)
+        assert time.perf_counter() - start < 0.5
+
+    def test_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_BESSEL_RTOL", 0.0)
+        with pytest.raises(DegeneracyError, match=r"kappa=6\.0, jmax=40"):
+            bessel_ratios(6.0, 40)
 
 
 def test_rational_dependence_scan():

@@ -13,6 +13,7 @@ from qkoopman.qcirc import (
     MAX_STATEVECTOR_QUBITS,
     QubitEncoding,
     WalshCoefficients,
+    _walsh_transform,
     circuit_expectation,
     evolve_statevector,
     export_circuit,
@@ -102,7 +103,51 @@ class TestFrequencyVector:
         assert np.allclose(f2, 2.0 * f1)
 
 
+def _walsh_loop_oracle(freqs, rel_tol=1e-10):
+    """The former per-mask loop of walsh_coefficients: Im of v, or the error text."""
+    size = freqs.size
+    n = size.bit_length() - 1
+    coeffs = _walsh_transform(freqs, n)
+    scale = float(np.max(np.abs(freqs))) or 1.0
+    weight_one = np.zeros(n)
+    for s in range(size):
+        weight = bin(s).count("1")
+        if weight == 1:
+            weight_one[n - 1 - int(math.log2(s))] = coeffs[s]
+        elif abs(coeffs[s]) > rel_tol * scale:
+            return (
+                f"Walsh coefficient of weight {weight} at mask {s:#b} is "
+                f"{coeffs[s]:.3e}; frequencies are not affine in the bits"
+            )
+    return weight_one
+
+
 class TestWalsh:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_loop_oracle(self, n):
+        rng = np.random.default_rng(n)
+        shifts = np.arange(n - 1, -1, -1)
+        bits = (np.arange(2**n)[:, None] >> shifts) & 1
+
+        def parity(mask):  # the Walsh function whose only coefficient is at mask
+            return 1.0 - 2.0 * ((bits @ ((mask >> shifts) & 1)) % 2)
+
+        affine = (1.0 - 2.0 * bits) @ rng.standard_normal(n)
+        cases = [affine, affine + 0.25]  # the second has a constant term
+        heavy = [s for s in range(2**n) if bin(s).count("1") >= 2]
+        for _ in range(3 if heavy else 0):
+            # two weight >= 2 terms: the error must name the lower mask
+            low, high = sorted(rng.choice(heavy, 2, replace=len(heavy) < 2))
+            cases.append(affine + 0.3 * parity(high) + 1e-3 * parity(low))
+        for freqs in cases:
+            expected = _walsh_loop_oracle(freqs)
+            if isinstance(expected, str):
+                with pytest.raises(NotAffineError) as err:
+                    walsh_coefficients(freqs)
+                assert str(err.value) == expected
+            else:
+                assert np.array_equal(walsh_coefficients(freqs).v, 1j * expected)
+
     def test_documented_example(self):
         enc = QubitEncoding(d=1, q=1)
         freqs = frequency_vector(enc, RotationSystem(np.array([1.0])))

@@ -109,6 +109,25 @@ class TestKernel:
             assert abs(kxy - kyx.conjugate()) < 1e-14
             assert abs(kxy.imag) < 1e-12
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("n", [1, 5, 17])
+    def test_gram_matches_kernel_value_loop(self, d, n):
+        w = SubexpWeight(0.7, 0.5, d=d)
+        lat = TruncatedLattice(d, 9 if d == 1 else 4)
+        pts = np.random.default_rng(10 * d + n).uniform(0, TWO_PI, size=(n, d))
+        oracle = np.array(
+            [[kernel_value(w, lat, pts[a], pts[b]) for b in range(n)] for a in range(n)]
+        )
+        gram = kernel_gram(w, lat, pts)
+        assert np.max(np.abs(gram - oracle)) <= 1e-14
+        assert np.max(np.abs(gram - gram.conj().T)) == 0.0
+        assert np.ptp(np.diag(gram).real) == 0.0
+
+    def test_gram_rejects_point_dimension(self):
+        w = SubexpWeight(0.7, 0.5, d=2)
+        with pytest.raises(ValidationError):
+            kernel_gram(w, TruncatedLattice(2, 3), np.zeros((4, 3)))
+
     def test_gram_psd(self):
         w = SubexpWeight(1.0, 0.5)
         lat = TruncatedLattice(1, 32)
