@@ -1,10 +1,11 @@
 """Experiment harness: reproducible subcommands over JSON configs.
 
-Every command reads one JSON config, validates it (unknown keys and range
-violations are rejected before any computation), and writes CSV whose first
-line records the schema version, a hash of the config, and the package
-version.  Given the same config and seed the output is byte-identical across
-runs.  Exit codes: 0 success, 2 validation failure, 3 numerical degeneracy.
+Every command reads one JSON config, checked key by key against ``_FIELDS``
+before any computation, and writes CSV whose first line records the schema
+version, a hash of the config as written, and the package version.  Given
+the same config and seed the output is byte-identical across runs.  Exit
+codes: 0 success, every CSV value finite; 2 a bad config or observation
+file, or a size over a cap; 3 a numerical degeneracy.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .dynamics import (
     PeriodicOrbitSystem,
     RotationSystem,
     VonMisesDensity,
-    format_trajectory_csv,
     koopman_exact,
     rational_dependence_warnings,
     sample_trajectory,
@@ -38,6 +38,7 @@ from .fock import (
     tensor_network_expectation,
 )
 from .qcirc import (
+    MAX_STATEVECTOR_QUBITS,
     QubitEncoding,
     circuit_expectation,
     export_circuit,
@@ -47,8 +48,11 @@ from .qcirc import (
 )
 from .qmda import (
     CLASSICAL,
+    EVENT,
+    GAUSSIAN,
     QUANTUM,
     QUANTUM_PROJECTED,
+    VON_MISES,
     ObservationModel,
     run_filter,
 )
@@ -64,80 +68,148 @@ SCHEMA_VERSION = 1
 # cmd_koopman builds dense (2J+1)^d square matrices over the kernel lattice;
 # 2048 modes keeps each one below 67 MB
 MAX_LATTICE_MODES = 2048
+# trajectory rows and filter steps; 1e5 trajectory rows take about 0.5 s
+MAX_SAMPLES = 10**6
+# torus dimension: rotate's rational-dependence scan is quadratic in it
+MAX_DIMENSION = 16
 
-# every key the config may carry; None marks scalar leaves
-_SCHEMA = {
-    "schema_version": None,
-    "seed": None,
-    "system": {"kind": None, "alpha": None, "M": None, "x0": None},
-    "kernel": {"tau": None, "p": None, "d": None, "J": None},
-    "fock": {"sigma_w": None, "p_w": None, "Nmax": None},
-    "qmda": {
-        "L": None,
-        "observation": {"kind": None, "scale": None},
-        "noise_std": None,
-        "steps": None,
-        "seed": None,
-        "observations_csv": None,
-    },
-    "qcirc": {"q": None, "t_grid": None, "x0": None, "observable": None},
-    "rotate": {"dt": None, "n": None},
-    "koopman": {
-        "t_grid": None,
-        "m_values": None,
-        "n_values": None,
-        "x0": None,
-        "observable": None,
-        "grid_size": None,
-        "obs_concentration": None,
-        "state_kappa": None,
-        "dt": None,
-        "n_samples": None,
-    },
+# Every config key, "section.key": (type, lo, hi, default).  The type is int,
+# float, [int] or [float] (a list; one number stands for a one-element list),
+# a tuple of the allowed words, str (a file path) or dict (Fourier
+# coefficients {"j_1,...,j_d": [re, im]} with every |j_i| <= hi).  Numbers
+# are finite, never bools, ints integral, and lie in the closed range
+# [lo, hi].  Strict and joint conditions (tau > 0, tau <= sigma/2, p in
+# (0, 1), m <= Nmax, L <= M, the qubit caps) are the library classes' own
+# checks.  Concentrations stop at 1e5, the largest kappa bessel_ratios is
+# tested at.  A default of None means the command works the value out.
+_FIELDS = {
+    "schema_version": (int, SCHEMA_VERSION, SCHEMA_VERSION, SCHEMA_VERSION),
+    "seed": (int, 0, 2**64 - 1, 0),
+    "system.kind": (("rotation", "orbit"), None, None, None),
+    "system.alpha": ([float], -math.inf, math.inf, [math.sqrt(2.0)]),
+    "system.M": (int, 1, MAX_LATTICE_MODES, 8),
+    "system.x0": ([float], -math.inf, math.inf, None),
+    "kernel.tau": (float, 0.0, math.inf, 1.0),
+    "kernel.p": (float, 0.0, 1.0, 0.5),
+    "kernel.d": (int, 1, MAX_DIMENSION, 1),
+    "kernel.J": (int, 0, MAX_LATTICE_MODES, None),
+    "fock.sigma_w": (float, 0.0, math.inf, 3.0),
+    "fock.p_w": (float, 0.0, 1.0, 0.5),
+    "fock.Nmax": (int, 0, 64, 6),
+    "qmda.L": (int, 1, MAX_LATTICE_MODES, None),
+    "qmda.observation.kind": ((GAUSSIAN, VON_MISES, EVENT), None, None, VON_MISES),
+    "qmda.observation.scale": (float, 0.0, math.inf, 6.0),
+    "qmda.noise_std": (float, 0.0, math.inf, 0.05),
+    "qmda.steps": (int, 1, MAX_SAMPLES, 20),
+    "qmda.seed": (int, 0, 2**64 - 1, None),
+    "qmda.observations_csv": (str, None, None, None),
+    "qcirc.q": ([int], 1, MAX_STATEVECTOR_QUBITS, [2, 3, 4, 5, 6]),
+    "qcirc.t_grid": ([float], -math.inf, math.inf, [0.0, 1.0, 2.0]),
+    "qcirc.x0": ([float], -math.inf, math.inf, None),
+    "qcirc.observable": (dict, None, MAX_LATTICE_MODES, None),
+    "rotate.dt": (float, 0.0, math.inf, 0.1),
+    "rotate.n": (int, 1, MAX_SAMPLES, 100),
+    "koopman.t_grid": ([float], -math.inf, math.inf, [0.0, 0.5, 1.0]),
+    "koopman.m_values": ([int], 1, 64, [1, 2, 3]),
+    "koopman.n_values": ([int], 1, 3, [1, 2]),
+    "koopman.x0": ([float], -math.inf, math.inf, None),
+    "koopman.observable": (dict, None, MAX_LATTICE_MODES, None),
+    "koopman.grid_size": (int, 1, MAX_LATTICE_MODES, 256),
+    "koopman.obs_concentration": (float, 0.0, 1e5, 4.0),
+    "koopman.state_kappa": (float, 0.0, 1e5, 20.0),
+    "koopman.dt": (float, 0.0, math.inf, 0.01),
+    "koopman.n_samples": (int, 1, MAX_SAMPLES, 5000),
 }
+_SECTIONS = {key[:i] for key in _FIELDS for i, char in enumerate(key) if char == "."}
 
 
-def _check_keys(config, schema, path=""):
-    if not isinstance(config, dict):
-        raise ValidationError(f"config section {path or '<root>'} must be an object")
-    for key, value in config.items():
-        if key not in schema:
-            raise ValidationError(f"unknown config key {path}{key}")
-        sub = schema[key]
-        if isinstance(sub, dict):
-            _check_keys(value, sub, path=f"{path}{key}.")
+def _number(key: str, kind: type, value, lo, hi):
+    # the magnitude test is False for NaN, inf and ints past the float range
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max or kind is int and value != int(value)):
+        what = "an integer" if kind is int else "a finite number"
+        raise ValidationError(f"{key} must be {what}, got {value!r}")
+    value = kind(value)
+    if not lo <= value <= hi:
+        raise ValidationError(f"{key} must lie in [{lo}, {hi}], got {value!r}")
+    return value
 
 
-def load_config(path: str) -> dict:
+def _coefficients(key: str, entries, bound: int) -> dict:
+    if not isinstance(entries, dict):
+        raise ValidationError(f"{key} must map \"j_1,...,j_d\" to [re, im]")
+    coeffs = {}
+    for index, pair in entries.items():
+        try:
+            j = tuple(int(part) for part in index.split(","))
+        except ValueError:
+            raise ValidationError(f"{key} index {index!r} is not j_1,...,j_d") from None
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValidationError(f"{key}[{index}] must be [re, im], got {pair!r}")
+        real, imag = (_number(f"{key}[{index}]", float, v, -math.inf, math.inf) for v in pair)
+        j = tuple(_number(f"{key} index", int, i, -bound, bound) for i in j)
+        coeffs[j] = complex(real, imag)
+    return coeffs
+
+
+def _value(key: str, value):
+    """``value`` of config key ``key`` checked against ``_FIELDS``."""
+    kind, lo, hi, _ = _FIELDS[key]
+    if kind is str or isinstance(kind, tuple):
+        if not isinstance(value, str) or kind is not str and value not in kind:
+            what = "a string" if kind is str else "one of " + ", ".join(kind)
+            raise ValidationError(f"{key} must be {what}, got {value!r}")
+        return value
+    if kind is dict:
+        return _coefficients(key, value, hi)
+    if isinstance(kind, list):
+        items = value if isinstance(value, list) else [value]
+        return [_number(key, kind[0], item, lo, hi) for item in items]
+    return _number(key, kind, value, lo, hi)
+
+
+def _walk(section, prefix: str, config: dict) -> None:
+    if not isinstance(section, dict):
+        raise ValidationError(f"config section {prefix[:-1] or '<root>'} must be an object")
+    for name, value in section.items():
+        key = prefix + name
+        if "." in name or key not in _FIELDS and key not in _SECTIONS:
+            raise ValidationError(f"unknown config key {key}")
+        if key in _SECTIONS:
+            _walk(value, key + ".", config)
+        else:
+            config[key] = _value(key, value)
+
+
+def load_config(path: str) -> tuple[dict, str]:
+    """The checked config, {"section.key": value} over every key of
+    ``_FIELDS`` with defaults filled in, and the CSV headers' hash: 16 hex
+    digits of the SHA-256 of the JSON as written, keys sorted, no spaces."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            config = json.load(handle)
+            raw = json.load(handle)
     except OSError as err:
         raise ValidationError(f"cannot read config: {err}") from None
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:
         raise ValidationError(f"config is not valid JSON: {err}") from None
-    _check_keys(config, _SCHEMA)
-    version = config.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise ValidationError(f"unsupported schema_version {version}")
-    return config
-
-
-def config_hash(config: dict) -> str:
-    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+    config = {key: spec[3] for key, spec in _FIELDS.items()}
+    _walk(raw, "", config)
+    canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
+    return config, hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
 def _fmt(value) -> str:
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise DegeneracyError(f"a CSV value is {value}")
         return format(value, ".17g")
     return str(value)
 
 
-def write_csv(path: Path, config: dict, columns, rows):
+def write_csv(path: Path, digest: str, columns, rows):
+    """Formats every row, so a NaN or inf raises before the file is written."""
     lines = [
-        f"# schema_version={SCHEMA_VERSION} config_sha256={config_hash(config)} "
-        f"qkoopman={__version__}",
+        f"# schema_version={SCHEMA_VERSION} config_sha256={digest} qkoopman={__version__}",
         ",".join(columns),
     ]
     for row in rows:
@@ -146,11 +218,11 @@ def write_csv(path: Path, config: dict, columns, rows):
 
 
 def _rotation_system(config: dict) -> RotationSystem:
-    system = config.get("system", {})
-    if system.get("kind", "rotation") != "rotation":
+    if config["system.kind"] not in (None, "rotation"):
         raise ValidationError("this command needs a rotation system")
-    alpha = system.get("alpha", [math.sqrt(2.0)])
-    sys_ = RotationSystem(np.asarray(alpha, dtype=float))
+    if len(config["system.alpha"]) > MAX_DIMENSION:
+        raise ValidationError(f"system.alpha has more than {MAX_DIMENSION} frequencies")
+    sys_ = RotationSystem(np.asarray(config["system.alpha"], dtype=float))
     for i, k, frac in rational_dependence_warnings(sys_.alpha):
         print(
             f"warning: alpha[{i}]/alpha[{k}] is within 1e-9 of {frac}; "
@@ -160,173 +232,121 @@ def _rotation_system(config: dict) -> RotationSystem:
     return sys_
 
 
-def _x0(config: dict, block: str, d: int, default: float) -> np.ndarray:
-    """The finite d-dimensional point ``config[block]["x0"]``."""
-    x0 = config.get(block, {}).get("x0", [default] * d)
-    try:
-        arr = np.atleast_1d(np.asarray(x0, dtype=float))
-    except (TypeError, ValueError):
-        raise ValidationError(f"{block}.x0 must be a list of numbers") from None
-    if arr.shape != (d,):
-        raise ValidationError(f"{block}.x0 must have dimension {d}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{block}.x0 must be finite")
-    return arr
+def _point(config: dict, key: str, d: int, default: float) -> np.ndarray:
+    """The d-dimensional point ``config[key]``."""
+    if config[key] is None:
+        return np.full(d, default)
+    if len(config[key]) != d:
+        raise ValidationError(f"{key} must have dimension {d}")
+    return np.asarray(config[key], dtype=float)
 
 
-def _observable(entries, d: int) -> FourierObservable:
-    if entries is None:
+def _observable(config: dict, key: str, d: int) -> FourierObservable:
+    if config[key] is None:
         if d != 1:
             raise ValidationError("a default observable exists only for d=1")
         return FourierObservable({(1,): 0.5, (-1,): 0.5}, d=1)  # cos(theta)
-    coeffs = {}
-    for key, pair in entries.items():
-        index = tuple(int(part) for part in str(key).split(","))
-        if len(index) != d:
-            raise ValidationError(f"observable index {key} does not match d={d}")
-        coeffs[index] = complex(pair[0], pair[1])
-    return FourierObservable(coeffs, d=d)
+    return FourierObservable(config[key], d=d)
 
 
-def _kernel_weight(config: dict) -> tuple[SubexpWeight, int]:
-    kernel = config.get("kernel", {})
-    tau = float(kernel.get("tau", 1.0))
-    p = float(kernel.get("p", 0.5))
-    d = int(kernel.get("d", 1))
-    bandwidth = int(kernel.get("J", 64 if d == 1 else 16))
-    if bandwidth < 0:
-        raise ValidationError("J must be >= 0")
-    return SubexpWeight(tau, p, d), bandwidth
+def _kernel_weight(config: dict, d: int) -> SubexpWeight:
+    if config["kernel.d"] != d:
+        raise ValidationError("kernel dimension must match the system dimension")
+    return SubexpWeight(config["kernel.tau"], config["kernel.p"], d)
 
 
-def _fock_weight(config: dict) -> FockWeight:
-    fock = config.get("fock", {})
-    return FockWeight(
-        float(fock.get("sigma_w", 3.0)),
-        float(fock.get("p_w", 0.5)),
-        int(fock.get("Nmax", 6)),
-    )
-
-
-def cmd_rotate(config: dict, out: Path, seed: int) -> list[Path]:
+def cmd_rotate(config: dict, out: Path, digest: str) -> list[Path]:
     sys_ = _rotation_system(config)
-    block = config.get("rotate", {})
-    dt = float(block.get("dt", 0.1))
-    n = int(block.get("n", 100))
-    if n < 1 or dt <= 0:
-        raise ValidationError("rotate needs n >= 1 and dt > 0")
-    x0 = _x0(config, "system", sys_.d, 0.0)
-    trajectory = sample_trajectory(sys_, x0, dt, n)
-    times = [k * dt for k in range(n)]
-    body = format_trajectory_csv(times, trajectory)
-    header = (
-        f"# schema_version={SCHEMA_VERSION} config_sha256={config_hash(config)} "
-        f"qkoopman={__version__}\n"
-    )
-    path = out / "rotate.csv"
-    path.write_text(header + body, encoding="utf-8")
-    return [path]
+    dt = config["rotate.dt"]
+    x0 = _point(config, "system.x0", sys_.d, 0.0)
+    trajectory = sample_trajectory(sys_, x0, dt, config["rotate.n"])
+    columns = ["t"] + [f"theta_{i}" for i in range(sys_.d)]
+    write_csv(out / "rotate.csv", digest, columns,
+              [(k * dt, *point) for k, point in enumerate(trajectory)])
+    return [out / "rotate.csv"]
 
 
 def _read_observations(path: str) -> list[float]:
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, ValueError) as err:
+        raise ValidationError(f"cannot read qmda.observations_csv: {err}") from None
     values = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for number, line in enumerate(lines, 1):
         line = line.strip()
         if not line or line.startswith("#") or line.startswith("t,"):
             continue
-        parts = line.split(",")
-        values.append(float(parts[1]))
+        try:
+            value = float(line.split(",")[1])
+        except (IndexError, ValueError):
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValidationError(f"{path} line {number}: {line!r} is not t,y with a finite y")
+        values.append(value)
     return values
 
 
-def cmd_filter(config: dict, out: Path, seed: int) -> list[Path]:
-    system = config.get("system", {})
-    if system.get("kind", "orbit") != "orbit":
+def cmd_filter(config: dict, out: Path, digest: str) -> list[Path]:
+    if config["system.kind"] not in (None, "orbit"):
         raise ValidationError("the filter command runs on a periodic orbit system")
-    m = int(system.get("M", 8))
-    x0 = int(system.get("x0", 0) if np.isscalar(system.get("x0", 0)) else system["x0"][0])
-    block = config.get("qmda", {})
-    steps = int(block.get("steps", 20))
-    rank = int(block.get("L", max(1, m - 2)))
-    obs_spec = block.get("observation", {})
+    m = config["system.M"]
+    x0 = [0.0] if config["system.x0"] is None else config["system.x0"]
+    if len(x0) != 1 or not x0[0].is_integer():
+        raise ValidationError("system.x0 of an orbit must be one integer")
+    rank = max(1, m - 2) if config["qmda.L"] is None else config["qmda.L"]
     model = ObservationModel(
-        kind=obs_spec.get("kind", "vonmises"),
-        scale=float(obs_spec.get("scale", 6.0)),
-        noise_std=float(block.get("noise_std", 0.05)),
+        kind=config["qmda.observation.kind"],
+        scale=config["qmda.observation.scale"],
+        noise_std=config["qmda.noise_std"],
     )
-    filter_seed = int(block.get("seed", seed))
-    observations = None
-    if "observations_csv" in block:
-        observations = _read_observations(block["observations_csv"])
+    filter_seed = config["seed"] if config["qmda.seed"] is None else config["qmda.seed"]
+    obs_path = config["qmda.observations_csv"]
+    observations = None if obs_path is None else _read_observations(obs_path)
 
     sys_ = PeriodicOrbitSystem(m)
     rows = []
-    for mode, kwargs in (
-        (CLASSICAL, {}),
-        (QUANTUM, {}),
-        (QUANTUM_PROJECTED, {"rank": rank}),
-    ):
-        trace = run_filter(
-            sys_,
-            model,
-            x0,
-            steps,
-            mode=mode,
-            seed=filter_seed,
-            observations=observations,
-            **kwargs,
-        )
+    for mode in (CLASSICAL, QUANTUM, QUANTUM_PROJECTED):
+        # only the projected mode reads the rank
+        trace = run_filter(sys_, model, int(x0[0]), config["qmda.steps"], mode=mode,
+                           rank=rank, seed=filter_seed, observations=observations)
         for step in trace.steps:
             rows.append(
                 (step.step, mode, step.evidence, step.consistency, step.estimate_error)
             )
-    path = out / "filter.csv"
-    write_csv(
-        path,
-        config,
-        ["step", "mode", "evidence", "consistency_trace_norm", "estimate_error"],
-        rows,
-    )
-    return [path]
+    columns = ["step", "mode", "evidence", "consistency_trace_norm", "estimate_error"]
+    write_csv(out / "filter.csv", digest, columns, rows)
+    return [out / "filter.csv"]
 
 
-def cmd_koopman(config: dict, out: Path, seed: int) -> list[Path]:
+def cmd_koopman(config: dict, out: Path, digest: str) -> list[Path]:
     sys_ = _rotation_system(config)
-    weight, bandwidth = _kernel_weight(config)
-    if weight.d != sys_.d:
-        raise ValidationError("kernel dimension must match the system dimension")
-    modes = (2 * bandwidth + 1) ** sys_.d
-    if modes > MAX_LATTICE_MODES:
+    weight = _kernel_weight(config, sys_.d)
+    bandwidth = config["kernel.J"]
+    if bandwidth is None:
+        bandwidth = 64 if sys_.d == 1 else 16
+    f = _observable(config, "koopman.observable", sys_.d)
+    modes = (2 * max(bandwidth, f.bandwidth) + 1) ** sys_.d
+    points = config["koopman.grid_size"] ** sys_.d
+    if modes > MAX_LATTICE_MODES or points > MAX_LATTICE_MODES**2:
         raise ValidationError(
-            f"kernel lattice has {modes} modes (J={bandwidth}, d={sys_.d}); "
-            f"the limit is {MAX_LATTICE_MODES}"
+            f"kernel lattice has {modes} modes (J={bandwidth}, observable bandwidth "
+            f"{f.bandwidth}, d={sys_.d}) and the quadrature grid {points} points; "
+            f"the limits are {MAX_LATTICE_MODES} and {MAX_LATTICE_MODES**2}"
         )
-    block = config.get("koopman", {})
-    t_grid = [float(t) for t in block.get("t_grid", [0.0, 0.5, 1.0])]
-    m_values = [int(m) for m in block.get("m_values", [1, 2, 3])]
-    n_values = [int(n) for n in block.get("n_values", [1, 2])]
-    x0 = _x0(config, "koopman", sys_.d, 1.0)
-    f = _observable(block.get("observable"), sys_.d)
-    fock_weight = _fock_weight(config)
-    state_kappa = float(block.get("state_kappa", 20.0))
-    sq_common = dict(
-        sigma=2.0 * weight.tau,
-        tau=weight.tau,
-        p=weight.p,
-        bandwidth=bandwidth,
-        grid_size=int(block.get("grid_size", 256)),
-        obs_concentration=float(block.get("obs_concentration", 4.0)),
-        weight=fock_weight,
-    )
+    x0 = _point(config, "koopman.x0", sys_.d, 1.0)
+    fock_weight = FockWeight(config["fock.sigma_w"], config["fock.p_w"], config["fock.Nmax"])
+    sq_common = dict(sigma=2.0 * weight.tau, tau=weight.tau, p=weight.p, bandwidth=bandwidth,
+                     grid_size=config["koopman.grid_size"],
+                     obs_concentration=config["koopman.obs_concentration"], weight=fock_weight)
     lat = TruncatedLattice(sys_.d, bandwidth)
     gen = analytic_generator(sys_, lat)
-    state = VonMisesDensity(x0, np.full(sys_.d, state_kappa))
+    state = VonMisesDensity(x0, np.full(sys_.d, config["koopman.state_kappa"]))
 
     rows = []
-    for t in t_grid:
+    for t in config["koopman.t_grid"]:
         exact = koopman_exact(f, sys_, t).evaluate(x0).real
         residual = smoothing_identity_residual(weight, gen, _restrict(f, lat), t)
-        for m in m_values:
+        for m in config["koopman.m_values"]:
             res = second_quantization_forecast(
                 f, sys_, SecondQuantizationParams(m=m, **sq_common), x0, t
             )
@@ -334,38 +354,27 @@ def cmd_koopman(config: dict, out: Path, seed: int) -> list[Path]:
                 (t, f"m{m}", res.value, exact, abs(res.value - exact),
                  res.state_tail_norm, residual)
             )
-        for n in n_values:
-            tn = tensor_network_expectation(
-                f,
-                state,
-                sys_,
-                TensorNetworkParams(
-                    n=n, sigma=2.0 * weight.tau, tau=weight.tau, bandwidth=min(bandwidth, 24)
-                ),
-                t,
+        for n in config["koopman.n_values"]:
+            params = TensorNetworkParams(
+                n=n, sigma=2.0 * weight.tau, tau=weight.tau, bandwidth=bandwidth
             )
+            tn = tensor_network_expectation(f, state, sys_, params, t)
             rows.append(
                 (t, f"n{n}", tn.value, exact, abs(tn.value - exact),
                  tn.truncation_bound, residual)
             )
-    forecast_path = out / "koopman.csv"
-    write_csv(
-        forecast_path,
-        config,
-        ["t", "m_or_n", "value", "exact", "abs_error", "truncation_mass", "identity_residual"],
-        rows,
-    )
 
-    dt = float(block.get("dt", 0.01))
-    n_samples = int(block.get("n_samples", 5000))
+    dt = config["koopman.dt"]
     small_lat = TruncatedLattice(sys_.d, 3 if sys_.d == 1 else 1)
-    trajectory = sample_trajectory(sys_, x0, dt, n_samples)
+    trajectory = sample_trajectory(sys_, x0, dt, config["koopman.n_samples"])
     data_gen = data_driven_generator(trajectory, dt, small_lat)
     reference = analytic_generator(sys_, small_lat)
     freq_rows = frequency_table(data_gen, reference)
-    freq_path = out / "eigenfrequencies.csv"
-    write_csv(freq_path, config, ["index", "omega", "abs_error_vs_analytic"], freq_rows)
-    return [forecast_path, freq_path]
+    paths = [out / "koopman.csv", out / "eigenfrequencies.csv"]
+    columns = ["t", "m_or_n", "value", "exact", "abs_error", "truncation_mass", "identity_residual"]
+    write_csv(paths[0], digest, columns, rows)
+    write_csv(paths[1], digest, ["index", "omega", "abs_error_vs_analytic"], freq_rows)
+    return paths
 
 
 def _restrict(f: FourierObservable, lat: TruncatedLattice) -> FourierObservable:
@@ -373,22 +382,16 @@ def _restrict(f: FourierObservable, lat: TruncatedLattice) -> FourierObservable:
     return FourierObservable(kept or {(0,) * lat.d: 0.0}, d=lat.d)
 
 
-def cmd_qcirc(config: dict, out: Path, seed: int) -> list[Path]:
+def cmd_qcirc(config: dict, out: Path, digest: str) -> list[Path]:
     sys_ = _rotation_system(config)
-    weight, _ = _kernel_weight(config)
-    if weight.d != sys_.d:
-        raise ValidationError("kernel dimension must match the system dimension")
-    block = config.get("qcirc", {})
-    q_values = [int(q) for q in block.get("q", [2, 3, 4, 5, 6])]
-    t_grid = [float(t) for t in block.get("t_grid", [0.0, 1.0, 2.0])]
+    weight = _kernel_weight(config, sys_.d)
+    q_values, t_grid = config["qcirc.q"], config["qcirc.t_grid"]
     if not q_values or not t_grid:
         raise ValidationError("qcirc.q and qcirc.t_grid must not be empty")
-    if min(q_values) < 1:
-        raise ValidationError("q must be >= 1")
     # QubitEncoding rejects sizes over the statevector limit before anything is allocated
     encodings = [QubitEncoding(d=sys_.d, q=q) for q in q_values]
-    x0 = _x0(config, "qcirc", sys_.d, 1.0)
-    f = _observable(block.get("observable"), sys_.d)
+    x0 = _point(config, "qcirc.x0", sys_.d, 1.0)
+    f = _observable(config, "qcirc.observable", sys_.d)
 
     rows = []
     for enc in encodings:
@@ -396,19 +399,17 @@ def cmd_qcirc(config: dict, out: Path, seed: int) -> list[Path]:
             value = circuit_expectation(enc, weight, sys_, f, x0, t)
             exact = koopman_exact(f, sys_, t).evaluate(x0).real
             rows.append((enc.q, t, value, exact, abs(value - exact)))
-    csv_path = out / "qcirc.csv"
-    write_csv(csv_path, config, ["q", "t", "value", "exact", "abs_error"], rows)
 
     enc = QubitEncoding(d=sys_.d, q=max(q_values))
     coeffs = walsh_coefficients(frequency_vector(enc, sys_))
     prep = feature_state(enc, weight, x0)
-    circuit_path = out / "circuit.txt"
-    circuit_path.write_text(
-        export_circuit(coeffs, enc, t_grid[-1], prep=prep), encoding="utf-8"
-    )
-    return [csv_path, circuit_path]
+    circuit = export_circuit(coeffs, enc, t_grid[-1], prep=prep)
+    write_csv(out / "qcirc.csv", digest, ["q", "t", "value", "exact", "abs_error"], rows)
+    (out / "circuit.txt").write_text(circuit, encoding="utf-8")
+    return [out / "qcirc.csv", out / "circuit.txt"]
 
 
+# Each command computes all its outputs before it writes the first one.
 COMMANDS = {
     "rotate": cmd_rotate,
     "filter": cmd_filter,
@@ -429,17 +430,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        config = load_config(args.config)
-        seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-        if not (0 <= seed < 2**64):
-            raise ValidationError("seed must fit in 64 bits")
+        config, digest = load_config(args.config)
+        if args.seed is not None:
+            config["seed"] = _value("seed", args.seed)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        paths = COMMANDS[args.command](config, out, seed)
-    except ValidationError as err:
+        paths = COMMANDS[args.command](config, out, digest)
+    except (ValidationError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except DegeneracyError as err:
+    except (DegeneracyError, OverflowError) as err:
         print(f"numerical degeneracy: {err}", file=sys.stderr)
         return 3
     for path in paths:

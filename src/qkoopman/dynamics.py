@@ -70,7 +70,7 @@ def sample_trajectory(sys: RotationSystem, x0, dt: float, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValidationError("trajectory length must be >= 1")
-    if dt <= 0:
+    if not (dt > 0):
         raise ValidationError("dt must be positive")
     out = np.empty((n, sys.d))
     out[0] = wrap_angles(x0)
@@ -301,7 +301,7 @@ class VonMisesDensity:
         kappa = np.atleast_1d(np.asarray(self.kappa, dtype=float))
         if mu.shape != kappa.shape:
             raise ValidationError("mu and kappa must have equal length")
-        if np.any(kappa < 0):
+        if not np.all(kappa >= 0):
             raise ValidationError("kappa entries must be nonnegative")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "kappa", kappa)
@@ -351,13 +351,3 @@ def von_mises_fourier(p: VonMisesDensity, bandwidth: int) -> FourierObservable:
         }
     return FourierObservable(coeffs, d=p.d)
 
-
-def format_trajectory_csv(times, points) -> str:
-    """CSV text for a trajectory: header t,theta_0,... and 17-significant-digit rows."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    times = np.asarray(times, dtype=float)
-    d = points.shape[1]
-    lines = ["t," + ",".join(f"theta_{i}" for i in range(d))]
-    for t, row in zip(times, points):
-        lines.append(",".join(format(v, ".17g") for v in (t, *row)))
-    return "\n".join(lines) + "\n"

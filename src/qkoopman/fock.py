@@ -50,7 +50,7 @@ class FockWeight:
     nmax: int
 
     def __post_init__(self):
-        if self.sigma_w <= 0 or not (0.0 < self.p_w < 1.0) or self.nmax < 0:
+        if not (self.sigma_w > 0 and 0.0 < self.p_w < 1.0) or self.nmax < 0:
             raise ValidationError("need sigma_w > 0, p_w in (0,1), nmax >= 0")
 
     def value(self, n: int) -> float:
@@ -534,9 +534,9 @@ def tensor_network_expectation(
     Multiplying the factors back together is an exact coefficient convolution
     on the enlarged lattice, and the sandwich reduces to the quadratic form
     int f |u^n|^2 dmu / int |u^n|^2 dmu on coefficients.  The reported
-    truncation bound dominates the difference from the untruncated-factor
-    value, which is the same for every n; the n=2 vs n=1 discrepancy is
-    bounded by the sum of their bounds.
+    truncation bound, finite and at most ||f||_l1 + |value|, dominates the
+    difference from the untruncated-factor value, which is the same for every
+    n; the n=2 vs n=1 discrepancy is bounded by the sum of their bounds.
     """
     d = state.d
     if f.d != d or sys.d != d:
@@ -571,8 +571,8 @@ def tensor_network_expectation(
     slack = (2.0 * norm2 + sup_diff) * sup_diff
     value = float((num / den).real)
     guard = den - slack
-    if guard <= 0:
-        bound = math.inf
-    else:
-        bound = (f_l1 + abs(value)) * slack / guard
+    # both values average f under nonnegative weights, so neither exceeds
+    # sup|f| <= f_l1 and their distance never exceeds f_l1 + |value|
+    trivial = f_l1 + abs(value)
+    bound = min(trivial * slack / guard, trivial) if guard > 0 else trivial
     return TensorNetworkResult(value=value, truncation_bound=bound)

@@ -211,9 +211,9 @@ class ObservationModel:
     def __post_init__(self):
         if self.kind not in (GAUSSIAN, VON_MISES, EVENT):
             raise ValidationError(f"unknown observation kind {self.kind!r}")
-        if self.scale <= 0:
+        if not (self.scale > 0):
             raise ValidationError("scale must be positive")
-        if self.noise_std < 0:
+        if not (self.noise_std >= 0):
             raise ValidationError("noise_std must be nonnegative")
 
     def kappa(self, y: float, values: np.ndarray) -> np.ndarray:

@@ -38,7 +38,7 @@ class SubexpWeight:
     d: int = 1
 
     def __post_init__(self):
-        if self.tau <= 0:
+        if not (self.tau > 0):
             raise ValidationError("tau must be positive")
         if not (0.0 < self.p < 1.0):
             raise ValidationError("p must lie in (0, 1)")

@@ -41,6 +41,22 @@ class TestRotate:
         assert len(rows) == 1
         assert float(rows[0][1]) == 0.5
 
+    def test_csv_format(self, tmp_path):
+        from qkoopman.dynamics import RotationSystem, sample_trajectory
+
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"system": {"kind": "rotation", "alpha": [1.0, 2.0], "x0": [0.1, 0.2]},
+             "rotate": {"dt": 0.5, "n": 3}},
+        )
+        assert run_cli(["rotate", "--config", cfg, "--out", tmp_path]) == 0
+        header, rows = read_rows(tmp_path / "rotate.csv")
+        assert header == ["t", "theta_0", "theta_1"] and len(rows) == 3
+        traj = sample_trajectory(RotationSystem(np.array([1.0, 2.0])), [0.1, 0.2], 0.5, 3)
+        # 17 significant digits round-trip float64 exactly
+        assert [[float(v) for v in row] for row in rows] == [
+            [k * 0.5, *point] for k, point in enumerate(traj.tolist())]
+
     def test_invalid_alpha_rejected(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.json",
@@ -155,6 +171,26 @@ class TestKoopman:
                                                params, [1.0], 1.0)
             [row] = [r for r in rows if r[1] == f"m{m}"]
             assert float(row[2]) == res.value
+
+    def test_configured_bandwidth_used_by_tensor_powers(self, tmp_path):
+        # the n rows once ran at min(J, 24)
+        from qkoopman.dynamics import FourierObservable, RotationSystem, VonMisesDensity
+        from qkoopman.fock import TensorNetworkParams, tensor_network_expectation
+
+        payload = self.base_config()
+        payload["kernel"]["J"] = 32
+        payload["koopman"].update(t_grid=[1.0], m_values=[1], n_values=[1, 2, 3], n_samples=500)
+        cfg = write_config(tmp_path / "c.json", payload)
+        assert run_cli(["koopman", "--config", cfg, "--out", tmp_path]) == 0
+        _, rows = read_rows(tmp_path / "koopman.csv")
+        cos = FourierObservable({(1,): 0.5, (-1,): 0.5}, d=1)
+        state = VonMisesDensity(np.array([1.0]), np.array([20.0]))
+        for n in (1, 2, 3):
+            params = TensorNetworkParams(n=n, sigma=0.4, tau=0.2, bandwidth=32)
+            res = tensor_network_expectation(cos, state, RotationSystem(np.array([ALPHA])),
+                                             params, 1.0)
+            [row] = [r for r in rows if r[1] == f"n{n}"]
+            assert (float(row[2]), float(row[5])) == (res.value, res.truncation_bound)
 
     def test_lattice_size_capped(self, tmp_path, capsys):
         payload = self.base_config()

@@ -1,0 +1,214 @@
+"""The CLI's exit-code contract over every input.
+
+0 means every CSV value is finite, 2 a bad config, a bad observation file
+or a size over a cap, 3 a numerical degeneracy.  No input may end in a
+traceback, and exit 2 writes no CSV.
+"""
+
+import contextlib
+import io
+import json
+import math
+import re
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from qkoopman import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run(command, config_text, out, obs_text=None):
+    """(exit code, stderr) of one in-process run; config_text may name {obs}."""
+    out.mkdir(parents=True, exist_ok=True)
+    obs = out.parent / "obs.csv"
+    if obs_text is not None:
+        obs.write_text(obs_text, encoding="utf-8")
+    cfg = out.parent / "c.json"
+    cfg.write_text(config_text.replace("{obs}", str(obs)), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([command, "--config", str(cfg), "--out", str(out)])
+    return code, err.getvalue()
+
+
+def csv_values(out):
+    """Every cell of every CSV in out that parses as a number."""
+    values = []
+    for path in out.glob("*.csv"):
+        for line in path.read_text(encoding="utf-8").splitlines()[2:]:
+            for cell in line.split(","):
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    pass
+    return values
+
+
+# The defects each of these once showed: a traceback (exit 1), exit 0 with
+# NaN in a CSV, a value silently coerced, or exit 2 after writing a CSV.
+PROBES = {
+    "missing-observations": ("filter", '{"qmda": {"observations_csv": "{obs}.missing"}}', None),
+    "observation-row-abc": ("filter", '{"qmda": {"observations_csv": "{obs}"}}', "t,y_0\n0,abc\n"),
+    "observation-row-nan": ("filter", '{"qmda": {"observations_csv": "{obs}"}}', "t,y_0\n0,nan\n"),
+    "seed-abc": ("rotate", '{"seed": "abc"}', None),
+    "J-text": ("koopman", '{"kernel": {"J": "x"}}', None),
+    "alpha-text": ("rotate", '{"system": {"alpha": "abc"}}', None),
+    "observable-pair-short": (
+        "koopman", '{"kernel": {"J": 16}, "koopman": {"observable": {"1": [1]}}}', None),
+    "M-huge": ("filter", '{"system": {"kind": "orbit", "M": 100000}}', None),
+    "dt-nan": ("rotate", '{"rotate": {"dt": NaN}}', None),
+    "t-grid-nan": ("qcirc", '{"qcirc": {"t_grid": [NaN]}}', None),
+    "J-fractional": ("koopman", '{"kernel": {"J": 4.7}}', None),
+    "orbit-x0-fractional": ("filter", '{"system": {"kind": "orbit", "x0": 2.7}}', None),
+    "seed-bool": ("rotate", '{"seed": true}', None),
+    "n-samples-0": ("koopman", '{"kernel": {"J": 16}, "koopman": {"n_samples": 0}}', None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROBES))
+def test_probe_exits_2_without_output(tmp_path, name):
+    command, text, obs_text = PROBES[name]
+    code, err = run(command, text, tmp_path / "out", obs_text)
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
+def test_small_bandwidth_has_finite_bounds(tmp_path):
+    # at J=4 the tensor-power truncation bound used to read inf in every n row
+    code, err = run("koopman", '{"kernel": {"J": 4}}', tmp_path / "out")
+    assert code == 0, err
+    values = csv_values(tmp_path / "out")
+    assert values and all(math.isfinite(v) for v in values)
+
+
+def test_accepted_keys():
+    assert set(cli._FIELDS) == {
+        "schema_version", "seed",
+        "system.kind", "system.alpha", "system.M", "system.x0",
+        "kernel.tau", "kernel.p", "kernel.d", "kernel.J",
+        "fock.sigma_w", "fock.p_w", "fock.Nmax",
+        "qmda.L", "qmda.observation.kind", "qmda.observation.scale", "qmda.noise_std",
+        "qmda.steps", "qmda.seed", "qmda.observations_csv",
+        "qcirc.q", "qcirc.t_grid", "qcirc.x0", "qcirc.observable",
+        "rotate.dt", "rotate.n",
+        "koopman.t_grid", "koopman.m_values", "koopman.n_values", "koopman.x0",
+        "koopman.observable", "koopman.grid_size", "koopman.obs_concentration",
+        "koopman.state_kappa", "koopman.dt", "koopman.n_samples",
+    }
+
+
+@pytest.mark.parametrize("text", ['{"system.M": 8}', '{"qmda": {"observation.kind": "event"}}',
+                                  '{"system": {"M": {"x": 1}}}', '{"qmda": {"observation": 1}}',
+                                  "[]"])
+def test_misplaced_keys_rejected(tmp_path, text):
+    code, _ = run("filter", text, tmp_path / "out")
+    assert code == 2
+
+
+def test_readme_example_loads(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1]
+    [example] = re.findall(r"```json\n(.*?)```", section.split("\n## ", 1)[0], re.S)
+    path = tmp_path / "c.json"
+    path.write_text(example, encoding="utf-8")
+    config, digest = cli.load_config(str(path))
+    assert config["kernel.J"] == 16 and re.fullmatch(r"[0-9a-f]{16}", digest)
+
+
+def test_hash_is_over_the_config_as_written(tmp_path):
+    # defaults filled in by load_config do not enter the hash, so a config
+    # that spells out a default hashes differently from one that omits it
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text('{"rotate": {"n": 3}}', encoding="utf-8")
+    b.write_text('{"rotate": {"n": 3, "dt": 0.1}}', encoding="utf-8")
+    (config_a, hash_a), (config_b, hash_b) = cli.load_config(str(a)), cli.load_config(str(b))
+    assert config_a == config_b and hash_a != hash_b
+
+
+# Property test: configs over the table's keys, each value either junk (wrong
+# type, bool, NaN/Infinity, negative or past any cap) or small and valid, so
+# that a run takes milliseconds.
+JUNK = st.sampled_from([None, True, False, "abc", "", [], {}, [[1]], -1, 0, -0.5, 2.5, 10**7,
+                        2**64, 10**400, 1e308, math.nan, math.inf, -math.inf])
+SMALL = {
+    int: st.integers(0, 6),
+    float: st.one_of(st.floats(0.05, 3.0), st.sampled_from([1e-3, 1e3])),
+    str: st.just("{obs}"),
+}
+COMMAND_KEYS = {
+    "rotate": ["system.kind", "system.alpha", "system.x0", "rotate.dt", "rotate.n"],
+    "filter": ["system.kind", "system.M", "system.x0", "qmda.L", "qmda.observation.kind",
+               "qmda.observation.scale", "qmda.noise_std", "qmda.steps", "qmda.seed",
+               "qmda.observations_csv"],
+    "koopman": ["system.alpha", "kernel.tau", "kernel.p", "kernel.d", "kernel.J", "fock.sigma_w",
+                "fock.p_w", "fock.Nmax", "koopman.t_grid", "koopman.m_values",
+                "koopman.n_values", "koopman.x0", "koopman.observable", "koopman.grid_size",
+                "koopman.obs_concentration", "koopman.state_kappa", "koopman.dt",
+                "koopman.n_samples"],
+    "qcirc": ["system.alpha", "kernel.tau", "kernel.p", "kernel.d", "qcirc.q", "qcirc.t_grid",
+              "qcirc.x0", "qcirc.observable"],
+}
+# koopman keeps J, the grid and the sample count small when it draws them
+SIZES = {"kernel.J": st.integers(1, 8), "koopman.grid_size": st.integers(16, 40),
+         "koopman.n_samples": st.integers(50, 400), "system.M": st.integers(1, 10),
+         "qmda.L": st.integers(1, 10), "qmda.steps": st.integers(1, 6),
+         "rotate.n": st.integers(1, 50), "qcirc.q": st.integers(1, 5)}
+OBSERVABLE = st.dictionaries(
+    st.sampled_from(["0", "1", "-1", "2", "1,0", "0,1", "a", "1.5", ""]),
+    st.one_of(st.lists(st.floats(-1, 1), min_size=2, max_size=2), JUNK), max_size=3)
+OBS_ROWS = st.lists(st.sampled_from(["t,y_0", "0,0.3", "1,0.1", "2,-0.2", "3,0.0", "0,abc",
+                                     "0", "0,nan", "0,inf", "", "# note"]), max_size=8)
+
+
+def value_strategy(key):
+    kind, *_ = cli._FIELDS[key]
+    if isinstance(kind, tuple):
+        return st.one_of(st.sampled_from(kind), JUNK)
+    if kind is dict:
+        return st.one_of(OBSERVABLE, JUNK)
+    if isinstance(kind, list):
+        element = SIZES.get(key, SMALL[kind[0]])
+        return st.one_of(st.lists(st.one_of(element, element, JUNK), max_size=3), element, JUNK)
+    return st.one_of(SIZES.get(key, SMALL[kind]), JUNK)
+
+
+@st.composite
+def cases(draw):
+    command = draw(st.sampled_from(sorted(COMMAND_KEYS)))
+    keys = draw(st.sets(st.sampled_from(COMMAND_KEYS[command] + ["seed"]), max_size=5))
+    config = {}
+    if command == "koopman" and "kernel.J" not in keys:
+        config["kernel"] = {"J": 4}  # a run at the default J=64 takes four times as long
+    if command == "koopman" and "koopman.n_samples" not in keys:
+        config.setdefault("koopman", {})["n_samples"] = 200
+    for key in sorted(keys):
+        *sections, leaf = key.split(".")
+        block = config
+        for section in sections:
+            block = block.setdefault(section, {})
+        block[leaf] = draw(value_strategy(key))
+    obs_text = "\n".join(draw(OBS_ROWS)) + "\n"
+    return command, json.dumps(config), obs_text
+
+
+@settings(derandomize=True, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cases())
+def test_every_input_follows_the_contract(case):
+    command, text, obs_text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        code, err = run(command, text, out, obs_text)
+        assert code in (0, 2, 3), err
+        assert "Traceback" not in err
+        if code == 2:
+            assert not list(out.glob("*.csv")), err
+        if code == 0:
+            assert all(math.isfinite(v) for v in csv_values(out))

@@ -12,7 +12,6 @@ from qkoopman.dynamics import (
     VonMisesDensity,
     bessel_ratios,
     flow,
-    format_trajectory_csv,
     koopman_exact,
     rational_dependence_warnings,
     sample_trajectory,
@@ -21,6 +20,9 @@ from qkoopman.dynamics import (
 )
 from qkoopman import dynamics
 from qkoopman.errors import DegeneracyError, ValidationError
+from qkoopman.fock import FockWeight
+from qkoopman.qmda import ObservationModel
+from qkoopman.rkha import SubexpWeight
 
 TWO_PI = 2.0 * math.pi
 
@@ -108,17 +110,6 @@ class TestTrajectory:
             sample_trajectory(sys, [0.0], 0.1, 0)
         with pytest.raises(ValidationError):
             sample_trajectory(sys, [0.0], -0.1, 3)
-
-    def test_csv_format(self):
-        sys = RotationSystem(np.array([1.0, 2.0]))
-        traj = sample_trajectory(sys, [0.1, 0.2], 0.5, 3)
-        text = format_trajectory_csv([0.0, 0.5, 1.0], traj)
-        lines = text.strip().split("\n")
-        assert lines[0] == "t,theta_0,theta_1"
-        assert len(lines) == 4
-        # 17 significant digits round-trips float64 exactly
-        row = lines[1].split(",")
-        assert float(row[1]) == traj[0, 0]
 
 
 class TestEvaluate:
@@ -281,3 +272,21 @@ def test_rational_dependence_scan():
     flagged = rational_dependence_warnings(np.array([2.0, 3.0]))
     assert flagged and float(flagged[0][2]) == pytest.approx(2.0 / 3.0)
     assert rational_dependence_warnings(np.array([1.0, math.sqrt(2.0)])) == []
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SubexpWeight(math.nan, 0.5, 1),
+        lambda: FockWeight(math.nan, 0.5, 6),
+        lambda: ObservationModel(scale=math.nan),
+        lambda: ObservationModel(noise_std=math.nan),
+        lambda: sample_trajectory(RotationSystem(np.array([math.sqrt(2.0)])), [0.0], math.nan, 3),
+        lambda: VonMisesDensity(np.array([0.0]), np.array([math.nan])),
+    ],
+    ids=["tau", "sigma_w", "scale", "noise_std", "dt", "kappa"],
+)
+def test_nan_parameters_rejected(build):
+    # each check is written so that a NaN fails it
+    with pytest.raises(ValidationError):
+        build()

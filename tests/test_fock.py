@@ -459,6 +459,19 @@ class TestTensorNetworkExpectation:
         diff = abs(results[0].value - results[1].value)
         assert diff <= results[0].truncation_bound + results[1].truncation_bound
 
+    def test_small_bandwidth_bound_finite(self):
+        # at J=4 the guard of the bound is negative and the bound used to be inf
+        for n in (1, 2, 3):
+            for t in (0.0, 1.0):
+                coarse, fine = (
+                    tensor_network_expectation(
+                        self.COS, self.STATE, self.SYS, TensorNetworkParams(n=n, bandwidth=J), t
+                    )
+                    for J in (4, 64)
+                )
+                assert math.isfinite(coarse.truncation_bound)
+                assert abs(coarse.value - fine.value) <= coarse.truncation_bound
+
     def test_forecasts_forward_flow(self):
         # sharp state: expectation approximates f(Phi^t x)
         state = VonMisesDensity(np.array([1.0]), np.array([60.0]))
