@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaincc, gamma as gamma_fn, i0e
+from scipy.special import gammaincc, i0e
 
 from .dynamics import (
     FourierObservable,
@@ -37,7 +37,7 @@ from .dynamics import (
     bessel_ratios,
     von_mises_fourier,
 )
-from .errors import DegenerateNormalizationError, ValidationError
+from .errors import DegeneracyError, DegenerateNormalizationError, ValidationError
 from .rkha import SubexpWeight, TruncatedLattice, direct_convolve
 
 
@@ -63,13 +63,24 @@ class FockWeight:
         """Upper bound for sum_{k > n} w^-2(k), by integral comparison.
 
         With c = 2 sigma_w, sum_{k>n} exp(-c k^p) <= int_n^inf exp(-c x^p) dx
-        = Gamma(1/p) gammaincc(1/p, c n^p) / (p c^(1/p)).
+        = Gamma(1/p) gammaincc(1/p, c n^p) / (p c^(1/p)), evaluated in log
+        space: Gamma(1/p) and c^(1/p) overflow for small p_w or huge sigma_w
+        where the bound itself does not.
         """
         if n is None:
             n = self.nmax
         c = 2.0 * self.sigma_w
         a = 1.0 / self.p_w
-        return float(gamma_fn(a) * gammaincc(a, c * n**self.p_w) / (self.p_w * c**a))
+        # n = 0 keeps the argument 0 where c overflows to inf (inf * 0 is NaN)
+        upper = float(gammaincc(a, c * n**self.p_w if n else 0.0))
+        if upper == 0.0:
+            return 0.0
+        try:
+            return math.exp(math.lgamma(a) + math.log(upper) - math.log(self.p_w) - a * math.log(c))
+        except OverflowError:
+            raise DegeneracyError(
+                f"Fock tail bound exceeds the float range at sigma_w={self.sigma_w}, p_w={self.p_w}"
+            ) from None
 
 
 def occupation(counts) -> tuple:

@@ -8,6 +8,11 @@ effect's square root.  On a finite periodic orbit both filters are exactly
 finite-dimensional and agree to machine precision; finite-rank compression
 of the operator filter preserves positivity but leaves the exactly
 classical world, which is what the projected mode exercises.
+
+Every state the orbit filter produces is a vector state rho = |psi><psi|:
+the embedding projects onto sqrt(mu sigma), and conjugation by the transfer
+operator, compression and sqrt(E) (.) sqrt(E) all keep rank 1.  So
+``run_filter`` carries psi and does on it what the dense functions do on rho.
 """
 
 from __future__ import annotations
@@ -27,11 +32,7 @@ from .dynamics import (
     koopman_exact,
     wrap_angles,
 )
-from .errors import (
-    DegenerateNormalizationError,
-    ValidationError,
-    ZeroEvidenceError,
-)
+from .errors import ValidationError, ZeroEvidenceError
 from .rkha import TruncatedLattice, fourier_multiplier_matrix
 
 GAUSSIAN = "gaussian"
@@ -116,7 +117,9 @@ def quantum_forecast(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
 def effect_sqrt(e: np.ndarray) -> np.ndarray:
     """Positive square root of an effect, eigenvalues clamped into [0, 1]."""
     eigs, vecs = np.linalg.eigh(0.5 * (e + e.conj().T))
-    eigs = np.clip(eigs, 0.0, 1.0)
+    # eigenvalues within eigh's rounding of 0 are 0, not noise for sqrt to amplify
+    floor = eigs.size * np.finfo(float).eps * np.abs(eigs).max()
+    eigs = np.where(eigs > floor, np.minimum(eigs, 1.0), 0.0)
     return (vecs * np.sqrt(eigs)) @ vecs.conj().T
 
 
@@ -130,23 +133,12 @@ def quantum_analysis(rho: np.ndarray, e: np.ndarray) -> np.ndarray:
     return posterior / np.trace(posterior).real
 
 
-def compress(matrix: np.ndarray, rank: int, renormalize_trace: bool = False) -> np.ndarray:
-    """Top-left rank x rank block in the fixed basis ordering.
-
-    Compression is linear and positivity preserving.  With
-    ``renormalize_trace`` the block is rescaled to unit trace (density
-    operators); a vanishing compressed trace is rejected.
-    """
+def compress(matrix: np.ndarray, rank: int) -> np.ndarray:
+    """Top-left rank x rank block in the fixed basis: linear, positivity preserving."""
     n = matrix.shape[0]
     if not (1 <= rank <= n):
         raise ValidationError(f"rank must lie in [1, {n}]")
-    block = np.array(matrix[:rank, :rank])
-    if renormalize_trace:
-        tr = float(np.trace(block).real)
-        if tr <= 1e-300:
-            raise DegenerateNormalizationError("compressed density has zero trace")
-        block /= tr
-    return block
+    return np.array(matrix[:rank, :rank])
 
 
 def multiplication_operator_point(f_values: np.ndarray) -> np.ndarray:
@@ -342,6 +334,12 @@ def run_filter(
     frequency basis before use.  Observations are synthesized from the true
     trajectory unless an explicit sequence is supplied.  A zero-evidence
     update aborts the run with the failing step index attached.
+
+    The operator state is the vector psi of rho = |psi><psi| (exact, as every
+    step keeps rho rank 1), and ``quantum_posteriors`` holds it per step.
+    Quantum mode permutes psi and multiplies it by sqrt(likelihood); the
+    projected transfer is a phase per mode, and only the rank x rank
+    compressed effect needs a matrix square root.
     """
     if steps < 1:
         raise ValidationError("steps must be >= 1")
@@ -349,9 +347,8 @@ def run_filter(
         raise ValidationError(f"need {steps} observations, got {len(observations)}")
     if mode not in (CLASSICAL, QUANTUM, QUANTUM_PROJECTED):
         raise ValidationError(f"unknown filter mode {mode!r}")
-    if mode == QUANTUM_PROJECTED:
-        if rank is None or not (1 <= rank <= sys.M):
-            raise ValidationError("projected mode needs a rank between 1 and M")
+    if mode == QUANTUM_PROJECTED and (rank is None or not (1 <= rank <= sys.M)):
+        raise ValidationError("projected mode needs a rank between 1 and M")
 
     rng = np.random.default_rng(seed)
     mu = sys.mu
@@ -359,18 +356,18 @@ def run_filter(
     sigma = np.ones(sys.M) if sigma0 is None else np.asarray(sigma0, dtype=float)
     check_density(sigma, mu)
 
-    u_point = sys.koopman_matrix().astype(complex)
-    transfer_point = u_point.conj().T  # evolves states
-
     run_quantum = mode in (QUANTUM, QUANTUM_PROJECTED)
     if mode == QUANTUM:
-        to_basis = np.eye(sys.M, dtype=complex)
-        rank = sys.M
+        to_modes = from_modes = lambda v: v  # the point basis
     elif mode == QUANTUM_PROJECTED:
-        to_basis = orbit_mode_transform(sys.M)
+        modes = orbit_mode_transform(sys.M)[:rank]
+        shift = np.exp(-2j * math.pi * _orbit_mode_order(sys.M)[:rank] / sys.M)
+        to_modes = lambda v: modes @ v
+        from_modes = lambda v: modes.conj().T @ v
     if run_quantum:
-        transfer = compress(to_basis @ transfer_point @ to_basis.conj().T, rank)
-        rho = compress(to_basis @ embed_density(sigma, mu) @ to_basis.conj().T, rank, True)
+        # the first mode is the constant one, so the projected psi is never 0
+        psi = to_modes(np.sqrt(np.maximum(mu * sigma, 0.0)))
+        psi /= np.linalg.norm(psi)
 
     trace = FilterTrace(mode=mode)
     x = int(x0) % sys.M
@@ -393,24 +390,18 @@ def run_filter(
         consistency = 0.0
         marginals = sigma * mu
         if run_quantum:
-            effect_point = multiplication_operator_point(likelihood)
-            effect = compress(to_basis @ effect_point @ to_basis.conj().T, rank)
-            rho_prior = transfer @ rho @ transfer.conj().T
-            tr_prior = float(np.trace(rho_prior).real)
-            if tr_prior <= 1e-14:
-                raise ZeroEvidenceError(f"state annihilated by projection at step {n}")
-            rho_prior /= tr_prior
-            try:
-                rho = quantum_analysis(rho_prior, effect)
-            except ZeroEvidenceError as err:
-                raise ZeroEvidenceError(f"zero evidence at step {n}: {err}") from None
-            trace.quantum_posteriors.append(rho.copy())
-            embedded = compress(
-                to_basis @ embed_density(sigma, mu) @ to_basis.conj().T, rank
-            )
-            consistency = trace_norm(embedded - rho)
-            rho_point = to_basis.conj().T[:, :rank] @ rho @ to_basis[:rank, :]
-            marginals = np.maximum(np.diag(rho_point).real, 0.0)
+            if mode == QUANTUM:
+                psi = np.sqrt(likelihood) * np.roll(psi, 1)
+            else:
+                psi = effect_sqrt((modes * likelihood) @ modes.conj().T) @ (shift * psi)
+            quantum_evidence = float(np.vdot(psi, psi).real)  # <psi, E psi>
+            if quantum_evidence <= 1e-14:
+                raise ZeroEvidenceError(f"zero evidence at step {n} under the operator state")
+            psi = psi / math.sqrt(quantum_evidence)
+            trace.quantum_posteriors.append(psi)
+            embedded = to_modes(np.sqrt(np.maximum(mu * sigma, 0.0)))
+            consistency = _pure_state_distance(embedded, psi)
+            marginals = np.abs(from_modes(psi)) ** 2
 
         estimate = int(np.argmax(marginals))
         err_steps = min((estimate - x) % sys.M, (x - estimate) % sys.M)
@@ -425,6 +416,20 @@ def run_filter(
             )
         )
     return trace
+
+
+def _pure_state_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Trace norm of |a><a| - |b><b| for a nonzero a; the norms may differ.
+
+    On span{a, b} the difference has trace |a|^2 - |b|^2 and determinant
+    -|a|^2 |b_perp|^2, b_perp = b - a <a, b> / |a|^2, so its trace norm is
+    sqrt((|a|^2 - |b|^2)^2 + 4 |a|^2 |b_perp|^2).  Forming b_perp as a vector
+    resolves distances far below sqrt(eps), where 1 - |<a, b>|^2 cancels.
+    """
+    aa = float(np.vdot(a, a).real)
+    bb = float(np.vdot(b, b).real)
+    perp = b - a * (np.vdot(a, b) / aa)
+    return math.sqrt((aa - bb) ** 2 + 4.0 * aa * float(np.vdot(perp, perp).real))
 
 
 def _sqrt_von_mises_coeffs(mu: float, kappa: float, lat: TruncatedLattice) -> np.ndarray:
@@ -470,12 +475,13 @@ def run_torus_filter(
     if mode not in (CLASSICAL, QUANTUM, QUANTUM_PROJECTED):
         raise ValidationError(f"unknown filter mode {mode!r}")
     lat = TruncatedLattice(1, bandwidth)
-    if mode == QUANTUM_PROJECTED:
-        if rank is None or not (1 <= rank <= lat.size):
-            raise ValidationError("projected mode needs a rank between 1 and the lattice size")
-        keep = np.zeros(lat.size)
-        for freq in _orbit_mode_order(lat.size)[:rank]:
-            keep[lat.position((int(freq),))] = 1.0
+    if mode != QUANTUM_PROJECTED:
+        rank = lat.size
+    elif rank is None or not (1 <= rank <= lat.size):
+        raise ValidationError("projected mode needs a rank between 1 and the lattice size")
+    keep = np.zeros(lat.size)  # indicator of the modes the operator track keeps
+    for freq in _orbit_mode_order(lat.size)[:rank]:
+        keep[lat.position((int(freq),))] = 1.0
 
     from scipy.special import i0e
 
@@ -486,10 +492,8 @@ def run_torus_filter(
     c_vec = kappa0 * math.cos(x0)
     s_vec = kappa0 * math.sin(x0)
     if run_quantum:
-        psi = _sqrt_von_mises_coeffs(float(x0), kappa0, lat)
-        if mode == QUANTUM_PROJECTED:
-            psi = psi * keep
-            psi /= np.linalg.norm(psi)
+        psi = _sqrt_von_mises_coeffs(float(x0), kappa0, lat) * keep
+        psi /= np.linalg.norm(psi)
     half_kernel = bessel_ratios(model.scale / 2.0, 2 * lat.J) * float(i0e(model.scale / 2.0))
     theta_grid = np.arange(grid_size) * TWO_PI / grid_size
     j_all = lat.indices[:, 0]
@@ -525,27 +529,23 @@ def run_torus_filter(
             kernel_coeffs = kernel_abs * np.exp(-1j * m_all * y)
             full = np.convolve(kernel_coeffs, psi)
             center = (full.size - 1) // 2
-            psi = full[center - lat.J : center + lat.J + 1]
-            if mode == QUANTUM_PROJECTED:
-                psi = psi * keep
+            psi = full[center - lat.J : center + lat.J + 1] * keep
             norm = np.linalg.norm(psi)
             if norm <= 1e-150:
                 raise ZeroEvidenceError(f"state annihilated at step {n}")
             psi = psi / norm
             reference = _sqrt_von_mises_coeffs(mu_post, kap_post, lat)
-            overlap = abs(np.vdot(reference, psi))
-            consistency = 2.0 * math.sqrt(max(0.0, 1.0 - overlap**2))
+            consistency = _pure_state_distance(reference, psi)
             values = on_grid @ psi
             phase = values[int(np.argmax(np.abs(values)))]
             min_sqrt = float((values * (phase.conjugate() / abs(phase))).real.min())
             first = complex(np.sum(np.conj(psi[1:]) * psi[:-1]))
             estimate = math.atan2(first.imag, first.real) % TWO_PI
+            trace.quantum_posteriors.append((psi, min_sqrt))
         else:
             estimate = mu_post
         gap = abs((estimate - x + math.pi) % TWO_PI - math.pi)
         trace.classical_posteriors.append((mu_post, kap_post))
-        if run_quantum:
-            trace.quantum_posteriors.append((psi.copy(), min_sqrt))
         trace.steps.append(
             FilterStep(
                 step=n,

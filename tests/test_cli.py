@@ -145,6 +145,15 @@ class TestKoopman:
             errs = [float(r[4]) for r in rows if r[0] == t and r[1].startswith("m")]
             assert errs[0] > errs[1] > errs[2]
 
+    def test_huge_fock_weight_finite(self, tmp_path):
+        # the Fock tail bound underflows to 0 here, it does not overflow
+        payload = self.base_config()
+        payload["fock"] = {"sigma_w": 1e300}
+        cfg = write_config(tmp_path / "c.json", payload)
+        assert run_cli(["koopman", "--config", cfg, "--out", tmp_path]) == 0
+        _, rows = read_rows(tmp_path / "koopman.csv")
+        assert rows and all(np.isfinite(float(v)) for r in rows for v in r[2:])
+
     def test_constant_observable_zero_error(self, tmp_path):
         payload = self.base_config()
         payload["koopman"]["observable"] = {"0": [2.0, 0.0]}

@@ -1,6 +1,8 @@
 import itertools
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from qkoopman.dynamics import (
     koopman_exact,
     von_mises_fourier,
 )
-from qkoopman.errors import DegenerateNormalizationError, ValidationError
+from qkoopman.errors import DegeneracyError, DegenerateNormalizationError, ValidationError
 from qkoopman.fock import (
     FockVector,
     FockWeight,
@@ -77,6 +79,21 @@ class TestWeight:
     def test_tail_bounds_direct_sum(self):
         direct = sum(math.exp(-2 * W.sigma_w * n**W.p_w) for n in range(7, 400))
         assert W.inv_square_tail(6) >= direct
+
+    @pytest.mark.parametrize("p_w", [0.005, 0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("sigma_w", [0.1, 1.0, 3.0, 10.0, 1e300])
+    def test_tail_against_mpmath(self, sigma_w, p_w):
+        # p_w = 0.005 overflowed Gamma(1/p_w) to inf; sigma_w = 1e300 overflowed c^(1/p_w)
+        weight = FockWeight(sigma_w, p_w, 6)
+        for n in (0, 1, 6, 20):
+            with mpmath.workdps(40):
+                a, c = 1 / mpmath.mpf(p_w), 2 * mpmath.mpf(sigma_w)
+                exact = mpmath.gammainc(a, c * mpmath.mpf(n) ** p_w) / (p_w * c**a)
+            if exact > sys.float_info.max:
+                with pytest.raises(DegeneracyError, match="sigma_w=.*p_w="):
+                    weight.inv_square_tail(n)
+            else:
+                assert weight.inv_square_tail(n) == pytest.approx(float(exact), rel=1e-12, abs=1e-300)
 
 
 class TestInnerProduct:

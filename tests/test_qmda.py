@@ -1,12 +1,12 @@
+import cmath
+import math
+
+import mpmath
 import numpy as np
 import pytest
 
 from qkoopman.dynamics import PeriodicOrbitSystem
-from qkoopman.errors import (
-    DegenerateNormalizationError,
-    ValidationError,
-    ZeroEvidenceError,
-)
+from qkoopman.errors import ValidationError, ZeroEvidenceError
 from qkoopman.dynamics import FourierObservable, RotationSystem
 from qkoopman.qmda import (
     CLASSICAL,
@@ -20,6 +20,7 @@ from qkoopman.qmda import (
     classical_forecast_rotation,
     compress,
     consistency_chain_gap,
+    effect_sqrt,
     embed_density,
     multiplication_operator_fourier,
     multiplication_operator_point,
@@ -30,6 +31,8 @@ from qkoopman.qmda import (
     run_filter,
     run_torus_filter,
     trace_norm,
+    _pure_state_distance,
+    _sqrt_von_mises_coeffs,
 )
 from qkoopman.rkha import TruncatedLattice
 
@@ -184,6 +187,14 @@ class TestQuantumSteps:
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-13)
         assert np.linalg.eigvalsh(out).min() >= -1e-10
 
+    def test_root_of_projector_is_the_projector(self):
+        # the zero eigenvalues, once rounded, must not come back as sqrt(rounding)
+        m = 17
+        modes = orbit_mode_transform(m)
+        for window in (1, 2, 3, 8):
+            proj = modes[:, :window] @ modes[:, :window].conj().T
+            assert np.max(np.abs(effect_sqrt(proj) - proj)) <= 1e-14
+
     def test_zero_evidence(self):
         sigma = np.array([2.0, 0.0])
         rho = embed_density(sigma, np.full(2, 0.5))
@@ -304,11 +315,6 @@ class TestCompression:
         interior = (f @ g - g @ f)[1:-1, 1:-1]
         assert np.linalg.norm(interior) == 0.0
 
-    def test_zero_trace_rejected(self):
-        rho = np.diag([0.0, 0.0, 1.0]).astype(complex)
-        with pytest.raises(DegenerateNormalizationError):
-            compress(rho, 2, renormalize_trace=True)
-
 
 class TestConsistencyChain:
     def test_random_pairs(self):
@@ -364,6 +370,76 @@ class TestRunFilter:
             )
 
 
+def dense_filter(sys, model, x0, steps, mode, rank, seed):
+    """The dense M x M loop run_filter ran before it carried psi: the oracle.
+
+    Returns (evidence, consistency, point marginals) per step.
+    """
+    rng = np.random.default_rng(seed)
+    mu = sys.mu
+    h = orbit_observation_values(sys)
+    if mode == QUANTUM:
+        to_basis, rank = np.eye(sys.M), sys.M
+    else:
+        to_basis = orbit_mode_transform(sys.M)
+
+    def compressed(a):
+        return compress(to_basis @ a @ to_basis.conj().T, rank)
+
+    sigma = np.ones(sys.M)
+    transfer = compressed(sys.transfer_matrix().astype(complex))
+    rho = compressed(embed_density(sigma, mu))
+    rho /= np.trace(rho).real
+    x = x0 % sys.M
+    out = []
+    for _ in range(steps):
+        x = sys.step(x)
+        like = model.kappa(model.observe(h[x], rng), h)
+        prior = classical_forecast(sys, sigma)
+        sigma = classical_analysis(prior, like, mu)
+        rho = quantum_forecast(transfer, rho)
+        effect = compressed(multiplication_operator_point(like))
+        rho = quantum_analysis(rho / np.trace(rho).real, effect)
+        rho_point = to_basis.conj().T[:, :rank] @ rho @ to_basis[:rank, :]
+        out.append(
+            (
+                float(np.dot(mu, prior * like)),
+                trace_norm(compressed(embed_density(sigma, mu)) - rho),
+                np.maximum(np.diag(rho_point).real, 0.0),
+            )
+        )
+    return out
+
+
+KERNELS = {
+    "vonmises": lambda m: ObservationModel(kind="vonmises", scale=4.0, noise_std=0.1),
+    "gaussian": lambda m: ObservationModel(kind="gaussian", scale=0.8, noise_std=0.1),
+    # a window of three points around the noiseless observation
+    "event": lambda m: ObservationModel(kind="event", scale=3.0 * 2 * np.pi / m),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KERNELS))
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 17, 128])
+def test_run_filter_matches_dense_loop(m, kind):
+    model = KERNELS[kind](m)
+    sys = PeriodicOrbitSystem(m)
+    runs = [(QUANTUM, m)] + [(QUANTUM_PROJECTED, L) for L in sorted({1, (m + 1) // 2, m})]
+    for mode, rank in runs:
+        for seed in (0, 1, 2):
+            trace = run_filter(sys, model, seed, 10, mode=mode, rank=rank, seed=seed)
+            oracle = dense_filter(sys, model, seed, 10, mode, rank, seed)
+            for step, (evidence, consistency, marginals) in zip(trace.steps, oracle):
+                assert step.evidence == evidence
+                assert abs(step.consistency - consistency) <= 1e-13
+                if mode == QUANTUM:
+                    assert step.consistency <= 1e-12  # criterion 1
+                second, top = np.sort(np.append(marginals, 0.0))[-2:]
+                if top - second > 1e-9 * top:  # exact ties go either way
+                    assert step.estimate == np.argmax(marginals)
+            assert all(psi.shape == (rank,) for psi in trace.quantum_posteriors)
+
+
 class TestTorusFilter:
     SYS = RotationSystem(np.array([np.sqrt(2.0)]))
     MODEL = ObservationModel(kind="vonmises", scale=4.0, noise_std=0.1)
@@ -400,6 +476,62 @@ class TestTorusFilter:
         assert all(s.consistency == 0.0 for s in trace.steps)
         mu, kappa = trace.classical_posteriors[-1]
         assert 0.0 <= mu < 2 * np.pi and kappa > 0
+
+    def test_consistency_against_mpmath(self):
+        # distances far below sqrt(eps): 1 - |<ref, psi>|^2 cancels them to 0
+        lat = TruncatedLattice(1, 32)
+        trace = run_torus_filter(
+            self.SYS, self.MODEL, 1.3, 60, dt=0.3, bandwidth=32, kappa0=6.0,
+            mode=QUANTUM, seed=5,
+        )
+        with mpmath.workdps(50):
+            for step, (mu, kappa), (psi, _) in zip(
+                trace.steps, trace.classical_posteriors, trace.quantum_posteriors
+            ):
+                exact = mp_pure_state_distance(_sqrt_von_mises_coeffs(mu, kappa, lat), psi)
+                assert abs(step.consistency - exact) <= 1e-15 + 1e-6 * exact, step.step
+
+
+def mp_pure_state_distance(a, b):
+    """Trace norm of |a><a| - |b><b| at the working mpmath precision."""
+    a = [mpmath.mpc(complex(v)) for v in a]
+    b = [mpmath.mpc(complex(v)) for v in b]
+    aa = mpmath.fsum(abs(v) ** 2 for v in a)
+    bb = mpmath.fsum(abs(v) ** 2 for v in b)
+    ab = mpmath.fsum(mpmath.conj(u) * v for u, v in zip(a, b))
+    perp = mpmath.fsum(abs(v - u * ab / aa) ** 2 for u, v in zip(a, b))
+    return float(mpmath.sqrt((aa - bb) ** 2 + 4 * aa * perp))
+
+
+class TestPureStateDistance:
+    def test_matches_dense_trace_norm_with_unequal_norms(self):
+        rng = np.random.default_rng(14)
+        for n in (1, 2, 7, 40):
+            a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            b = 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            dense = trace_norm(np.outer(a, a.conj()) - np.outer(b, b.conj()))
+            assert _pure_state_distance(a, b) == pytest.approx(dense, rel=1e-12)
+        # parallel, norms 2 and 1: diag(4 - 1)
+        assert _pure_state_distance(np.array([2.0, 0.0]), np.array([1.0, 0.0])) == 3.0
+
+    def test_orthogonal(self):
+        # |a|^2 + |b|^2
+        assert _pure_state_distance(np.array([3.0, 0.0]), np.array([0.0, 2.0j])) == 13.0
+        e = np.eye(5)
+        assert _pure_state_distance(e[1], e[3]) == 2.0
+
+    def test_phase_multiple(self):
+        rng = np.random.default_rng(15)
+        b = rng.standard_normal(65) + 1j * rng.standard_normal(65)
+        b /= np.linalg.norm(b)
+        for phase in (1.0, -1.0, 1j, -1j):  # products with these are exact
+            assert _pure_state_distance(phase * b, b) == 0.0
+            assert _pure_state_distance(b, phase * b) == 0.0
+        with mpmath.workdps(50):
+            for phi in (0.7, 2.1, -3.0):
+                a = cmath.exp(1j * phi) * b  # rounded, so not exactly parallel
+                exact = mp_pure_state_distance(a, b)
+                assert abs(_pure_state_distance(a, b) - exact) <= 1e-15 + 1e-6 * exact
 
 
 class TestModeTransform:
