@@ -435,7 +435,10 @@ def main(argv=None) -> int:
             config["seed"] = _value("seed", args.seed)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        paths = COMMANDS[args.command](config, out, digest)
+        # an overflow or 0/0 on the way surfaces as a non-finite CSV value
+        # and exit 3, so numpy's own RuntimeWarning lines would only repeat it
+        with np.errstate(all="ignore"):
+            paths = COMMANDS[args.command](config, out, digest)
     except (ValidationError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

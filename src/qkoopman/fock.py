@@ -28,17 +28,87 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaincc, i0e
 
 from .dynamics import (
+    TWO_PI,
     FourierObservable,
     RotationSystem,
     VonMisesDensity,
+    _i0e,
     bessel_ratios,
     von_mises_fourier,
 )
 from .errors import DegeneracyError, DegenerateNormalizationError, ValidationError
 from .rkha import SubexpWeight, TruncatedLattice, direct_convolve
+
+_LOG_TINY = math.log(5e-324)  # below this exp() rounds to 0.0
+_LENTZ_TINY = 1e-300  # stands in for a zero denominator in the continued fraction
+# Stirling-series coefficients B_2k / (2k (2k - 1)) of log Gamma(a), k = 1..4
+_STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0)
+
+
+def _log_gamma_density(a: float, x: float) -> float:
+    """log(x^a e^-x / Gamma(a)) for x > 0.
+
+    For a >= 20 it is formed as 0.5 log(a / 2 pi) - a (t - log1p(t)) - s(a)
+    with t = (x - a)/a and s the Stirling series of log Gamma(a), so the
+    large terms a log x, x and log Gamma(a) never cancel in floating point;
+    the four-term series is within 2e-15 there.
+    """
+    if a < 20.0:
+        return a * math.log(x) - x - math.lgamma(a)
+    t = (x - a) / a  # -1 once x/a is below the rounding of 1: the density is 0
+    u = 1.0 / (a * a)
+    series = (_STIRLING[0] + u * (_STIRLING[1] + u * (_STIRLING[2] + u * _STIRLING[3]))) / a
+    log1p_t = math.log1p(t) if t > -1.0 else -math.inf
+    return 0.5 * math.log(a / TWO_PI) - a * (t - log1p_t) - series
+
+
+def _log_gammaincc(a: float, x: float) -> float:
+    """log Q(a, x) for a >= 1, Q the regularized upper incomplete gamma Gamma(a, x)/Gamma(a).
+
+    For x < a + 1, Q = 1 - P with the series P = x^a e^-x / Gamma(a) *
+    sum_k x^k / (a (a+1) ... (a+k)); for x >= a + 1, Q = x^a e^-x /
+    Gamma(a) times the continued fraction 1/(x+1-a - 1(1-a)/(x+3-a -
+    2(2-a)/(x+5-a - ...))), the even part of A&S 6.5.31, by Lentz's method.
+    The series branch loses digits to the subtraction 1 - P, most near the
+    switch where P is largest; that is acceptable for a tail bound.  The log
+    is finite wherever x is, also where Q itself underflows.  Near x = a
+    either branch takes O(sqrt(a)) terms.
+    """
+    if x <= 0.0:
+        return 0.0
+    if x == math.inf:
+        return -math.inf
+    log_density = _log_gamma_density(a, x)
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        denom = a
+        while term > 1e-17 * total:
+            denom += 1.0
+            term *= x / denom
+            total += term
+        return math.log1p(-math.exp(log_density + math.log(total)))
+    b = x + 1.0 - a
+    c = 1.0 / _LENTZ_TINY
+    d = 1.0 / b
+    fraction = d
+    i = 0
+    while True:
+        i += 1
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        c = b + an / c
+        if abs(d) < _LENTZ_TINY:
+            d = _LENTZ_TINY
+        if abs(c) < _LENTZ_TINY:
+            c = _LENTZ_TINY
+        d = 1.0 / d
+        delta = c * d
+        fraction *= delta
+        if abs(delta - 1.0) < 1e-15:
+            return log_density + math.log(fraction)
 
 
 @dataclass(frozen=True)
@@ -63,24 +133,28 @@ class FockWeight:
         """Upper bound for sum_{k > n} w^-2(k), by integral comparison.
 
         With c = 2 sigma_w, sum_{k>n} exp(-c k^p) <= int_n^inf exp(-c x^p) dx
-        = Gamma(1/p) gammaincc(1/p, c n^p) / (p c^(1/p)), evaluated in log
-        space: Gamma(1/p) and c^(1/p) overflow for small p_w or huge sigma_w
-        where the bound itself does not.
+        = Gamma(1/p) Q(1/p, c n^p) / (p c^(1/p)), evaluated in log space:
+        Gamma(1/p) and c^(1/p) overflow for small p_w or huge sigma_w where
+        the bound itself does not.
         """
         if n is None:
             n = self.nmax
         c = 2.0 * self.sigma_w
         a = 1.0 / self.p_w
-        # n = 0 keeps the argument 0 where c overflows to inf (inf * 0 is NaN)
-        upper = float(gammaincc(a, c * n**self.p_w if n else 0.0))
-        if upper == 0.0:
+        log_scale = math.lgamma(a) - math.log(self.p_w) - a * math.log(c)  # the bound at Q = 1
+        if log_scale < _LOG_TINY:
+            # Q <= 1, so the bound rounds to 0.0 whatever Q is; this also
+            # spares the O(sqrt(a)) terms Q costs near x = a for tiny p_w
             return 0.0
-        try:
-            return math.exp(math.lgamma(a) + math.log(upper) - math.log(self.p_w) - a * math.log(c))
-        except OverflowError:
-            raise DegeneracyError(
-                f"Fock tail bound exceeds the float range at sigma_w={self.sigma_w}, p_w={self.p_w}"
-            ) from None
+        if log_scale < math.inf:  # neither inf nor NaN, as when 1/p_w overflows
+            try:
+                # log Q is -inf where c n^p overflows (Q == 0), and exp gives 0.0
+                return math.exp(log_scale + _log_gammaincc(a, c * n**self.p_w))
+            except OverflowError:
+                pass
+        raise DegeneracyError(
+            f"Fock tail bound exceeds the float range at sigma_w={self.sigma_w}, p_w={self.p_w}"
+        )
 
 
 def occupation(counts) -> tuple:
@@ -413,7 +487,7 @@ class SecondQuantizationResult:
 def _observation_kernel_coeffs(params: SecondQuantizationParams) -> np.ndarray:
     """Per-dimension coefficients of exp(c(cos u - 1)): I_j(c) e^{-c}, j = 0..J."""
     base = bessel_ratios(params.obs_concentration, params.bandwidth)
-    return base * float(i0e(params.obs_concentration))
+    return base * _i0e(params.obs_concentration)
 
 
 def second_quantization_forecast(

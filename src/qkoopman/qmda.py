@@ -28,6 +28,7 @@ from .dynamics import (
     PeriodicOrbitSystem,
     RotationSystem,
     VonMisesDensity,
+    _i0e,
     bessel_ratios,
     koopman_exact,
     wrap_angles,
@@ -189,9 +190,11 @@ def consistency_chain_gap(sys: PeriodicOrbitSystem, sigma: np.ndarray, f: np.nda
 class ObservationModel:
     """Observation map plus a kernel likelihood in [0, 1].
 
-    kind "gaussian": kappa(y, v) = exp(-(y-v)^2 / (2 scale^2))
+    kind "gaussian": kappa(y, v) = exp(-(y-v)^2 / (2 scale^2)), a kernel on the
+                     line (``fourier_coeffs`` refuses it on the circle)
     kind "vonmises": kappa(y, v) = exp(scale (cos(y-v) - 1)), circular values
-    kind "event":    kappa(y, v) = 1 if |y - v| <= scale/2 else 0
+    kind "event":    kappa(y, v) = 1 if the circular gap |((y - v + pi) mod 2 pi) - pi|
+                     is <= scale/2 else 0, the box ``fourier_coeffs`` expands
     ``noise_std`` is the standard deviation of additive Gaussian observation
     noise used when generating synthetic observations.
     """
@@ -214,7 +217,8 @@ class ObservationModel:
             return np.exp(-((y - values) ** 2) / (2.0 * self.scale**2))
         if self.kind == VON_MISES:
             return np.exp(self.scale * (np.cos(y - values) - 1.0))
-        return (np.abs(y - values) <= self.scale / 2.0).astype(float)
+        gap = np.abs((y - values + math.pi) % TWO_PI - math.pi)
+        return (gap <= self.scale / 2.0).astype(float)
 
     def observe(self, true_value: float, rng: np.random.Generator) -> float:
         y = true_value
@@ -229,10 +233,8 @@ class ObservationModel:
         out = {}
         if self.kind == VON_MISES:
             # coefficient at frequency m of exp(scale(cos u - 1)) is I_m(scale) e^{-scale}
-            from scipy.special import i0e
-
             base = bessel_ratios(self.scale, bandwidth)
-            scale0 = float(i0e(self.scale))
+            scale0 = _i0e(self.scale)
             for m in range(-bandwidth, bandwidth + 1):
                 out[(m,)] = base[abs(m)] * scale0 * complex(np.exp(-1j * m * y))
             return out
@@ -483,8 +485,6 @@ def run_torus_filter(
     for freq in _orbit_mode_order(lat.size)[:rank]:
         keep[lat.position((int(freq),))] = 1.0
 
-    from scipy.special import i0e
-
     rng = np.random.default_rng(seed)
     alpha = float(sys.alpha[0])
     run_quantum = mode in (QUANTUM, QUANTUM_PROJECTED)
@@ -494,7 +494,7 @@ def run_torus_filter(
     if run_quantum:
         psi = _sqrt_von_mises_coeffs(float(x0), kappa0, lat) * keep
         psi /= np.linalg.norm(psi)
-    half_kernel = bessel_ratios(model.scale / 2.0, 2 * lat.J) * float(i0e(model.scale / 2.0))
+    half_kernel = bessel_ratios(model.scale / 2.0, 2 * lat.J) * _i0e(model.scale / 2.0)
     theta_grid = np.arange(grid_size) * TWO_PI / grid_size
     j_all = lat.indices[:, 0]
     # step-invariant: rotation phases, kernel magnitudes, grid evaluation matrix
@@ -516,9 +516,7 @@ def run_torus_filter(
         s_vec = kap_prior * math.sin(mu_prior) + model.scale * math.sin(y)
         kap_post = math.hypot(c_vec, s_vec)
         mu_post = math.atan2(s_vec, c_vec) % TWO_PI
-        evidence = float(
-            i0e(kap_post) / i0e(kap_prior) * math.exp(kap_post - kap_prior - model.scale)
-        )
+        evidence = _i0e(kap_post) / _i0e(kap_prior) * math.exp(kap_post - kap_prior - model.scale)
         if evidence <= 1e-300:
             raise ZeroEvidenceError(f"zero evidence at step {n}")
 

@@ -344,11 +344,41 @@ def test_threads_flag_validated(tmp_path):
     assert not (tmp_path / "rotate.csv").exists()
 
 
-def test_import_skips_scipy_signal():
+def test_import_loads_no_scipy():
     code = (
         "import sys, qkoopman.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'signal']))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# Refuses every scipy import, as on an install without scipy, then runs the
+# jobs given as JSON in argv[1] and prints their exit codes.
+WITHOUT_SCIPY = """
+import json, sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+from qkoopman import cli
+
+print(json.dumps([cli.main(args) for args in json.loads(sys.argv[1])]))
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    jobs = []
+    for command, payload in TestDeterminism().configs().items():
+        cfg = write_config(tmp_path / f"{command}.json", payload)
+        jobs.append([command, "--config", cfg, "--out", str(tmp_path / command)])
+    proc = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, json.dumps(jobs)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert [job[0] for job in jobs] == ["rotate", "filter", "koopman", "qcirc"]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, 0, 0, 0], proc.stderr

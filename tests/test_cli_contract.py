@@ -10,6 +10,8 @@ import io
 import json
 import math
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -70,6 +72,14 @@ PROBES = {
 }
 
 
+# Accepted inputs whose arithmetic overflows; numpy's RuntimeWarning lines
+# once reached stderr ahead of the CLI's own message.
+DEGENERATE_PROBES = {
+    "koopman-tau-huge": ("koopman", '{"kernel": {"J": 4, "tau": 1e300}}'),
+    "qcirc-tau-huge": ("qcirc", '{"kernel": {"tau": 1e300}}'),
+}
+
+
 @pytest.mark.parametrize("name", sorted(PROBES))
 def test_probe_exits_2_without_output(tmp_path, name):
     command, text, obs_text = PROBES[name]
@@ -78,6 +88,19 @@ def test_probe_exits_2_without_output(tmp_path, name):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert not list((tmp_path / "out").glob("*.csv"))
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE_PROBES))
+def test_probe_exits_3_with_one_line(tmp_path, name):
+    # a process of its own: pytest would record numpy's warnings, not print them
+    command, text = DEGENERATE_PROBES[name]
+    cfg = tmp_path / "c.json"
+    cfg.write_text(text, encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-m", "qkoopman.cli", command, "--config", str(cfg),
+                           "--out", str(tmp_path / "out")], capture_output=True, text=True)
+    assert proc.returncode == 3
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical degeneracy: "), proc.stderr
 
 
 def test_small_bandwidth_has_finite_bounds(tmp_path):

@@ -10,6 +10,7 @@ from qkoopman.dynamics import (
     PeriodicOrbitSystem,
     RotationSystem,
     VonMisesDensity,
+    _i0e,
     bessel_ratios,
     flow,
     koopman_exact,
@@ -221,6 +222,24 @@ class TestVonMises:
         ratio = p.density([theta]) ** 0.25 / r.density([theta])
         ratio2 = p.density([0.1]) ** 0.25 / r.density([0.1])
         assert ratio == pytest.approx(ratio2, rel=1e-12)
+
+
+class TestI0e:
+    # both sides of the switch from the power series to the asymptotic one at 25
+    KAPPAS = [0.0, 1e-6, 24.999, 25.0, 25.001, 1e5,
+              *np.geomspace(1e-5, 1e4, 46), *np.linspace(24.0, 26.0, 21)]
+
+    def test_against_mpmath(self):
+        with mpmath.workdps(40):
+            for kappa in self.KAPPAS:
+                exact = float(mpmath.besseli(0, kappa) * mpmath.exp(-kappa))
+                assert abs(_i0e(kappa) - exact) <= 2e-15 * exact, kappa
+
+    def test_against_scipy(self):
+        from scipy.special import i0e
+
+        for kappa in self.KAPPAS:
+            assert _i0e(kappa) == pytest.approx(float(i0e(kappa)), rel=3e-15), kappa
 
 
 class TestBesselRatios:

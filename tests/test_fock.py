@@ -1,6 +1,7 @@
 import itertools
 import math
 import sys
+import time
 
 import mpmath
 import numpy as np
@@ -20,6 +21,7 @@ from qkoopman.fock import (
     SecondQuantizationParams,
     SpectrumTorusPoint,
     TensorNetworkParams,
+    _log_gammaincc,
     apply_lifted_generator,
     eta_from_feature,
     evolve_lifted,
@@ -94,6 +96,52 @@ class TestWeight:
                     weight.inv_square_tail(n)
             else:
                 assert weight.inv_square_tail(n) == pytest.approx(float(exact), rel=1e-12, abs=1e-300)
+
+    def test_tail_zero_where_the_argument_overflows(self):
+        # c n^p overflows to inf, so Q(a, inf) == 0 and so is the bound
+        assert FockWeight(5e307, 0.999, 6).inv_square_tail(6) == 0.0
+
+    def test_tail_underflow_skips_the_series(self):
+        # a = 1/p_w = 1e15 and c n^p close to a: the series for Q would take
+        # about 3e8 terms, but Gamma(a) / (p_w c^a) alone rounds to 0
+        start = time.perf_counter()
+        assert FockWeight(5e14, 1e-15, 6).inv_square_tail(6) == 0.0
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("p_w", [5e-324, 1e-310])
+    def test_tail_reciprocal_overflow_is_degenerate(self, p_w):
+        # 1/p_w overflows to inf, and the bound has no float value
+        with pytest.raises(DegeneracyError, match="sigma_w=.*p_w="):
+            FockWeight(3.0, p_w, 6).inv_square_tail()
+
+
+class TestUpperGamma:
+    @pytest.mark.parametrize("a", [1.0, 1.5, 2.0, 7.0, 19.9, 20.0, 50.0, 200.0, 1000.0])
+    def test_against_mpmath(self, a):
+        # 1e-3 a to 10 a, the bulk a +- 3 sqrt(a), and both sides of the switch
+        # from the series to the continued fraction at x = a + 1
+        xs = [*(a * np.geomspace(1e-3, 10.0, 41)), a + 1.0 - 1e-9, a + 1.0, a + 1.0 + 1e-9,
+              *np.linspace(a - 3.0 * math.sqrt(a), a + 3.0 * math.sqrt(a), 13)]
+        for x in (float(v) for v in xs if v > 0):
+            with mpmath.workdps(40):
+                exact = mpmath.gammainc(a, x, mpmath.inf, regularized=True)
+                log_exact = float(mpmath.log(exact))
+            got = _log_gammaincc(a, x)
+            if exact > 1e-300:
+                assert math.exp(got) == pytest.approx(float(exact), rel=1e-13), x
+            else:  # Q underflows, its log does not
+                assert got == pytest.approx(log_exact, rel=1e-13), x
+
+    @pytest.mark.parametrize("a", [1.5, 20.0, 200.0])
+    def test_against_scipy(self, a):
+        from scipy.special import gammaincc
+
+        for x in a * np.geomspace(1e-2, 4.0, 25):
+            assert math.exp(_log_gammaincc(a, x)) == pytest.approx(gammaincc(a, x), rel=1e-12), x
+
+    def test_ends(self):
+        assert _log_gammaincc(3.0, 0.0) == 0.0
+        assert _log_gammaincc(3.0, math.inf) == -math.inf
 
 
 class TestInnerProduct:

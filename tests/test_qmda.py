@@ -219,6 +219,14 @@ class TestEffects:
         assert np.all(np.isin(diag, (0.0, 1.0)))
         check_effect(e)
 
+    def test_event_kernel_is_circular(self):
+        # the window of width scale around y = 0 wraps round to the last point
+        h = orbit_observation_values(PeriodicOrbitSystem(17))
+        model = ObservationModel(kind="event", scale=3.0 * 2 * np.pi / 17)
+        expected = np.zeros(17)
+        expected[[16, 0, 1]] = 1.0
+        assert np.array_equal(model.kappa(0.0, h), expected)
+
     def test_effect_eigenvalues_in_unit_interval(self):
         rng = np.random.default_rng(9)
         lat = TruncatedLattice(1, 6)
