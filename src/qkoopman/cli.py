@@ -255,6 +255,19 @@ def _kernel_weight(config: dict, d: int) -> SubexpWeight:
     return SubexpWeight(config["kernel.tau"], config["kernel.p"], d)
 
 
+def _check_phases(key: str, t_grid, sys_: RotationSystem, bandwidth: int) -> None:
+    """DegeneracyError (exit 3), raised before any work, when a phase t j.alpha
+    over the modes with every |j_i| <= bandwidth reaches 2**52 rad, where one
+    ulp of the phase is a whole radian."""
+    top = bandwidth * float(np.sum(np.abs(sys_.alpha)))  # the largest |j.alpha|
+    for t in t_grid:
+        if abs(t) * top >= 2.0**52:
+            raise DegeneracyError(
+                f"{key} entry t={t!r} times the largest evolved frequency {top!r} "
+                f"reaches 2**52 rad, where the phase keeps no digit"
+            )
+
+
 def cmd_rotate(config: dict, out: Path, digest: str) -> list[Path]:
     sys_ = _rotation_system(config)
     dt = config["rotate.dt"]
@@ -338,6 +351,7 @@ def cmd_koopman(config: dict, out: Path, digest: str) -> list[Path]:
     sq_common = dict(sigma=2.0 * weight.tau, tau=weight.tau, p=weight.p, bandwidth=bandwidth,
                      grid_size=config["koopman.grid_size"],
                      obs_concentration=config["koopman.obs_concentration"], weight=fock_weight)
+    _check_phases("koopman.t_grid", config["koopman.t_grid"], sys_, max(bandwidth, f.bandwidth))
     lat = TruncatedLattice(sys_.d, bandwidth)
     gen = analytic_generator(sys_, lat)
     state = VonMisesDensity(x0, np.full(sys_.d, config["koopman.state_kappa"]))
@@ -392,6 +406,7 @@ def cmd_qcirc(config: dict, out: Path, digest: str) -> list[Path]:
     encodings = [QubitEncoding(d=sys_.d, q=q) for q in q_values]
     x0 = _point(config, "qcirc.x0", sys_.d, 1.0)
     f = _observable(config, "qcirc.observable", sys_.d)
+    _check_phases("qcirc.t_grid", t_grid, sys_, max(2 ** max(q_values), f.bandwidth))
 
     rows = []
     for enc in encodings:

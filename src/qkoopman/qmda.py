@@ -29,6 +29,7 @@ from .dynamics import (
     RotationSystem,
     VonMisesDensity,
     _i0e,
+    _rotation_orbit,
     bessel_ratios,
     koopman_exact,
     wrap_angles,
@@ -190,11 +191,14 @@ def consistency_chain_gap(sys: PeriodicOrbitSystem, sigma: np.ndarray, f: np.nda
 class ObservationModel:
     """Observation map plus a kernel likelihood in [0, 1].
 
-    kind "gaussian": kappa(y, v) = exp(-(y-v)^2 / (2 scale^2)), a kernel on the
-                     line (``fourier_coeffs`` refuses it on the circle)
+    Every kind is a function of the circular gap g = |((y - v + pi) mod 2 pi) - pi|
+    in [0, pi], so points either side of the 0/2 pi seam are equally close.
+    kind "gaussian": kappa(y, v) = exp(-g^2 / (2 scale^2)), the Gaussian cut
+                     at g = pi (``fourier_coeffs`` refuses it: its series has
+                     no closed form)
     kind "vonmises": kappa(y, v) = exp(scale (cos(y-v) - 1)), circular values
-    kind "event":    kappa(y, v) = 1 if the circular gap |((y - v + pi) mod 2 pi) - pi|
-                     is <= scale/2 else 0, the box ``fourier_coeffs`` expands
+    kind "event":    kappa(y, v) = 1 if g <= scale/2 else 0, the box
+                     ``fourier_coeffs`` expands
     ``noise_std`` is the standard deviation of additive Gaussian observation
     noise used when generating synthetic observations.
     """
@@ -213,11 +217,11 @@ class ObservationModel:
 
     def kappa(self, y: float, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=float)
-        if self.kind == GAUSSIAN:
-            return np.exp(-((y - values) ** 2) / (2.0 * self.scale**2))
         if self.kind == VON_MISES:
             return np.exp(self.scale * (np.cos(y - values) - 1.0))
         gap = np.abs((y - values + math.pi) % TWO_PI - math.pi)
+        if self.kind == GAUSSIAN:
+            return np.exp(-(gap**2) / (2.0 * self.scale**2))
         return (gap <= self.scale / 2.0).astype(float)
 
     def observe(self, true_value: float, rng: np.random.Generator) -> float:
@@ -247,7 +251,7 @@ class ObservationModel:
                     mag = math.sin(m * half) / (m * math.pi)
                 out[(m,)] = mag * complex(np.exp(-1j * m * y))
             return out
-        raise ValidationError("gaussian kernels are not periodic; use vonmises on the circle")
+        raise ValidationError("gaussian kernels have no closed-form Fourier series; use vonmises")
 
 
 def effect_from_observation(model: ObservationModel, y: float, basis) -> np.ndarray:
@@ -504,9 +508,9 @@ def run_torus_filter(
     on_grid = np.exp(1j * np.outer(theta_grid, j_all)) if run_quantum else None
 
     trace = FilterTrace(mode=mode)
-    x = float(wrap_angles(x0)[0])
-    for n in range(1, steps + 1):
-        x = float(wrap_angles(x + dt * alpha)[0])
+    truth = _rotation_orbit(float(wrap_angles(x0)[0]), dt * alpha, steps + 1)
+    next(truth)  # the wrapped x0; step n observes the n-th point after it
+    for n, x in enumerate(truth, 1):
         y = model.observe(x, rng)
 
         # exact conjugate-family update

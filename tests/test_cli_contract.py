@@ -77,6 +77,9 @@ PROBES = {
 DEGENERATE_PROBES = {
     "koopman-tau-huge": ("koopman", '{"kernel": {"J": 4, "tau": 1e300}}'),
     "qcirc-tau-huge": ("qcirc", '{"kernel": {"tau": 1e300}}'),
+    # |t| max|j.alpha| >= 2**52 rad: one ulp of the phase is a whole radian
+    "koopman-t-huge": ("koopman", '{"kernel": {"J": 4}, "koopman": {"t_grid": [1e300]}}'),
+    "qcirc-t-huge": ("qcirc", '{"qcirc": {"t_grid": [1e300]}}'),
 }
 
 
@@ -101,6 +104,29 @@ def test_probe_exits_3_with_one_line(tmp_path, name):
     assert proc.returncode == 3
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("numerical degeneracy: "), proc.stderr
+    if "-t-" in name:
+        assert "t=" in lines[0] and not list((tmp_path / "out").iterdir())
+
+
+def test_phase_check_threshold():
+    # max |j.alpha| over |j_i| <= 2 with alpha = (1, -3) is 2 * (1 + 3) = 8 = 2**3
+    sys_ = cli.RotationSystem([1.0, -3.0])
+    cli._check_phases("t_grid", [0.0, 2.0**49 - 1.0, -(2.0**49 - 1.0)], sys_, 2)
+    for t in (2.0**49, -(2.0**49)):
+        with pytest.raises(cli.DegeneracyError, match="t="):
+            cli._check_phases("t_grid", [1.0, t], sys_, 2)
+
+
+@pytest.mark.parametrize("command,text", [
+    ("koopman", '{"kernel": {"J": 4}, "koopman": {"t_grid": [1e6], "n_samples": 200}}'),
+    ("qcirc", '{"qcirc": {"t_grid": [1e6], "q": [2, 3]}}'),
+])
+def test_large_t_with_phase_digits_exits_0(tmp_path, command, text):
+    # 1e6 times the largest frequency is far below 2**52 rad
+    code, err = run(command, text, tmp_path / "out")
+    assert code == 0, err
+    values = csv_values(tmp_path / "out")
+    assert 1e6 in values and all(math.isfinite(v) for v in values)
 
 
 def test_small_bandwidth_has_finite_bounds(tmp_path):

@@ -112,6 +112,39 @@ class TestTrajectory:
         with pytest.raises(ValidationError):
             sample_trajectory(sys, [0.0], -0.1, 3)
 
+    @staticmethod
+    def flow_loop(sys, x0, dt, n):
+        """The per-sample loop sample_trajectory replaced: one flow call per row."""
+        out = np.empty((n, sys.d))
+        out[0] = wrap_angles(x0)
+        for k in range(1, n):
+            out[k] = flow(sys, out[k - 1], dt)
+        return out
+
+    def test_matches_flow_loop(self):
+        rng = np.random.default_rng(11)
+        cases = [(np.array([-1e-17]), np.array([0.0]), 1.0, 50)]  # the 0/2 pi seam
+        for d in (1, 2, 4, 16):
+            for _ in range(12):
+                alpha = rng.choice([-1.0, 1.0], d) * 10.0 ** rng.uniform(-8, 3, d)
+                x0 = rng.uniform(-50.0, 50.0, d)  # mostly outside [0, 2 pi)
+                dt = 10.0 ** rng.uniform(-3, 1)
+                cases.append((alpha, x0, dt, int(rng.integers(1, 5001))))
+        for alpha, x0, dt, n in cases:
+            sys = RotationSystem(alpha)
+            got = sample_trajectory(sys, x0, dt, n)
+            expected = self.flow_loop(sys, x0, dt, n)
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), (alpha, dt, n)
+        seam = sample_trajectory(RotationSystem(np.array([-1e-17])), [0.0], 1.0, 3)
+        assert np.all(seam == 0.0)  # -1e-17 mod 2 pi rounds to 2 pi, folded to 0
+
+    def test_wrong_dimension_rejected(self):
+        sys = RotationSystem(np.array([1.0, 2.0]))
+        for x0 in ([0.1], [0.1, 0.2, 0.3]):
+            for n in (1, 4):
+                with pytest.raises(ValidationError):
+                    sample_trajectory(sys, x0, 0.1, n)
+
 
 class TestEvaluate:
     def test_constant(self):

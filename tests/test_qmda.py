@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import mpmath
@@ -7,7 +8,8 @@ import pytest
 
 from qkoopman.dynamics import PeriodicOrbitSystem
 from qkoopman.errors import ValidationError, ZeroEvidenceError
-from qkoopman.dynamics import FourierObservable, RotationSystem
+from qkoopman.dynamics import FourierObservable, RotationSystem, sample_trajectory, wrap_angles
+from qkoopman import qmda
 from qkoopman.qmda import (
     CLASSICAL,
     QUANTUM,
@@ -226,6 +228,14 @@ class TestEffects:
         expected = np.zeros(17)
         expected[[16, 0, 1]] = 1.0
         assert np.array_equal(model.kappa(0.0, h), expected)
+
+    def test_gaussian_kernel_is_circular(self):
+        # points 1 and 16 sit one spacing either side of y = 0 on the circle
+        h = orbit_observation_values(PeriodicOrbitSystem(17))
+        model = ObservationModel(kind="gaussian", scale=2 * np.pi / 17)
+        values = model.kappa(0.0, h)
+        assert values[1] == pytest.approx(math.exp(-0.5), rel=1e-12)
+        assert values[16] == pytest.approx(values[1], rel=1e-12)
 
     def test_effect_eigenvalues_in_unit_interval(self):
         rng = np.random.default_rng(9)
@@ -484,6 +494,36 @@ class TestTorusFilter:
         assert all(s.consistency == 0.0 for s in trace.steps)
         mu, kappa = trace.classical_posteriors[-1]
         assert 0.0 <= mu < 2 * np.pi and kappa > 0
+
+    @pytest.mark.parametrize("mode,rank", [(QUANTUM, None), (QUANTUM_PROJECTED, 9)])
+    def test_truth_is_the_sampled_trajectory(self, mode, rank):
+        x0, dt, steps = 7.9, 0.3, 200  # x0 outside [0, 2 pi)
+        trace = run_torus_filter(self.SYS, self.MODEL, x0, steps, dt=dt, bandwidth=32,
+                                 mode=mode, rank=rank, seed=3)
+        truth = np.array([s.truth for s in trace.steps])
+        expected = sample_trajectory(self.SYS, [x0], dt, steps + 1)[1:, 0]
+        assert np.array_equal(truth.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("mode,rank", [(CLASSICAL, None), (QUANTUM, None),
+                                           (QUANTUM_PROJECTED, 9)])
+    def test_trace_matches_wrap_angles_truth(self, monkeypatch, mode, rank):
+        # the truth track once took one wrap_angles call per step; run the
+        # filter on that track and require every recorded number to be equal
+        def orbit_by_wrap_angles(x, step, n):
+            for _ in range(n):
+                yield x
+                x = float(wrap_angles(x + step)[0])
+
+        def record(trace):
+            rows = [dataclasses.astuple(s) for s in trace.steps]
+            return rows, trace.classical_posteriors, [
+                (psi.tobytes(), neg) for psi, neg in trace.quantum_posteriors]
+
+        args = (self.SYS, self.MODEL, 1.3, 200)
+        kwargs = dict(dt=0.3, bandwidth=32, mode=mode, rank=rank, seed=5)
+        fast = record(run_torus_filter(*args, **kwargs))
+        monkeypatch.setattr(qmda, "_rotation_orbit", orbit_by_wrap_angles)
+        assert record(run_torus_filter(*args, **kwargs)) == fast
 
     def test_consistency_against_mpmath(self):
         # distances far below sqrt(eps): 1 - |<ref, psi>|^2 cancels them to 0
