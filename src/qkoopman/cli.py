@@ -65,8 +65,9 @@ from .spectral import (
 )
 
 SCHEMA_VERSION = 1
-# cmd_koopman builds dense (2J+1)^d square matrices over the kernel lattice;
-# 2048 modes keeps each one below 67 MB
+# kernel lattice modes (2J+1)^d and koopman.grid_size: cmd_koopman's forecast
+# builds a (2J+1) x grid_size character matrix and grid_size^d quadrature
+# arrays, and 2048 keeps each complex array within 64 MiB
 MAX_LATTICE_MODES = 2048
 # trajectory rows and filter steps; 1e5 trajectory rows take about 0.5 s
 MAX_SAMPLES = 10**6
@@ -213,7 +214,7 @@ def write_csv(path: Path, digest: str, columns, rows):
         ",".join(columns),
     ]
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join(map(_fmt, row)))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -275,7 +276,7 @@ def cmd_rotate(config: dict, out: Path, digest: str) -> list[Path]:
     trajectory = sample_trajectory(sys_, x0, dt, config["rotate.n"])
     columns = ["t"] + [f"theta_{i}" for i in range(sys_.d)]
     write_csv(out / "rotate.csv", digest, columns,
-              [(k * dt, *point) for k, point in enumerate(trajectory)])
+              [(k * dt, *point) for k, point in enumerate(trajectory.tolist())])
     return [out / "rotate.csv"]
 
 
@@ -348,9 +349,18 @@ def cmd_koopman(config: dict, out: Path, digest: str) -> list[Path]:
         )
     x0 = _point(config, "koopman.x0", sys_.d, 1.0)
     fock_weight = FockWeight(config["fock.sigma_w"], config["fock.p_w"], config["fock.Nmax"])
-    sq_common = dict(sigma=2.0 * weight.tau, tau=weight.tau, p=weight.p, bandwidth=bandwidth,
-                     grid_size=config["koopman.grid_size"],
-                     obs_concentration=config["koopman.obs_concentration"], weight=fock_weight)
+    sq_params = [
+        SecondQuantizationParams(
+            m=m, sigma=2.0 * weight.tau, tau=weight.tau, p=weight.p, bandwidth=bandwidth,
+            grid_size=config["koopman.grid_size"],
+            obs_concentration=config["koopman.obs_concentration"], weight=fock_weight,
+        )
+        for m in config["koopman.m_values"]
+    ]
+    tn_params = [
+        TensorNetworkParams(n=n, sigma=2.0 * weight.tau, tau=weight.tau, bandwidth=bandwidth)
+        for n in config["koopman.n_values"]
+    ]
     _check_phases("koopman.t_grid", config["koopman.t_grid"], sys_, max(bandwidth, f.bandwidth))
     lat = TruncatedLattice(sys_.d, bandwidth)
     gen = analytic_generator(sys_, lat)
@@ -360,21 +370,16 @@ def cmd_koopman(config: dict, out: Path, digest: str) -> list[Path]:
     for t in config["koopman.t_grid"]:
         exact = koopman_exact(f, sys_, t).evaluate(x0).real
         residual = smoothing_identity_residual(weight, gen, _restrict(f, lat), t)
-        for m in config["koopman.m_values"]:
-            res = second_quantization_forecast(
-                f, sys_, SecondQuantizationParams(m=m, **sq_common), x0, t
-            )
+        for params in sq_params:
+            res = second_quantization_forecast(f, sys_, params, x0, t)
             rows.append(
-                (t, f"m{m}", res.value, exact, abs(res.value - exact),
+                (t, f"m{params.m}", res.value, exact, abs(res.value - exact),
                  res.state_tail_norm, residual)
             )
-        for n in config["koopman.n_values"]:
-            params = TensorNetworkParams(
-                n=n, sigma=2.0 * weight.tau, tau=weight.tau, bandwidth=bandwidth
-            )
+        for params in tn_params:
             tn = tensor_network_expectation(f, state, sys_, params, t)
             rows.append(
-                (t, f"n{n}", tn.value, exact, abs(tn.value - exact),
+                (t, f"n{params.n}", tn.value, exact, abs(tn.value - exact),
                  tn.truncation_bound, residual)
             )
 

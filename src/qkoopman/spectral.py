@@ -1,13 +1,15 @@
 """Skew-adjoint generators on the truncated basis and their unitary groups.
 
-For a torus rotation the generator is diagonal on the scaled characters with
-eigenfrequencies omega_j = j.alpha ("analytic" kind).  A data-driven
-substitute estimates the same matrix from one trajectory by tapered ergodic
-averages of central finite differences, then enforces skew-adjointness by
-antisymmetrization and pins the constant function as an exact null vector by
-deflation.  Either kind generates a unitary group; exponentials are taken by
-unitary diagonalization of the skew-Hermitian matrix rather than series
-summation, so the result is unitary up to eigensolver tolerance.
+Both generators are stored in one spectral form, W = V diag(i omega) V*.  For
+a torus rotation the lattice basis itself diagonalizes W, with frequencies
+omega_j = j.alpha, so the generator is just that frequency vector and no
+square matrix is formed.  A data-driven substitute estimates W from one
+trajectory by tapered ergodic averages of central finite differences, then
+enforces skew-adjointness by antisymmetrization and pins the constant
+function as an exact null vector by deflation; it is diagonalized once.
+Each generates a unitary group, applied as phases e^{i t omega} in the
+eigenbasis rather than by series summation, so the result is unitary up to
+eigensolver tolerance.
 """
 
 from __future__ import annotations
@@ -20,62 +22,59 @@ from .dynamics import FourierObservable, RotationSystem
 from .errors import RankDeficiencyError, ValidationError
 from .rkha import SubexpWeight, TruncatedLattice
 
-ANALYTIC = "analytic"
-DATA_DRIVEN = "data-driven"
+
+def _spectral_order(omega: np.ndarray) -> np.ndarray:
+    # |omega| ascending, positive member of each +/- pair first, stable tie-break
+    return np.lexsort(
+        (np.arange(omega.size), (omega < 0).astype(int), np.round(np.abs(omega), 12))
+    )
 
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """A skew-adjoint generator on a truncated lattice basis.
+    """A skew-adjoint generator W = V diag(i omega) V* on a truncated lattice.
 
-    ``matrix`` is the generator in the lattice-ordered coefficient basis;
-    ``eigen_omega``/``eigen_vectors`` hold its eigendecomposition
-    matrix = V diag(i omega) V*, sorted by |omega| with positive frequencies
-    first.  For the analytic kind ``omega_lattice`` additionally gives the
-    frequency at each lattice position (the basis itself diagonalizes).
+    ``vectors is None`` means the lattice basis diagonalizes W: ``omega``
+    then holds the frequency at each lattice position and no matrix exists.
+    Otherwise ``vectors`` holds unitary eigenvectors as columns in the order
+    of ``omega``, and ``matrix`` the estimated generator in the
+    lattice-ordered coefficient basis, checked to be skew-adjoint.
     """
 
     lattice: TruncatedLattice
-    kind: str
-    matrix: np.ndarray
-    eigen_omega: np.ndarray
-    eigen_vectors: np.ndarray
-    omega_lattice: np.ndarray | None = None
+    omega: np.ndarray
+    vectors: np.ndarray | None = None
+    matrix: np.ndarray | None = None
 
     def __post_init__(self):
         a = self.matrix
-        if np.max(np.abs(a + a.conj().T)) > 1e-12:
+        if a is not None and np.max(np.abs(a + a.conj().T)) > 1e-12:
             raise ValidationError("generator matrix is not skew-adjoint")
 
+    @property
+    def eigen_omega(self) -> np.ndarray:
+        """The frequencies sorted by |omega|, positive member of each pair first."""
+        return self.omega[_spectral_order(self.omega)]
+
     def omega_at(self, j) -> float:
-        if self.omega_lattice is None:
-            raise ValidationError("per-index frequencies exist only for the analytic kind")
-        return float(self.omega_lattice[self.lattice.position(j)])
+        if self.vectors is not None:
+            raise ValidationError("per-index frequencies exist only for a diagonal generator")
+        return float(self.omega[self.lattice.position(j)])
 
-
-def _sorted_eigensystem(omega: np.ndarray, vectors: np.ndarray):
-    # |omega| ascending, positive member of each +/- pair first, stable tie-break
-    order = np.lexsort(
-        (np.arange(omega.size), (omega < 0).astype(int), np.round(np.abs(omega), 12))
-    )
-    return omega[order], vectors[:, order]
+    def propagate(self, vec: np.ndarray, t: float) -> np.ndarray:
+        """exp(tW) applied to a coefficient vector in lattice order."""
+        phases = np.exp(1j * t * self.omega)
+        if self.vectors is None:
+            return phases * vec
+        v = self.vectors
+        return v @ (phases * (v.conj().T @ vec))
 
 
 def analytic_generator(sys: RotationSystem, lat: TruncatedLattice) -> GeneratorSpec:
     """Exact rotation generator: diagonal with omega_j = j.alpha on the lattice."""
     if sys.d != lat.d:
         raise ValidationError("system and lattice dimensions differ")
-    omega = lat.indices @ sys.alpha
-    matrix = np.diag(1j * omega)
-    eig_omega, eig_vectors = _sorted_eigensystem(omega.copy(), np.eye(lat.size, dtype=complex))
-    return GeneratorSpec(
-        lattice=lat,
-        kind=ANALYTIC,
-        matrix=matrix,
-        eigen_omega=eig_omega,
-        eigen_vectors=eig_vectors,
-        omega_lattice=omega,
-    )
+    return GeneratorSpec(lattice=lat, omega=lat.indices @ sys.alpha)
 
 
 def _taper_weights(m: int) -> np.ndarray:
@@ -122,25 +121,14 @@ def data_driven_generator(
     a[zero, :] = 0.0
     a[:, zero] = 0.0
     omega, vectors = np.linalg.eigh(-1j * a)
-    eig_omega, eig_vectors = _sorted_eigensystem(omega, vectors)
-    return GeneratorSpec(
-        lattice=lat,
-        kind=DATA_DRIVEN,
-        matrix=a,
-        eigen_omega=eig_omega,
-        eigen_vectors=eig_vectors,
-    )
+    order = _spectral_order(omega)
+    return GeneratorSpec(lattice=lat, omega=omega[order], vectors=vectors[:, order], matrix=a)
 
 
 def evolve(gen: GeneratorSpec, f: FourierObservable, t: float) -> FourierObservable:
     """Unitary evolution exp(t * generator) applied to a band-limited observable."""
     vec = gen.lattice.observable_vector(f)
-    if gen.kind == ANALYTIC:
-        out = np.exp(1j * t * gen.omega_lattice) * vec
-    else:
-        v = gen.eigen_vectors
-        out = v @ (np.exp(1j * t * gen.eigen_omega) * (v.conj().T @ vec))
-    return gen.lattice.vector_observable(out)
+    return gen.lattice.vector_observable(gen.propagate(vec, t))
 
 
 def smoothing_identity_residual(
@@ -159,22 +147,15 @@ def smoothing_identity_residual(
     vec = lat.observable_vector(f)
     lam = w.lattice_values(lat)
     half = w.half().lattice_values(lat)
-
-    def propagate(v):
-        if gen.kind == ANALYTIC:
-            return np.exp(1j * t * gen.omega_lattice) * v
-        u = gen.eigen_vectors
-        return u @ (np.exp(1j * t * gen.eigen_omega) * (u.conj().T @ v))
-
-    left = np.sqrt(lam) * propagate(np.sqrt(lam) * vec)
-    right = half * propagate(half * vec)
+    left = np.sqrt(lam) * gen.propagate(np.sqrt(lam) * vec, t)
+    right = half * gen.propagate(half * vec, t)
     return float(np.linalg.norm(left - right))
 
 
 def frequency_table(gen: GeneratorSpec, reference: GeneratorSpec | None = None):
     """Rows (index, omega, abs error vs the reference generator's spectrum)."""
     rows = []
-    ref = None if reference is None else np.sort(reference.eigen_omega)
+    ref = None if reference is None else np.sort(reference.omega)
     for k, om in enumerate(gen.eigen_omega):
         if ref is None:
             err = 0.0

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 import time
@@ -6,7 +7,8 @@ import time
 import numpy as np
 import pytest
 
-from qkoopman.cli import main
+from qkoopman.cli import _fmt, main, write_csv
+from qkoopman.errors import DegeneracyError
 
 ALPHA = 1.4142135623730951
 
@@ -76,6 +78,40 @@ class TestRotate:
         )
         assert run_cli(["rotate", "--config", cfg, "--out", tmp_path]) == 0
         assert "rational dependence" in capsys.readouterr().err
+
+
+def per_cell_lines(rows):
+    """CSV lines as write_csv once joined them, one generator per row: the oracle."""
+    return [",".join(_fmt(v) for v in row) for row in rows]
+
+
+class TestCsvRows:
+    def test_mixed_cells(self, tmp_path):
+        rows = [(0, 0.1, np.float64(1 / 3), "m1"),
+                (2**70, -0.0, np.float64(-1e-300), "n2"),
+                (-7, 1e300, np.float64(5e-324), "")]
+        write_csv(tmp_path / "a.csv", "0" * 16, ["a", "b", "c", "d"], rows)
+        assert (tmp_path / "a.csv").read_text().splitlines()[2:] == per_cell_lines(rows)
+
+    @pytest.mark.parametrize("bad", [math.nan, np.float64("nan"), -math.inf])
+    def test_nonfinite_cell_raises(self, tmp_path, bad):
+        with pytest.raises(DegeneracyError):
+            write_csv(tmp_path / "a.csv", "0" * 16, ["a", "b"], [(1, 0.5), (2, bad)])
+        assert not (tmp_path / "a.csv").exists()
+
+    def test_rotate_rows_match_numpy_rows(self, tmp_path):
+        from qkoopman.dynamics import RotationSystem, sample_trajectory
+
+        alpha, x0, dt = [ALPHA, -3e3 * math.pi], [7.0, -0.25], 0.37
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"system": {"kind": "rotation", "alpha": alpha, "x0": x0},
+             "rotate": {"dt": dt, "n": 2000}},
+        )
+        assert run_cli(["rotate", "--config", cfg, "--out", tmp_path]) == 0
+        traj = sample_trajectory(RotationSystem(np.array(alpha)), x0, dt, 2000)
+        rows = [(k * dt, *point) for k, point in enumerate(traj)]  # numpy float64 cells
+        assert (tmp_path / "rotate.csv").read_text().splitlines()[2:] == per_cell_lines(rows)
 
 
 class TestFilter:

@@ -93,6 +93,25 @@ def test_probe_exits_2_without_output(tmp_path, name):
     assert not list((tmp_path / "out").glob("*.csv"))
 
 
+# Refused by the forecast's parameter sets, which koopman builds before the
+# lattice or the generator: J = 1023 with the default grid_size of 256 once
+# allocated 288 MiB before it exited 2.
+@pytest.mark.parametrize("text", [
+    '{"kernel": {"J": 1023}}',
+    '{"kernel": {"J": 4}, "fock": {"Nmax": 2}, "koopman": {"m_values": [1, 3]}}',
+])
+def test_koopman_validates_before_it_computes(tmp_path, monkeypatch, text):
+    def refuse(*args, **kwargs):
+        raise AssertionError("koopman started computing before it validated")
+
+    monkeypatch.setattr(cli, "analytic_generator", refuse)
+    monkeypatch.setattr(cli, "second_quantization_forecast", refuse)
+    code, err = run("koopman", text, tmp_path / "out")
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 @pytest.mark.parametrize("name", sorted(DEGENERATE_PROBES))
 def test_probe_exits_3_with_one_line(tmp_path, name):
     # a process of its own: pytest would record numpy's warnings, not print them

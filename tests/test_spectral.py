@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qkoopman.dynamics import (
     FourierObservable,
@@ -9,7 +11,7 @@ from qkoopman.dynamics import (
     koopman_exact,
     sample_trajectory,
 )
-from qkoopman.errors import OutOfLatticeError, RankDeficiencyError
+from qkoopman.errors import OutOfLatticeError, RankDeficiencyError, ValidationError
 from qkoopman.rkha import SubexpWeight, TruncatedLattice
 from qkoopman.spectral import (
     analytic_generator,
@@ -47,9 +49,81 @@ class TestAnalyticGenerator:
             assert gen.omega_at(tuple(j)) == pytest.approx(-gen.omega_at(tuple(-j)))
 
     def test_eigenvalues_imaginary(self):
-        gen = analytic_generator(RotationSystem(np.array([math.sqrt(2.0)])), TruncatedLattice(1, 8))
-        eigs = np.linalg.eigvals(gen.matrix)
-        assert np.max(np.abs(eigs.real)) <= 1e-10
+        # the lattice basis diagonalizes the generator: its eigenvalues are
+        # i omega with omega = j.alpha real, and no matrix is stored
+        sys = RotationSystem(np.array([math.sqrt(2.0)]))
+        lat = TruncatedLattice(1, 8)
+        gen = analytic_generator(sys, lat)
+        assert gen.matrix is None and gen.vectors is None
+        assert gen.omega.dtype == np.float64
+        assert np.array_equal(gen.omega, lat.indices @ sys.alpha)
+
+    def test_omega_at_refused_for_eigenvectors(self):
+        traj = sample_trajectory(RotationSystem(np.array([1.0])), [0.1], 0.01, 500)
+        gen = data_driven_generator(traj, 0.01, TruncatedLattice(1, 2))
+        with pytest.raises(ValidationError):
+            gen.omega_at((1,))
+
+    def test_stores_no_square_array(self):
+        # 255.9 MiB peak once, with a dense diagonal and a permuted identity
+        lat = TruncatedLattice(1, 1023)
+        sys = RotationSystem(np.array([math.sqrt(2.0)]))
+        tracemalloc.start()
+        try:
+            analytic_generator(sys, lat)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
+def sorted_eigensystem(omega, vectors):
+    """The eigenpair order GeneratorSpec.eigen_omega reproduces: |omega|
+    ascending, positive member of each +/- pair first, stable tie-break."""
+    order = np.lexsort(
+        (np.arange(omega.size), (omega < 0).astype(int), np.round(np.abs(omega), 12))
+    )
+    return omega[order], vectors[:, order]
+
+
+class TestSpectralForm:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_matches_dense_generator(self, d):
+        rng = np.random.default_rng(7)
+        sys = RotationSystem(np.array([math.sqrt(2.0), math.sqrt(3.0)][:d]))
+        lat = TruncatedLattice(d, 3)
+        gen = analytic_generator(sys, lat)
+        v = rng.standard_normal(lat.size) + 1j * rng.standard_normal(lat.size)
+        for t in (0.0, 0.3, -2.9):
+            dense = scipy.linalg.expm(t * np.diag(1j * gen.omega)) @ v
+            assert np.max(np.abs(gen.propagate(v, t) - dense)) <= 1e-14
+
+    def test_matches_eigendecomposition(self):
+        rng = np.random.default_rng(8)
+        traj = sample_trajectory(RotationSystem(np.array([1.0])), [0.2], 0.01, 3000)
+        gen = data_driven_generator(traj, 0.01, TruncatedLattice(1, 3))
+        v = rng.standard_normal(gen.lattice.size) + 1j * rng.standard_normal(gen.lattice.size)
+        for t in (0.0, 0.3, -2.9):
+            u = gen.vectors
+            dense = u @ np.diag(np.exp(1j * t * gen.omega)) @ u.conj().T @ v
+            assert np.max(np.abs(gen.propagate(v, t) - dense)) <= 1e-13
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_eigen_omega_order(self, d):
+        sys = RotationSystem(np.array([math.sqrt(2.0), 1.0][:d]))  # d=2 has ties in |omega|
+        lat = TruncatedLattice(d, 4)
+        gen = analytic_generator(sys, lat)
+        omega, _ = sorted_eigensystem(gen.omega.copy(), np.eye(lat.size, dtype=complex))
+        assert gen.eigen_omega.tobytes() == omega.tobytes()
+
+    def test_data_driven_order(self):
+        traj = sample_trajectory(RotationSystem(np.array([1.0, math.sqrt(2.0)])),
+                                 [0.2, 0.4], 0.01, 3000)
+        lat = TruncatedLattice(2, 1)
+        gen = data_driven_generator(traj, 0.01, lat)
+        omega, vectors = sorted_eigensystem(*np.linalg.eigh(-1j * gen.matrix))
+        assert gen.omega.tobytes() == omega.tobytes() == gen.eigen_omega.tobytes()
+        assert gen.vectors.tobytes() == vectors.tobytes()
 
 
 class TestEvolve:
