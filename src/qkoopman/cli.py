@@ -66,8 +66,8 @@ from .spectral import (
 
 SCHEMA_VERSION = 1
 # kernel lattice modes (2J+1)^d and koopman.grid_size: cmd_koopman's forecast
-# builds a (2J+1) x grid_size character matrix and grid_size^d quadrature
-# arrays, and 2048 keeps each complex array within 64 MiB
+# builds grid_size^d quadrature arrays (the FFT grid sums and their powers),
+# and 2048 keeps each complex array within 64 MiB
 MAX_LATTICE_MODES = 2048
 # trajectory rows and filter steps; 1e5 trajectory rows take about 0.5 s
 MAX_SAMPLES = 10**6

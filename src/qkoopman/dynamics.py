@@ -223,15 +223,25 @@ class FourierObservable:
 
     def grid_values(self, grid_size: int) -> np.ndarray:
         """Values on the uniform grid (2*pi*k/G)_k, for quadrature checks."""
-        axes = [np.arange(grid_size) * (TWO_PI / grid_size)] * self.d
-        mesh = np.meshgrid(*axes, indexing="ij")
-        total = np.zeros([grid_size] * self.d, dtype=complex)
-        for j, c in self.coeffs.items():
-            phase = np.zeros_like(total, dtype=float)
-            for axis, jv in enumerate(j):
-                phase = phase + jv * mesh[axis]
-            total += c * np.exp(1j * phase)
-        return total
+        indices = np.array(list(self.coeffs), dtype=int).reshape(-1, self.d)
+        return grid_sum(indices, list(self.coeffs.values()), grid_size)
+
+
+def grid_sum(indices, coeffs, grid_size: int) -> np.ndarray:
+    """sum_j c_j exp(i j.y) at every point y = 2*pi*k/G of the uniform d-grid.
+
+    On the grid exp(i j.y) depends on j only through j mod G, so placing
+    every coefficient at j mod G (repeats add up: the aliasing is exact) and
+    taking the unscaled inverse DFT gives the sum, in O(G^d log G) for any
+    support.  ``indices`` is an (n, d) integer array, ``coeffs`` its n
+    coefficients; the result has shape (G,) * d.
+    """
+    if grid_size < 1:
+        raise ValidationError("grid_size must be >= 1")
+    indices = np.asarray(indices, dtype=int)
+    box = np.zeros((grid_size,) * indices.shape[1], dtype=complex)
+    np.add.at(box, tuple((indices % grid_size).T), np.asarray(coeffs, dtype=complex))
+    return np.fft.ifftn(box, norm="forward")
 
 
 def koopman_exact(f: FourierObservable, sys: RotationSystem, t: float) -> FourierObservable:

@@ -36,6 +36,7 @@ from .dynamics import (
     VonMisesDensity,
     _i0e,
     bessel_ratios,
+    grid_sum,
     von_mises_fourier,
 )
 from .errors import DegeneracyError, DegenerateNormalizationError, ValidationError
@@ -402,20 +403,6 @@ def xi_tail_norm(eta_norm: float, weight: FockWeight, nmax: int | None = None) -
     return float(min(eta_norm, 1.0) ** (nmax + 1) * math.sqrt(weight.inv_square_tail(nmax)))
 
 
-def gelfand_eval(
-    pt: SpectrumTorusPoint, v: FockVector, weight: FockWeight, nmax: int | None = None
-) -> complex:
-    """Value of the multiplicative functional at v: the pairing <xi, v>.
-
-    Computed as the inner product of the truncated xi series against v; by
-    grading orthogonality the value is exact whenever nmax covers v's top
-    grading, and multiplicative on products within the cutoff.
-    """
-    if nmax is None:
-        nmax = weight.nmax
-    return fock_inner(xi_vector(pt.eta(), weight, nmax), v, weight)
-
-
 def eta_from_feature(
     w_sigma: SubexpWeight,
     w_tau: SubexpWeight,
@@ -513,11 +500,10 @@ def second_quantization_forecast(
         a_j = conj(eta_j) sqrt(lambda_tau(j)) c_j e^{i t j.alpha},
 
     and the forecast is Re(sum_g f(y_g) k(y_g)^m / sum_g k(y_g)^m) with
-    normalization |sum_g k(y_g)^m| / G^d.  k is evaluated on the grid as a
-    direct sum, contracting the coefficient box with the 1-d characters one
-    axis at a time.  The state tail is the norm of the xi series beyond the
-    configured cutoff; the kernel mode tail is the observation-kernel mass
-    outside the lattice.
+    normalization |sum_g k(y_g)^m| / G^d.  k is evaluated on the grid by
+    one FFT (``grid_sum``).  The state tail is the norm of the xi series
+    beyond the configured cutoff; the kernel mode tail is the
+    observation-kernel mass outside the lattice.
     """
     d = sys.d
     if f.d != d:
@@ -542,12 +528,7 @@ def second_quantization_forecast(
     )
 
     g = params.grid_size
-    y = np.arange(g) * (2.0 * np.pi / g)
-    characters = np.exp(-1j * np.outer(np.arange(-J, J + 1), y))
-    k = a.reshape((2 * J + 1,) * d)
-    for _ in range(d):
-        k = np.tensordot(k, characters, axes=(0, 0))  # axis j_i becomes y_i
-    k_m = k**params.m
+    k_m = grid_sum(-lat.indices, a, g) ** params.m
     num = np.sum(f.grid_values(g) * k_m) / g**d
     den = np.sum(k_m) / g**d
     if abs(den) < 1e-8:

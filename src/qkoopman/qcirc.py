@@ -218,6 +218,13 @@ def _check_observable(enc: QubitEncoding, f: FourierObservable) -> None:
 
 
 def _projected_observable(table: np.ndarray, w: SubexpWeight, f: FourierObservable) -> np.ndarray:
+    """Symmetrized multiplier of f on the encoded subspace, a Hermitian matrix.
+
+    The raw multiplier M = D^-1 C D has entries c(i-j) sqrt(lambda(j)/lambda(i));
+    only the symmetrization (M + M*)/2 is a measurable observable, and its
+    feature state expectations agree with the raw multiplier's for real f.
+    Dense, so limited to MAX_DENSE_QUBITS qubits.
+    """
     if table.shape[0] > 2**MAX_DENSE_QUBITS:
         raise ValidationError(
             f"a dense observable is limited to {MAX_DENSE_QUBITS} qubits; "
@@ -227,20 +234,6 @@ def _projected_observable(table: np.ndarray, w: SubexpWeight, f: FourierObservab
     scale = np.exp(0.5 * (log_lam[None, :] - log_lam[:, None]))
     m = fourier_multiplier_matrix(f.coeffs, table) * scale
     return 0.5 * (m + m.conj().T)
-
-
-def projected_observable(
-    enc: QubitEncoding, w: SubexpWeight, f: FourierObservable
-) -> np.ndarray:
-    """Symmetrized multiplier of f on the encoded subspace, a Hermitian matrix.
-
-    The raw multiplier M = D^-1 C D has entries c(i-j) sqrt(lambda(j)/lambda(i));
-    only the symmetrization (M + M*)/2 is a measurable observable, and its
-    feature state expectations agree with the raw multiplier's for real f.
-    Dense, so limited to MAX_DENSE_QUBITS qubits.
-    """
-    _check_observable(enc, f)
-    return _projected_observable(enc.index_table(), w, f)
 
 
 def _apply_convolution(table: np.ndarray, f: FourierObservable, v: np.ndarray) -> np.ndarray:

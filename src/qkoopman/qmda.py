@@ -12,7 +12,9 @@ classical world, which is what the projected mode exercises.
 Every state the orbit filter produces is a vector state rho = |psi><psi|:
 the embedding projects onto sqrt(mu sigma), and conjugation by the transfer
 operator, compression and sqrt(E) (.) sqrt(E) all keep rank 1.  So
-``run_filter`` carries psi and does on it what the dense functions do on rho.
+``run_filter`` carries psi and does on it what the dense M x M formulation
+(the tests' oracle) does on rho; the orbit's frequency basis is applied by
+FFT, never built as a matrix.
 """
 
 from __future__ import annotations
@@ -24,14 +26,12 @@ import numpy as np
 
 from .dynamics import (
     TWO_PI,
-    FourierObservable,
     PeriodicOrbitSystem,
     RotationSystem,
-    VonMisesDensity,
     _i0e,
     _rotation_orbit,
     bessel_ratios,
-    koopman_exact,
+    grid_sum,
     wrap_angles,
 )
 from .errors import ValidationError, ZeroEvidenceError
@@ -42,34 +42,12 @@ VON_MISES = "vonmises"
 EVENT = "event"
 
 
-def trace_norm(a: np.ndarray) -> float:
-    return float(np.sum(np.linalg.svd(a, compute_uv=False)))
-
-
 def check_density(values: np.ndarray, mu: np.ndarray, tol: float = 1e-10):
     if np.min(values) < -tol:
         raise ValidationError("density has a negative value")
     total = float(np.dot(mu, values))
     if abs(total - 1.0) > tol:
         raise ValidationError(f"density integrates to {total}, not 1")
-
-
-def check_density_operator(rho: np.ndarray, tol: float = 1e-10):
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
-        raise ValidationError("density operator is not Hermitian")
-    eigs = np.linalg.eigvalsh(rho)
-    if eigs.min() < -tol:
-        raise ValidationError(f"density operator has eigenvalue {eigs.min()}")
-    if abs(np.trace(rho).real - 1.0) > 1e-12:
-        raise ValidationError("density operator trace differs from 1")
-
-
-def check_effect(e: np.ndarray, tol: float = 1e-10):
-    if np.max(np.abs(e - e.conj().T)) > 1e-12:
-        raise ValidationError("effect is not Hermitian")
-    eigs = np.linalg.eigvalsh(e)
-    if eigs.min() < -tol or eigs.max() > 1.0 + tol:
-        raise ValidationError("effect eigenvalues leave [0, 1]")
 
 
 def embed_density(sigma: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -90,13 +68,6 @@ def classical_forecast(sys: PeriodicOrbitSystem, sigma: np.ndarray) -> np.ndarra
     return np.roll(np.asarray(sigma, dtype=float), 1)
 
 
-def classical_forecast_rotation(
-    sys: RotationSystem, density: FourierObservable, dt: float
-) -> FourierObservable:
-    """Transport a torus density forward by dt: c_j picks up exp(-i dt j.alpha)."""
-    return koopman_exact(density, sys, -dt)
-
-
 def classical_analysis(sigma: np.ndarray, likelihood: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """Bayes update: pointwise product with the likelihood, renormalized."""
     sigma = np.asarray(sigma, dtype=float)
@@ -109,13 +80,6 @@ def classical_analysis(sigma: np.ndarray, likelihood: np.ndarray, mu: np.ndarray
     return sigma * likelihood / evidence
 
 
-def quantum_forecast(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Conjugate the state by the given unitary: rho -> u rho u*."""
-    if np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) > 1e-10:
-        raise ValidationError("forecast operator is not unitary")
-    return u @ rho @ u.conj().T
-
-
 def effect_sqrt(e: np.ndarray) -> np.ndarray:
     """Positive square root of an effect, eigenvalues clamped into [0, 1]."""
     eigs, vecs = np.linalg.eigh(0.5 * (e + e.conj().T))
@@ -123,16 +87,6 @@ def effect_sqrt(e: np.ndarray) -> np.ndarray:
     floor = eigs.size * np.finfo(float).eps * np.abs(eigs).max()
     eigs = np.where(eigs > floor, np.minimum(eigs, 1.0), 0.0)
     return (vecs * np.sqrt(eigs)) @ vecs.conj().T
-
-
-def quantum_analysis(rho: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Operator Bayes rule: sqrt(e) rho sqrt(e), renormalized to unit trace."""
-    evidence = float(np.trace(rho @ e).real)
-    if evidence <= 1e-14:
-        raise ZeroEvidenceError("effect has zero evidence under the state")
-    root = effect_sqrt(e)
-    posterior = root @ rho @ root
-    return posterior / np.trace(posterior).real
 
 
 def compress(matrix: np.ndarray, rank: int) -> np.ndarray:
@@ -254,18 +208,6 @@ class ObservationModel:
         raise ValidationError("gaussian kernels have no closed-form Fourier series; use vonmises")
 
 
-def effect_from_observation(model: ObservationModel, y: float, basis) -> np.ndarray:
-    """Effect of observing y: the multiplication operator by x -> kappa(y, h(x)).
-
-    ``basis`` selects the representation: an array of observation values per
-    point gives the diagonal point-basis matrix; a TruncatedLattice gives the
-    Toeplitz-style matrix on the Fourier basis (h the angular identity).
-    """
-    if isinstance(basis, TruncatedLattice):
-        return multiplication_operator_fourier(model.fourier_coeffs(y, 2 * basis.J), basis)
-    return multiplication_operator_point(model.kappa(y, np.asarray(basis, dtype=float)))
-
-
 def orbit_observation_values(sys: PeriodicOrbitSystem) -> np.ndarray:
     """Default observation map on the orbit: point i is seen at angle 2 pi i / M."""
     return np.arange(sys.M) * (TWO_PI / sys.M)
@@ -281,13 +223,6 @@ def _orbit_mode_order(m: int) -> np.ndarray:
             freqs.append(-k)
         k += 1
     return np.asarray(freqs)
-
-
-def orbit_mode_transform(m: int) -> np.ndarray:
-    """Unitary point-basis -> mode-basis map, rows ordered by |frequency|."""
-    freqs = _orbit_mode_order(m)
-    points = np.arange(m)
-    return np.exp(-2j * math.pi * np.outer(freqs, points) / m) / math.sqrt(m)
 
 
 @dataclass
@@ -366,10 +301,13 @@ def run_filter(
     if mode == QUANTUM:
         to_modes = from_modes = lambda v: v  # the point basis
     elif mode == QUANTUM_PROJECTED:
-        modes = orbit_mode_transform(sys.M)[:rank]
-        shift = np.exp(-2j * math.pi * _orbit_mode_order(sys.M)[:rank] / sys.M)
-        to_modes = lambda v: modes @ v
-        from_modes = lambda v: modes.conj().T @ v
+        # the unitary DFT rows of the leading frequencies, applied by FFT
+        freqs = _orbit_mode_order(sys.M)[:rank]
+        root_m = math.sqrt(sys.M)
+        shift = np.exp(-2j * math.pi * freqs / sys.M)
+        to_modes = lambda v: np.fft.fft(v)[freqs] / root_m
+        from_modes = lambda v: grid_sum(freqs[:, None], v, sys.M) / root_m
+        gaps = freqs[:, None] - freqs[None, :]
     if run_quantum:
         # the first mode is the constant one, so the projected psi is never 0
         psi = to_modes(np.sqrt(np.maximum(mu * sigma, 0.0)))
@@ -399,7 +337,9 @@ def run_filter(
             if mode == QUANTUM:
                 psi = np.sqrt(likelihood) * np.roll(psi, 1)
             else:
-                psi = effect_sqrt((modes * likelihood) @ modes.conj().T) @ (shift * psi)
+                # the compressed effect is Toeplitz: entry (a, b) is DFT(l)[f_a - f_b] / M
+                effect = np.fft.fft(likelihood)[gaps] / sys.M
+                psi = effect_sqrt(effect) @ (shift * psi)
             quantum_evidence = float(np.vdot(psi, psi).real)  # <psi, E psi>
             if quantum_evidence <= 1e-14:
                 raise ZeroEvidenceError(f"zero evidence at step {n} under the operator state")
@@ -478,6 +418,8 @@ def run_torus_filter(
         raise ValidationError("torus filtering uses the circular observation kernel")
     if steps < 1 or dt <= 0:
         raise ValidationError("need steps >= 1 and dt > 0")
+    if grid_size < 1:
+        raise ValidationError("grid_size must be >= 1")
     if mode not in (CLASSICAL, QUANTUM, QUANTUM_PROJECTED):
         raise ValidationError(f"unknown filter mode {mode!r}")
     lat = TruncatedLattice(1, bandwidth)
@@ -499,13 +441,11 @@ def run_torus_filter(
         psi = _sqrt_von_mises_coeffs(float(x0), kappa0, lat) * keep
         psi /= np.linalg.norm(psi)
     half_kernel = bessel_ratios(model.scale / 2.0, 2 * lat.J) * _i0e(model.scale / 2.0)
-    theta_grid = np.arange(grid_size) * TWO_PI / grid_size
     j_all = lat.indices[:, 0]
-    # step-invariant: rotation phases, kernel magnitudes, grid evaluation matrix
+    # step-invariant: rotation phases and kernel magnitudes
     rotate = np.exp(-1j * dt * alpha * j_all)
     m_all = np.arange(-2 * lat.J, 2 * lat.J + 1)
     kernel_abs = half_kernel[np.abs(m_all)]
-    on_grid = np.exp(1j * np.outer(theta_grid, j_all)) if run_quantum else None
 
     trace = FilterTrace(mode=mode)
     truth = _rotation_orbit(float(wrap_angles(x0)[0]), dt * alpha, steps + 1)
@@ -538,7 +478,7 @@ def run_torus_filter(
             psi = psi / norm
             reference = _sqrt_von_mises_coeffs(mu_post, kap_post, lat)
             consistency = _pure_state_distance(reference, psi)
-            values = on_grid @ psi
+            values = grid_sum(lat.indices, psi, grid_size)
             phase = values[int(np.argmax(np.abs(values)))]
             min_sqrt = float((values * (phase.conjugate() / abs(phase))).real.min())
             first = complex(np.sum(np.conj(psi[1:]) * psi[:-1]))

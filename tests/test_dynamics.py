@@ -13,6 +13,7 @@ from qkoopman.dynamics import (
     _i0e,
     bessel_ratios,
     flow,
+    grid_sum,
     koopman_exact,
     rational_dependence_warnings,
     sample_trajectory,
@@ -24,6 +25,8 @@ from qkoopman.errors import DegeneracyError, ValidationError
 from qkoopman.fock import FockWeight
 from qkoopman.qmda import ObservationModel
 from qkoopman.rkha import SubexpWeight
+
+from oracles import direct_grid_values
 
 TWO_PI = 2.0 * math.pi
 
@@ -168,6 +171,53 @@ class TestEvaluate:
         assert f.is_real()
         g = FourierObservable({(1,): 1.0}, d=1)
         assert not g.is_real()
+
+
+def random_support(rng, d, bandwidth, count):
+    """``count`` random coefficients at indices with every |j_i| <= bandwidth."""
+    keys = {tuple(int(v) for v in rng.integers(-bandwidth, bandwidth + 1, d)) for _ in range(count)}
+    return FourierObservable(
+        {j: complex(rng.standard_normal(), rng.standard_normal()) for j in keys}, d=d
+    )
+
+
+class TestGridSum:
+    # (d, G, bandwidth): G from 1 to 2048, bandwidths at and past G/2, so
+    # indices alias onto one grid frequency
+    CASES = [
+        (1, 1, 3), (1, 2, 1), (1, 3, 7), (1, 7, 4), (1, 64, 32), (1, 64, 200),
+        (1, 2048, 1023), (1, 2048, 5000),
+        (2, 1, 2), (2, 5, 3), (2, 16, 8), (2, 32, 70),
+        (3, 1, 1), (3, 4, 2), (3, 9, 12),
+    ]
+
+    @pytest.mark.parametrize("d, g, bandwidth", CASES)
+    def test_matches_direct_sum(self, d, g, bandwidth):
+        rng = np.random.default_rng(100 * d + g + bandwidth)
+        f = random_support(rng, d, bandwidth, 2047 if d == 1 else 60)
+        fast = f.grid_values(g)
+        direct = direct_grid_values(f, g)
+        assert fast.shape == (g,) * d
+        scale = sum(abs(c) for c in f.coeffs.values())
+        assert np.max(np.abs(fast - direct)) <= 1e-12 * scale
+
+    def test_repeated_indices_add(self):
+        values = grid_sum(np.array([[1], [1], [-4]]), [1.0, 2.0, 0.5j], 5)
+        f = FourierObservable({(1,): 3.0, (-4,): 0.5j}, d=1)
+        assert np.max(np.abs(values - direct_grid_values(f, 5))) <= 1e-15
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_empty_observable(self, d):
+        f = FourierObservable({}, d=d)
+        assert np.array_equal(f.grid_values(4), np.zeros((4,) * d, dtype=complex))
+        assert np.array_equal(f.grid_values(4), direct_grid_values(f, 4))
+
+    @pytest.mark.parametrize("g", [0, -3])
+    def test_grid_size_below_one_rejected(self, g):
+        with pytest.raises(ValidationError, match="grid_size"):
+            FourierObservable({(1,): 1.0}).grid_values(g)
+        with pytest.raises(ValidationError, match="grid_size"):
+            grid_sum(np.array([[1]]), [1.0], g)
 
 
 class TestKoopmanExact:

@@ -14,6 +14,7 @@ from qkoopman.dynamics import (
     koopman_exact,
     von_mises_fourier,
 )
+from qkoopman import fock
 from qkoopman.errors import DegeneracyError, DegenerateNormalizationError, ValidationError
 from qkoopman.fock import (
     FockVector,
@@ -26,7 +27,6 @@ from qkoopman.fock import (
     eta_from_feature,
     evolve_lifted,
     fock_inner,
-    gelfand_eval,
     grading,
     occupation,
     rotate_phase_point,
@@ -37,6 +37,9 @@ from qkoopman.fock import (
     xi_tail_norm,
     xi_vector,
 )
+from qkoopman.rkha import TruncatedLattice
+
+from oracles import character_pairing, direct_grid_values, gelfand_eval
 
 W = FockWeight(3.0, 0.5, 6)
 
@@ -462,6 +465,32 @@ class TestSecondQuantizationForecast:
         res = second_quantization_forecast(f, sys_, params, x, t)
         assert abs(res.value - value) <= 1e-12 * abs(value)
         assert abs(res.normalization - abs(den)) <= 1e-12 * abs(den)
+
+    @pytest.mark.parametrize(
+        "d, bandwidth, grid_size, m",
+        [(1, 1023, 2048, 1), (1, 1023, 2048, 3), (1, 16, 256, 2), (2, 6, 32, 1), (2, 6, 14, 3)],
+    )
+    def test_matches_character_matrix_oracle(self, monkeypatch, d, bandwidth, grid_size, m):
+        """The FFT grid sums against the character-matrix k(y) and the direct f(y)."""
+        f, sys_ = (self.COS, self.SYS) if d == 1 else (self.F2, self.SYS2)
+        params = SecondQuantizationParams(
+            m=m, sigma=2.0, tau=1.0, bandwidth=bandwidth, grid_size=grid_size
+        )
+        x, t = np.full(d, 1.3), 0.7
+        fast = second_quantization_forecast(f, sys_, params, x, t)
+
+        def characters(indices, coeffs, g):
+            # the forecast sums over the negated lattice, in lattice order
+            assert np.array_equal(indices, -TruncatedLattice(d, bandwidth).indices)
+            return character_pairing(coeffs, bandwidth, d, g)
+
+        monkeypatch.setattr(fock, "grid_sum", characters)
+        monkeypatch.setattr(FourierObservable, "grid_values", direct_grid_values)
+        old = second_quantization_forecast(f, sys_, params, x, t)
+        assert abs(fast.value - old.value) <= 1e-13
+        assert abs(fast.normalization - old.normalization) <= 1e-13
+        assert (fast.kernel_mode_tail, fast.state_tail_norm) == (
+            old.kernel_mode_tail, old.state_tail_norm)
 
     def test_smoothing_bias_at_t0(self):
         res = second_quantization_forecast(

@@ -21,11 +21,12 @@ from qkoopman.qcirc import (
     feature_state,
     frequency_vector,
     parse_circuit,
-    projected_observable,
     simulate_exported,
     walsh_coefficients,
 )
 from qkoopman.rkha import SubexpWeight, TruncatedLattice
+
+from oracles import projected_observable
 
 COS = FourierObservable({(1,): 0.5, (-1,): 0.5}, d=1)
 # real observables whose support reaches past every encoded index difference

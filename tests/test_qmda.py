@@ -15,28 +15,33 @@ from qkoopman.qmda import (
     QUANTUM,
     QUANTUM_PROJECTED,
     ObservationModel,
-    check_density_operator,
-    check_effect,
     classical_analysis,
     classical_forecast,
-    classical_forecast_rotation,
     compress,
     consistency_chain_gap,
     effect_sqrt,
     embed_density,
     multiplication_operator_fourier,
     multiplication_operator_point,
-    orbit_mode_transform,
     orbit_observation_values,
-    quantum_analysis,
-    quantum_forecast,
     run_filter,
     run_torus_filter,
-    trace_norm,
     _pure_state_distance,
     _sqrt_von_mises_coeffs,
 )
 from qkoopman.rkha import TruncatedLattice
+
+from oracles import (
+    check_density_operator,
+    check_effect,
+    classical_forecast_rotation,
+    effect_from_observation,
+    orbit_mode_transform,
+    quantum_analysis,
+    quantum_forecast,
+    torus_grid_matrix,
+    trace_norm,
+)
 
 
 def random_density(rng, m):
@@ -253,8 +258,6 @@ class TestEffects:
         check_effect(e, tol=1e-2)  # truncated indicator overshoots slightly
 
     def test_effect_dispatcher_both_bases(self):
-        from qkoopman.qmda import effect_from_observation
-
         model = ObservationModel(kind="vonmises", scale=3.0)
         h = orbit_observation_values(PeriodicOrbitSystem(6))
         diag = effect_from_observation(model, 1.0, h)
@@ -524,6 +527,32 @@ class TestTorusFilter:
         fast = record(run_torus_filter(*args, **kwargs))
         monkeypatch.setattr(qmda, "_rotation_orbit", orbit_by_wrap_angles)
         assert record(run_torus_filter(*args, **kwargs)) == fast
+
+    @pytest.mark.parametrize("grid_size", [1, 2, 9, 64, 256])
+    @pytest.mark.parametrize("mode,rank", [(QUANTUM, None), (QUANTUM_PROJECTED, 9)])
+    def test_min_sqrt_matches_dense_grid_matrix(self, mode, rank, grid_size):
+        # the G x (2J+1) evaluation matrix the FFT replaced, on grids both
+        # coarser (aliasing) and finer than the 2J+1 = 65 lattice modes
+        lat = TruncatedLattice(1, 32)
+        on_grid = torus_grid_matrix(grid_size, lat)
+        trace = run_torus_filter(self.SYS, self.MODEL, 1.3, 40, dt=0.3, bandwidth=32,
+                                 mode=mode, rank=rank, seed=4, grid_size=grid_size)
+        for psi, min_sqrt in trace.quantum_posteriors:
+            values = on_grid @ psi
+            mags = np.sort(np.abs(values))
+            if mags.size > 1 and mags[-1] - mags[-2] <= 1e-9 * mags[-1]:
+                continue  # a tie picks either phase
+            phase = values[int(np.argmax(np.abs(values)))]
+            dense = float((values * (phase.conjugate() / abs(phase))).real.min())
+            assert abs(min_sqrt - dense) <= 1e-13
+
+    @pytest.mark.parametrize("grid_size", [0, -3])
+    @pytest.mark.parametrize("mode,rank", [(CLASSICAL, None), (QUANTUM, None),
+                                           (QUANTUM_PROJECTED, 9)])
+    def test_grid_size_below_one_rejected(self, mode, rank, grid_size):
+        with pytest.raises(ValidationError, match="grid_size"):
+            run_torus_filter(self.SYS, self.MODEL, 1.0, 5, dt=0.3, mode=mode, rank=rank,
+                             grid_size=grid_size)
 
     def test_consistency_against_mpmath(self):
         # distances far below sqrt(eps): 1 - |<ref, psi>|^2 cancels them to 0
