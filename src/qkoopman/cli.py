@@ -73,16 +73,20 @@ MAX_LATTICE_MODES = 2048
 MAX_SAMPLES = 10**6
 # torus dimension: rotate's rational-dependence scan is quadratic in it
 MAX_DIMENSION = 16
+# entries of one list-valued key; each t, m, n or q entry is a forecast or
+# a circuit of its own, so a list's length multiplies a command's work
+MAX_LIST_ENTRIES = 1024
 
 # Every config key, "section.key": (type, lo, hi, default).  The type is int,
-# float, [int] or [float] (a list; one number stands for a one-element list),
-# a tuple of the allowed words, str (a file path) or dict (Fourier
-# coefficients {"j_1,...,j_d": [re, im]} with every |j_i| <= hi).  Numbers
-# are finite, never bools, ints integral, and lie in the closed range
-# [lo, hi].  Strict and joint conditions (tau > 0, tau <= sigma/2, p in
-# (0, 1), m <= Nmax, L <= M, the qubit caps) are the library classes' own
-# checks.  Concentrations stop at 1e5, the largest kappa bessel_ratios is
-# tested at.  A default of None means the command works the value out.
+# float, [int] or [float] (a list of at most MAX_LIST_ENTRIES; one number
+# stands for a one-element list), a tuple of the allowed words, str (a file
+# path) or dict (Fourier coefficients {"j_1,...,j_d": [re, im]} with every
+# |j_i| <= hi).  Numbers are finite, never bools, ints integral, and lie in
+# the closed range [lo, hi].  Strict and joint conditions (tau > 0, tau <=
+# sigma/2, p in (0, 1), m <= Nmax, L <= M, the qubit caps) are the library
+# classes' own checks.  Concentrations stop at 1e5, the largest kappa
+# bessel_ratios is tested at.  A default of None means the command works
+# the value out.
 _FIELDS = {
     "schema_version": (int, SCHEMA_VERSION, SCHEMA_VERSION, SCHEMA_VERSION),
     "seed": (int, 0, 2**64 - 1, 0),
@@ -165,6 +169,10 @@ def _value(key: str, value):
         return _coefficients(key, value, hi)
     if isinstance(kind, list):
         items = value if isinstance(value, list) else [value]
+        if len(items) > MAX_LIST_ENTRIES:
+            raise ValidationError(
+                f"{key} has {len(items)} entries, more than the cap of {MAX_LIST_ENTRIES}"
+            )
         return [_number(key, kind[0], item, lo, hi) for item in items]
     return _number(key, kind, value, lo, hi)
 

@@ -233,15 +233,19 @@ def grid_sum(indices, coeffs, grid_size: int) -> np.ndarray:
     On the grid exp(i j.y) depends on j only through j mod G, so placing
     every coefficient at j mod G (repeats add up: the aliasing is exact) and
     taking the unscaled inverse DFT gives the sum, in O(G^d log G) for any
-    support.  ``indices`` is an (n, d) integer array, ``coeffs`` its n
-    coefficients; the result has shape (G,) * d.
+    support.  ``indices`` is an (n, d) integer array and ``coeffs`` holds
+    its n coefficients on the last axis; leading axes of ``coeffs`` are a
+    batch of sums, each placed and transformed on its own.  The result has
+    shape coeffs.shape[:-1] + (G,) * d.
     """
     if grid_size < 1:
         raise ValidationError("grid_size must be >= 1")
     indices = np.asarray(indices, dtype=int)
-    box = np.zeros((grid_size,) * indices.shape[1], dtype=complex)
-    np.add.at(box, tuple((indices % grid_size).T), np.asarray(coeffs, dtype=complex))
-    return np.fft.ifftn(box, norm="forward")
+    coeffs = np.asarray(coeffs, dtype=complex)
+    d = indices.shape[1]
+    box = np.zeros(coeffs.shape[:-1] + (grid_size,) * d, dtype=complex)
+    np.add.at(box, (Ellipsis,) + tuple((indices % grid_size).T), coeffs)
+    return np.fft.ifftn(box, axes=tuple(range(-d, 0)), norm="forward")
 
 
 def koopman_exact(f: FourierObservable, sys: RotationSystem, t: float) -> FourierObservable:
@@ -290,9 +294,70 @@ def _i0e(kappa: float) -> float:
 
 _BESSEL_RTOL = 1e-13  # agreement of successive Miller runs, whole sequence
 _BESSEL_DOUBLINGS = 12
+# Fewer concentrations than this run as float loops: a lane step costs about
+# as much as 20 float steps, and the lanes that start first run alone.
+_MILLER_MIN_LANES = 64
 
 
-def bessel_ratios(kappa: float, jmax: int) -> np.ndarray:
+def _miller_float(kappa: float, start: int, jmax: int) -> np.ndarray:
+    """One Miller run for one concentration, in Python floats."""
+    # Only entries 0..jmax are kept; above them two floats carry the state.
+    head = [0.0] * (jmax + 1)
+    upper, cur = 0.0, 1.0  # I_{m+1}, I_m up to a common factor
+    for m in range(start, 0, -1):
+        upper, cur = cur, upper + (2.0 * m / kappa) * cur
+        if m - 1 <= jmax:
+            head[m - 1] = cur
+        if cur > 1e250:  # rescale to dodge overflow
+            upper /= cur
+            if m - 1 <= jmax:
+                head[m - 1 :] = [v / cur for v in head[m - 1 :]]
+            cur = 1.0
+    return np.array(head) / head[0]
+
+
+def _miller_lanes(kappas: np.ndarray, starts: np.ndarray, jmax: int) -> np.ndarray:
+    """``_miller_float`` for many concentrations at once, one numpy lane each.
+
+    Every lane does the float run's operations in the same order, so each
+    row is bitwise that run.  Lanes are sorted by start, largest first, so
+    the lanes already running at index m are a prefix; a lane that has not
+    started keeps its initial (I_{m+1}, I_m) = (0, 1).  The state rotates
+    through three rows, and a lane passing 1e250 rescales only itself.
+    """
+    order = np.argsort(-starts, kind="stable")
+    kappas, starts = kappas[order], starts[order]
+    lanes = kappas.size
+    head = np.zeros((jmax + 1, lanes))
+    state = np.zeros((3, lanes))
+    state[starts % 3, np.arange(lanes)] = 1.0  # I_start = 1, I_{start+1} = 0
+    running = 0
+    # Python floats overflow to inf without a word; so do the lanes
+    with np.errstate(all="ignore"):
+        for m in range(int(starts[0]), 0, -1):
+            while running < lanes and starts[running] >= m:
+                running += 1
+            upper = state[(m + 1) % 3, :running]
+            cur = state[m % 3, :running]
+            new = state[(m - 1) % 3, :running]
+            np.multiply(2.0 * m / kappas[:running], cur, out=new)
+            new += upper
+            if m - 1 <= jmax:
+                head[m - 1] = new
+            if np.fmax.reduce(new) > 1e250:  # fmax: a NaN lane hides no other
+                lane = np.flatnonzero(new > 1e250)
+                size = new[lane]
+                cur[lane] /= size
+                if m - 1 <= jmax:
+                    head[m - 1 :, lane] /= size
+                new[lane] = 1.0
+        ratios = head / head[0]
+    out = np.empty((lanes, jmax + 1))
+    out[order] = ratios.T
+    return out
+
+
+def bessel_ratios(kappa, jmax: int) -> np.ndarray:
     """Ratios I_j(kappa)/I_0(kappa) for j = 0..jmax, by backward recurrence.
 
     Uses Miller's algorithm: run I_{m-1} = I_{m+1} + (2m/kappa) I_m downward
@@ -305,45 +370,55 @@ def bessel_ratios(kappa: float, jmax: int) -> np.ndarray:
     few ulps however far the start moves, so the test is never met.  If no
     two runs agree within twelve doublings a DegeneracyError is raised
     instead of returning an unconverged sequence.
+
+    ``kappa`` is one concentration, giving shape (jmax + 1,), or a 1-d
+    array of them, giving one row each.  Every concentration starts at its
+    own index and stops doubling once its own runs agree; the error names
+    the first one, in input order, that never agrees.  A round of runs over
+    fewer than ``_MILLER_MIN_LANES`` concentrations is a Python-float loop
+    per concentration, a larger one runs them as numpy lanes (one lane alone
+    costs about 40 times its float loop).  The two are bitwise equal, so a
+    row never depends on the other concentrations passed with it.
     """
-    if kappa < 0:
+    kappas = np.asarray(kappa, dtype=float)
+    if kappas.ndim > 1:
+        raise ValidationError("kappa must be a number or a 1-d array")
+    if np.any(kappas < 0):
         raise ValidationError("concentration must be nonnegative")
     if jmax < 0:
         raise ValidationError("jmax must be >= 0")
-    if kappa == 0.0:
-        out = np.zeros(jmax + 1)
-        out[0] = 1.0
-        return out
-    kappa = float(kappa)
+    rows = kappas.reshape(-1)
+    out = np.zeros((rows.size, jmax + 1))
+    out[:, 0] = 1.0
+    todo = np.flatnonzero(rows != 0.0)  # input order, NaN included
+    starts = np.array([
+        jmax + max(20, int(2.0 * math.sqrt(max(jmax, k) + 1)) + 10) for k in rows[todo].tolist()
+    ], dtype=np.int64)
 
-    def run(start: int) -> np.ndarray:
-        # Only entries 0..jmax are kept; above them two floats carry the state.
-        head = [0.0] * (jmax + 1)
-        upper, cur = 0.0, 1.0  # I_{m+1}, I_m up to a common factor
-        for m in range(start, 0, -1):
-            upper, cur = cur, upper + (2.0 * m / kappa) * cur
-            if m - 1 <= jmax:
-                head[m - 1] = cur
-            if cur > 1e250:  # rescale to dodge overflow
-                upper /= cur
-                if m - 1 <= jmax:
-                    head[m - 1 :] = [v / cur for v in head[m - 1 :]]
-                cur = 1.0
-        return np.array(head) / head[0]
+    def run(lanes, starts):
+        if lanes.size < _MILLER_MIN_LANES:
+            return np.array([
+                _miller_float(kappa, start, jmax)
+                for kappa, start in zip(rows[lanes].tolist(), starts.tolist())
+            ]).reshape(-1, jmax + 1)
+        return _miller_lanes(rows[lanes], starts, jmax)
 
-    start = jmax + max(20, int(2.0 * math.sqrt(max(jmax, kappa) + 1)) + 10)
-    prev = run(start)
+    prev = run(todo, starts)
     for _ in range(_BESSEL_DOUBLINGS):
-        start *= 2
-        cur = run(start)
+        if not todo.size:
+            break
+        starts = 2 * starts
+        cur = run(todo, starts)
         scale = np.maximum(np.abs(cur), 1e-300)
-        if np.max(np.abs(cur - prev) / scale) < _BESSEL_RTOL:
-            return cur
-        prev = cur
-    raise DegeneracyError(
-        f"bessel_ratios(kappa={kappa!r}, jmax={jmax}): successive Miller runs "
-        f"did not agree to {_BESSEL_RTOL:g} within {_BESSEL_DOUBLINGS} doublings"
-    )
+        done = np.max(np.abs(cur - prev) / scale, axis=1) < _BESSEL_RTOL
+        out[todo[done]] = cur[done]
+        todo, starts, prev = todo[~done], starts[~done], cur[~done]
+    if todo.size:
+        raise DegeneracyError(
+            f"bessel_ratios(kappa={float(rows[todo[0]])!r}, jmax={jmax}): successive Miller "
+            f"runs did not agree to {_BESSEL_RTOL:g} within {_BESSEL_DOUBLINGS} doublings"
+        )
+    return out if kappas.ndim else out[0]
 
 
 @dataclass(frozen=True)

@@ -386,6 +386,14 @@ def _sqrt_von_mises_coeffs(mu: float, kappa: float, lat: TruncatedLattice) -> np
     return vec / np.linalg.norm(vec)
 
 
+# Steps per block of the torus filter: bessel_ratios runs a block's
+# concentrations as numpy lanes, which beat its float loop from ~64 on.
+_TORUS_BLOCK = 256
+# Grid values evaluated at once, in complex entries (16 MiB): a block's
+# rows share one FFT unless grid_size is above 4096.
+_GRID_BATCH = 2**20
+
+
 def run_torus_filter(
     sys: RotationSystem,
     model: ObservationModel,
@@ -411,13 +419,29 @@ def run_torus_filter(
     wavefunction's most negative grid value is recorded: a projected
     square-root density generally stops being a nonnegative function even
     though the operator state stays positive.
+
+    The steps run in blocks of at most ``_TORUS_BLOCK``.  A block first runs
+    the classical track, then the operator track (the only sequential
+    numpy work: rotate, convolve, truncate, normalize), then scores every
+    step at once: the von Mises references from one ``bessel_ratios`` call
+    over the block's concentrations, the grid values from one batched
+    ``grid_sum``.  The first failing step raises what a step-by-step run
+    raises, checked in the order zero classical evidence, annihilated
+    operator state, unconverged Bessel ratios; memory grows with steps
+    times the lattice size, never with steps times ``grid_size``.
     """
     if sys.d != 1:
         raise ValidationError("the torus filter is implemented for d=1")
     if model.kind != VON_MISES:
         raise ValidationError("torus filtering uses the circular observation kernel")
-    if steps < 1 or dt <= 0:
-        raise ValidationError("need steps >= 1 and dt > 0")
+    if steps < 1:
+        raise ValidationError("need steps >= 1")
+    if not math.isfinite(x0):
+        raise ValidationError(f"x0 must be finite, got {x0!r}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValidationError(f"dt must be finite and > 0, got {dt!r}")
+    if not (math.isfinite(kappa0) and kappa0 >= 0):
+        raise ValidationError(f"kappa0 must be finite and >= 0, got {kappa0!r}")
     if grid_size < 1:
         raise ValidationError("grid_size must be >= 1")
     if mode not in (CLASSICAL, QUANTUM, QUANTUM_PROJECTED):
@@ -446,56 +470,111 @@ def run_torus_filter(
     rotate = np.exp(-1j * dt * alpha * j_all)
     m_all = np.arange(-2 * lat.J, 2 * lat.J + 1)
     kernel_abs = half_kernel[np.abs(m_all)]
+    center = 3 * lat.J  # middle of the convolution's 6J + 1 entries
 
     trace = FilterTrace(mode=mode)
     truth = _rotation_orbit(float(wrap_angles(x0)[0]), dt * alpha, steps + 1)
     next(truth)  # the wrapped x0; step n observes the n-th point after it
-    for n, x in enumerate(truth, 1):
-        y = model.observe(x, rng)
+    for first in range(1, steps + 1, _TORUS_BLOCK):
+        failure = None
+        truths, obs, posteriors, evidences = [], [], [], []
+        for n in range(first, min(first + _TORUS_BLOCK, steps + 1)):
+            x = next(truth)
+            y = model.observe(x, rng)
 
-        # exact conjugate-family update
-        mu_prior = math.atan2(s_vec, c_vec) + dt * alpha
-        kap_prior = math.hypot(c_vec, s_vec)
-        c_vec = kap_prior * math.cos(mu_prior) + model.scale * math.cos(y)
-        s_vec = kap_prior * math.sin(mu_prior) + model.scale * math.sin(y)
-        kap_post = math.hypot(c_vec, s_vec)
-        mu_post = math.atan2(s_vec, c_vec) % TWO_PI
-        evidence = _i0e(kap_post) / _i0e(kap_prior) * math.exp(kap_post - kap_prior - model.scale)
-        if evidence <= 1e-300:
-            raise ZeroEvidenceError(f"zero evidence at step {n}")
+            # exact conjugate-family update
+            mu_prior = math.atan2(s_vec, c_vec) + dt * alpha
+            kap_prior = math.hypot(c_vec, s_vec)
+            c_vec = kap_prior * math.cos(mu_prior) + model.scale * math.cos(y)
+            s_vec = kap_prior * math.sin(mu_prior) + model.scale * math.sin(y)
+            kap_post = math.hypot(c_vec, s_vec)
+            mu_post = math.atan2(s_vec, c_vec) % TWO_PI
+            evidence = _i0e(kap_post) / _i0e(kap_prior) * math.exp(kap_post - kap_prior - model.scale)
+            if evidence <= 1e-300:
+                failure = ZeroEvidenceError(f"zero evidence at step {n}")
+                break
+            truths.append(x)
+            obs.append(y)
+            posteriors.append((mu_post, kap_post))
+            evidences.append(evidence)
 
-        consistency = 0.0
-        min_sqrt = 0.0
-        if run_quantum:
-            psi = psi * rotate
-            kernel_coeffs = kernel_abs * np.exp(-1j * m_all * y)
-            full = np.convolve(kernel_coeffs, psi)
-            center = (full.size - 1) // 2
-            psi = full[center - lat.J : center + lat.J + 1] * keep
-            norm = np.linalg.norm(psi)
-            if norm <= 1e-150:
-                raise ZeroEvidenceError(f"state annihilated at step {n}")
-            psi = psi / norm
-            reference = _sqrt_von_mises_coeffs(mu_post, kap_post, lat)
-            consistency = _pure_state_distance(reference, psi)
-            values = grid_sum(lat.indices, psi, grid_size)
-            phase = values[int(np.argmax(np.abs(values)))]
-            min_sqrt = float((values * (phase.conjugate() / abs(phase))).real.min())
-            first = complex(np.sum(np.conj(psi[1:]) * psi[:-1]))
-            estimate = math.atan2(first.imag, first.real) % TWO_PI
-            trace.quantum_posteriors.append((psi, min_sqrt))
-        else:
-            estimate = mu_post
-        gap = abs((estimate - x + math.pi) % TWO_PI - math.pi)
-        trace.classical_posteriors.append((mu_post, kap_post))
-        trace.steps.append(
-            FilterStep(
-                step=n,
-                evidence=evidence,
-                consistency=consistency,
-                estimate=float(estimate),
-                estimate_error=float(gap),
-                truth=x,
+        done = len(truths)
+        consistency = [0.0] * done
+        estimates = [mu for mu, _ in posteriors]
+        if run_quantum and done:
+            rows = np.empty((done, lat.size), dtype=complex)
+            kernels = kernel_abs * np.exp(-1j * m_all * np.array(obs)[:, None])
+            for i in range(done):
+                psi = psi * rotate
+                full = np.convolve(kernels[i], psi)
+                psi = full[center - lat.J : center + lat.J + 1] * keep
+                norm = np.linalg.norm(psi)
+                if norm <= 1e-150:
+                    failure = ZeroEvidenceError(f"state annihilated at step {first + i}")
+                    done = i
+                    break
+                psi = psi / norm
+                rows[i] = psi
+            rows = rows[:done]
+            consistency, min_sqrt, estimates = _torus_diagnostics(
+                rows, posteriors[:done], lat, grid_size
             )
-        )
+            trace.quantum_posteriors.extend(zip(rows, min_sqrt))
+        for i in range(done):
+            x = truths[i]
+            gap = abs((estimates[i] - x + math.pi) % TWO_PI - math.pi)
+            trace.classical_posteriors.append(posteriors[i])
+            trace.steps.append(
+                FilterStep(
+                    step=first + i,
+                    evidence=evidences[i],
+                    consistency=consistency[i],
+                    estimate=float(estimates[i]),
+                    estimate_error=float(gap),
+                    truth=x,
+                )
+            )
+        if failure is not None:
+            raise failure
     return trace
+
+
+def _torus_diagnostics(rows: np.ndarray, posteriors: list, lat: TruncatedLattice, grid_size: int):
+    """Per row of operator states: consistency, most negative grid value, estimate.
+
+    ``posteriors`` holds each row's classical (mu, kappa).  Every row gets
+    what one step of the filter computes for it: the distance to the unit
+    square root of the von Mises posterior, the most negative real part of
+    the grid values after rotating the largest one onto the positive axis,
+    and the phase of the first autocorrelation of the coefficients.
+    """
+    mu, kappa = np.array(posteriors).T
+    j = lat.indices[:, 0]
+    refs = bessel_ratios(kappa / 2.0, lat.J)[:, np.abs(j)] * np.exp(-1j * j * mu[:, None])
+    refs /= np.sqrt(_row_dots(refs, refs).real)[:, None]
+    consistency = _pure_state_distances(refs, rows)
+
+    min_sqrt = np.empty(len(rows))
+    batch = max(1, _GRID_BATCH // grid_size)
+    for lo in range(0, len(rows), batch):
+        values = grid_sum(lat.indices, rows[lo : lo + batch], grid_size)
+        peak = values[np.arange(len(values)), np.argmax(np.abs(values), axis=1)]
+        unit = peak.conjugate() / np.abs(peak)
+        min_sqrt[lo : lo + batch] = (values * unit[:, None]).real.min(axis=1)
+
+    first = np.sum(np.conj(rows[:, 1:]) * rows[:, :-1], axis=1)
+    estimates = [math.atan2(f.imag, f.real) % TWO_PI for f in first.tolist()]
+    return consistency.tolist(), min_sqrt.tolist(), estimates
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a_i, b_i> for every row i."""
+    return np.einsum("ij,ij->i", a.conj(), b)
+
+
+def _pure_state_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``_pure_state_distance`` of every row of ``a`` to the same row of ``b``."""
+    aa = _row_dots(a, a).real
+    bb = _row_dots(b, b).real
+    perp = b - a * (_row_dots(a, b) / aa)[:, None]
+    return np.sqrt((aa - bb) ** 2 + 4.0 * aa * _row_dots(perp, perp).real)

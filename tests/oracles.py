@@ -1,7 +1,8 @@
 """Dense formulations the package's fast paths replaced, kept as test oracles.
 
 Each function here is the direct, matrix-building form of a computation the
-package now does in closed form, by FFT or on a state vector.  Nothing in
+package now does in closed form, by FFT or on a state vector, or (the torus
+filter) the step-by-step form of one it now runs in blocks.  Nothing in
 ``src/`` calls them; the tests compare the fast paths against them.
 """
 
@@ -15,14 +16,27 @@ from qkoopman.dynamics import (
     TWO_PI,
     FourierObservable,
     RotationSystem,
+    _i0e,
+    _rotation_orbit,
+    bessel_ratios,
+    grid_sum,
     koopman_exact,
+    wrap_angles,
 )
 from qkoopman.errors import ValidationError, ZeroEvidenceError
 from qkoopman.fock import FockVector, FockWeight, SpectrumTorusPoint, fock_inner, xi_vector
 from qkoopman.qcirc import QubitEncoding, _check_observable, _projected_observable
 from qkoopman.qmda import (
+    CLASSICAL,
+    QUANTUM,
+    QUANTUM_PROJECTED,
+    VON_MISES,
+    FilterStep,
+    FilterTrace,
     ObservationModel,
     _orbit_mode_order,
+    _pure_state_distance,
+    _sqrt_von_mises_coeffs,
     effect_sqrt,
     multiplication_operator_fourier,
     multiplication_operator_point,
@@ -102,6 +116,125 @@ def torus_grid_matrix(grid_size: int, lat: TruncatedLattice) -> np.ndarray:
     """G x (2J+1) evaluation of the lattice characters on the uniform circle grid."""
     theta_grid = np.arange(grid_size) * TWO_PI / grid_size
     return np.exp(1j * np.outer(theta_grid, lat.indices[:, 0]))
+
+
+def stepwise_torus_filter(
+    sys: RotationSystem,
+    model: ObservationModel,
+    x0: float,
+    steps: int,
+    dt: float,
+    bandwidth: int = 32,
+    kappa0: float = 6.0,
+    mode: str = QUANTUM,
+    rank: int | None = None,
+    seed: int = 0,
+    grid_size: int = 256,
+) -> FilterTrace:
+    """``qmda.run_torus_filter`` one step at a time, every diagnostic per step.
+
+    Each step scores its operator state against a von Mises reference from
+    its own scalar ``bessel_ratios`` call and evaluates it on the grid with
+    its own ``grid_sum``; the package runs the same steps in blocks.
+
+    The classical filter stays inside the von Mises family (rotation shifts
+    the location, the circular-kernel update adds concentration vectors), so
+    it is exact.  The operator track evolves the square-root density's
+    lattice coefficients, conditions by convolving with the square root of
+    the observation kernel, and in projected mode truncates to the leading
+    ``rank`` modes ordered 0, +1, -1, ...  The consistency column is the
+    trace-norm distance between the two pure states on the lattice, and the
+    wavefunction's most negative grid value is recorded: a projected
+    square-root density generally stops being a nonnegative function even
+    though the operator state stays positive.
+    """
+    if sys.d != 1:
+        raise ValidationError("the torus filter is implemented for d=1")
+    if model.kind != VON_MISES:
+        raise ValidationError("torus filtering uses the circular observation kernel")
+    if steps < 1 or dt <= 0:
+        raise ValidationError("need steps >= 1 and dt > 0")
+    if grid_size < 1:
+        raise ValidationError("grid_size must be >= 1")
+    if mode not in (CLASSICAL, QUANTUM, QUANTUM_PROJECTED):
+        raise ValidationError(f"unknown filter mode {mode!r}")
+    lat = TruncatedLattice(1, bandwidth)
+    if mode != QUANTUM_PROJECTED:
+        rank = lat.size
+    elif rank is None or not (1 <= rank <= lat.size):
+        raise ValidationError("projected mode needs a rank between 1 and the lattice size")
+    keep = np.zeros(lat.size)  # indicator of the modes the operator track keeps
+    for freq in _orbit_mode_order(lat.size)[:rank]:
+        keep[lat.position((int(freq),))] = 1.0
+
+    rng = np.random.default_rng(seed)
+    alpha = float(sys.alpha[0])
+    run_quantum = mode in (QUANTUM, QUANTUM_PROJECTED)
+    # classical state as concentration vector (C, S) = kappa (cos mu, sin mu)
+    c_vec = kappa0 * math.cos(x0)
+    s_vec = kappa0 * math.sin(x0)
+    if run_quantum:
+        psi = _sqrt_von_mises_coeffs(float(x0), kappa0, lat) * keep
+        psi /= np.linalg.norm(psi)
+    half_kernel = bessel_ratios(model.scale / 2.0, 2 * lat.J) * _i0e(model.scale / 2.0)
+    j_all = lat.indices[:, 0]
+    # step-invariant: rotation phases and kernel magnitudes
+    rotate = np.exp(-1j * dt * alpha * j_all)
+    m_all = np.arange(-2 * lat.J, 2 * lat.J + 1)
+    kernel_abs = half_kernel[np.abs(m_all)]
+
+    trace = FilterTrace(mode=mode)
+    truth = _rotation_orbit(float(wrap_angles(x0)[0]), dt * alpha, steps + 1)
+    next(truth)  # the wrapped x0; step n observes the n-th point after it
+    for n, x in enumerate(truth, 1):
+        y = model.observe(x, rng)
+
+        # exact conjugate-family update
+        mu_prior = math.atan2(s_vec, c_vec) + dt * alpha
+        kap_prior = math.hypot(c_vec, s_vec)
+        c_vec = kap_prior * math.cos(mu_prior) + model.scale * math.cos(y)
+        s_vec = kap_prior * math.sin(mu_prior) + model.scale * math.sin(y)
+        kap_post = math.hypot(c_vec, s_vec)
+        mu_post = math.atan2(s_vec, c_vec) % TWO_PI
+        evidence = _i0e(kap_post) / _i0e(kap_prior) * math.exp(kap_post - kap_prior - model.scale)
+        if evidence <= 1e-300:
+            raise ZeroEvidenceError(f"zero evidence at step {n}")
+
+        consistency = 0.0
+        min_sqrt = 0.0
+        if run_quantum:
+            psi = psi * rotate
+            kernel_coeffs = kernel_abs * np.exp(-1j * m_all * y)
+            full = np.convolve(kernel_coeffs, psi)
+            center = (full.size - 1) // 2
+            psi = full[center - lat.J : center + lat.J + 1] * keep
+            norm = np.linalg.norm(psi)
+            if norm <= 1e-150:
+                raise ZeroEvidenceError(f"state annihilated at step {n}")
+            psi = psi / norm
+            reference = _sqrt_von_mises_coeffs(mu_post, kap_post, lat)
+            consistency = _pure_state_distance(reference, psi)
+            values = grid_sum(lat.indices, psi, grid_size)
+            phase = values[int(np.argmax(np.abs(values)))]
+            min_sqrt = float((values * (phase.conjugate() / abs(phase))).real.min())
+            first = complex(np.sum(np.conj(psi[1:]) * psi[:-1]))
+            estimate = math.atan2(first.imag, first.real) % TWO_PI
+            trace.quantum_posteriors.append((psi, min_sqrt))
+        else:
+            estimate = mu_post
+        gap = abs((estimate - x + math.pi) % TWO_PI - math.pi)
+        trace.classical_posteriors.append((mu_post, kap_post))
+        trace.steps.append(
+            FilterStep(
+                step=n,
+                evidence=evidence,
+                consistency=consistency,
+                estimate=float(estimate),
+                estimate_error=float(gap),
+                truth=x,
+            )
+        )
+    return trace
 
 
 # --- qcirc and fock: dense observable and the Gelfand pairing -----------------

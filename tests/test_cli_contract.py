@@ -70,6 +70,26 @@ PROBES = {
     "seed-bool": ("rotate", '{"seed": true}', None),
     "n-samples-0": ("koopman", '{"kernel": {"J": 16}, "koopman": {"n_samples": 0}}', None),
 }
+# One entry past the list cap: every entry of these keys is a forecast or a
+# circuit of its own, and no list length was bounded.
+LONG_LISTS = {
+    "koopman.t_grid": ("koopman", 0.5),
+    "koopman.m_values": ("koopman", 1),
+    "koopman.n_values": ("koopman", 1),
+    "qcirc.t_grid": ("qcirc", 0.5),
+    "qcirc.q": ("qcirc", 2),
+}
+
+
+def long_list_config(key, entries):
+    command, item = LONG_LISTS[key]
+    section, name = key.split(".")
+    return command, json.dumps({section: {name: [item] * entries}})
+
+
+PROBES.update({
+    f"{key}-long": long_list_config(key, cli.MAX_LIST_ENTRIES + 1) + (None,) for key in LONG_LISTS
+})
 
 
 # Accepted inputs whose arithmetic overflows; numpy's RuntimeWarning lines
@@ -91,6 +111,18 @@ def test_probe_exits_2_without_output(tmp_path, name):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert not list((tmp_path / "out").glob("*.csv"))
+
+
+@pytest.mark.parametrize("key", sorted(LONG_LISTS))
+def test_long_list_names_key_and_cap(tmp_path, key):
+    command, text = long_list_config(key, cli.MAX_LIST_ENTRIES + 1)
+    code, err = run(command, text, tmp_path / "out")
+    assert code == 2
+    assert err == f"error: {key} has 1025 entries, more than the cap of 1024\n"
+    path = tmp_path / "c.json"
+    path.write_text(long_list_config(key, cli.MAX_LIST_ENTRIES)[1], encoding="utf-8")
+    config, _ = cli.load_config(str(path))
+    assert len(config[key]) == cli.MAX_LIST_ENTRIES
 
 
 # Refused by the forecast's parameter sets, which koopman builds before the

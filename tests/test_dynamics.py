@@ -369,6 +369,47 @@ class TestBesselRatios:
         with pytest.raises(DegeneracyError, match=r"kappa=6\.0, jmax=40"):
             bessel_ratios(6.0, 40)
 
+    # 1e-300 passes 1e250 at every index and 1e-12 at least once; 6..700
+    # and 1e5 stop after different numbers of doublings.  Shuffled, so the
+    # lanes' start order differs from the input order; enough of them to
+    # run as numpy lanes.
+    LANE_KAPPAS = np.random.default_rng(11).permutation(
+        np.concatenate([[0.0, 1e-300, 1e-12, 1e-3], np.geomspace(6.0, 700.0, 96), [1e5]]))
+
+    @pytest.mark.parametrize("jmax", [0, 12, 32, 264])
+    def test_lanes_are_bitwise_the_float_runs(self, jmax):
+        lanes = bessel_ratios(self.LANE_KAPPAS, jmax)
+        floats = np.array([bessel_ratios(float(k), jmax) for k in self.LANE_KAPPAS])
+        assert lanes.shape == (self.LANE_KAPPAS.size, jmax + 1)
+        assert np.array_equal(lanes.view(np.uint64), floats.view(np.uint64))
+
+    def test_lanes_stop_doubling_on_their_own(self, monkeypatch):
+        # one doubling settles kappa = 2 and 3 but not 600 or 900
+        monkeypatch.setattr(dynamics, "_BESSEL_DOUBLINGS", 1)
+        settled = np.repeat([2.0, 3.0], dynamics._MILLER_MIN_LANES)
+        assert np.array_equal(bessel_ratios(settled, 32),
+                              [bessel_ratios(float(k), 32) for k in settled])
+        with pytest.raises(DegeneracyError, match=r"kappa=900\.0, jmax=32"):
+            bessel_ratios(np.concatenate([settled, [900.0, 3.0, 600.0]]), 32)
+
+    @pytest.mark.parametrize("kappas, first", [([0.0, 6.0, 2.0, 0.5], "6.0"),
+                                               ([0.0, 0.5, 600.0, 6.0], "0.5")])
+    @pytest.mark.parametrize("copies", [1, 32])  # float loops, then numpy lanes
+    def test_lanes_name_the_first_unconverged_concentration(self, monkeypatch, kappas,
+                                                             first, copies):
+        monkeypatch.setattr(dynamics, "_BESSEL_RTOL", 0.0)
+        monkeypatch.setattr(dynamics, "_BESSEL_DOUBLINGS", 2)
+        with pytest.raises(DegeneracyError, match=rf"kappa={first}, jmax=40\)"):
+            bessel_ratios(np.tile(kappas, copies), 40)
+
+    def test_array_shapes_and_checks(self):
+        assert bessel_ratios(np.array([]), 3).shape == (0, 4)
+        assert np.array_equal(bessel_ratios(np.zeros(2), 2), [[1.0, 0.0, 0.0]] * 2)
+        with pytest.raises(ValidationError):
+            bessel_ratios(np.array([1.0, -1.0]), 3)
+        with pytest.raises(ValidationError):
+            bessel_ratios(np.ones((2, 2)), 3)
+
 
 def test_rational_dependence_scan():
     flagged = rational_dependence_warnings(np.array([2.0, 3.0]))

@@ -1,13 +1,15 @@
 import cmath
 import dataclasses
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
+from qkoopman import dynamics
 from qkoopman.dynamics import PeriodicOrbitSystem
-from qkoopman.errors import ValidationError, ZeroEvidenceError
+from qkoopman.errors import DegeneracyError, ValidationError, ZeroEvidenceError
 from qkoopman.dynamics import FourierObservable, RotationSystem, sample_trajectory, wrap_angles
 from qkoopman import qmda
 from qkoopman.qmda import (
@@ -39,6 +41,7 @@ from oracles import (
     orbit_mode_transform,
     quantum_analysis,
     quantum_forecast,
+    stepwise_torus_filter,
     torus_grid_matrix,
     trace_norm,
 )
@@ -461,6 +464,11 @@ def test_run_filter_matches_dense_loop(m, kind):
             assert all(psi.shape == (rank,) for psi in trace.quantum_posteriors)
 
 
+def bits(values):
+    """Bit patterns of a (nested) sequence of floats, for exact comparison."""
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
 class TestTorusFilter:
     SYS = RotationSystem(np.array([np.sqrt(2.0)]))
     MODEL = ObservationModel(kind="vonmises", scale=4.0, noise_std=0.1)
@@ -567,6 +575,161 @@ class TestTorusFilter:
             ):
                 exact = mp_pure_state_distance(_sqrt_von_mises_coeffs(mu, kappa, lat), psi)
                 assert abs(step.consistency - exact) <= 1e-15 + 1e-6 * exact, step.step
+
+
+    @pytest.mark.parametrize("steps", [1, 255, 256, 257, 600])  # across block edges
+    @pytest.mark.parametrize("grid_size", [1, 9, 256])
+    @pytest.mark.parametrize("mode,rank", [(CLASSICAL, None), (QUANTUM, None),
+                                           (QUANTUM_PROJECTED, 9)])
+    def test_blocks_match_stepwise_oracle(self, mode, rank, grid_size, steps):
+        args = (self.SYS, self.MODEL, 1.3, steps, 0.3)
+        kwargs = dict(bandwidth=32, mode=mode, rank=rank, seed=7, grid_size=grid_size)
+        want = stepwise_torus_filter(*args, **kwargs)
+        got = run_torus_filter(*args, **kwargs)
+        assert [s.step for s in got.steps] == list(range(1, steps + 1))
+        for name in ("truth", "evidence"):
+            assert bits([getattr(s, name) for s in got.steps]) == bits(
+                [getattr(s, name) for s in want.steps])
+        assert bits(got.classical_posteriors) == bits(want.classical_posteriors)
+        assert len(got.quantum_posteriors) == len(want.quantum_posteriors)
+        for (psi, min_sqrt), (psi_want, min_sqrt_want) in zip(got.quantum_posteriors,
+                                                              want.quantum_posteriors):
+            assert psi.tobytes() == psi_want.tobytes()
+            assert bits(min_sqrt) == bits(min_sqrt_want)
+        for step, oracle in zip(got.steps, want.steps):
+            assert abs(step.consistency - oracle.consistency) <= 1e-15 + 1e-12 * oracle.consistency
+            assert abs(step.estimate - oracle.estimate) <= 1e-14
+            assert abs(step.estimate_error - oracle.estimate_error) <= 1e-14
+
+    @pytest.mark.parametrize("mode,rank", [(QUANTUM, None), (QUANTUM_PROJECTED, 9)])
+    def test_grid_values_in_batches_of_rows(self, monkeypatch, mode, rank):
+        # 1000 grid entries at grid_size 9: batches of 111 rows, the last partial
+        monkeypatch.setattr(qmda, "_GRID_BATCH", 1000)
+        args = (self.SYS, self.MODEL, 1.3, 300, 0.3)
+        kwargs = dict(bandwidth=32, mode=mode, rank=rank, seed=7, grid_size=9)
+        got = run_torus_filter(*args, **kwargs).quantum_posteriors
+        want = stepwise_torus_filter(*args, **kwargs).quantum_posteriors
+        assert bits([m for _, m in got]) == bits([m for _, m in want])
+
+    @pytest.mark.parametrize("name,value", [
+        ("x0", math.nan), ("x0", math.inf), ("dt", math.inf), ("dt", math.nan), ("dt", 0.0),
+        ("dt", -0.3), ("kappa0", -1.0), ("kappa0", math.nan), ("kappa0", math.inf),
+    ])
+    @pytest.mark.parametrize("mode,rank", [(CLASSICAL, None), (QUANTUM, None),
+                                           (QUANTUM_PROJECTED, 9)])
+    def test_scalar_inputs_checked_before_any_work(self, monkeypatch, mode, rank, name, value):
+        # x0 = nan once gave NaN estimates (classical) or a Bessel degeneracy
+        # (quantum), dt = inf a bare math domain error, and kappa0 = -1 ran
+        # in classical mode only
+        def refuse(*args, **kwargs):
+            raise AssertionError("the filter started before it checked its inputs")
+
+        monkeypatch.setattr(qmda, "bessel_ratios", refuse)
+        monkeypatch.setattr(qmda, "_rotation_orbit", refuse)
+        inputs = dict(x0=1.0, dt=0.3, kappa0=6.0)
+        inputs[name] = value
+        with pytest.raises(ValidationError, match=name):
+            run_torus_filter(self.SYS, self.MODEL, steps=5, mode=mode, rank=rank, **inputs)
+
+    def test_memory_grows_with_steps_times_lattice_not_grid(self):
+        # 1500 more steps of 4096 complex grid values would hold 98 MB; the
+        # trace keeps under 1 KB a step at J = 4 (psi, posteriors, FilterStep)
+        def peak(steps):
+            tracemalloc.start()
+            try:
+                run_torus_filter(self.SYS, self.MODEL, 1.3, steps, 0.3, bandwidth=4,
+                                 mode=QUANTUM, seed=1, grid_size=4096)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        growth = peak(2000) - peak(500)
+        assert growth < 1500 * 2048, growth
+
+
+class TestTorusFilterFirstError:
+    """Blocks raise what the stepwise filter raises, at the same step.
+
+    Within a step the checks run in the order zero classical evidence,
+    annihilated operator state, unconverged Bessel ratios.  The scenarios
+    fail past the first block of 256 steps.
+    """
+
+    SYS = RotationSystem(np.array([np.sqrt(2.0)]))
+    # seed 1: an observation far from a sharp prior underflows the evidence
+    EVIDENCE = ObservationModel(kind="vonmises", scale=400.0, noise_std=0.8)
+    # seed 7 with one doubling: the posterior concentration outgrows the
+    # Bessel recurrence's start
+    SLOW = ObservationModel(kind="vonmises", scale=0.6, noise_std=0.1)
+    MODES = [(CLASSICAL, None), (QUANTUM, None), (QUANTUM_PROJECTED, 9)]
+
+    def errors(self, monkeypatch, model, seed, mode, rank, annihilate_at=None):
+        """(type, message) of the stepwise and the blocked run's error."""
+        calls = []
+        real = np.convolve
+
+        def convolve(a, v):
+            # the operator state's conditioning step; zero at one step
+            calls.append(1)
+            full = real(a, v)
+            return full * 0.0 if len(calls) == annihilate_at else full
+
+        monkeypatch.setattr(np, "convolve", convolve)
+        out = []
+        for run in (stepwise_torus_filter, run_torus_filter):
+            calls.clear()
+            with pytest.raises(DegeneracyError) as info:
+                run(self.SYS, model, 1.3, 600, 0.3, bandwidth=32, mode=mode, rank=rank,
+                    seed=seed, grid_size=9)
+            out.append((type(info.value), str(info.value)))
+        return out
+
+    def evidence_step(self):
+        with pytest.raises(ZeroEvidenceError) as info:
+            run_torus_filter(self.SYS, self.EVIDENCE, 1.3, 600, 0.3, mode=CLASSICAL, seed=1)
+        step = int(str(info.value).rsplit(" ", 1)[1])
+        assert step > 256
+        return step
+
+    def bessel_step(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_BESSEL_DOUBLINGS", 1)
+        trace = run_torus_filter(self.SYS, self.SLOW, 1.3, 600, 0.3, mode=CLASSICAL, seed=7)
+        for step, (_, kappa) in enumerate(trace.classical_posteriors, 1):
+            try:
+                dynamics.bessel_ratios(kappa / 2.0, 32)
+            except DegeneracyError:
+                assert step > 256
+                return step
+        raise AssertionError("no step outgrew one doubling")
+
+    @pytest.mark.parametrize("mode,rank", MODES)
+    @pytest.mark.parametrize("annihilate", [None, "same step", "step before"])
+    def test_zero_evidence(self, monkeypatch, mode, rank, annihilate):
+        step = self.evidence_step()
+        at = {None: None, "same step": step, "step before": step - 1}[annihilate]
+        (kind, message), blocked = self.errors(monkeypatch, self.EVIDENCE, 1, mode, rank, at)
+        assert blocked == (kind, message)
+        if at == step - 1 and mode != CLASSICAL:
+            assert message == f"state annihilated at step {at}"
+        else:
+            assert (kind, message) == (ZeroEvidenceError, f"zero evidence at step {step}")
+
+    @pytest.mark.parametrize("mode,rank", MODES[1:])
+    @pytest.mark.parametrize("annihilate", [None, "same step", "step after"])
+    def test_bessel_degeneracy(self, monkeypatch, mode, rank, annihilate):
+        step = self.bessel_step(monkeypatch)
+        at = {None: None, "same step": step, "step after": step + 1}[annihilate]
+        (kind, message), blocked = self.errors(monkeypatch, self.SLOW, 7, mode, rank, at)
+        assert blocked == (kind, message)
+        if at == step:
+            assert (kind, message) == (ZeroEvidenceError, f"state annihilated at step {step}")
+        else:
+            assert kind is DegeneracyError and "within 1 doublings" in message
+
+    @pytest.mark.parametrize("mode,rank", MODES[1:])
+    def test_annihilation(self, monkeypatch, mode, rank):
+        (kind, message), blocked = self.errors(monkeypatch, self.SLOW, 7, mode, rank, 300)
+        assert blocked == (kind, message) == (ZeroEvidenceError, "state annihilated at step 300")
 
 
 def mp_pure_state_distance(a, b):
