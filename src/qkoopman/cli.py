@@ -366,8 +366,7 @@ def cmd_koopman(config: dict, out: Path, digest: str) -> list[Path]:
         for m in config["koopman.m_values"]
     ]
     tn_params = [
-        TensorNetworkParams(n=n, sigma=2.0 * weight.tau, tau=weight.tau, bandwidth=bandwidth)
-        for n in config["koopman.n_values"]
+        TensorNetworkParams(n=n, bandwidth=bandwidth) for n in config["koopman.n_values"]
     ]
     _check_phases("koopman.t_grid", config["koopman.t_grid"], sys_, max(bandwidth, f.bandwidth))
     lat = TruncatedLattice(sys_.d, bandwidth)

@@ -296,24 +296,22 @@ _BESSEL_RTOL = 1e-13  # agreement of successive Miller runs, whole sequence
 _BESSEL_DOUBLINGS = 12
 # Fewer concentrations than this run as float loops: a lane step costs about
 # as much as 20 float steps, and the lanes that start first run alone.
-_MILLER_MIN_LANES = 64
+_MILLER_MIN_LANES = 32
 
 
 def _miller_float(kappa: float, start: int, jmax: int) -> np.ndarray:
-    """One Miller run for one concentration, in Python floats."""
-    # Only entries 0..jmax are kept; above them two floats carry the state.
-    head = [0.0] * (jmax + 1)
-    upper, cur = 0.0, 1.0  # I_{m+1}, I_m up to a common factor
+    """One Miller run for one concentration, in Python floats.
+
+    The recurrence is carried as the ratios r_m = I_m/I_{m-1}, every one of
+    them in [0, 1], so nothing overflows; entries 0..jmax are kept.
+    """
+    head = [1.0] * (jmax + 1)
+    r = 0.0  # r_{start+1}: the trial run sets I_{start+1} = 0
     for m in range(start, 0, -1):
-        upper, cur = cur, upper + (2.0 * m / kappa) * cur
-        if m - 1 <= jmax:
-            head[m - 1] = cur
-        if cur > 1e250:  # rescale to dodge overflow
-            upper /= cur
-            if m - 1 <= jmax:
-                head[m - 1 :] = [v / cur for v in head[m - 1 :]]
-            cur = 1.0
-    return np.array(head) / head[0]
+        r = kappa / (2.0 * m + kappa * r)
+        if m <= jmax:
+            head[m] = r
+    return np.cumprod(head)
 
 
 def _miller_lanes(kappas: np.ndarray, starts: np.ndarray, jmax: int) -> np.ndarray:
@@ -322,54 +320,41 @@ def _miller_lanes(kappas: np.ndarray, starts: np.ndarray, jmax: int) -> np.ndarr
     Every lane does the float run's operations in the same order, so each
     row is bitwise that run.  Lanes are sorted by start, largest first, so
     the lanes already running at index m are a prefix; a lane that has not
-    started keeps its initial (I_{m+1}, I_m) = (0, 1).  The state rotates
-    through three rows, and a lane passing 1e250 rescales only itself.
+    started keeps its initial ratio 0.
     """
     order = np.argsort(-starts, kind="stable")
     kappas, starts = kappas[order], starts[order]
     lanes = kappas.size
-    head = np.zeros((jmax + 1, lanes))
-    state = np.zeros((3, lanes))
-    state[starts % 3, np.arange(lanes)] = 1.0  # I_start = 1, I_{start+1} = 0
+    head = np.ones((jmax + 1, lanes))
+    r = np.zeros(lanes)
     running = 0
-    # Python floats overflow to inf without a word; so do the lanes
-    with np.errstate(all="ignore"):
-        for m in range(int(starts[0]), 0, -1):
-            while running < lanes and starts[running] >= m:
-                running += 1
-            upper = state[(m + 1) % 3, :running]
-            cur = state[m % 3, :running]
-            new = state[(m - 1) % 3, :running]
-            np.multiply(2.0 * m / kappas[:running], cur, out=new)
-            new += upper
-            if m - 1 <= jmax:
-                head[m - 1] = new
-            if np.fmax.reduce(new) > 1e250:  # fmax: a NaN lane hides no other
-                lane = np.flatnonzero(new > 1e250)
-                size = new[lane]
-                cur[lane] /= size
-                if m - 1 <= jmax:
-                    head[m - 1 :, lane] /= size
-                new[lane] = 1.0
-        ratios = head / head[0]
+    for m in range(int(starts[0]), 0, -1):
+        while running < lanes and starts[running] >= m:
+            running += 1
+        r[:running] = kappas[:running] / (2.0 * m + kappas[:running] * r[:running])
+        if m <= jmax:
+            head[m] = r
     out = np.empty((lanes, jmax + 1))
-    out[order] = ratios.T
+    out[order] = np.cumprod(head, axis=0).T
     return out
 
 
 def bessel_ratios(kappa, jmax: int) -> np.ndarray:
     """Ratios I_j(kappa)/I_0(kappa) for j = 0..jmax, by backward recurrence.
 
-    Uses Miller's algorithm: run I_{m-1} = I_{m+1} + (2m/kappa) I_m downward
-    from a trial start well above jmax and normalize by the computed I_0.
-    The start index is doubled until two successive runs agree to 1e-13
-    relative in every entry 0..jmax (entries below 1e-300 compare
-    absolutely), ten times below the 1e-12 accuracy promised here.  A
-    stricter test, such as 1e-15, sits below the rounding floor of a long
-    recurrence: for jmax in the hundreds successive runs keep differing by a
-    few ulps however far the start moves, so the test is never met.  If no
-    two runs agree within twelve doublings a DegeneracyError is raised
-    instead of returning an unconverged sequence.
+    Uses Miller's algorithm in ratio form (Gautschi 1967): from a trial
+    start well above jmax, where I_{start+1} is taken as 0, run
+    r_m = I_m/I_{m-1} = kappa/(2m + kappa r_{m+1}) downward and return the
+    products r_1 ... r_j.  Every r_m lies in [0, 1], so no concentration,
+    however small, overflows the run.  The start index is doubled until two
+    successive runs agree to 1e-13 relative in every entry 0..jmax (entries
+    below 1e-300 compare absolutely), ten times below the 1e-12 accuracy
+    promised here.  A stricter test, such as 1e-15, sits below the rounding
+    floor of a long recurrence: for jmax in the hundreds successive runs
+    keep differing by a few ulps however far the start moves, so the test
+    is never met.  If no two runs agree within twelve doublings a
+    DegeneracyError is raised instead of returning an unconverged sequence.
+    kappa = 0 returns (1, 0, ..., 0) at once.
 
     ``kappa`` is one concentration, giving shape (jmax + 1,), or a 1-d
     array of them, giving one row each.  Every concentration starts at its
@@ -377,20 +362,20 @@ def bessel_ratios(kappa, jmax: int) -> np.ndarray:
     the first one, in input order, that never agrees.  A round of runs over
     fewer than ``_MILLER_MIN_LANES`` concentrations is a Python-float loop
     per concentration, a larger one runs them as numpy lanes (one lane alone
-    costs about 40 times its float loop).  The two are bitwise equal, so a
+    costs about 20 times its float loop).  The two are bitwise equal, so a
     row never depends on the other concentrations passed with it.
     """
     kappas = np.asarray(kappa, dtype=float)
     if kappas.ndim > 1:
         raise ValidationError("kappa must be a number or a 1-d array")
-    if np.any(kappas < 0):
-        raise ValidationError("concentration must be nonnegative")
+    if not np.all((kappas >= 0) & (kappas < math.inf)):
+        raise ValidationError("concentration must be nonnegative and finite")
     if jmax < 0:
         raise ValidationError("jmax must be >= 0")
     rows = kappas.reshape(-1)
     out = np.zeros((rows.size, jmax + 1))
     out[:, 0] = 1.0
-    todo = np.flatnonzero(rows != 0.0)  # input order, NaN included
+    todo = np.flatnonzero(rows != 0.0)  # input order
     starts = np.array([
         jmax + max(20, int(2.0 * math.sqrt(max(jmax, k) + 1)) + 10) for k in rows[todo].tolist()
     ], dtype=np.int64)
@@ -433,8 +418,8 @@ class VonMisesDensity:
         kappa = np.atleast_1d(np.asarray(self.kappa, dtype=float))
         if mu.shape != kappa.shape:
             raise ValidationError("mu and kappa must have equal length")
-        if not np.all(kappa >= 0):
-            raise ValidationError("kappa entries must be nonnegative")
+        if not np.all((kappa >= 0) & (kappa < math.inf)):
+            raise ValidationError("kappa entries must be nonnegative and finite")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "kappa", kappa)
 

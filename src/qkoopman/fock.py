@@ -548,22 +548,17 @@ class TensorNetworkParams:
     """Knobs of the tensor-power expectation.
 
     ``n`` is the number of tensor factors (each an n-th root of the state
-    density); ``sigma``/``tau`` parameterize the smoothing sandwich of the
-    observable, which is realized on coefficients where the smoothing
-    multipliers of the sandwich cancel exactly against the basis weights for
-    the diagonal rotation generator; ``bandwidth`` truncates each factor.
+    density); ``bandwidth`` truncates each factor.  The smoothing sandwich
+    of the observable needs no parameter: for the diagonal rotation
+    generator its multipliers cancel exactly against the basis weights.
     """
 
     n: int = 1
-    sigma: float = 0.4
-    tau: float = 0.2
     bandwidth: int = 16
 
     def __post_init__(self):
         if not (1 <= self.n <= 3):
             raise ValidationError("n must lie in {1, 2, 3}")
-        if not (0.0 < self.tau <= self.sigma / 2.0):
-            raise ValidationError("need 0 < tau <= sigma/2")
         if self.bandwidth < 1:
             raise ValidationError("bandwidth must be >= 1")
 

@@ -358,13 +358,8 @@ def parse_circuit(text: str):
 
 def simulate_exported(text: str) -> np.ndarray:
     """Replay an exported circuit: rz phase pairs applied to the prep amplitudes."""
-    n, _, _, _, angles, prep = parse_circuit(text)
+    _, _, _, _, angles, prep = parse_circuit(text)
     if prep is None:
         raise ValidationError("circuit text carries no preparation amplitudes")
-    cube = prep.reshape((2,) * n)
-    for i in range(n):
-        shape = [1] * n
-        shape[i] = 2
-        phases = np.exp(np.array([-0.5j * angles[i], 0.5j * angles[i]])).reshape(shape)
-        cube = cube * phases
-    return cube.reshape(-1)
+    # rz(angle) on qubit i is exp(-i angle/2 Z_i): one unit step of v_i = -i angle/2
+    return evolve_statevector(WalshCoefficients(v=-0.5j * angles), prep, 1.0)

@@ -164,10 +164,10 @@ class ObservationModel:
     def __post_init__(self):
         if self.kind not in (GAUSSIAN, VON_MISES, EVENT):
             raise ValidationError(f"unknown observation kind {self.kind!r}")
-        if not (self.scale > 0):
-            raise ValidationError("scale must be positive")
-        if not (self.noise_std >= 0):
-            raise ValidationError("noise_std must be nonnegative")
+        if not (0 < self.scale < math.inf):
+            raise ValidationError("scale must be positive and finite")
+        if not (0 <= self.noise_std < math.inf):
+            raise ValidationError("noise_std must be nonnegative and finite")
 
     def kappa(self, y: float, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=float)
@@ -559,7 +559,8 @@ def _torus_diagnostics(rows: np.ndarray, posteriors: list, lat: TruncatedLattice
     for lo in range(0, len(rows), batch):
         values = grid_sum(lat.indices, rows[lo : lo + batch], grid_size)
         peak = values[np.arange(len(values)), np.argmax(np.abs(values), axis=1)]
-        unit = peak.conjugate() / np.abs(peak)
+        # what Python's complex abs() computes; numpy's array abs can differ by an ulp
+        unit = peak.conjugate() / np.hypot(peak.real, peak.imag)
         min_sqrt[lo : lo + batch] = (values * unit[:, None]).real.min(axis=1)
 
     first = np.sum(np.conj(rows[:, 1:]) * rows[:, :-1], axis=1)

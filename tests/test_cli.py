@@ -231,7 +231,7 @@ class TestKoopman:
         cos = FourierObservable({(1,): 0.5, (-1,): 0.5}, d=1)
         state = VonMisesDensity(np.array([1.0]), np.array([20.0]))
         for n in (1, 2, 3):
-            params = TensorNetworkParams(n=n, sigma=0.4, tau=0.2, bandwidth=32)
+            params = TensorNetworkParams(n=n, bandwidth=32)
             res = tensor_network_expectation(cos, state, RotationSystem(np.array([ALPHA])),
                                              params, 1.0)
             [row] = [r for r in rows if r[1] == f"n{n}"]

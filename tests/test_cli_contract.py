@@ -180,6 +180,16 @@ def test_large_t_with_phase_digits_exits_0(tmp_path, command, text):
     assert 1e6 in values and all(math.isfinite(v) for v in values)
 
 
+def test_tiny_obs_concentration_exits_0(tmp_path):
+    # the unscaled Miller run overflowed at kappa = 1e-200 and exited 3
+    text = ('{"system": {"kind": "rotation"}, "kernel": {"J": 8}, '
+            '"koopman": {"obs_concentration": 1e-200}}')
+    code, err = run("koopman", text, tmp_path / "out")
+    assert code == 0, err
+    values = csv_values(tmp_path / "out")
+    assert values and all(math.isfinite(v) for v in values)
+
+
 def test_small_bandwidth_has_finite_bounds(tmp_path):
     # at J=4 the tensor-power truncation bound used to read inf in every n row
     code, err = run("koopman", '{"kernel": {"J": 4}}', tmp_path / "out")

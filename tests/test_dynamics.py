@@ -369,10 +369,10 @@ class TestBesselRatios:
         with pytest.raises(DegeneracyError, match=r"kappa=6\.0, jmax=40"):
             bessel_ratios(6.0, 40)
 
-    # 1e-300 passes 1e250 at every index and 1e-12 at least once; 6..700
-    # and 1e5 stop after different numbers of doublings.  Shuffled, so the
-    # lanes' start order differs from the input order; enough of them to
-    # run as numpy lanes.
+    # 1e-300 and 1e-12 take the products below the 1e-300 floor, where runs
+    # compare absolutely; 6..700 and 1e5 stop after different numbers of
+    # doublings.  Shuffled, so the lanes' start order differs from the input
+    # order; enough of them to run as numpy lanes.
     LANE_KAPPAS = np.random.default_rng(11).permutation(
         np.concatenate([[0.0, 1e-300, 1e-12, 1e-3], np.geomspace(6.0, 700.0, 96), [1e5]]))
 
@@ -382,6 +382,27 @@ class TestBesselRatios:
         floats = np.array([bessel_ratios(float(k), jmax) for k in self.LANE_KAPPAS])
         assert lanes.shape == (self.LANE_KAPPAS.size, jmax + 1)
         assert np.array_equal(lanes.view(np.uint64), floats.view(np.uint64))
+
+    @pytest.mark.parametrize("jmax", [12, 264])
+    def test_both_forms_raise_no_floating_point_error(self, jmax):
+        # no overflow, no inf/inf and no division by zero in either form.
+        # Underflow stays quiet: kappa = 1e-300 and I_264(6)/I_0(6) ~ 1e-400
+        # have ratios and products below the float range, rounded to 0.
+        with np.errstate(all="raise", under="ignore"):
+            lanes = bessel_ratios(self.LANE_KAPPAS, jmax)
+            floats = np.array([bessel_ratios(float(k), jmax) for k in self.LANE_KAPPAS])
+        assert np.array_equal(lanes, floats)
+
+    @pytest.mark.parametrize("kappa", [1e-110, 1e-120, 1e-160, 1e-200, 1e-240, 5e-324])
+    def test_tiny_concentrations(self, kappa):
+        # one step multiplies I_m by 2m/kappa > 1e58: the unscaled Miller run
+        # overflowed here.  I_j/I_0 = (kappa/2)^j/j! to double precision.
+        mpmath.mp.dps = 30
+        exact = [float((mpmath.mpf(kappa) / 2) ** j / mpmath.factorial(j)) for j in range(9)]
+        scalar = bessel_ratios(kappa, 8)
+        assert np.array_equal(scalar, exact)
+        lanes = bessel_ratios(np.full(64, kappa), 8)
+        assert np.array_equal(lanes, np.tile(exact, (lanes.shape[0], 1)))
 
     def test_lanes_stop_doubling_on_their_own(self, monkeypatch):
         # one doubling settles kappa = 2 and 3 but not 600 or 900
@@ -410,6 +431,14 @@ class TestBesselRatios:
         with pytest.raises(ValidationError):
             bessel_ratios(np.ones((2, 2)), 3)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_concentration_rejected(self, bad):
+        # 100 NaN concentrations once ran twelve futile doublings first
+        with pytest.raises(ValidationError, match="finite"):
+            bessel_ratios(bad, 3)
+        with pytest.raises(ValidationError, match="finite"):
+            bessel_ratios(np.full(100, bad), 3)
+
 
 def test_rational_dependence_scan():
     flagged = rational_dependence_warnings(np.array([2.0, 3.0]))
@@ -432,4 +461,20 @@ def test_rational_dependence_scan():
 def test_nan_parameters_rejected(build):
     # each check is written so that a NaN fails it
     with pytest.raises(ValidationError):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ObservationModel(scale=math.inf),
+        lambda: ObservationModel(noise_std=math.inf),
+        lambda: VonMisesDensity(np.array([0.0]), np.array([math.inf])),
+    ],
+    ids=["scale", "noise_std", "kappa"],
+)
+def test_inf_parameters_rejected(build):
+    # scale = inf once raised a bare OverflowError from the Bessel start
+    # index, noise_std = inf a DegeneracyError on kappa = nan
+    with pytest.raises(ValidationError, match="finite"):
         build()
