@@ -5,9 +5,11 @@ m-fold symmetric powers of smoothed kernel sections against the observable,
 evolves the resulting Fock vector with the lifted generator, and pairs it
 with the multiplicative functional sitting at the feature point of x; the
 error contracts as m grows.  The tensor-power route builds a pure state out
-of n-th roots of a von Mises density, evolves each factor, and multiplies
-them back together; its value is independent of n up to the reported factor
-truncation and approximates the target to the state's own smoothing width.
+of n-th roots of a von Mises density, multiplies them back together, and
+pairs the result with the Koopman-evolved observable, which is the same as
+evolving each factor; its value is independent of n up to the reported
+factor truncation and approximates the target to the state's own smoothing
+width.
 """
 
 import math

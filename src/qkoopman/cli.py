@@ -280,6 +280,7 @@ def _check_phases(key: str, t_grid, sys_: RotationSystem, bandwidth: int) -> Non
 def cmd_rotate(config: dict, out: Path, digest: str) -> list[Path]:
     sys_ = _rotation_system(config)
     dt = config["rotate.dt"]
+    _check_phases("rotate.dt", [dt], sys_, 1)
     x0 = _point(config, "system.x0", sys_.d, 0.0)
     trajectory = sample_trajectory(sys_, x0, dt, config["rotate.n"])
     columns = ["t"] + [f"theta_{i}" for i in range(sys_.d)]
@@ -369,6 +370,9 @@ def cmd_koopman(config: dict, out: Path, digest: str) -> list[Path]:
         TensorNetworkParams(n=n, bandwidth=bandwidth) for n in config["koopman.n_values"]
     ]
     _check_phases("koopman.t_grid", config["koopman.t_grid"], sys_, max(bandwidth, f.bandwidth))
+    dt = config["koopman.dt"]
+    small_lat = TruncatedLattice(sys_.d, 3 if sys_.d == 1 else 1)
+    _check_phases("koopman.dt", [dt], sys_, small_lat.J)
     lat = TruncatedLattice(sys_.d, bandwidth)
     gen = analytic_generator(sys_, lat)
     state = VonMisesDensity(x0, np.full(sys_.d, config["koopman.state_kappa"]))
@@ -390,8 +394,6 @@ def cmd_koopman(config: dict, out: Path, digest: str) -> list[Path]:
                  tn.truncation_bound, residual)
             )
 
-    dt = config["koopman.dt"]
-    small_lat = TruncatedLattice(sys_.d, 3 if sys_.d == 1 else 1)
     trajectory = sample_trajectory(sys_, x0, dt, config["koopman.n_samples"])
     data_gen = data_driven_generator(trajectory, dt, small_lat)
     reference = analytic_generator(sys_, small_lat)

@@ -17,12 +17,14 @@ evolution of an integral operator driven by smoothed kernel sections.  It is
 computed in closed form, with no occupation enumeration: gradings are
 orthogonal, <a^(vee m), b^(vee m)> = w^2(m) <a, b>^m, and the lift acts mode
 by mode, so the Fock pairing of each section's m-th power is exactly the m-th
-power of a scalar pairing.  The tensor-power scheme is an expectation whose
-state is an n-th root of a von Mises density evolved mode-wise.
+power of a scalar pairing.  The tensor-power scheme is an expectation over
+the n-th power of an n-th root of a von Mises density, paired with the
+Koopman-evolved observable.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -37,10 +39,10 @@ from .dynamics import (
     _i0e,
     bessel_ratios,
     grid_sum,
-    von_mises_fourier,
+    koopman_exact,
 )
 from .errors import DegeneracyError, DegenerateNormalizationError, ValidationError
-from .rkha import SubexpWeight, TruncatedLattice, direct_convolve
+from .rkha import SubexpWeight, TruncatedLattice
 
 _LOG_TINY = math.log(5e-324)  # below this exp() rounds to 0.0
 _LENTZ_TINY = 1e-300  # stands in for a zero denominator in the continued fraction
@@ -408,8 +410,8 @@ def eta_from_feature(
     w_tau: SubexpWeight,
     lat: TruncatedLattice,
     x,
-) -> tuple[dict, float]:
-    """Mode vector of the normalized feature point of x, plus its norm.
+) -> tuple[np.ndarray, float]:
+    """Mode vector of the normalized feature point of x, in lattice order, plus its norm.
 
     Entry at lattice index j is lambda_sigma(j) e^{-i j.x} / (sqrt(lambda_tau(j))
     varpi^2), where varpi^2 = sum_j lambda_sigma(j) is the exact squared sup of
@@ -421,9 +423,8 @@ def eta_from_feature(
     lam_s = w_sigma.lattice_values(lat)
     lam_t = w_tau.lattice_values(lat)
     varpi2 = float(np.sum(lam_s))
-    coeff = lam_s / (np.sqrt(lam_t) * varpi2) * np.exp(-1j * (lat.indices @ x))
-    eta = {tuple(int(v) for v in lat.indices[k]): complex(coeff[k]) for k in range(lat.size)}
-    return eta, float(np.linalg.norm(coeff))
+    eta = lam_s / (np.sqrt(lam_t) * varpi2) * np.exp(-1j * (lat.indices @ x))
+    return eta, float(np.linalg.norm(eta))
 
 
 @dataclass(frozen=True)
@@ -519,9 +520,8 @@ def second_quantization_forecast(
     mode_tail = 1.0 - float(np.sum(c))
 
     eta, eta_norm = eta_from_feature(w_sigma, w_tau, lat, x)
-    eta_vec = np.fromiter(eta.values(), dtype=complex, count=lat.size)
     a = (
-        np.conj(eta_vec)
+        np.conj(eta)
         * np.sqrt(w_tau.lattice_values(lat))
         * c
         * np.exp(1j * t * (lat.indices @ sys.alpha))
@@ -569,17 +569,6 @@ class TensorNetworkResult:
     truncation_bound: float
 
 
-def _dense_coeffs(f: FourierObservable, bandwidth: int) -> np.ndarray:
-    lat = TruncatedLattice(f.d, bandwidth)
-    return lat.observable_vector(f).reshape((2 * bandwidth + 1,) * f.d)
-
-
-def _center_slice(arr: np.ndarray, width: int, d: int) -> np.ndarray:
-    half = (arr.shape[0] - 1) // 2
-    sl = tuple(slice(half - width, half + width + 1) for _ in range(d))
-    return arr[sl]
-
-
 def tensor_network_expectation(
     f: FourierObservable,
     state: VonMisesDensity,
@@ -590,47 +579,45 @@ def tensor_network_expectation(
     """Normalized tensor-power forecast E[A_f] / E[A_1] at time t.
 
     Each of the n state factors is the analytic n-th root of the von Mises
-    density (same family, concentration kappa/n), truncated to the factor
-    bandwidth and evolved in the state direction (phases exp(-i t j.alpha)).
-    Multiplying the factors back together is an exact coefficient convolution
-    on the enlarged lattice, and the sandwich reduces to the quadratic form
-    int f |u^n|^2 dmu / int |u^n|^2 dmu on coefficients.  The reported
-    truncation bound, finite and at most ||f||_l1 + |value|, dominates the
-    difference from the untruncated-factor value, which is the same for every
-    n; the n=2 vs n=1 discrepancy is bounded by the sum of their bounds.
+    density (same family, concentration kappa/n) truncated to |j_i| <= J: the
+    outer product over dimensions of the rows r_i(j) e^{-i j mu_i}, r_i(j) =
+    I_|j|(kappa_i/n)/I_0(kappa_i/n).  The sandwich is the quadratic form
+    int f |p|^2 dmu / int |p|^2 dmu in the coefficients of their product p,
+    and evolving the state is the same as pairing the root-power density
+    with U^t f: num = sum_k (U^t f)_k sum_j conj(p_j) p_{j-k}, den = |p|^2.
+    p is the outer product of the rows q_i(j) e^{-i j mu_i}, q_i the n-th
+    convolution power of r_i, so the inner sum is the product over i of
+    e^{i k_i mu_i} sum_j q_i(j) q_i(j - k_i): one shifted dot product per
+    dimension, zero once some |k_i| reaches the length 2nJ + 1 of q_i.  The
+    reported truncation bound, finite and at most ||f||_l1 + |value|,
+    dominates the difference from the untruncated-factor value, which is the
+    same for every n; the n=2 vs n=1 discrepancy is bounded by the sum of
+    their bounds.
     """
     d = state.d
     if f.d != d or sys.d != d:
         raise ValidationError("dimension mismatch between observable, state, and system")
-    J = params.bandwidth
-    n = params.n
+    J, n = params.bandwidth, params.n
     root = state.nth_root(n)
-    factor = von_mises_fourier(root, J)
-    lat = TruncatedLattice(d, J)
-    phases = np.exp(-1j * t * (lat.indices @ sys.alpha)).reshape((2 * J + 1,) * d)
-    u = _dense_coeffs(factor, J) * phases
-
-    power = u
-    for _ in range(n - 1):
-        power = direct_convolve(power, u)
-
-    f_dense = _dense_coeffs(f, f.bandwidth if f.bandwidth > 0 else 0)
-    conv = direct_convolve(f_dense, power)
-    aligned = _center_slice(conv, n * J, d)
-    num = complex(np.vdot(power, aligned))
-    den = float(np.vdot(power, power).real)
+    # one Miller run per dimension: the factor's row and its tail beyond J
+    ratios = bessel_ratios(root.kappa, 4 * J + 8)
+    rows = ratios[:, np.abs(np.arange(-J, J + 1))]
+    powers = [functools.reduce(np.convolve, [row] * n) for row in rows]
+    side = 2 * n * J + 1
+    num = 0.0 + 0.0j
+    for k, c in koopman_exact(f, sys, t).coeffs.items():
+        if max(abs(v) for v in k) < side:
+            pair = math.prod(np.dot(q[abs(v) :], q[: side - abs(v)]) for q, v in zip(powers, k))
+            num += c * pair * np.exp(1j * np.dot(k, root.mu))
+    den = float(math.prod(np.dot(q, q) for q in powers))
 
     # factor truncation bound: coefficient tail of the root density beyond J
-    tail = 0.0
-    for i in range(d):
-        ratios_far = bessel_ratios(root.kappa[i], 4 * J + 8)
-        tail += 2.0 * float(np.sum(ratios_far[J + 1 :]))
-    u_l1 = float(np.sum(np.abs(u)))
+    tail = 2.0 * float(np.sum(ratios[:, J + 1 :]))
+    u_l1 = float(np.sum(functools.reduce(np.multiply.outer, rows)))  # sum_j |u_j|
     f_l1 = sum(abs(c) for c in f.coeffs.values())
     sup_diff = n * (u_l1 + tail) ** (n - 1) * tail
-    norm2 = math.sqrt(den)
-    slack = (2.0 * norm2 + sup_diff) * sup_diff
-    value = float((num / den).real)
+    slack = (2.0 * math.sqrt(den) + sup_diff) * sup_diff
+    value = float(num.real / den)
     guard = den - slack
     # both values average f under nonnegative weights, so neither exceeds
     # sup|f| <= f_l1 and their distance never exceeds f_l1 + |value|

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import FourierObservable, RotationSystem
-from .errors import RankDeficiencyError, ValidationError
+from .errors import DegeneracyError, RankDeficiencyError, ValidationError
 from .rkha import SubexpWeight, TruncatedLattice
 
 
@@ -116,6 +116,8 @@ def data_driven_generator(
     diff = (basis[2:] - basis[:-2]) / (2.0 * dt)
     w = _taper_weights(interior)
     a = (basis[1:-1].conj() * w[:, None]).T @ diff
+    if not np.all(np.isfinite(a)):  # as when 1/(2 dt) overflows
+        raise DegeneracyError(f"the generator estimate at dt={dt!r} is not finite")
     a = 0.5 * (a - a.conj().T)
     zero = lat.position((0,) * lat.d)
     a[zero, :] = 0.0
@@ -153,13 +155,15 @@ def smoothing_identity_residual(
 
 
 def frequency_table(gen: GeneratorSpec, reference: GeneratorSpec | None = None):
-    """Rows (index, omega, abs error vs the reference generator's spectrum)."""
-    rows = []
-    ref = None if reference is None else np.sort(reference.omega)
-    for k, om in enumerate(gen.eigen_omega):
-        if ref is None:
-            err = 0.0
-        else:
-            err = float(np.min(np.abs(ref - om)))
-        rows.append((k, float(om), err))
-    return rows
+    """Rows (index, omega, abs error vs the reference generator's spectrum).
+
+    The r-th smallest estimate is scored against the r-th smallest reference
+    frequency, so an estimate collapsed to all zeros does not read zero error.
+    """
+    omega = gen.eigen_omega
+    err = np.zeros(omega.size)
+    if reference is not None:
+        if reference.omega.size != omega.size:
+            raise ValidationError("generator and reference have different sizes")
+        err[np.argsort(omega, kind="stable")] = np.abs(np.sort(omega) - np.sort(reference.omega))
+    return [(k, float(om), float(e)) for k, (om, e) in enumerate(zip(omega, err))]

@@ -2,8 +2,10 @@
 
 Each function here is the direct, matrix-building form of a computation the
 package now does in closed form, by FFT or on a state vector, or (the torus
-filter) the step-by-step form of one it now runs in blocks.  Nothing in
-``src/`` calls them; the tests compare the fast paths against them.
+filter) the step-by-step form of one it now runs in blocks, or (the
+tensor-power forecast) the state-evolving form of one that now evolves the
+observable.  Nothing in ``src/`` calls them; the tests compare the fast
+paths against them.
 """
 
 from __future__ import annotations
@@ -16,15 +18,25 @@ from qkoopman.dynamics import (
     TWO_PI,
     FourierObservable,
     RotationSystem,
+    VonMisesDensity,
     _i0e,
     _rotation_orbit,
     bessel_ratios,
     grid_sum,
     koopman_exact,
+    von_mises_fourier,
     wrap_angles,
 )
 from qkoopman.errors import ValidationError, ZeroEvidenceError
-from qkoopman.fock import FockVector, FockWeight, SpectrumTorusPoint, fock_inner, xi_vector
+from qkoopman.fock import (
+    FockVector,
+    FockWeight,
+    SpectrumTorusPoint,
+    TensorNetworkParams,
+    TensorNetworkResult,
+    fock_inner,
+    xi_vector,
+)
 from qkoopman.qcirc import QubitEncoding, _check_observable, _projected_observable
 from qkoopman.qmda import (
     CLASSICAL,
@@ -41,7 +53,7 @@ from qkoopman.qmda import (
     multiplication_operator_fourier,
     multiplication_operator_point,
 )
-from qkoopman.rkha import SubexpWeight, TruncatedLattice
+from qkoopman.rkha import SubexpWeight, TruncatedLattice, direct_convolve
 
 
 # --- qmda: the density-operator filter on M x M matrices ---------------------
@@ -260,6 +272,72 @@ def gelfand_eval(
     if nmax is None:
         nmax = weight.nmax
     return fock_inner(xi_vector(pt.eta(), weight, nmax), v, weight)
+
+
+# --- fock: the tensor-power forecast with the state evolved ---------------------
+
+
+def _dense_coeffs(f: FourierObservable, bandwidth: int) -> np.ndarray:
+    lat = TruncatedLattice(f.d, bandwidth)
+    return lat.observable_vector(f).reshape((2 * bandwidth + 1,) * f.d)
+
+
+def _center_slice(arr: np.ndarray, width: int, d: int) -> np.ndarray:
+    half = (arr.shape[0] - 1) // 2
+    sl = tuple(slice(half - width, half + width + 1) for _ in range(d))
+    return arr[sl]
+
+
+def state_evolved_tensor_expectation(
+    f: FourierObservable,
+    state: VonMisesDensity,
+    sys: RotationSystem,
+    params: TensorNetworkParams,
+    t: float,
+) -> TensorNetworkResult:
+    """Tensor-power forecast with each factor evolved in the state direction.
+
+    The factor is the n-th root density's ``von_mises_fourier`` observable,
+    densified and phased by exp(-i t j.alpha); its n-th convolution power
+    is convolved with the densified f and paired against itself on the
+    centre of the result.  The truncation bound takes the root density's
+    tail beyond J from a second Bessel run.
+    """
+    d = state.d
+    if f.d != d or sys.d != d:
+        raise ValidationError("dimension mismatch between observable, state, and system")
+    J = params.bandwidth
+    n = params.n
+    root = state.nth_root(n)
+    factor = von_mises_fourier(root, J)
+    lat = TruncatedLattice(d, J)
+    phases = np.exp(-1j * t * (lat.indices @ sys.alpha)).reshape((2 * J + 1,) * d)
+    u = _dense_coeffs(factor, J) * phases
+
+    power = u
+    for _ in range(n - 1):
+        power = direct_convolve(power, u)
+
+    f_dense = _dense_coeffs(f, f.bandwidth if f.bandwidth > 0 else 0)
+    conv = direct_convolve(f_dense, power)
+    aligned = _center_slice(conv, n * J, d)
+    num = complex(np.vdot(power, aligned))
+    den = float(np.vdot(power, power).real)
+
+    tail = 0.0
+    for i in range(d):
+        ratios_far = bessel_ratios(root.kappa[i], 4 * J + 8)
+        tail += 2.0 * float(np.sum(ratios_far[J + 1 :]))
+    u_l1 = float(np.sum(np.abs(u)))
+    f_l1 = sum(abs(c) for c in f.coeffs.values())
+    sup_diff = n * (u_l1 + tail) ** (n - 1) * tail
+    norm2 = math.sqrt(den)
+    slack = (2.0 * norm2 + sup_diff) * sup_diff
+    value = float((num / den).real)
+    guard = den - slack
+    trivial = f_l1 + abs(value)
+    bound = min(trivial * slack / guard, trivial) if guard > 0 else trivial
+    return TensorNetworkResult(value=value, truncation_bound=bound)
 
 
 # --- uniform-grid trigonometric sums, the direct way ---------------------------

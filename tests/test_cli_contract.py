@@ -100,6 +100,11 @@ DEGENERATE_PROBES = {
     # |t| max|j.alpha| >= 2**52 rad: one ulp of the phase is a whole radian
     "koopman-t-huge": ("koopman", '{"kernel": {"J": 4}, "koopman": {"t_grid": [1e300]}}'),
     "qcirc-t-huge": ("qcirc", '{"qcirc": {"t_grid": [1e300]}}'),
+    # a step dt alpha past 2**52 rad froze the trajectory and the estimate at 0
+    "rotate-dt-huge": ("rotate", '{"rotate": {"dt": 1e300}}'),
+    "koopman-dt-huge": ("koopman", '{"kernel": {"J": 4}, "koopman": {"dt": 1e300}}'),
+    # 1/(2 dt) overflows: a LinAlgError traceback from eigh (exit 1)
+    "koopman-dt-subnormal": ("koopman", '{"kernel": {"J": 4}, "koopman": {"dt": 1e-320}}'),
 }
 
 
@@ -155,8 +160,9 @@ def test_probe_exits_3_with_one_line(tmp_path, name):
     assert proc.returncode == 3
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("numerical degeneracy: "), proc.stderr
-    if "-t-" in name:
-        assert "t=" in lines[0] and not list((tmp_path / "out").iterdir())
+    assert not list((tmp_path / "out").iterdir())
+    if "-t-" in name or "-dt-huge" in name:
+        assert "t=" in lines[0]
 
 
 def test_phase_check_threshold():
@@ -188,6 +194,19 @@ def test_tiny_obs_concentration_exits_0(tmp_path):
     assert code == 0, err
     values = csv_values(tmp_path / "out")
     assert values and all(math.isfinite(v) for v in values)
+
+
+def test_frozen_estimate_scores_nonzero_errors(tmp_path):
+    # at dt = 1e-300 no step moves the trajectory and every estimate is 0,
+    # which once matched the reference frequency 0 and read zero error
+    text = '{"system": {"kind": "rotation"}, "kernel": {"J": 4}, "koopman": {"dt": 1e-300}}'
+    code, err = run("koopman", text, tmp_path / "out")
+    assert code == 0, err
+    rows = (tmp_path / "out" / "eigenfrequencies.csv").read_text(encoding="utf-8").splitlines()[2:]
+    omega = [float(row.split(",")[1]) for row in rows]
+    errors = sorted(float(row.split(",")[2]) for row in rows)
+    assert omega == [0.0] * 7
+    assert errors == sorted(abs(j * math.sqrt(2.0)) for j in range(-3, 4))
 
 
 def test_small_bandwidth_has_finite_bounds(tmp_path):

@@ -39,7 +39,12 @@ from qkoopman.fock import (
 )
 from qkoopman.rkha import TruncatedLattice
 
-from oracles import character_pairing, direct_grid_values, gelfand_eval
+from oracles import (
+    character_pairing,
+    direct_grid_values,
+    gelfand_eval,
+    state_evolved_tensor_expectation,
+)
 
 W = FockWeight(3.0, 0.5, 6)
 
@@ -457,7 +462,7 @@ class TestSecondQuantizationForecast:
             image_1 = image_1.plus(power.scaled(1.0 / g**d))
         freqs = {label: float(j @ sys_.alpha) for label, j in zip(labels, lat.indices)}
         eta, _ = eta_from_feature(SubexpWeight(params.sigma, params.p, d), w_tau, lat, x)
-        xi = xi_vector(eta, params.weight, nmax=m)
+        xi = xi_vector(dict(zip(labels, eta.tolist())), params.weight, nmax=m)
         num = fock_inner(xi, evolve_lifted(freqs, image_f, t), params.weight)
         den = fock_inner(xi, evolve_lifted(freqs, image_1, t), params.weight)
         value = (num / den).real
@@ -565,6 +570,59 @@ class TestTensorNetworkExpectation:
                 )
                 assert math.isfinite(coarse.truncation_bound)
                 assert abs(coarse.value - fine.value) <= coarse.truncation_bound
+
+    # sqrt 2 and sqrt 3 rounded to 2^-10: k.alpha is then exact, and so is
+    # t k.alpha at t = 1e3, where one rounding of it is up to 1e-11 rad
+    EXACT_ALPHA = np.array([1448.0, 1774.0]) / 1024.0
+
+    @staticmethod
+    def observables(n, d, J):
+        """Supports inside J, between J and nJ, and past nJ up to the zero edge 2nJ + 1."""
+        def e(*ks):
+            return ks + (0,) * (d - len(ks))
+
+        inside = {e(0): 0.2, e(1): 0.5 - 0.1j, e(-1): 0.5 + 0.1j, e(J): 0.25, e(-J): 0.25}
+        between = {e(n * J): 0.3j, e(-n * J): -0.3j, e(J + 1): 0.1, e(-J - 1): 0.1}
+        past = {e(n * J + 1): 0.4, e(-n * J - 1): 0.4, e(2 * n * J): 0.2, e(-2 * n * J): 0.2,
+                e(-2 * n * J - 1): 1.0}
+        if d == 2:
+            between[(J + 1, -1)] = 0.2
+            past[(1, 2 * n * J)] = 0.3
+            past[(-1, -2 * n * J - 1)] = 0.3
+        return [FourierObservable(c, d=d) for c in (inside, between, past)]
+
+    @pytest.mark.parametrize("J", [1, 4, 24])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_state_evolved_oracle(self, n, d, J):
+        """Pairing U^t f against the fixed state, as the state-evolving form did."""
+        sys_, params = RotationSystem(self.EXACT_ALPHA[:d]), TensorNetworkParams(n=n, bandwidth=J)
+        for kappa, t, f in itertools.product(
+            (0.0, 5.0, 150.0), (0.0, 0.7, -2.5, 1e3), self.observables(n, d, J)
+        ):
+            state = VonMisesDensity(np.linspace(0.4, 1.3, d), np.full(d, kappa))
+            new = tensor_network_expectation(f, state, sys_, params, t)
+            old = state_evolved_tensor_expectation(f, state, sys_, params, t)
+            assert abs(new.value - old.value) <= 1e-13
+            assert abs(new.truncation_bound - old.truncation_bound) <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_oracle_within_phase_rounding_at_irrational_alpha(self, n):
+        # With alpha = sqrt 2 both forms round their phase arguments: the
+        # oracle t j.alpha for every |j| <= J of each factor, the new form
+        # t k.alpha for each coefficient of f.  Each rounding moves a phase by
+        # at most |t j.alpha| 2^-52 rad and the value, an average of f's
+        # coefficients with weights of modulus <= 1, by f_l1 times that; at
+        # t = 1e3 the two differ by up to 5e-13.
+        J, t = 24, 1e3
+        sys_, params = RotationSystem(np.array([math.sqrt(2.0)])), TensorNetworkParams(n, J)
+        state = VonMisesDensity(np.array([0.4]), np.array([150.0]))
+        for f in self.observables(n, 1, J):
+            f_l1 = sum(abs(c) for c in f.coeffs.values())
+            phase_error = abs(t) * math.sqrt(2.0) * (2 * n * J + f.bandwidth) * 2.0**-51
+            new = tensor_network_expectation(f, state, sys_, params, t)
+            old = state_evolved_tensor_expectation(f, state, sys_, params, t)
+            assert abs(new.value - old.value) <= 1e-13 + f_l1 * phase_error
 
     def test_forecasts_forward_flow(self):
         # sharp state: expectation approximates f(Phi^t x)

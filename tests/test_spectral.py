@@ -11,9 +11,15 @@ from qkoopman.dynamics import (
     koopman_exact,
     sample_trajectory,
 )
-from qkoopman.errors import OutOfLatticeError, RankDeficiencyError, ValidationError
+from qkoopman.errors import (
+    DegeneracyError,
+    OutOfLatticeError,
+    RankDeficiencyError,
+    ValidationError,
+)
 from qkoopman.rkha import SubexpWeight, TruncatedLattice
 from qkoopman.spectral import (
+    GeneratorSpec,
     analytic_generator,
     data_driven_generator,
     evolve,
@@ -259,3 +265,19 @@ class TestDataDrivenGenerator:
         rows = frequency_table(self.gen, ref)
         assert len(rows) == self.lat.size
         assert max(r[2] for r in rows) <= 1e-3
+
+    def test_frequency_table_matches_by_rank(self):
+        # an all-zero estimate is scored against every reference frequency,
+        # not against the nearest one (0) for each
+        ref = analytic_generator(self.sys, self.lat)
+        zero = GeneratorSpec(lattice=self.lat, omega=np.zeros(self.lat.size))
+        errors = [r[2] for r in frequency_table(zero, ref)]
+        assert sorted(errors) == [0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0]
+        with pytest.raises(ValidationError):
+            frequency_table(zero, analytic_generator(self.sys, TruncatedLattice(1, 2)))
+
+    def test_non_finite_estimate_raises(self):
+        # 1/(2 dt) overflows at a subnormal dt
+        traj = sample_trajectory(self.sys, [1.0], 1e-320, 50)
+        with np.errstate(all="ignore"), pytest.raises(DegeneracyError, match="not finite"):
+            data_driven_generator(traj, 1e-320, TruncatedLattice(1, 3))
