@@ -71,6 +71,10 @@ SCHEMA_VERSION = 1
 MAX_LATTICE_MODES = 2048
 # trajectory rows and filter steps; 1e5 trajectory rows take about 0.5 s
 MAX_SAMPLES = 10**6
+# values a command keeps at once: koopman's data-driven design matrix (one
+# complex entry per sample and mode) and filter's trace (one M-vector per
+# step); 9 modes at the sample cap is the data-driven lattice of d = 2
+MAX_STORED_VALUES = 9 * MAX_SAMPLES
 # torus dimension: rotate's rational-dependence scan is quadratic in it
 MAX_DIMENSION = 16
 # entries of one list-valued key; each t, m, n or q entry is a forecast or
@@ -316,6 +320,12 @@ def cmd_filter(config: dict, out: Path, digest: str) -> list[Path]:
     x0 = [0.0] if config["system.x0"] is None else config["system.x0"]
     if len(x0) != 1 or not x0[0].is_integer():
         raise ValidationError("system.x0 of an orbit must be one integer")
+    steps = config["qmda.steps"]
+    if steps * m > MAX_STORED_VALUES:
+        raise ValidationError(
+            f"qmda.steps {steps} times system.M {m} stores {steps * m} values, "
+            f"more than the cap of {MAX_STORED_VALUES}"
+        )
     rank = max(1, m - 2) if config["qmda.L"] is None else config["qmda.L"]
     model = ObservationModel(
         kind=config["qmda.observation.kind"],
@@ -330,7 +340,7 @@ def cmd_filter(config: dict, out: Path, digest: str) -> list[Path]:
     rows = []
     for mode in (CLASSICAL, QUANTUM, QUANTUM_PROJECTED):
         # only the projected mode reads the rank
-        trace = run_filter(sys_, model, int(x0[0]), config["qmda.steps"], mode=mode,
+        trace = run_filter(sys_, model, int(x0[0]), steps, mode=mode,
                            rank=rank, seed=filter_seed, observations=observations)
         for step in trace.steps:
             rows.append(
@@ -356,6 +366,14 @@ def cmd_koopman(config: dict, out: Path, digest: str) -> list[Path]:
             f"{f.bandwidth}, d={sys_.d}) and the quadrature grid {points} points; "
             f"the limits are {MAX_LATTICE_MODES} and {MAX_LATTICE_MODES**2}"
         )
+    small_J = 3 if sys_.d == 1 else 1  # the data-driven generator's lattice
+    small_modes = (2 * small_J + 1) ** sys_.d
+    n_samples = config["koopman.n_samples"]
+    if n_samples * small_modes > MAX_STORED_VALUES:
+        raise ValidationError(
+            f"koopman.n_samples {n_samples} times the {small_modes} data-driven modes "
+            f"is {n_samples * small_modes} values, more than the cap of {MAX_STORED_VALUES}"
+        )
     x0 = _point(config, "koopman.x0", sys_.d, 1.0)
     fock_weight = FockWeight(config["fock.sigma_w"], config["fock.p_w"], config["fock.Nmax"])
     sq_params = [
@@ -371,7 +389,7 @@ def cmd_koopman(config: dict, out: Path, digest: str) -> list[Path]:
     ]
     _check_phases("koopman.t_grid", config["koopman.t_grid"], sys_, max(bandwidth, f.bandwidth))
     dt = config["koopman.dt"]
-    small_lat = TruncatedLattice(sys_.d, 3 if sys_.d == 1 else 1)
+    small_lat = TruncatedLattice(sys_.d, small_J)
     _check_phases("koopman.dt", [dt], sys_, small_lat.J)
     lat = TruncatedLattice(sys_.d, bandwidth)
     gen = analytic_generator(sys_, lat)
@@ -394,7 +412,7 @@ def cmd_koopman(config: dict, out: Path, digest: str) -> list[Path]:
                  tn.truncation_bound, residual)
             )
 
-    trajectory = sample_trajectory(sys_, x0, dt, config["koopman.n_samples"])
+    trajectory = sample_trajectory(sys_, x0, dt, n_samples)
     data_gen = data_driven_generator(trajectory, dt, small_lat)
     reference = analytic_generator(sys_, small_lat)
     freq_rows = frequency_table(data_gen, reference)

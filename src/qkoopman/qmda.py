@@ -452,8 +452,7 @@ def run_torus_filter(
     elif rank is None or not (1 <= rank <= lat.size):
         raise ValidationError("projected mode needs a rank between 1 and the lattice size")
     keep = np.zeros(lat.size)  # indicator of the modes the operator track keeps
-    for freq in _orbit_mode_order(lat.size)[:rank]:
-        keep[lat.position((int(freq),))] = 1.0
+    keep[_orbit_mode_order(lat.size)[:rank] + lat.J] = 1.0
 
     rng = np.random.default_rng(seed)
     alpha = float(sys.alpha[0])

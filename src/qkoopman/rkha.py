@@ -19,14 +19,13 @@ exactly.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import FourierObservable
-from .errors import ValidationError
+from .errors import OutOfLatticeError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -65,39 +64,45 @@ class SubexpWeight:
 
 
 class TruncatedLattice:
-    """All multi-indices j in Z^d with |j_i| <= J, in lexicographic order."""
+    """All multi-indices j in Z^d with |j_i| <= J, in lexicographic order.
 
-    __slots__ = ("d", "J", "indices", "_position")
+    The box is a product of d copies of [-J, J], so membership and position
+    are arithmetic: j is in the box when it has d entries, each |j_i| <= J,
+    and sits at row sum_i (j_i + J) (2J+1)^(d-1-i) of ``indices``.
+    """
+
+    __slots__ = ("d", "J", "indices")
 
     def __init__(self, d: int, J: int):
         if d < 1 or J < 0:
             raise ValidationError("lattice needs d >= 1 and J >= 0")
         self.d = d
         self.J = J
-        self.indices = np.array(
-            list(itertools.product(range(-J, J + 1), repeat=d)), dtype=int
-        )
-        self._position = {tuple(row): k for k, row in enumerate(self.indices)}
+        grid = np.indices((2 * J + 1,) * d, dtype=int).reshape(d, -1) - J
+        self.indices = np.ascontiguousarray(grid.T)
 
     @property
     def size(self) -> int:
         return (2 * self.J + 1) ** self.d
 
+    def _key(self, j) -> tuple:
+        return (int(j),) if np.isscalar(j) else tuple(int(v) for v in j)
+
     def position(self, j) -> int:
-        key = (int(j),) if np.isscalar(j) else tuple(int(v) for v in j)
-        try:
-            return self._position[key]
-        except KeyError:
-            raise ValidationError(f"index {key} outside lattice J={self.J}") from None
+        key = self._key(j)
+        if key not in self:
+            raise ValidationError(f"index {key} outside lattice J={self.J}")
+        pos = 0
+        for v in key:
+            pos = pos * (2 * self.J + 1) + v + self.J
+        return pos
 
     def __contains__(self, j) -> bool:
-        key = (int(j),) if np.isscalar(j) else tuple(int(v) for v in j)
-        return key in self._position
+        key = self._key(j)
+        return len(key) == self.d and all(abs(v) <= self.J for v in key)
 
     def observable_vector(self, f: FourierObservable) -> np.ndarray:
         """Dense coefficient vector of f over this lattice (error if outside)."""
-        from .errors import OutOfLatticeError
-
         if f.d != self.d:
             raise ValidationError("observable and lattice dimensions differ")
         out = np.zeros(self.size, dtype=complex)
@@ -160,37 +165,6 @@ def kernel_gram(w: SubexpWeight, lat: TruncatedLattice, points: np.ndarray) -> n
     return gram
 
 
-def _dense_weight_array(w, lat: TruncatedLattice) -> np.ndarray:
-    """Weight values reshaped to the (2J+1,)^d cube (axis order = index order)."""
-    if isinstance(w, np.ndarray):
-        flat = np.asarray(w, dtype=float)
-        if flat.size != lat.size:
-            raise ValidationError("weight array does not match lattice size")
-    else:
-        flat = w.lattice_values(lat)
-    return flat.reshape((2 * lat.J + 1,) * lat.d)
-
-
-def direct_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full n-d convolution of two arrays of equal rank, as a direct sum.
-
-    Every output entry is a plain sum of products a[k] b[j-k], accumulated by
-    adding one shifted copy of ``b`` per nonzero entry of ``a`` (the operands
-    are swapped so that the loop runs over the sparser one).  Unlike an FFT,
-    convolving with a unit impulse reproduces the other operand exactly.
-    """
-    a, b = np.asarray(a), np.asarray(b)
-    if a.ndim != b.ndim:
-        raise ValidationError("convolution operands must have the same rank")
-    if np.count_nonzero(a) > np.count_nonzero(b):
-        a, b = b, a
-    shape = tuple(m + n - 1 for m, n in zip(a.shape, b.shape))
-    out = np.zeros(shape, dtype=np.result_type(a, b))
-    for k in zip(*np.nonzero(a)):
-        out[tuple(slice(i, i + n) for i, n in zip(k, b.shape))] += a[k] * b
-    return out
-
-
 def fourier_multiplier_matrix(coeffs: dict, indices: np.ndarray) -> np.ndarray:
     """Dense matrix with entries c(i - j) over the rows of an index table.
 
@@ -208,23 +182,28 @@ def fourier_multiplier_matrix(coeffs: dict, indices: np.ndarray) -> np.ndarray:
     return box[tuple(np.moveaxis(diff, -1, 0))]
 
 
-def truncated_autoconvolution(w, lat: TruncatedLattice) -> np.ndarray:
+def truncated_autoconvolution(w: SubexpWeight, lat: TruncatedLattice) -> np.ndarray:
     """(lambda * lambda)(j) = sum_{k, j-k in lat} lambda(k) lambda(j-k), on lat.
 
-    Accepts a SubexpWeight or a raw weight array over the lattice (useful for
-    injecting test weights such as the indicator of {0}).
+    Both the weight and the box factor over the d axes, so the sum is the
+    outer product over the axes of one 1-d autoconvolution of the row
+    exp(-tau |j|^p), |j| <= J, kept on |j| <= J: O(J^2) work, not
+    O((2J+1)^(2d)).
     """
-    cube = _dense_weight_array(w, lat)
-    full = direct_convolve(cube, cube)
     J = lat.J
-    center = tuple(slice(J, 3 * J + 1) for _ in range(lat.d))
-    return full[center].reshape(lat.size)
+    row = np.exp(-w.tau * np.abs(np.arange(-J, J + 1, dtype=float)) ** w.p)
+    axis = np.convolve(row, row)[J : 3 * J + 1]
+    out = axis
+    for _ in range(lat.d - 1):
+        out = np.multiply.outer(out, axis)
+    return out.reshape(lat.size)
 
 
-def subconvolutivity_constant(w, lat: TruncatedLattice) -> float:
-    """max_j (lambda*lambda)(j) / lambda(j) over the truncated lattice."""
+def subconvolutivity_constant(w: SubexpWeight, lat: TruncatedLattice) -> float:
+    """max_j (lambda*lambda)(j) / lambda(j) over the lattice points where
+    lambda(j) does not underflow to 0."""
     conv = truncated_autoconvolution(w, lat)
-    lam = _dense_weight_array(w, lat).reshape(lat.size)
+    lam = w.lattice_values(lat)
     mask = lam > 0
     return float(np.max(conv[mask] / lam[mask]))
 

@@ -1,10 +1,10 @@
 """Dense formulations the package's fast paths replaced, kept as test oracles.
 
 Each function here is the direct, matrix-building form of a computation the
-package now does in closed form, by FFT or on a state vector, or (the torus
-filter) the step-by-step form of one it now runs in blocks, or (the
-tensor-power forecast) the state-evolving form of one that now evolves the
-observable.  Nothing in ``src/`` calls them; the tests compare the fast
+package now does in closed form, by FFT, axis by axis or on a state vector,
+or (the torus filter) the step-by-step form of one it now runs in blocks, or
+(the tensor-power forecast) the state-evolving form of one that now evolves
+the observable.  Nothing in ``src/`` calls them; the tests compare the fast
 paths against them.
 """
 
@@ -53,7 +53,7 @@ from qkoopman.qmda import (
     multiplication_operator_fourier,
     multiplication_operator_point,
 )
-from qkoopman.rkha import SubexpWeight, TruncatedLattice, direct_convolve
+from qkoopman.rkha import SubexpWeight, TruncatedLattice
 
 
 # --- qmda: the density-operator filter on M x M matrices ---------------------
@@ -272,6 +272,29 @@ def gelfand_eval(
     if nmax is None:
         nmax = weight.nmax
     return fock_inner(xi_vector(pt.eta(), weight, nmax), v, weight)
+
+
+# --- rkha: the n-d convolution, as a direct sum ------------------------------
+
+
+def direct_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full n-d convolution of two arrays of equal rank, as a direct sum.
+
+    Every output entry is a plain sum of products a[k] b[j-k], accumulated by
+    adding one shifted copy of ``b`` per nonzero entry of ``a`` (the operands
+    are swapped so that the loop runs over the sparser one).  Unlike an FFT,
+    convolving with a unit impulse reproduces the other operand exactly.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    if a.ndim != b.ndim:
+        raise ValidationError("convolution operands must have the same rank")
+    if np.count_nonzero(a) > np.count_nonzero(b):
+        a, b = b, a
+    shape = tuple(m + n - 1 for m, n in zip(a.shape, b.shape))
+    out = np.zeros(shape, dtype=np.result_type(a, b))
+    for k in zip(*np.nonzero(a)):
+        out[tuple(slice(i, i + n) for i, n in zip(k, b.shape))] += a[k] * b
+    return out
 
 
 # --- fock: the tensor-power forecast with the state evolved ---------------------

@@ -149,6 +149,70 @@ def test_koopman_validates_before_it_computes(tmp_path, monkeypatch, text):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+def torus_config(d, J, koopman):
+    """A koopman config on the d-torus with alpha_i the square root of the
+    i-th prime and the constant observable, whose bandwidth is 0."""
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53][:d]
+    zero = ",".join(["0"] * d)
+    return json.dumps({
+        "system": {"kind": "rotation", "alpha": [math.sqrt(q) for q in primes]},
+        "kernel": {"d": d, "J": J},
+        "koopman": {"observable": {zero: [1.0, 0.0]}, **koopman},
+    })
+
+
+# Sizes whose stored values pass cli.MAX_STORED_VALUES.  Each once ran to
+# its allocation: a 1e6 x 3^6 complex design matrix (about 42 GiB), a 3^16-row
+# data-driven lattice, or 1e6 filter posteriors of 2048 values in each mode.
+CAP_PROBES = {
+    "koopman-design-d6": ("koopman", torus_config(
+        6, 1, {"grid_size": 8, "n_samples": 10**6})),
+    "koopman-lattice-d16": ("koopman", torus_config(
+        16, 0, {"grid_size": 2, "n_values": [], "n_samples": 1})),
+    "filter-trace": ("filter", '{"system": {"kind": "orbit", "M": 2048}, '
+                               '"qmda": {"steps": 1000000}}'),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAP_PROBES))
+def test_stored_value_cap_exits_2_before_work(tmp_path, monkeypatch, name):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a capped size reached the computation")
+
+    for heavy in ("TruncatedLattice", "sample_trajectory", "data_driven_generator",
+                  "analytic_generator", "second_quantization_forecast",
+                  "tensor_network_expectation", "run_filter"):
+        monkeypatch.setattr(cli, heavy, refuse)
+    command, text = CAP_PROBES[name]
+    code, err = run(command, text, tmp_path / "out")
+    assert code == 2, err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert f"cap of {cli.MAX_STORED_VALUES}" in lines[0]
+    assert not list((tmp_path / "out").iterdir())
+
+
+class Reached(Exception):
+    pass
+
+
+# At the cap, not past it: d = 2 (9 data-driven modes) and d = 1 (7) at the
+# sample cap, and a filter storing exactly MAX_STORED_VALUES values.
+@pytest.mark.parametrize("command,text", [
+    ("koopman", torus_config(2, 4, {"n_samples": 10**6})),
+    ("koopman", torus_config(1, 4, {"n_samples": 10**6})),
+    ("filter", '{"system": {"kind": "orbit", "M": 9}, "qmda": {"steps": 1000000}}'),
+])
+def test_stored_value_cap_admits_its_bound(tmp_path, monkeypatch, command, text):
+    def reached(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(cli, "TruncatedLattice", reached)
+    monkeypatch.setattr(cli, "run_filter", reached)
+    with pytest.raises(Reached):
+        run(command, text, tmp_path / "out")
+
+
 @pytest.mark.parametrize("name", sorted(DEGENERATE_PROBES))
 def test_probe_exits_3_with_one_line(tmp_path, name):
     # a process of its own: pytest would record numpy's warnings, not print them

@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from oracles import direct_convolve
 
 from qkoopman.dynamics import TWO_PI, FourierObservable
 from qkoopman.errors import ValidationError
@@ -16,7 +18,6 @@ from qkoopman.rkha import (
     beurling_domar_sum,
     compose_smoothers,
     comultiplication_pairs,
-    direct_convolve,
     feature_coefficients,
     grs_sequence,
     kernel_gram,
@@ -72,6 +73,33 @@ class TestLattice:
         vec = lat.observable_vector(f)
         g = lat.vector_observable(vec)
         assert g.coeffs == f.coeffs
+
+    @pytest.mark.parametrize("d,J", [(1, 0), (1, 5), (2, 0), (2, 3), (3, 2), (4, 1)])
+    def test_indices_match_product_enumeration(self, d, J):
+        lat = TruncatedLattice(d, J)
+        want = np.array(list(itertools.product(range(-J, J + 1), repeat=d)), dtype=int)
+        assert lat.indices.dtype == want.dtype and np.array_equal(lat.indices, want)
+        assert lat.indices.flags.c_contiguous
+
+    @pytest.mark.parametrize("d,J", [(1, 0), (1, 5), (2, 3), (3, 2)])
+    def test_position_and_membership_match_enumeration(self, d, J):
+        lat = TruncatedLattice(d, J)
+        table = {tuple(row): k for k, row in enumerate(lat.indices.tolist())}
+        for key, k in table.items():
+            assert key in lat and lat.position(key) == k
+            as_numpy = np.array(key, dtype=np.int32)
+            assert as_numpy in lat and lat.position(as_numpy) == k
+            assert lat.position([np.int64(v) for v in key]) == k
+            if d == 1:
+                assert key[0] in lat and lat.position(key[0]) == k
+                assert lat.position(np.int16(key[0])) == k
+        # out of the box, then of the wrong length (a scalar is a 1-tuple)
+        outside = [(J + 1,) + (0,) * (d - 1), (0,) * (d - 1) + (-J - 1,), -J - 1,
+                   (0,) * (d - 1), (0,) * (d + 1)]
+        for key in outside:
+            assert key not in lat
+            with pytest.raises(ValidationError):
+                lat.position(key)
 
 
 class TestKernel:
@@ -139,11 +167,29 @@ class TestKernel:
 
 
 class TestSubconvolutivity:
-    def test_indicator_weight(self):
-        lat = TruncatedLattice(1, 8)
-        delta = np.zeros(lat.size)
-        delta[lat.position((0,))] = 1.0
-        assert subconvolutivity_constant(delta, lat) == pytest.approx(1.0)
+    # d = 3 stops at J = 12: a 49^3 cube takes 45 s through the direct sum
+    @pytest.mark.parametrize("d,J", [(d, J) for d in (1, 2, 3) for J in (0, 1, 6, 12, 24)
+                                     if (d, J) != (3, 24)])
+    @pytest.mark.parametrize("tau,p", [(1.0, 0.5), (0.3, 0.9), (2.5, 0.2), (0.05, 0.5)])
+    def test_per_axis_matches_dense_oracle(self, d, J, tau, p):
+        # the replaced path: the weight cube through the n-d direct sum
+        w, lat = SubexpWeight(tau, p, d), TruncatedLattice(d, J)
+        cube = w.lattice_values(lat).reshape((2 * J + 1,) * d)
+        centre = tuple(slice(J, 3 * J + 1) for _ in range(d))
+        want = direct_convolve(cube, cube)[centre].reshape(lat.size)
+        got = truncated_autoconvolution(w, lat)
+        assert np.max(np.abs(got - want) / want) <= 1e-13
+        lam = w.lattice_values(lat)
+        want_c = float(np.max(want / lam))
+        assert abs(subconvolutivity_constant(w, lat) - want_c) <= 1e-13 * want_c
+
+    def test_underflowing_weight_gives_finite_constant(self):
+        # lambda = exp(-1000 sqrt|j|) underflows to 0 for |j| >= 1 and
+        # exp(-1000 (sqrt|k| + sqrt|j-k|)) too, so only j = 0 enters the max
+        w, lat = SubexpWeight(1000.0, 0.5), TruncatedLattice(1, 64)
+        assert np.count_nonzero(w.lattice_values(lat)) < lat.size
+        value = subconvolutivity_constant(w, lat)
+        assert math.isfinite(value) and value == 1.0
 
     def test_stable_under_doubling(self):
         w = SubexpWeight(1.0, 0.5)
