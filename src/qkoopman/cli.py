@@ -71,9 +71,10 @@ SCHEMA_VERSION = 1
 MAX_LATTICE_MODES = 2048
 # trajectory rows and filter steps; 1e5 trajectory rows take about 0.5 s
 MAX_SAMPLES = 10**6
-# values a command keeps at once: koopman's data-driven design matrix (one
-# complex entry per sample and mode) and filter's trace (one M-vector per
-# step); 9 modes at the sample cap is the data-driven lattice of d = 2
+# koopman's data-driven estimate does n_samples * modes^2 work, accumulated
+# over sample blocks, and filter keeps its trace (one M-vector per step); both
+# are capped at this many sample-mode or step-point values, and 9 modes at the
+# sample cap is the data-driven lattice of d = 2
 MAX_STORED_VALUES = 9 * MAX_SAMPLES
 # torus dimension: rotate's rational-dependence scan is quadratic in it
 MAX_DIMENSION = 16

@@ -460,6 +460,9 @@ def run_torus_filter(
     # classical state as concentration vector (C, S) = kappa (cos mu, sin mu)
     c_vec = kappa0 * math.cos(x0)
     s_vec = kappa0 * math.sin(x0)
+    # each step's prior concentration is hypot(c_vec, s_vec), the previous
+    # step's posterior one, so its scaled I_0 carries over from that step
+    i0e_prior = _i0e(math.hypot(c_vec, s_vec))
     if run_quantum:
         psi = _sqrt_von_mises_coeffs(float(x0), kappa0, lat) * keep
         psi /= np.linalg.norm(psi)
@@ -488,7 +491,9 @@ def run_torus_filter(
             s_vec = kap_prior * math.sin(mu_prior) + model.scale * math.sin(y)
             kap_post = math.hypot(c_vec, s_vec)
             mu_post = math.atan2(s_vec, c_vec) % TWO_PI
-            evidence = _i0e(kap_post) / _i0e(kap_prior) * math.exp(kap_post - kap_prior - model.scale)
+            i0e_post = _i0e(kap_post)
+            evidence = i0e_post / i0e_prior * math.exp(kap_post - kap_prior - model.scale)
+            i0e_prior = i0e_post
             if evidence <= 1e-300:
                 failure = ZeroEvidenceError(f"zero evidence at step {n}")
                 break

@@ -14,6 +14,7 @@ eigensolver tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +78,11 @@ def analytic_generator(sys: RotationSystem, lat: TruncatedLattice) -> GeneratorS
     return GeneratorSpec(lattice=lat, omega=lat.indices @ sys.alpha)
 
 
+# Interior samples per block of the data-driven generator's ergodic sum: each
+# block holds a few (block + 2) x modes complex arrays
+_SAMPLE_BLOCK = 256
+
+
 def _taper_weights(m: int) -> np.ndarray:
     """Normalized bump-window weights for ergodic averages along a trajectory.
 
@@ -97,13 +103,17 @@ def data_driven_generator(
     The raw matrix is the tapered ergodic average of
     conj(gamma_j(x_n)) * (gamma_k(x_{n+1}) - gamma_k(x_{n-1})) / (2 dt),
     antisymmetrized to enforce skew-adjointness and deflated so the constant
-    function is an exact null vector.
+    function is an exact null vector.  The average is accumulated over
+    blocks of ``_SAMPLE_BLOCK`` interior samples, so the basis values held
+    at once grow with the block and the lattice, not with the trajectory.
     """
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValidationError(f"dt must be finite and > 0, got {dt!r}")
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    if dt <= 0:
-        raise ValidationError("dt must be positive")
     if samples.shape[1] != lat.d:
         raise ValidationError("trajectory and lattice dimensions differ")
+    if not np.all(np.isfinite(samples)):
+        raise ValidationError("trajectory samples must be finite")
     n = samples.shape[0]
     interior = n - 2
     if interior < lat.size:
@@ -112,10 +122,13 @@ def data_driven_generator(
             f"size {lat.size}; {lat.size - max(interior, 0)} directions are unresolved",
             deficiency=lat.size - max(interior, 0),
         )
-    basis = np.exp(1j * (samples @ lat.indices.T))  # (n, lat.size)
-    diff = (basis[2:] - basis[:-2]) / (2.0 * dt)
     w = _taper_weights(interior)
-    a = (basis[1:-1].conj() * w[:, None]).T @ diff
+    a = np.zeros((lat.size, lat.size), dtype=complex)
+    for lo in range(0, interior, _SAMPLE_BLOCK):
+        hi = min(lo + _SAMPLE_BLOCK, interior)
+        basis = np.exp(1j * (samples[lo : hi + 2] @ lat.indices.T))  # (hi - lo + 2, lat.size)
+        diff = (basis[2:] - basis[:-2]) / (2.0 * dt)
+        a += (basis[1:-1].conj() * w[lo:hi, None]).T @ diff
     if not np.all(np.isfinite(a)):  # as when 1/(2 dt) overflows
         raise DegeneracyError(f"the generator estimate at dt={dt!r} is not finite")
     a = 0.5 * (a - a.conj().T)

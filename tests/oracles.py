@@ -3,9 +3,10 @@
 Each function here is the direct, matrix-building form of a computation the
 package now does in closed form, by FFT, axis by axis or on a state vector,
 or (the torus filter) the step-by-step form of one it now runs in blocks, or
-(the tensor-power forecast) the state-evolving form of one that now evolves
-the observable.  Nothing in ``src/`` calls them; the tests compare the fast
-paths against them.
+(the data-driven generator) the one-shot form of a sum it now accumulates
+over sample blocks, or (the tensor-power forecast) the state-evolving form
+of one that now evolves the observable.  Nothing in ``src/`` calls them; the
+tests compare the fast paths against them.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from qkoopman.qmda import (
     multiplication_operator_point,
 )
 from qkoopman.rkha import SubexpWeight, TruncatedLattice
+from qkoopman.spectral import GeneratorSpec, _spectral_order, _taper_weights
 
 
 # --- qmda: the density-operator filter on M x M matrices ---------------------
@@ -388,3 +390,25 @@ def character_pairing(a: np.ndarray, J: int, d: int, grid_size: int) -> np.ndarr
     for _ in range(d):
         k = np.tensordot(k, characters, axes=(0, 0))  # axis j_i becomes y_i
     return k
+
+
+# --- spectral: the data-driven generator over the whole trajectory at once ------
+
+
+def one_shot_data_driven_generator(
+    samples: np.ndarray, dt: float, lat: TruncatedLattice
+) -> GeneratorSpec:
+    """The data-driven generator from n x modes arrays of the whole trajectory:
+    the basis values, their central difference and the tapered conjugate."""
+    samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    basis = np.exp(1j * (samples @ lat.indices.T))  # (n, lat.size)
+    diff = (basis[2:] - basis[:-2]) / (2.0 * dt)
+    w = _taper_weights(samples.shape[0] - 2)
+    a = (basis[1:-1].conj() * w[:, None]).T @ diff
+    a = 0.5 * (a - a.conj().T)
+    zero = lat.position((0,) * lat.d)
+    a[zero, :] = 0.0
+    a[:, zero] = 0.0
+    omega, vectors = np.linalg.eigh(-1j * a)
+    order = _spectral_order(omega)
+    return GeneratorSpec(lattice=lat, omega=omega[order], vectors=vectors[:, order], matrix=a)

@@ -601,6 +601,20 @@ class TestTorusFilter:
             assert abs(step.estimate - oracle.estimate) <= 1e-14
             assert abs(step.estimate_error - oracle.estimate_error) <= 1e-14
 
+    @pytest.mark.parametrize("steps", [1, 200, 600])
+    def test_one_i0e_per_step(self, monkeypatch, steps):
+        # each prior reuses the previous posterior's value; the other two
+        # calls are the initial prior and the half kernel
+        calls = []
+
+        def counted(kappa):
+            calls.append(kappa)
+            return dynamics._i0e(kappa)
+
+        monkeypatch.setattr(qmda, "_i0e", counted)
+        run_torus_filter(self.SYS, self.MODEL, 1.3, steps, 0.3, mode=CLASSICAL, seed=7)
+        assert len(calls) == steps + 2
+
     @pytest.mark.parametrize("mode,rank", [(QUANTUM, None), (QUANTUM_PROJECTED, 9)])
     def test_grid_values_in_batches_of_rows(self, monkeypatch, mode, rank):
         # 1000 grid entries at grid_size 9: batches of 111 rows, the last partial

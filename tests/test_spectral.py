@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from qkoopman.errors import (
 )
 from qkoopman.rkha import SubexpWeight, TruncatedLattice
 from qkoopman.spectral import (
+    _SAMPLE_BLOCK,
     GeneratorSpec,
     analytic_generator,
     data_driven_generator,
@@ -26,6 +28,8 @@ from qkoopman.spectral import (
     frequency_table,
     smoothing_identity_residual,
 )
+
+from oracles import one_shot_data_driven_generator
 
 
 def random_observable(rng, lat, real=False):
@@ -281,3 +285,56 @@ class TestDataDrivenGenerator:
         traj = sample_trajectory(self.sys, [1.0], 1e-320, 50)
         with np.errstate(all="ignore"), pytest.raises(DegeneracyError, match="not finite"):
             data_driven_generator(traj, 1e-320, TruncatedLattice(1, 3))
+
+    @pytest.mark.parametrize("dt", [math.inf, -math.inf, math.nan])
+    def test_non_finite_dt_rejected(self, dt):
+        # before any work: no numpy warning, no all-zero spectrum
+        traj = sample_trajectory(self.sys, [0.2], 0.01, 50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="dt must be finite"):
+                data_driven_generator(traj, dt, self.lat)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        traj = sample_trajectory(self.sys, [0.2], 0.01, 50)
+        traj[17, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="samples must be finite"):
+                data_driven_generator(traj, 0.01, self.lat)
+
+
+class TestBlockedGenerator:
+    """The sum over sample blocks against the one-shot sum it replaced."""
+
+    ALPHA = [math.sqrt(2.0), math.sqrt(3.0), math.sqrt(5.0)]
+
+    @pytest.mark.parametrize("dt", [1e-3, 0.01, 0.3])
+    @pytest.mark.parametrize(
+        "n",
+        ["min", _SAMPLE_BLOCK - 1, _SAMPLE_BLOCK, _SAMPLE_BLOCK + 1, 2 * _SAMPLE_BLOCK + 3, 20000],
+    )
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_one_shot_oracle(self, d, n, dt):
+        lat = TruncatedLattice(d, 3 if d == 1 else 1)
+        n = lat.size + 2 if n == "min" else n
+        sys_ = RotationSystem(np.array(self.ALPHA[:d]))
+        traj = sample_trajectory(sys_, [0.3, -1.1, 2.0][:d], dt, n)
+        gen = data_driven_generator(traj, dt, lat)
+        ref = one_shot_data_driven_generator(traj, dt, lat)
+        scale = np.max(np.abs(ref.matrix))
+        assert np.max(np.abs(gen.matrix - ref.matrix)) <= 1e-13 * scale
+        assert np.max(np.abs(gen.omega - ref.omega)) <= 1e-13 * np.max(np.abs(ref.omega))
+
+    def test_memory_bounded_by_block(self):
+        # the one-shot sum peaks at 8.8 MiB here: four 20000 x 7 complex arrays
+        traj = sample_trajectory(RotationSystem(np.array([1.0])), [0.2], 0.01, 20000)
+        lat = TruncatedLattice(1, 3)
+        tracemalloc.start()
+        try:
+            data_driven_generator(traj, 0.01, lat)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
