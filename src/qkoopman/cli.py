@@ -65,9 +65,9 @@ from .spectral import (
 )
 
 SCHEMA_VERSION = 1
-# kernel lattice modes (2J+1)^d and koopman.grid_size: cmd_koopman's forecast
-# builds grid_size^d quadrature arrays (the FFT grid sums and their powers),
-# and 2048 keeps each complex array within 64 MiB
+# kernel lattice modes (2J+1)^d and the range of koopman.grid_size; the
+# grading-m forecast works on d one-dimensional grids of grid_size points, so
+# nothing of grid_size^d points is ever built and d leaves grid_size alone
 MAX_LATTICE_MODES = 2048
 # trajectory rows and filter steps; 1e5 trajectory rows take about 0.5 s
 MAX_SAMPLES = 10**6
@@ -360,12 +360,10 @@ def cmd_koopman(config: dict, out: Path, digest: str) -> list[Path]:
         bandwidth = 64 if sys_.d == 1 else 16
     f = _observable(config, "koopman.observable", sys_.d)
     modes = (2 * max(bandwidth, f.bandwidth) + 1) ** sys_.d
-    points = config["koopman.grid_size"] ** sys_.d
-    if modes > MAX_LATTICE_MODES or points > MAX_LATTICE_MODES**2:
+    if modes > MAX_LATTICE_MODES:
         raise ValidationError(
             f"kernel lattice has {modes} modes (J={bandwidth}, observable bandwidth "
-            f"{f.bandwidth}, d={sys_.d}) and the quadrature grid {points} points; "
-            f"the limits are {MAX_LATTICE_MODES} and {MAX_LATTICE_MODES**2}"
+            f"{f.bandwidth}, d={sys_.d}); the limit is {MAX_LATTICE_MODES}"
         )
     small_J = 3 if sys_.d == 1 else 1  # the data-driven generator's lattice
     small_modes = (2 * small_J + 1) ** sys_.d

@@ -221,11 +221,6 @@ class FourierObservable:
         """Norm of the coefficient vector (= L2(mu) norm of the function)."""
         return math.sqrt(sum(abs(c) ** 2 for c in self.coeffs.values()))
 
-    def grid_values(self, grid_size: int) -> np.ndarray:
-        """Values on the uniform grid (2*pi*k/G)_k, for quadrature checks."""
-        indices = np.array(list(self.coeffs), dtype=int).reshape(-1, self.d)
-        return grid_sum(indices, list(self.coeffs.values()), grid_size)
-
 
 def grid_sum(indices, coeffs, grid_size: int) -> np.ndarray:
     """sum_j c_j exp(i j.y) at every point y = 2*pi*k/G of the uniform d-grid.

@@ -17,9 +17,12 @@ evolution of an integral operator driven by smoothed kernel sections.  It is
 computed in closed form, with no occupation enumeration: gradings are
 orthogonal, <a^(vee m), b^(vee m)> = w^2(m) <a, b>^m, and the lift acts mode
 by mode, so the Fock pairing of each section's m-th power is exactly the m-th
-power of a scalar pairing.  The tensor-power scheme is an expectation over
-the n-th power of an n-th root of a von Mises density, paired with the
-Koopman-evolved observable.
+power of a scalar pairing.  The algebra's weight is a product over the
+torus axes, and so are the feature point, the observation kernel and the
+rotation phases: the pairing is a product of one-axis pairings and the
+quadrature runs on d one-dimensional grids, never on the product grid.  The
+tensor-power scheme is an expectation over the n-th power of an n-th root of
+a von Mises density, paired with the Koopman-evolved observable.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from .dynamics import (
     koopman_exact,
 )
 from .errors import DegeneracyError, DegenerateNormalizationError, ValidationError
-from .rkha import SubexpWeight, TruncatedLattice
 
 _LOG_TINY = math.log(5e-324)  # below this exp() rounds to 0.0
 _LENTZ_TINY = 1e-300  # stands in for a zero denominator in the continued fraction
@@ -405,28 +407,6 @@ def xi_tail_norm(eta_norm: float, weight: FockWeight, nmax: int | None = None) -
     return float(min(eta_norm, 1.0) ** (nmax + 1) * math.sqrt(weight.inv_square_tail(nmax)))
 
 
-def eta_from_feature(
-    w_sigma: SubexpWeight,
-    w_tau: SubexpWeight,
-    lat: TruncatedLattice,
-    x,
-) -> tuple[np.ndarray, float]:
-    """Mode vector of the normalized feature point of x, in lattice order, plus its norm.
-
-    Entry at lattice index j is lambda_sigma(j) e^{-i j.x} / (sqrt(lambda_tau(j))
-    varpi^2), where varpi^2 = sum_j lambda_sigma(j) is the exact squared sup of
-    the feature map norm (translation-invariant kernels have constant
-    diagonal).  The division by varpi^2 places the point inside the series
-    radius.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    lam_s = w_sigma.lattice_values(lat)
-    lam_t = w_tau.lattice_values(lat)
-    varpi2 = float(np.sum(lam_s))
-    eta = lam_s / (np.sqrt(lam_t) * varpi2) * np.exp(-1j * (lat.indices @ x))
-    return eta, float(np.linalg.norm(eta))
-
-
 @dataclass(frozen=True)
 class SecondQuantizationParams:
     """Knobs of the grading-m kernel-section forecast.
@@ -435,7 +415,8 @@ class SecondQuantizationParams:
     k^m of the scalar section pairing (exact by grading orthogonality and
     the multiplicative lift, so no occupations are enumerated);
     ``sigma``/``tau`` the feature/section smoothing parameters
-    (tau <= sigma/2); ``obs_concentration`` the concentration of the
+    (tau <= sigma/2; tau cancels from the value and sets only the state
+    tail); ``obs_concentration`` the concentration of the
     strictly positive observation kernel exp(c (cos(x-y) - 1)); the grid
     drives the quadrature of the integral operator.  ``weight`` fixes the
     cutoff of the reported xi-series tail; the forecast itself does not
@@ -491,55 +472,63 @@ def second_quantization_forecast(
     kappa_tau(., y_g)^(vee m) of f and of the constant 1, where the smoothed
     section kappa_tau(., y) has mode coefficients sqrt(lambda_tau(j)) c_j
     e^{-i j.y}, evolve under the lifted rotation and are paired against the
-    feature point xi of x; the forecast is the real part of their ratio.
-    Grading orthogonality leaves only w^-2(m) eta^(vee m) of xi in the
-    pairing, <a^(vee m), b^(vee m)> = w^2(m) <a, b>^m cancels that weight,
-    and the lift multiplies mode j by e^{i t j.alpha}.  So each grid point
+    feature point xi of x, whose mode vector is eta_j = lambda_sigma(j)
+    e^{-i j.x} / (sqrt(lambda_tau(j)) varpi^2) with varpi^2 = sum_j
+    lambda_sigma(j); the forecast is the real part of their ratio.  Grading
+    orthogonality leaves only w^-2(m) eta^(vee m) of xi in the pairing,
+    <a^(vee m), b^(vee m)> = w^2(m) <a, b>^m cancels that weight, and the
+    lift multiplies mode j by e^{i t j.alpha}.  So each grid point
     contributes exactly k(y_g)^m, with the scalar pairing
 
         k(y) = sum_j a_j e^{-i j.y},
-        a_j = conj(eta_j) sqrt(lambda_tau(j)) c_j e^{i t j.alpha},
+        a_j = conj(eta_j) sqrt(lambda_tau(j)) c_j e^{i t j.alpha}
+            = lambda_sigma(j) c_j e^{i j.(x + t alpha)} / varpi^2,
 
     and the forecast is Re(sum_g f(y_g) k(y_g)^m / sum_g k(y_g)^m) with
-    normalization |sum_g k(y_g)^m| / G^d.  k is evaluated on the grid by
-    one FFT (``grid_sum``).  The state tail is the norm of the xi series
-    beyond the configured cutoff; the kernel mode tail is the
+    normalization |sum_g k(y_g)^m| / G^d.  tau cancels from a_j, so it
+    only sets the state tail.  Every factor of a_j is a product over the
+    axes (the weights, the Bessel rows of the observation kernel, the
+    phases), so a_j = prod_i a_i(j_i) and k(y) = prod_i k_i(y_i).  With
+    K_i the length-G inverse DFT of k_i^m on the axis grid, aliasing
+    included, (1/G^d) sum_g e^{i j.y_g} k(y_g)^m = prod_i K_i(j_i mod G):
+    the numerator is sum_j f_j prod_i K_i(j_i mod G) over the support of f
+    and the normalizing sum is prod_i K_i(0).  Nothing of size G^d is
+    formed; each axis costs two length-G FFTs.  The state tail is the norm
+    of the xi series beyond the configured cutoff, with ||eta|| the d-th
+    power of its one-axis value; the kernel mode tail is the
     observation-kernel mass outside the lattice.
     """
     d = sys.d
     if f.d != d:
         raise ValidationError("observable and system dimensions differ")
-    J = params.bandwidth
-    lat = TruncatedLattice(d, J)
-    w_sigma = SubexpWeight(params.sigma, params.p, d)
-    w_tau = SubexpWeight(params.tau, params.p, d)
-    per_dim = _observation_kernel_coeffs(params)
-    c = np.ones(lat.size)
-    for axis in range(d):
-        c *= per_dim[np.abs(lat.indices[:, axis])]
-    mode_tail = 1.0 - float(np.sum(c))
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape != (d,):
+        raise ValidationError(f"point of shape {x.shape} does not match the system dimension {d}")
+    if not (np.all(np.isfinite(x)) and math.isfinite(t)):
+        raise ValidationError("forecast point and time must be finite")
+    J, g = params.bandwidth, params.grid_size
+    j = np.arange(-J, J + 1)
+    power = np.abs(j) ** params.p
+    lam_sigma = np.exp(-params.sigma * power)
+    varpi2 = float(np.sum(lam_sigma))  # one axis: varpi^2 is its d-th power
+    c = _observation_kernel_coeffs(params)[np.abs(j)]
+    a = (lam_sigma * c / varpi2) * np.exp(1j * np.outer(x + t * sys.alpha, j))  # row i: a_i
+    k_pow = np.fft.ifft(grid_sum(-j[:, None], a, g) ** params.m, axis=-1)  # row i: K_i
 
-    eta, eta_norm = eta_from_feature(w_sigma, w_tau, lat, x)
-    a = (
-        np.conj(eta)
-        * np.sqrt(w_tau.lattice_values(lat))
-        * c
-        * np.exp(1j * t * (lat.indices @ sys.alpha))
-    )
-
-    g = params.grid_size
-    k_m = grid_sum(-lat.indices, a, g) ** params.m
-    num = np.sum(f.grid_values(g) * k_m) / g**d
-    den = np.sum(k_m) / g**d
+    idx = np.array(list(f.coeffs), dtype=int).reshape(-1, d) % g
+    num = np.dot(np.prod(k_pow[np.arange(d), idx], axis=1), list(f.coeffs.values()))
+    den = np.prod(k_pow[:, 0])
     if abs(den) < 1e-8:
         raise DegenerateNormalizationError(
             f"normalizing pairing {abs(den):.3e} below threshold 1e-8"
         )
+    # sum_j |eta_j|^2 on one axis, lambda_sigma^2 / lambda_tau in one exp
+    eta2 = float(np.sum(np.exp(-(2.0 * params.sigma - params.tau) * power)))
     return SecondQuantizationResult(
         value=float((num / den).real),
         normalization=float(abs(den)),
-        kernel_mode_tail=mode_tail,
-        state_tail_norm=xi_tail_norm(eta_norm, params.weight),
+        kernel_mode_tail=1.0 - float(np.sum(c)) ** d,
+        state_tail_norm=xi_tail_norm((math.sqrt(eta2) / varpi2) ** d, params.weight),
     )
 
 
@@ -597,6 +586,8 @@ def tensor_network_expectation(
     d = state.d
     if f.d != d or sys.d != d:
         raise ValidationError("dimension mismatch between observable, state, and system")
+    if not math.isfinite(t):
+        raise ValidationError("forecast time must be finite")
     J, n = params.bandwidth, params.n
     root = state.nth_root(n)
     # one Miller run per dimension: the factor's row and its tail beyond J

@@ -5,8 +5,9 @@ package now does in closed form, by FFT, axis by axis or on a state vector,
 or (the torus filter) the step-by-step form of one it now runs in blocks, or
 (the data-driven generator) the one-shot form of a sum it now accumulates
 over sample blocks, or (the tensor-power forecast) the state-evolving form
-of one that now evolves the observable.  Nothing in ``src/`` calls them; the
-tests compare the fast paths against them.
+of one that now evolves the observable, or (the grading-m forecast) the
+G^d grid form of one that now runs on d one-dimensional grids.  Nothing in
+``src/`` calls them; the tests compare the fast paths against them.
 """
 
 from __future__ import annotations
@@ -28,14 +29,18 @@ from qkoopman.dynamics import (
     von_mises_fourier,
     wrap_angles,
 )
-from qkoopman.errors import ValidationError, ZeroEvidenceError
+from qkoopman.errors import DegenerateNormalizationError, ValidationError, ZeroEvidenceError
 from qkoopman.fock import (
     FockVector,
     FockWeight,
+    SecondQuantizationParams,
+    SecondQuantizationResult,
     SpectrumTorusPoint,
     TensorNetworkParams,
     TensorNetworkResult,
+    _observation_kernel_coeffs,
     fock_inner,
+    xi_tail_norm,
     xi_vector,
 )
 from qkoopman.qcirc import QubitEncoding, _check_observable, _projected_observable
@@ -390,6 +395,85 @@ def character_pairing(a: np.ndarray, J: int, d: int, grid_size: int) -> np.ndarr
     for _ in range(d):
         k = np.tensordot(k, characters, axes=(0, 0))  # axis j_i becomes y_i
     return k
+
+
+# --- fock: the grading-m forecast on the whole G^d grid ------------------------
+
+
+def eta_from_feature(
+    w_sigma: SubexpWeight,
+    w_tau: SubexpWeight,
+    lat: TruncatedLattice,
+    x,
+) -> tuple[np.ndarray, float]:
+    """Mode vector of the normalized feature point of x, in lattice order, plus its norm.
+
+    Entry at lattice index j is lambda_sigma(j) e^{-i j.x} / (sqrt(lambda_tau(j))
+    varpi^2), where varpi^2 = sum_j lambda_sigma(j) is the exact squared sup of
+    the feature map norm (translation-invariant kernels have constant
+    diagonal).  The division by varpi^2 places the point inside the series
+    radius.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    lam_s = w_sigma.lattice_values(lat)
+    lam_t = w_tau.lattice_values(lat)
+    varpi2 = float(np.sum(lam_s))
+    eta = lam_s / (np.sqrt(lam_t) * varpi2) * np.exp(-1j * (lat.indices @ x))
+    return eta, float(np.linalg.norm(eta))
+
+
+def grid_forecast(
+    f: FourierObservable,
+    sys: RotationSystem,
+    params: SecondQuantizationParams,
+    x,
+    t: float,
+    direct: bool = False,
+) -> SecondQuantizationResult:
+    """The grading-m forecast from G^d arrays: the pairing a_j = conj(eta_j)
+    sqrt(lambda_tau(j)) c_j e^{i t j.alpha} over the d-dimensional lattice,
+    k and f on the whole grid, and Re(sum_g f k^m / sum_g k^m).  The grid
+    values come from ``grid_sum``, or with ``direct`` from the character
+    matrix (k) and one exp per coefficient (f)."""
+    d = sys.d
+    J = params.bandwidth
+    lat = TruncatedLattice(d, J)
+    w_sigma = SubexpWeight(params.sigma, params.p, d)
+    w_tau = SubexpWeight(params.tau, params.p, d)
+    per_dim = _observation_kernel_coeffs(params)
+    c = np.ones(lat.size)
+    for axis in range(d):
+        c *= per_dim[np.abs(lat.indices[:, axis])]
+    mode_tail = 1.0 - float(np.sum(c))
+
+    eta, eta_norm = eta_from_feature(w_sigma, w_tau, lat, x)
+    a = (
+        np.conj(eta)
+        * np.sqrt(w_tau.lattice_values(lat))
+        * c
+        * np.exp(1j * t * (lat.indices @ sys.alpha))
+    )
+
+    g = params.grid_size
+    if direct:
+        k, values = character_pairing(a, J, d, g), direct_grid_values(f, g)
+    else:
+        indices = np.array(list(f.coeffs), dtype=int).reshape(-1, d)
+        k = grid_sum(-lat.indices, a, g)
+        values = grid_sum(indices, list(f.coeffs.values()), g)
+    k_m = k**params.m
+    num = np.sum(values * k_m) / g**d
+    den = np.sum(k_m) / g**d
+    if abs(den) < 1e-8:
+        raise DegenerateNormalizationError(
+            f"normalizing pairing {abs(den):.3e} below threshold 1e-8"
+        )
+    return SecondQuantizationResult(
+        value=float((num / den).real),
+        normalization=float(abs(den)),
+        kernel_mode_tail=mode_tail,
+        state_tail_norm=xi_tail_norm(eta_norm, params.weight),
+    )
 
 
 # --- spectral: the data-driven generator over the whole trajectory at once ------

@@ -20,6 +20,7 @@ from qkoopman.dynamics import (
     PeriodicOrbitSystem,
     RotationSystem,
     VonMisesDensity,
+    grid_sum,
     koopman_exact,
     sample_trajectory,
     von_mises_fourier,
@@ -395,7 +396,8 @@ def test_criterion_11_tensor_network():
     )
     grid = 4096
     theta = np.arange(grid) * 2 * math.pi / grid
-    dens = np.abs(von_mises_fourier(state, 24).grid_values(grid)) ** 2
+    xi = von_mises_fourier(state, 24)
+    dens = np.abs(grid_sum(np.array(list(xi.coeffs)), list(xi.coeffs.values()), grid)) ** 2
     oracle = float((np.cos(theta) * dens).sum() / dens.sum())
     quad_gap = abs(res0.value - oracle)
     assert quad_gap <= 1e-8

@@ -95,7 +95,8 @@ PROBES.update({
 # Accepted inputs whose arithmetic overflows; numpy's RuntimeWarning lines
 # once reached stderr ahead of the CLI's own message.
 DEGENERATE_PROBES = {
-    "koopman-tau-huge": ("koopman", '{"kernel": {"J": 4, "tau": 1e300}}'),
+    # sigma = 2 tau overflows to inf (at tau = 1e300 see the test below)
+    "koopman-tau-huge": ("koopman", '{"kernel": {"J": 4, "tau": 1e308}}'),
     "qcirc-tau-huge": ("qcirc", '{"kernel": {"tau": 1e300}}'),
     # |t| max|j.alpha| >= 2**52 rad: one ulp of the phase is a whole radian
     "koopman-t-huge": ("koopman", '{"kernel": {"J": 4}, "koopman": {"t_grid": [1e300]}}'),
@@ -190,6 +191,28 @@ def test_stored_value_cap_exits_2_before_work(tmp_path, monkeypatch, name):
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert f"cap of {cli.MAX_STORED_VALUES}" in lines[0]
     assert not list((tmp_path / "out").iterdir())
+
+
+def test_koopman_grid_size_not_capped_by_dimension(tmp_path):
+    # grid_size^d = 2048^3 points once exceeded a cap of MAX_LATTICE_MODES^2
+    # and exited 2; the forecast now works on d grids of 2048 points
+    code, err = run("koopman", torus_config(3, 5, {"grid_size": 2048}), tmp_path / "out")
+    assert code == 0, err
+    rows = (tmp_path / "out" / "koopman.csv").read_text(encoding="utf-8").splitlines()
+    assert any(",m1," in row for row in rows)
+    assert all(math.isfinite(v) for v in csv_values(tmp_path / "out"))
+
+
+def test_koopman_tau_huge_forecasts_the_mean(tmp_path):
+    # At tau = 1e300 every weight but lambda(0) underflows.  The grading-m
+    # pairing never divides by lambda_tau, so the kernel is the constant mode
+    # and each m row is the mean of cos, 0; dividing 0 by sqrt(lambda_tau) = 0
+    # once wrote NaN and exited 3.
+    code, err = run("koopman", '{"kernel": {"J": 4, "tau": 1e300}}', tmp_path / "out")
+    assert code == 0, err
+    rows = (tmp_path / "out" / "koopman.csv").read_text(encoding="utf-8").splitlines()[2:]
+    values = [float(row.split(",")[2]) for row in rows if row.split(",")[1].startswith("m")]
+    assert values and all(abs(v) <= 1e-15 for v in values)
 
 
 class Reached(Exception):

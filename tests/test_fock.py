@@ -2,6 +2,8 @@ import itertools
 import math
 import sys
 import time
+import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -14,7 +16,6 @@ from qkoopman.dynamics import (
     koopman_exact,
     von_mises_fourier,
 )
-from qkoopman import fock
 from qkoopman.errors import DegeneracyError, DegenerateNormalizationError, ValidationError
 from qkoopman.fock import (
     FockVector,
@@ -24,7 +25,6 @@ from qkoopman.fock import (
     TensorNetworkParams,
     _log_gammaincc,
     apply_lifted_generator,
-    eta_from_feature,
     evolve_lifted,
     fock_inner,
     grading,
@@ -37,12 +37,12 @@ from qkoopman.fock import (
     xi_tail_norm,
     xi_vector,
 )
-from qkoopman.rkha import TruncatedLattice
 
 from oracles import (
-    character_pairing,
     direct_grid_values,
+    eta_from_feature,
     gelfand_eval,
+    grid_forecast,
     state_evolved_tensor_expectation,
 )
 
@@ -423,7 +423,7 @@ class TestSecondQuantizationForecast:
         grid = np.stack([a.ravel() for a in axes], axis=1)
         shift = x + t * sys_.alpha
         kernel = ((lam * c) @ np.exp(1j * lat.indices @ (shift - grid).T)).real
-        fvals = f.grid_values(g).ravel()
+        fvals = direct_grid_values(f, g).ravel()
         oracle = float(((fvals * kernel**m).sum() / (kernel**m).sum()).real)
         assert res.value == pytest.approx(oracle, abs=1e-10)
 
@@ -451,7 +451,7 @@ class TestSecondQuantizationForecast:
         )
         b = np.sqrt(w_tau.lattice_values(lat)) * np.prod(cj[np.abs(lat.indices)], axis=1)
         g = params.grid_size
-        fgrid = f.grid_values(g)
+        fgrid = direct_grid_values(f, g)
         # (1/G^d) sum_g f(y_g) kappa_g^(vee m) and the same image of the constant 1
         image_f, image_1 = FockVector(), FockVector()
         for point in itertools.product(range(g), repeat=d):
@@ -471,31 +471,106 @@ class TestSecondQuantizationForecast:
         assert abs(res.value - value) <= 1e-12 * abs(value)
         assert abs(res.normalization - abs(den)) <= 1e-12 * abs(den)
 
+    @staticmethod
+    def assert_matches(new, old, value_tol):
+        assert abs(new.value - old.value) <= value_tol
+        assert abs(new.normalization - old.normalization) <= 1e-13 * old.normalization
+        # 1 - sum_j c_j cancels to a small tail: compare it absolutely
+        assert abs(new.kernel_mode_tail - old.kernel_mode_tail) <= 1e-15
+        assert abs(new.state_tail_norm - old.state_tail_norm) <= 1e-13 * old.state_tail_norm
+
+    @staticmethod
+    def l1(f):
+        return sum(abs(c) for c in f.coeffs.values())
+
     @pytest.mark.parametrize(
         "d, bandwidth, grid_size, m",
         [(1, 1023, 2048, 1), (1, 1023, 2048, 3), (1, 16, 256, 2), (2, 6, 32, 1), (2, 6, 14, 3)],
     )
-    def test_matches_character_matrix_oracle(self, monkeypatch, d, bandwidth, grid_size, m):
-        """The FFT grid sums against the character-matrix k(y) and the direct f(y)."""
+    def test_matches_character_matrix_oracle(self, d, bandwidth, grid_size, m):
+        """The per-axis FFT sums against the G^d grid form with the
+        character-matrix k(y) and the direct f(y)."""
         f, sys_ = (self.COS, self.SYS) if d == 1 else (self.F2, self.SYS2)
         params = SecondQuantizationParams(
             m=m, sigma=2.0, tau=1.0, bandwidth=bandwidth, grid_size=grid_size
         )
         x, t = np.full(d, 1.3), 0.7
         fast = second_quantization_forecast(f, sys_, params, x, t)
+        old = grid_forecast(f, sys_, params, x, t, direct=True)
+        self.assert_matches(fast, old, 1e-13)
 
-        def characters(indices, coeffs, g):
-            # the forecast sums over the negated lattice, in lattice order
-            assert np.array_equal(indices, -TruncatedLattice(d, bandwidth).indices)
-            return character_pairing(coeffs, bandwidth, d, g)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_grid_oracle(self, d):
+        """The product of d one-axis sums against the G^d grid sums, from the
+        smallest grid 2J + 2 up, every grading to Nmax, and observables past
+        G/2, whose indices alias."""
+        rng = np.random.default_rng(30 + d)
+        sys_ = RotationSystem(np.array([math.sqrt(2.0), math.sqrt(3.0), math.sqrt(5.0)])[:d])
+        x = np.array([1.3, 0.2, 5.9])[:d]
+        checked = 0
+        for J in (1, 2, 5):
+            for g in (2 * J + 2, 2 * J + 3, 2 * J + 8, 64):
+                keys = {tuple(rng.integers(-g, g + 1, d).tolist()) for _ in range(6)}
+                keys |= {(0,) * d, (g // 2 + 1,) + (0,) * (d - 1)}
+                f = FourierObservable({k: complex(*rng.standard_normal(2)) for k in keys}, d=d)
+                assert f.bandwidth > g // 2
+                nmax = SecondQuantizationParams().weight.nmax
+                for m, t in itertools.product(range(1, nmax + 1), (0.0, 0.7, -2.5)):
+                    params = SecondQuantizationParams(
+                        m=m, sigma=1.0, tau=0.5, bandwidth=J, grid_size=g, obs_concentration=0.5)
+                    try:
+                        old = grid_forecast(f, sys_, params, x, t)
+                    except DegenerateNormalizationError:
+                        with pytest.raises(DegenerateNormalizationError):
+                            second_quantization_forecast(f, sys_, params, x, t)
+                        continue
+                    new = second_quantization_forecast(f, sys_, params, x, t)
+                    self.assert_matches(new, old, 1e-13 * self.l1(f))
+                    checked += 1
+        assert checked >= 150  # of 216; the rest raise in both forms
 
-        monkeypatch.setattr(fock, "grid_sum", characters)
-        monkeypatch.setattr(FourierObservable, "grid_values", direct_grid_values)
-        old = second_quantization_forecast(f, sys_, params, x, t)
-        assert abs(fast.value - old.value) <= 1e-13
-        assert abs(fast.normalization - old.normalization) <= 1e-13
-        assert (fast.kernel_mode_tail, fast.state_tail_norm) == (
-            old.kernel_mode_tail, old.state_tail_norm)
+    # sqrt 2, sqrt 3 and sqrt 5 rounded to 2^-10, and a dyadic x: j.alpha,
+    # t j.alpha and x + t alpha are then exact at t = 1e3, so both forms take
+    # their phases from the same exact arguments
+    EXACT_ALPHA = np.array([1448.0, 1774.0, 2290.0]) / 1024.0
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_grid_oracle_at_large_t(self, d):
+        sys_ = RotationSystem(self.EXACT_ALPHA[:d])
+        x = np.array([1.25, 0.5, 5.75])[:d]
+        f = self.F2 if d == 2 else FourierObservable(
+            {(1,) * d: 0.5, (-1,) * d: 0.5, (9,) + (0,) * (d - 1): 0.3j}, d=d)
+        for m, t in itertools.product((1, 3), (1e3, -1e3)):
+            params = SecondQuantizationParams(
+                m=m, sigma=1.0, tau=0.5, bandwidth=4, grid_size=12, obs_concentration=0.5)
+            self.assert_matches(second_quantization_forecast(f, sys_, params, x, t),
+                                grid_forecast(f, sys_, params, x, t), 1e-13 * self.l1(f))
+
+    def test_memory_on_axis_grids(self):
+        # the G^d form held several 64 MiB complex grids at d = 2, G = 2048
+        params = SecondQuantizationParams(m=2, bandwidth=22, grid_size=2048)
+        tracemalloc.start()
+        try:
+            second_quantization_forecast(self.F2, self.SYS2, params, [1.0, 0.5], 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("x", [[1.0], [1.0, 0.5, 0.2], [[1.0, 0.5]]], ids=["1", "3", "nested"])
+    def test_point_of_wrong_dimension_rejected(self, x):
+        with pytest.raises(ValidationError, match="dimension"):
+            second_quantization_forecast(self.F2, self.SYS2, SecondQuantizationParams(), x, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_or_time_rejected(self, bad):
+        params = SecondQuantizationParams()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="finite"):
+                second_quantization_forecast(self.F2, self.SYS2, params, [1.0, bad], 1.0)
+            with pytest.raises(ValidationError, match="finite"):
+                second_quantization_forecast(self.F2, self.SYS2, params, [1.0, 0.5], bad)
 
     def test_smoothing_bias_at_t0(self):
         res = second_quantization_forecast(
@@ -544,7 +619,7 @@ class TestTensorNetworkExpectation:
         xi = von_mises_fourier(self.STATE, 24)
         grid = 4096
         theta = np.arange(grid) * 2 * np.pi / grid
-        dens = np.abs(xi.grid_values(grid)) ** 2
+        dens = np.abs(direct_grid_values(xi, grid)) ** 2
         oracle = float((np.cos(theta) * dens).sum() / dens.sum())
         assert res.value == pytest.approx(oracle, abs=1e-8)
 
@@ -623,6 +698,15 @@ class TestTensorNetworkExpectation:
             new = tensor_network_expectation(f, state, sys_, params, t)
             old = state_evolved_tensor_expectation(f, state, sys_, params, t)
             assert abs(new.value - old.value) <= 1e-13 + f_l1 * phase_error
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="finite"):
+                tensor_network_expectation(
+                    self.COS, self.STATE, self.SYS, TensorNetworkParams(n=2, bandwidth=8), bad
+                )
 
     def test_forecasts_forward_flow(self):
         # sharp state: expectation approximates f(Phi^t x)
