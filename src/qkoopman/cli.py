@@ -101,7 +101,7 @@ _FIELDS = {
     "system.x0": ([float], -math.inf, math.inf, None),
     "kernel.tau": (float, 0.0, math.inf, 1.0),
     "kernel.p": (float, 0.0, 1.0, 0.5),
-    "kernel.d": (int, 1, MAX_DIMENSION, 1),
+    "kernel.d": (int, 1, MAX_DIMENSION, None),
     "kernel.J": (int, 0, MAX_LATTICE_MODES, None),
     "fock.sigma_w": (float, 0.0, math.inf, 3.0),
     "fock.p_w": (float, 0.0, 1.0, 0.5),
@@ -264,7 +264,7 @@ def _observable(config: dict, key: str, d: int) -> FourierObservable:
 
 
 def _kernel_weight(config: dict, d: int) -> SubexpWeight:
-    if config["kernel.d"] != d:
+    if config["kernel.d"] not in (None, d):
         raise ValidationError("kernel dimension must match the system dimension")
     return SubexpWeight(config["kernel.tau"], config["kernel.p"], d)
 

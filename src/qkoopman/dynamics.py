@@ -48,17 +48,25 @@ class RotationSystem:
         return self.alpha.size
 
 
+def _finite_point(x, d: int) -> np.ndarray:
+    """``x`` as a vector of d finite floats; ValidationError otherwise."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape != (d,):
+        raise ValidationError(f"point of shape {x.shape} does not match the dimension {d}")
+    if not np.all(np.isfinite(x)):
+        raise ValidationError(f"point coordinates must be finite, got {x}")
+    return x
+
+
 def flow(sys: RotationSystem, theta, t: float) -> np.ndarray:
     """Advance a torus point by time t: (theta + t*alpha) mod 2*pi.
 
     A single fused mod is applied after the arithmetic so repeated calls
     are bitwise reproducible.
     """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if theta.shape != sys.alpha.shape:
-        raise ValidationError(
-            f"point has dimension {theta.size}, system has dimension {sys.d}"
-        )
+    theta = _finite_point(theta, sys.d)
+    if not math.isfinite(t):
+        raise ValidationError(f"time must be finite, got {t!r}")
     return wrap_angles(theta + t * sys.alpha)
 
 
@@ -85,13 +93,9 @@ def sample_trajectory(sys: RotationSystem, x0, dt: float, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValidationError("trajectory length must be >= 1")
-    if not (dt > 0):
-        raise ValidationError("dt must be positive")
-    start = wrap_angles(x0)
-    if start.shape != sys.alpha.shape:
-        raise ValidationError(
-            f"point has dimension {start.size}, system has dimension {sys.d}"
-        )
+    if not (0 < dt < math.inf):
+        raise ValidationError("dt must be positive and finite")
+    start = wrap_angles(_finite_point(x0, sys.d))
     out = np.empty((n, sys.d))
     for i, step in enumerate(dt * sys.alpha):
         out[:, i] = np.fromiter(_rotation_orbit(float(start[i]), float(step), n), float, count=n)
@@ -204,11 +208,6 @@ class FourierObservable:
                 return False
         return True
 
-    def scaled(self, factor: complex) -> "FourierObservable":
-        return FourierObservable(
-            {j: factor * c for j, c in self.coeffs.items()}, d=self.d
-        )
-
     def plus(self, other: "FourierObservable") -> "FourierObservable":
         if other.d != self.d:
             raise ValidationError("dimension mismatch")
@@ -250,6 +249,8 @@ def koopman_exact(f: FourierObservable, sys: RotationSystem, t: float) -> Fourie
     """
     if f.d != sys.d:
         raise ValidationError("observable and system dimensions differ")
+    if not math.isfinite(t):
+        raise ValidationError(f"time must be finite, got {t!r}")
     return FourierObservable(
         {
             j: c * complex(np.exp(1j * t * float(np.dot(j, sys.alpha))))
@@ -401,6 +402,12 @@ def bessel_ratios(kappa, jmax: int) -> np.ndarray:
     return out if kappas.ndim else out[0]
 
 
+def von_mises_kernel_row(kappa: float, bandwidth: int) -> np.ndarray:
+    """Fourier coefficients I_|j|(kappa) e^-kappa of exp(kappa (cos u - 1)), j = -J..J."""
+    ratios = bessel_ratios(kappa, bandwidth) * _i0e(kappa)
+    return ratios[np.abs(np.arange(-bandwidth, bandwidth + 1))]
+
+
 @dataclass(frozen=True)
 class VonMisesDensity:
     """Product von Mises density p(theta) = prod_i exp(kappa_i cos(theta_i - mu_i))/I_0(kappa_i)."""
@@ -409,13 +416,11 @@ class VonMisesDensity:
     kappa: np.ndarray
 
     def __post_init__(self):
-        mu = wrap_angles(self.mu)
         kappa = np.atleast_1d(np.asarray(self.kappa, dtype=float))
-        if mu.shape != kappa.shape:
-            raise ValidationError("mu and kappa must have equal length")
+        mu = _finite_point(self.mu, kappa.size)  # the location: one angle per kappa
         if not np.all((kappa >= 0) & (kappa < math.inf)):
             raise ValidationError("kappa entries must be nonnegative and finite")
-        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "mu", wrap_angles(mu))
         object.__setattr__(self, "kappa", kappa)
 
     @property

@@ -39,10 +39,11 @@ from .dynamics import (
     FourierObservable,
     RotationSystem,
     VonMisesDensity,
-    _i0e,
+    _finite_point,
     bessel_ratios,
     grid_sum,
     koopman_exact,
+    von_mises_kernel_row,
 )
 from .errors import DegeneracyError, DegenerateNormalizationError, ValidationError
 
@@ -212,9 +213,6 @@ class FockVector:
     def from_modes(cls, amplitudes: dict) -> "FockVector":
         """Grading-1 vector sum_k amplitudes[k] * zeta_k."""
         return cls({((m, 1),): complex(a) for m, a in amplitudes.items() if a != 0})
-
-    def max_grading(self) -> int:
-        return max((grading(occ) for occ in self.terms), default=0)
 
     def scaled(self, factor: complex) -> "FockVector":
         return FockVector({occ: factor * a for occ, a in self.terms.items()})
@@ -453,12 +451,6 @@ class SecondQuantizationResult:
     state_tail_norm: float
 
 
-def _observation_kernel_coeffs(params: SecondQuantizationParams) -> np.ndarray:
-    """Per-dimension coefficients of exp(c(cos u - 1)): I_j(c) e^{-c}, j = 0..J."""
-    base = bessel_ratios(params.obs_concentration, params.bandwidth)
-    return base * _i0e(params.obs_concentration)
-
-
 def second_quantization_forecast(
     f: FourierObservable,
     sys: RotationSystem,
@@ -487,8 +479,8 @@ def second_quantization_forecast(
     and the forecast is Re(sum_g f(y_g) k(y_g)^m / sum_g k(y_g)^m) with
     normalization |sum_g k(y_g)^m| / G^d.  tau cancels from a_j, so it
     only sets the state tail.  Every factor of a_j is a product over the
-    axes (the weights, the Bessel rows of the observation kernel, the
-    phases), so a_j = prod_i a_i(j_i) and k(y) = prod_i k_i(y_i).  With
+    axes (the weights, the observation kernel's ``von_mises_kernel_row``,
+    the phases), so a_j = prod_i a_i(j_i) and k(y) = prod_i k_i(y_i).  With
     K_i the length-G inverse DFT of k_i^m on the axis grid, aliasing
     included, (1/G^d) sum_g e^{i j.y_g} k(y_g)^m = prod_i K_i(j_i mod G):
     the numerator is sum_j f_j prod_i K_i(j_i mod G) over the support of f
@@ -501,17 +493,15 @@ def second_quantization_forecast(
     d = sys.d
     if f.d != d:
         raise ValidationError("observable and system dimensions differ")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (d,):
-        raise ValidationError(f"point of shape {x.shape} does not match the system dimension {d}")
-    if not (np.all(np.isfinite(x)) and math.isfinite(t)):
-        raise ValidationError("forecast point and time must be finite")
+    x = _finite_point(x, d)
+    if not math.isfinite(t):
+        raise ValidationError(f"forecast time must be finite, got {t!r}")
     J, g = params.bandwidth, params.grid_size
     j = np.arange(-J, J + 1)
     power = np.abs(j) ** params.p
     lam_sigma = np.exp(-params.sigma * power)
     varpi2 = float(np.sum(lam_sigma))  # one axis: varpi^2 is its d-th power
-    c = _observation_kernel_coeffs(params)[np.abs(j)]
+    c = von_mises_kernel_row(params.obs_concentration, J)
     a = (lam_sigma * c / varpi2) * np.exp(1j * np.outer(x + t * sys.alpha, j))  # row i: a_i
     k_pow = np.fft.ifft(grid_sum(-j[:, None], a, g) ** params.m, axis=-1)  # row i: K_i
 

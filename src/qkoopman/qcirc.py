@@ -19,11 +19,12 @@ work.  Only shot sampling, which needs the eigenbasis, builds S_f densely.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import FourierObservable, RotationSystem
+from .dynamics import FourierObservable, RotationSystem, _finite_point
 from .errors import NotAffineError, ValidationError
 from .rkha import SubexpWeight, fourier_multiplier_matrix
 
@@ -194,15 +195,11 @@ def _log_weights(table: np.ndarray, w: SubexpWeight) -> np.ndarray:
     return -w.tau * np.sum(np.abs(table) ** w.p, axis=1)
 
 
-def _feature_amplitudes(table: np.ndarray, w: SubexpWeight, x) -> np.ndarray:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    lam = np.exp(_log_weights(table, w))
-    return np.sqrt(lam) * np.exp(-1j * (table @ x))
-
-
 def feature_amplitudes(enc: QubitEncoding, w: SubexpWeight, x) -> np.ndarray:
     """Unnormalized feature-state amplitudes sqrt(lambda(j)) exp(-i j.x) per state."""
-    return _feature_amplitudes(enc.index_table(), w, x)
+    table = enc.index_table()
+    lam = np.exp(_log_weights(table, w))
+    return np.sqrt(lam) * np.exp(-1j * (table @ _finite_point(x, enc.d)))
 
 
 def feature_state(enc: QubitEncoding, w: SubexpWeight, x) -> np.ndarray:
@@ -280,16 +277,16 @@ def circuit_expectation(
     """
     _check_dims(enc, sys)
     _check_observable(enc, f)
+    if not math.isfinite(t):
+        raise ValidationError(f"t must be finite, got {t!r}")
     table = enc.index_table()
     coeffs = walsh_coefficients(table @ sys.alpha)
     if shots is None:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
         lam = np.exp(_log_weights(table, w))
-        chi_t = evolve_statevector(coeffs, np.exp(-1j * (table @ x)), -t)
+        chi_t = evolve_statevector(coeffs, np.exp(-1j * (table @ _finite_point(x, enc.d))), -t)
         value = np.vdot(chi_t, _apply_convolution(table, f, lam * chi_t)).real
         return float(value / np.sum(lam))
-    amps = _feature_amplitudes(table, w, x)
-    psi_t = evolve_statevector(coeffs, amps / np.linalg.norm(amps), -t)
+    psi_t = evolve_statevector(coeffs, feature_state(enc, w, x), -t)
     eigenvalues, vectors = np.linalg.eigh(_projected_observable(table, w, f))
     probs = np.abs(vectors.conj().T @ psi_t) ** 2
     probs = np.maximum(probs, 0.0)

@@ -32,6 +32,7 @@ from .dynamics import (
     _rotation_orbit,
     bessel_ratios,
     grid_sum,
+    von_mises_kernel_row,
     wrap_angles,
 )
 from .errors import ValidationError, ZeroEvidenceError
@@ -43,6 +44,8 @@ EVENT = "event"
 
 
 def check_density(values: np.ndarray, mu: np.ndarray, tol: float = 1e-10):
+    if not np.all(np.isfinite(values)):
+        raise ValidationError("density has a non-finite value")
     if np.min(values) < -tol:
         raise ValidationError("density has a negative value")
     total = float(np.dot(mu, values))
@@ -72,8 +75,8 @@ def classical_analysis(sigma: np.ndarray, likelihood: np.ndarray, mu: np.ndarray
     """Bayes update: pointwise product with the likelihood, renormalized."""
     sigma = np.asarray(sigma, dtype=float)
     likelihood = np.asarray(likelihood, dtype=float)
-    if np.min(likelihood) < 0:
-        raise ValidationError("likelihood must be nonnegative")
+    if not np.all((likelihood >= 0) & (likelihood < math.inf)):
+        raise ValidationError("likelihood must be nonnegative and finite")
     evidence = float(np.dot(mu, sigma * likelihood))
     if evidence <= 1e-300:
         raise ZeroEvidenceError("observation has zero evidence under the prior")
@@ -190,11 +193,9 @@ class ObservationModel:
         """Fourier coefficients of x -> kappa(y, x) on the circle (d=1)."""
         out = {}
         if self.kind == VON_MISES:
-            # coefficient at frequency m of exp(scale(cos u - 1)) is I_m(scale) e^{-scale}
-            base = bessel_ratios(self.scale, bandwidth)
-            scale0 = _i0e(self.scale)
+            row = von_mises_kernel_row(self.scale, bandwidth)
             for m in range(-bandwidth, bandwidth + 1):
-                out[(m,)] = base[abs(m)] * scale0 * complex(np.exp(-1j * m * y))
+                out[(m,)] = row[m + bandwidth] * complex(np.exp(-1j * m * y))
             return out
         if self.kind == EVENT:
             half = self.scale / 2.0
@@ -284,8 +285,11 @@ def run_filter(
     """
     if steps < 1:
         raise ValidationError("steps must be >= 1")
-    if observations is not None and len(observations) < steps:
-        raise ValidationError(f"need {steps} observations, got {len(observations)}")
+    if observations is not None:
+        if len(observations) < steps:
+            raise ValidationError(f"need {steps} observations, got {len(observations)}")
+        if not np.all(np.isfinite(np.asarray(observations[:steps], dtype=float))):
+            raise ValidationError("observations must be finite")
     if mode not in (CLASSICAL, QUANTUM, QUANTUM_PROJECTED):
         raise ValidationError(f"unknown filter mode {mode!r}")
     if mode == QUANTUM_PROJECTED and (rank is None or not (1 <= rank <= sys.M)):
@@ -346,7 +350,7 @@ def run_filter(
             psi = psi / math.sqrt(quantum_evidence)
             trace.quantum_posteriors.append(psi)
             embedded = to_modes(np.sqrt(np.maximum(mu * sigma, 0.0)))
-            consistency = _pure_state_distance(embedded, psi)
+            consistency = float(_pure_state_distance(embedded, psi))
             marginals = np.abs(from_modes(psi)) ** 2
 
         estimate = int(np.argmax(marginals))
@@ -364,26 +368,36 @@ def run_filter(
     return trace
 
 
-def _pure_state_distance(a: np.ndarray, b: np.ndarray) -> float:
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a, b> over the last axis, for every index of the leading axes."""
+    return np.matmul(a.conj()[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _pure_state_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Trace norm of |a><a| - |b><b| for a nonzero a; the norms may differ.
 
     On span{a, b} the difference has trace |a|^2 - |b|^2 and determinant
     -|a|^2 |b_perp|^2, b_perp = b - a <a, b> / |a|^2, so its trace norm is
     sqrt((|a|^2 - |b|^2)^2 + 4 |a|^2 |b_perp|^2).  Forming b_perp as a vector
     resolves distances far below sqrt(eps), where 1 - |<a, b>|^2 cancels.
+    The vectors lie on the last axis; leading axes pair row with row.
     """
-    aa = float(np.vdot(a, a).real)
-    bb = float(np.vdot(b, b).real)
-    perp = b - a * (np.vdot(a, b) / aa)
-    return math.sqrt((aa - bb) ** 2 + 4.0 * aa * float(np.vdot(perp, perp).real))
+    aa = _dots(a, a).real
+    bb = _dots(b, b).real
+    perp = b - a * (_dots(a, b) / aa)[..., None]
+    return np.sqrt((aa - bb) ** 2 + 4.0 * aa * _dots(perp, perp).real)
 
 
-def _sqrt_von_mises_coeffs(mu: float, kappa: float, lat: TruncatedLattice) -> np.ndarray:
-    """Unit lattice coefficients of sqrt of the von Mises density at (mu, kappa)."""
+def _sqrt_von_mises_rows(mu, kappa, lat: TruncatedLattice) -> np.ndarray:
+    """Unit lattice coefficients of sqrt of the von Mises density, a row per (mu, kappa).
+
+    The square root of exp(kappa cos(u - mu)) is exp((kappa/2) cos(u - mu)),
+    whose coefficient at j is proportional to I_|j|(kappa/2) e^{-i j mu}.
+    ``mu`` and ``kappa`` are equal-length 1-d arrays.
+    """
     j = lat.indices[:, 0]
-    ratios = bessel_ratios(kappa / 2.0, lat.J)
-    vec = ratios[np.abs(j)] * np.exp(-1j * j * mu)
-    return vec / np.linalg.norm(vec)
+    rows = bessel_ratios(kappa / 2.0, lat.J)[:, np.abs(j)] * np.exp(-1j * j * mu[:, None])
+    return rows / np.sqrt(_dots(rows, rows).real)[:, None]
 
 
 # Steps per block of the torus filter: bessel_ratios runs a block's
@@ -423,8 +437,8 @@ def run_torus_filter(
     The steps run in blocks of at most ``_TORUS_BLOCK``.  A block first runs
     the classical track, then the operator track (the only sequential
     numpy work: rotate, convolve, truncate, normalize), then scores every
-    step at once: the von Mises references from one ``bessel_ratios`` call
-    over the block's concentrations, the grid values from one batched
+    step at once: the von Mises references from one ``_sqrt_von_mises_rows``
+    call over the block's posteriors, the grid values from one batched
     ``grid_sum``.  The first failing step raises what a step-by-step run
     raises, checked in the order zero classical evidence, annihilated
     operator state, unconverged Bessel ratios; memory grows with steps
@@ -464,14 +478,13 @@ def run_torus_filter(
     # step's posterior one, so its scaled I_0 carries over from that step
     i0e_prior = _i0e(math.hypot(c_vec, s_vec))
     if run_quantum:
-        psi = _sqrt_von_mises_coeffs(float(x0), kappa0, lat) * keep
+        psi = _sqrt_von_mises_rows(np.array([x0]), np.array([kappa0]), lat)[0] * keep
         psi /= np.linalg.norm(psi)
-    half_kernel = bessel_ratios(model.scale / 2.0, 2 * lat.J) * _i0e(model.scale / 2.0)
     j_all = lat.indices[:, 0]
-    # step-invariant: rotation phases and kernel magnitudes
+    # step-invariant: rotation phases and the square-root kernel's magnitudes
     rotate = np.exp(-1j * dt * alpha * j_all)
     m_all = np.arange(-2 * lat.J, 2 * lat.J + 1)
-    kernel_abs = half_kernel[np.abs(m_all)]
+    kernel_abs = von_mises_kernel_row(model.scale / 2.0, 2 * lat.J)
     center = 3 * lat.J  # middle of the convolution's 6J + 1 entries
 
     trace = FilterTrace(mode=mode)
@@ -553,10 +566,7 @@ def _torus_diagnostics(rows: np.ndarray, posteriors: list, lat: TruncatedLattice
     and the phase of the first autocorrelation of the coefficients.
     """
     mu, kappa = np.array(posteriors).T
-    j = lat.indices[:, 0]
-    refs = bessel_ratios(kappa / 2.0, lat.J)[:, np.abs(j)] * np.exp(-1j * j * mu[:, None])
-    refs /= np.sqrt(_row_dots(refs, refs).real)[:, None]
-    consistency = _pure_state_distances(refs, rows)
+    consistency = _pure_state_distance(_sqrt_von_mises_rows(mu, kappa, lat), rows)
 
     min_sqrt = np.empty(len(rows))
     batch = max(1, _GRID_BATCH // grid_size)
@@ -570,16 +580,3 @@ def _torus_diagnostics(rows: np.ndarray, posteriors: list, lat: TruncatedLattice
     first = np.sum(np.conj(rows[:, 1:]) * rows[:, :-1], axis=1)
     estimates = [math.atan2(f.imag, f.real) % TWO_PI for f in first.tolist()]
     return consistency.tolist(), min_sqrt.tolist(), estimates
-
-
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """<a_i, b_i> for every row i."""
-    return np.einsum("ij,ij->i", a.conj(), b)
-
-
-def _pure_state_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``_pure_state_distance`` of every row of ``a`` to the same row of ``b``."""
-    aa = _row_dots(a, a).real
-    bb = _row_dots(b, b).real
-    perp = b - a * (_row_dots(a, b) / aa)[:, None]
-    return np.sqrt((aa - bb) ** 2 + 4.0 * aa * _row_dots(perp, perp).real)

@@ -6,7 +6,9 @@ or (the torus filter) the step-by-step form of one it now runs in blocks, or
 (the data-driven generator) the one-shot form of a sum it now accumulates
 over sample blocks, or (the tensor-power forecast) the state-evolving form
 of one that now evolves the observable, or (the grading-m forecast) the
-G^d grid form of one that now runs on d one-dimensional grids.  Nothing in
+G^d grid form of one that now runs on d one-dimensional grids, or (the
+pure-state distance and the square-root von Mises row) the one-vector
+form of one that now broadcasts over rows.  Nothing in
 ``src/`` calls them; the tests compare the fast paths against them.
 """
 
@@ -27,6 +29,7 @@ from qkoopman.dynamics import (
     grid_sum,
     koopman_exact,
     von_mises_fourier,
+    von_mises_kernel_row,
     wrap_angles,
 )
 from qkoopman.errors import DegenerateNormalizationError, ValidationError, ZeroEvidenceError
@@ -38,7 +41,6 @@ from qkoopman.fock import (
     SpectrumTorusPoint,
     TensorNetworkParams,
     TensorNetworkResult,
-    _observation_kernel_coeffs,
     fock_inner,
     xi_tail_norm,
     xi_vector,
@@ -53,8 +55,7 @@ from qkoopman.qmda import (
     FilterTrace,
     ObservationModel,
     _orbit_mode_order,
-    _pure_state_distance,
-    _sqrt_von_mises_coeffs,
+    _sqrt_von_mises_rows,
     effect_sqrt,
     multiplication_operator_fourier,
     multiplication_operator_point,
@@ -131,6 +132,23 @@ def orbit_mode_transform(m: int) -> np.ndarray:
     return np.exp(-2j * math.pi * np.outer(freqs, points) / m) / math.sqrt(m)
 
 
+def vdot_pure_state_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Trace norm of |a><a| - |b><b| for one pair of vectors, from ``np.vdot``:
+    sqrt((|a|^2 - |b|^2)^2 + 4 |a|^2 |b_perp|^2), b_perp = b - a <a, b> / |a|^2."""
+    aa = float(np.vdot(a, a).real)
+    bb = float(np.vdot(b, b).real)
+    perp = b - a * (np.vdot(a, b) / aa)
+    return math.sqrt((aa - bb) ** 2 + 4.0 * aa * float(np.vdot(perp, perp).real))
+
+
+def sqrt_von_mises_coeffs(mu: float, kappa: float, lat: TruncatedLattice) -> np.ndarray:
+    """Unit lattice coefficients of sqrt of the von Mises density at one (mu, kappa)."""
+    j = lat.indices[:, 0]
+    ratios = bessel_ratios(kappa / 2.0, lat.J)
+    vec = ratios[np.abs(j)] * np.exp(-1j * j * mu)
+    return vec / np.linalg.norm(vec)
+
+
 def torus_grid_matrix(grid_size: int, lat: TruncatedLattice) -> np.ndarray:
     """G x (2J+1) evaluation of the lattice characters on the uniform circle grid."""
     theta_grid = np.arange(grid_size) * TWO_PI / grid_size
@@ -153,8 +171,10 @@ def stepwise_torus_filter(
     """``qmda.run_torus_filter`` one step at a time, every diagnostic per step.
 
     Each step scores its operator state against a von Mises reference from
-    its own scalar ``bessel_ratios`` call and evaluates it on the grid with
-    its own ``grid_sum``; the package runs the same steps in blocks.
+    its own scalar ``bessel_ratios`` call, by ``np.vdot`` products, and
+    evaluates it on the grid with its own ``grid_sum``; the package runs the
+    same steps in blocks.  The initial state comes from the package's
+    square-root builder, so the states can be compared bit for bit.
 
     The classical filter stays inside the von Mises family (rotation shifts
     the location, the circular-kernel update adds concentration vectors), so
@@ -193,7 +213,7 @@ def stepwise_torus_filter(
     c_vec = kappa0 * math.cos(x0)
     s_vec = kappa0 * math.sin(x0)
     if run_quantum:
-        psi = _sqrt_von_mises_coeffs(float(x0), kappa0, lat) * keep
+        psi = _sqrt_von_mises_rows(np.array([x0]), np.array([kappa0]), lat)[0] * keep
         psi /= np.linalg.norm(psi)
     half_kernel = bessel_ratios(model.scale / 2.0, 2 * lat.J) * _i0e(model.scale / 2.0)
     j_all = lat.indices[:, 0]
@@ -231,8 +251,8 @@ def stepwise_torus_filter(
             if norm <= 1e-150:
                 raise ZeroEvidenceError(f"state annihilated at step {n}")
             psi = psi / norm
-            reference = _sqrt_von_mises_coeffs(mu_post, kap_post, lat)
-            consistency = _pure_state_distance(reference, psi)
+            reference = sqrt_von_mises_coeffs(mu_post, kap_post, lat)
+            consistency = vdot_pure_state_distance(reference, psi)
             values = grid_sum(lat.indices, psi, grid_size)
             phase = values[int(np.argmax(np.abs(values)))]
             min_sqrt = float((values * (phase.conjugate() / abs(phase))).real.min())
@@ -440,10 +460,10 @@ def grid_forecast(
     lat = TruncatedLattice(d, J)
     w_sigma = SubexpWeight(params.sigma, params.p, d)
     w_tau = SubexpWeight(params.tau, params.p, d)
-    per_dim = _observation_kernel_coeffs(params)
+    per_dim = von_mises_kernel_row(params.obs_concentration, J)
     c = np.ones(lat.size)
     for axis in range(d):
-        c *= per_dim[np.abs(lat.indices[:, axis])]
+        c *= per_dim[lat.indices[:, axis] + J]
     mode_tail = 1.0 - float(np.sum(c))
 
     eta, eta_norm = eta_from_feature(w_sigma, w_tau, lat, x)

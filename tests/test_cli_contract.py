@@ -304,6 +304,31 @@ def test_small_bandwidth_has_finite_bounds(tmp_path):
     assert values and all(math.isfinite(v) for v in values)
 
 
+D2 = {"system": {"kind": "rotation", "alpha": [math.sqrt(2.0), math.sqrt(3.0)]}}
+D2_SECTIONS = {
+    "koopman": {"koopman": {"t_grid": [0.5], "m_values": [1], "n_values": [1], "n_samples": 50,
+                            "observable": {"1,0": [0.5, 0], "-1,0": [0.5, 0]}}},
+    "qcirc": {"qcirc": {"q": [2], "t_grid": [0.5],
+                        "observable": {"1,0": [0.5, 0], "-1,0": [0.5, 0]}}},
+}
+
+
+@pytest.mark.parametrize("command", sorted(D2_SECTIONS))
+def test_kernel_d_defaults_to_the_system_dimension(tmp_path, command):
+    # the default kernel.d was 1, so a d=2 config had to spell it out or exit 2
+    kernel = {"kernel": {"J": 4}} if command == "koopman" else {}
+    text = json.dumps({**D2, **kernel, **D2_SECTIONS[command]})
+    code, err = run(command, text, tmp_path / "out")
+    assert code == 0, err
+    values = csv_values(tmp_path / "out")
+    assert values and all(math.isfinite(v) for v in values)
+    # an explicit kernel.d that differs from the system's still exits 2
+    text = json.dumps({**D2, "kernel": {"d": 1, "J": 4}, **D2_SECTIONS[command]})
+    code, err = run(command, text, tmp_path / "bad")
+    assert code == 2 and "kernel dimension" in err
+    assert not list((tmp_path / "bad").glob("*.csv"))
+
+
 def test_accepted_keys():
     assert set(cli._FIELDS) == {
         "schema_version", "seed",

@@ -18,6 +18,7 @@ from qkoopman.dynamics import (
     rational_dependence_warnings,
     sample_trajectory,
     von_mises_fourier,
+    von_mises_kernel_row,
     wrap_angles,
 )
 from qkoopman import dynamics
@@ -484,3 +485,43 @@ def test_inf_parameters_rejected(build):
     # index, noise_std = inf a DegeneracyError on kappa = nan
     with pytest.raises(ValidationError, match="finite"):
         build()
+
+
+SQRT2 = RotationSystem(np.array([math.sqrt(2.0)]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: sample_trajectory(SQRT2, [0.0], math.inf, 3),
+        lambda: sample_trajectory(SQRT2, [math.nan], 0.1, 3),
+        lambda: sample_trajectory(SQRT2, [math.inf], 0.1, 3),
+        lambda: VonMisesDensity(np.array([math.nan]), np.array([1.0])),
+        lambda: VonMisesDensity(np.array([math.inf]), np.array([1.0])),
+        lambda: koopman_exact(FourierObservable.harmonic(1), SQRT2, math.nan),
+        lambda: flow(SQRT2, [0.0], math.inf),
+        lambda: flow(SQRT2, [math.nan], 1.0),
+    ],
+    ids=["dt-inf", "x0-nan", "x0-inf", "mu-nan", "mu-inf", "koopman-t-nan", "flow-t-inf",
+         "flow-theta-nan"],
+)
+def test_non_finite_points_and_times_rejected(call):
+    # each once gave NaN rows or coefficients, or an invalid-value RuntimeWarning
+    with pytest.raises(ValidationError, match="finite"):
+        call()
+
+
+class TestVonMisesKernelRow:
+    @pytest.mark.parametrize("kappa", [1e-3, 0.5, 4.0, 60.0, 1e5])
+    @pytest.mark.parametrize("J", [0, 1, 16, 64])
+    def test_against_mpmath(self, kappa, J):
+        row = von_mises_kernel_row(kappa, J)
+        assert row.shape == (2 * J + 1,)
+        with mpmath.workdps(40):
+            for j in range(-J, J + 1):
+                exact = float(mpmath.besseli(abs(j), kappa) * mpmath.exp(-kappa))
+                if exact < 1e-300:
+                    assert abs(row[j + J] - exact) <= 1e-300, (j, row[j + J], exact)
+                else:
+                    assert abs(row[j + J] - exact) <= 1e-13 * exact, (j, row[j + J], exact)

@@ -450,6 +450,24 @@ class TestCircuitExpectation:
         b = circuit_expectation(enc, self.W, self.SYS, COS, [1.0], 1.0, shots=100, seed=5)
         assert a == b
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x,t", [([1.0, 2.0], 1.0), ([], 1.0), ([math.inf], 1.0),
+                                     ([math.nan], 1.0), ([1.0], math.nan), ([1.0], math.inf)])
+    @pytest.mark.parametrize("shots", [None, 100])
+    def test_bad_point_or_time_rejected(self, x, t, shots):
+        # a wrong length once raised numpy's matmul ValueError, t = nan
+        # returned nan and x = inf an invalid-value RuntimeWarning
+        enc = QubitEncoding(d=1, q=2)
+        with pytest.raises(ValidationError, match="dimension|finite"):
+            circuit_expectation(enc, self.W, self.SYS, COS, x, t, shots=shots)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("build", [feature_amplitudes, feature_state])
+    @pytest.mark.parametrize("x", [[1.0, 2.0], [math.inf], [math.nan]])
+    def test_feature_state_bad_point_rejected(self, build, x):
+        with pytest.raises(ValidationError, match="dimension|finite"):
+            build(QubitEncoding(d=1, q=2), self.W, x)
+
 
 class TestExport:
     def test_line_count_and_zero_angles(self):

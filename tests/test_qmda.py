@@ -17,6 +17,7 @@ from qkoopman.qmda import (
     QUANTUM,
     QUANTUM_PROJECTED,
     ObservationModel,
+    check_density,
     classical_analysis,
     classical_forecast,
     compress,
@@ -29,7 +30,7 @@ from qkoopman.qmda import (
     run_filter,
     run_torus_filter,
     _pure_state_distance,
-    _sqrt_von_mises_coeffs,
+    _sqrt_von_mises_rows,
 )
 from qkoopman.rkha import TruncatedLattice
 
@@ -41,9 +42,11 @@ from oracles import (
     orbit_mode_transform,
     quantum_analysis,
     quantum_forecast,
+    sqrt_von_mises_coeffs,
     stepwise_torus_filter,
     torus_grid_matrix,
     trace_norm,
+    vdot_pure_state_distance,
 )
 
 
@@ -132,6 +135,19 @@ class TestClassicalFilter:
         mu = np.full(2, 0.5)
         with pytest.raises(ZeroEvidenceError):
             classical_analysis(sigma, np.array([1.0, 0.0]), mu)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_likelihood_rejected(self, bad):
+        # a NaN likelihood once gave a NaN evidence, which passed the zero test
+        with pytest.raises(ValidationError, match="likelihood"):
+            classical_analysis(np.ones(3), np.array([1.0, bad, 0.5]), np.full(3, 1 / 3))
+
+    @pytest.mark.filterwarnings("error")
+    def test_nan_density_rejected(self):
+        # NaN fails both the minimum and the sum comparison, so it once passed
+        with pytest.raises(ValidationError, match="non-finite"):
+            check_density(np.array([1.0, math.nan, 1.0]), np.full(3, 1 / 3))
 
 
 class TestQuantumSteps:
@@ -381,6 +397,23 @@ class TestRunFilter:
         with pytest.raises(ZeroEvidenceError, match=r"step 1"):
             run_filter(sys, model, 2, 5, mode=CLASSICAL, seed=4, sigma0=sigma0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mode,rank", [(CLASSICAL, None), (QUANTUM, None),
+                                           (QUANTUM_PROJECTED, 2)])
+    @pytest.mark.parametrize("where", ["sigma0", "observations"])
+    def test_nan_input_rejected_before_any_step(self, monkeypatch, mode, rank, where):
+        # either NaN once ran every step and wrote evidence = nan from there on
+        def refuse(*args, **kwargs):
+            raise AssertionError("the filter stepped before it checked its inputs")
+
+        monkeypatch.setattr(qmda, "classical_analysis", refuse)
+        inputs = dict(sigma0=np.ones(4), observations=[0.1, 0.2, 0.3])
+        inputs[where] = np.array([1.0, math.nan, 1.0, 1.0]) if where == "sigma0" else [
+            0.1, 0.2, math.nan]
+        with pytest.raises(ValidationError, match="finite"):
+            run_filter(PeriodicOrbitSystem(4), ObservationModel(), 0, 3, mode=mode, rank=rank,
+                       **inputs)
+
     def test_deterministic_given_seed(self):
         sys = PeriodicOrbitSystem(6)
         model = ObservationModel(kind="vonmises", scale=4.0, noise_std=0.2)
@@ -573,7 +606,7 @@ class TestTorusFilter:
             for step, (mu, kappa), (psi, _) in zip(
                 trace.steps, trace.classical_posteriors, trace.quantum_posteriors
             ):
-                exact = mp_pure_state_distance(_sqrt_von_mises_coeffs(mu, kappa, lat), psi)
+                exact = mp_pure_state_distance(sqrt_von_mises_coeffs(mu, kappa, lat), psi)
                 assert abs(step.consistency - exact) <= 1e-15 + 1e-6 * exact, step.step
 
 
@@ -604,14 +637,17 @@ class TestTorusFilter:
     @pytest.mark.parametrize("steps", [1, 200, 600])
     def test_one_i0e_per_step(self, monkeypatch, steps):
         # each prior reuses the previous posterior's value; the other two
-        # calls are the initial prior and the half kernel
+        # calls are the initial prior and the half kernel, whose row
+        # dynamics.von_mises_kernel_row builds
         calls = []
+        i0e = dynamics._i0e
 
         def counted(kappa):
             calls.append(kappa)
-            return dynamics._i0e(kappa)
+            return i0e(kappa)
 
         monkeypatch.setattr(qmda, "_i0e", counted)
+        monkeypatch.setattr(dynamics, "_i0e", counted)
         run_torus_filter(self.SYS, self.MODEL, 1.3, steps, 0.3, mode=CLASSICAL, seed=7)
         assert len(calls) == steps + 2
 
@@ -768,6 +804,22 @@ class TestPureStateDistance:
         # parallel, norms 2 and 1: diag(4 - 1)
         assert _pure_state_distance(np.array([2.0, 0.0]), np.array([1.0, 0.0])) == 3.0
 
+    def test_rows_match_vdot_form(self):
+        # a block of rows, as the torus filter passes, against one np.vdot pair at a time
+        rng = np.random.default_rng(16)
+        for n in (1, 2, 65):
+            a = rng.standard_normal((200, n)) + 1j * rng.standard_normal((200, n))
+            b = rng.uniform(0.1, 2.0, (200, 1)) * (a + 1e-3 * rng.standard_normal((200, n)))
+            got = _pure_state_distance(a, b)
+            assert got.shape == (200,)
+            for i in range(200):
+                want = vdot_pure_state_distance(a[i], b[i])
+                assert got[i] == pytest.approx(want, rel=1e-13, abs=1e-15)
+        # stacked exact cases: orthogonal, parallel, equal
+        a = np.array([[3.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
+        b = np.array([[0.0, 2.0j], [1.0, 0.0], [0.0, 1.0]])
+        assert _pure_state_distance(a, b).tolist() == [13.0, 3.0, 0.0]
+
     def test_orthogonal(self):
         # |a|^2 + |b|^2
         assert _pure_state_distance(np.array([3.0, 0.0]), np.array([0.0, 2.0j])) == 13.0
@@ -786,6 +838,22 @@ class TestPureStateDistance:
                 a = cmath.exp(1j * phi) * b  # rounded, so not exactly parallel
                 exact = mp_pure_state_distance(a, b)
                 assert abs(_pure_state_distance(a, b) - exact) <= 1e-15 + 1e-6 * exact
+
+
+class TestSqrtVonMisesRows:
+    @pytest.mark.parametrize("J", [0, 1, 32, 100])
+    def test_batch_matches_scalar_rows(self, J):
+        # lanes and float loops (more and fewer than 32 rows), sharp and flat states
+        lat = TruncatedLattice(1, J)
+        rng = np.random.default_rng(J)
+        for count in (1, 5, 40):
+            mu = rng.uniform(-10.0, 10.0, count)
+            kappa = np.concatenate(([0.0], 10.0 ** rng.uniform(-3, 4, count - 1)))
+            rows = _sqrt_von_mises_rows(mu, kappa, lat)
+            assert rows.shape == (count, lat.size)
+            for row, m, k in zip(rows, mu, kappa):
+                want = sqrt_von_mises_coeffs(m, k, lat)
+                assert np.max(np.abs(row - want)) <= 1e-15
 
 
 class TestModeTransform:
