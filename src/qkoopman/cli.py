@@ -6,12 +6,15 @@ version, a hash of the config as written, and the package version.  Given
 the same config and seed the output is byte-identical across runs.  Exit
 codes: 0 success, every CSV value finite; 2 a bad config or observation
 file, or a size over a cap; 3 a numerical degeneracy.
+
+Every command imports the library modules it runs when it runs, and calls
+them as module attributes (``qmda.run_filter``), so that no command loads
+the others: ``qcirc`` loads neither the filter nor the Fock space.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
@@ -30,39 +33,16 @@ from .dynamics import (
     sample_trajectory,
 )
 from .errors import DegeneracyError, ValidationError
-from .fock import (
-    FockWeight,
-    SecondQuantizationParams,
-    TensorNetworkParams,
-    second_quantization_forecast,
-    tensor_network_expectation,
-)
-from .qcirc import (
-    MAX_STATEVECTOR_QUBITS,
-    QubitEncoding,
-    circuit_expectation,
-    export_circuit,
-    feature_state,
-    frequency_vector,
-    walsh_coefficients,
-)
-from .qmda import (
-    CLASSICAL,
-    EVENT,
-    GAUSSIAN,
-    QUANTUM,
-    QUANTUM_PROJECTED,
-    VON_MISES,
-    ObservationModel,
-    run_filter,
-)
-from .rkha import SubexpWeight, TruncatedLattice
-from .spectral import (
-    analytic_generator,
-    data_driven_generator,
-    frequency_table,
-    smoothing_identity_residual,
-)
+
+# The digest comes from the interpreter's built-in SHA-256; hashlib would
+# load OpenSSL's libcrypto (3.6 MiB) to compute the same 16 hex digits.
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 SCHEMA_VERSION = 1
 # kernel lattice modes (2J+1)^d and the range of koopman.grid_size; the
@@ -91,7 +71,9 @@ MAX_LIST_ENTRIES = 1024
 # sigma/2, p in (0, 1), m <= Nmax, L <= M, the qubit caps) are the library
 # classes' own checks.  Concentrations stop at 1e5, the largest kappa
 # bessel_ratios is tested at.  A default of None means the command works
-# the value out.
+# the value out.  The observation kinds are qmda's GAUSSIAN, VON_MISES and
+# EVENT and the qubit cap is qcirc.MAX_STATEVECTOR_QUBITS, spelled out so
+# that building the table imports neither module.
 _FIELDS = {
     "schema_version": (int, SCHEMA_VERSION, SCHEMA_VERSION, SCHEMA_VERSION),
     "seed": (int, 0, 2**64 - 1, 0),
@@ -107,13 +89,13 @@ _FIELDS = {
     "fock.p_w": (float, 0.0, 1.0, 0.5),
     "fock.Nmax": (int, 0, 64, 6),
     "qmda.L": (int, 1, MAX_LATTICE_MODES, None),
-    "qmda.observation.kind": ((GAUSSIAN, VON_MISES, EVENT), None, None, VON_MISES),
+    "qmda.observation.kind": (("gaussian", "vonmises", "event"), None, None, "vonmises"),
     "qmda.observation.scale": (float, 0.0, math.inf, 6.0),
     "qmda.noise_std": (float, 0.0, math.inf, 0.05),
     "qmda.steps": (int, 1, MAX_SAMPLES, 20),
     "qmda.seed": (int, 0, 2**64 - 1, None),
     "qmda.observations_csv": (str, None, None, None),
-    "qcirc.q": ([int], 1, MAX_STATEVECTOR_QUBITS, [2, 3, 4, 5, 6]),
+    "qcirc.q": ([int], 1, 20, [2, 3, 4, 5, 6]),
     "qcirc.t_grid": ([float], -math.inf, math.inf, [0.0, 1.0, 2.0]),
     "qcirc.x0": ([float], -math.inf, math.inf, None),
     "qcirc.observable": (dict, None, MAX_LATTICE_MODES, None),
@@ -209,7 +191,7 @@ def load_config(path: str) -> tuple[dict, str]:
     config = {key: spec[3] for key, spec in _FIELDS.items()}
     _walk(raw, "", config)
     canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
-    return config, hashlib.sha256(canonical.encode()).hexdigest()[:16]
+    return config, _sha256(canonical.encode()).hexdigest()[:16]
 
 
 def _fmt(value) -> str:
@@ -263,10 +245,13 @@ def _observable(config: dict, key: str, d: int) -> FourierObservable:
     return FourierObservable(config[key], d=d)
 
 
-def _kernel_weight(config: dict, d: int) -> SubexpWeight:
+def _kernel_weight(config: dict, d: int):
+    """The kernel's rkha.SubexpWeight on the d-torus."""
+    from . import rkha
+
     if config["kernel.d"] not in (None, d):
         raise ValidationError("kernel dimension must match the system dimension")
-    return SubexpWeight(config["kernel.tau"], config["kernel.p"], d)
+    return rkha.SubexpWeight(config["kernel.tau"], config["kernel.p"], d)
 
 
 def _check_phases(key: str, t_grid, sys_: RotationSystem, bandwidth: int) -> None:
@@ -315,6 +300,8 @@ def _read_observations(path: str) -> list[float]:
 
 
 def cmd_filter(config: dict, out: Path, digest: str) -> list[Path]:
+    from . import qmda
+
     if config["system.kind"] not in (None, "orbit"):
         raise ValidationError("the filter command runs on a periodic orbit system")
     m = config["system.M"]
@@ -328,7 +315,7 @@ def cmd_filter(config: dict, out: Path, digest: str) -> list[Path]:
             f"more than the cap of {MAX_STORED_VALUES}"
         )
     rank = max(1, m - 2) if config["qmda.L"] is None else config["qmda.L"]
-    model = ObservationModel(
+    model = qmda.ObservationModel(
         kind=config["qmda.observation.kind"],
         scale=config["qmda.observation.scale"],
         noise_std=config["qmda.noise_std"],
@@ -339,10 +326,10 @@ def cmd_filter(config: dict, out: Path, digest: str) -> list[Path]:
 
     sys_ = PeriodicOrbitSystem(m)
     rows = []
-    for mode in (CLASSICAL, QUANTUM, QUANTUM_PROJECTED):
+    for mode in (qmda.CLASSICAL, qmda.QUANTUM, qmda.QUANTUM_PROJECTED):
         # only the projected mode reads the rank
-        trace = run_filter(sys_, model, int(x0[0]), steps, mode=mode,
-                           rank=rank, seed=filter_seed, observations=observations)
+        trace = qmda.run_filter(sys_, model, int(x0[0]), steps, mode=mode,
+                                rank=rank, seed=filter_seed, observations=observations)
         for step in trace.steps:
             rows.append(
                 (step.step, mode, step.evidence, step.consistency, step.estimate_error)
@@ -353,6 +340,8 @@ def cmd_filter(config: dict, out: Path, digest: str) -> list[Path]:
 
 
 def cmd_koopman(config: dict, out: Path, digest: str) -> list[Path]:
+    from . import fock, rkha, spectral
+
     sys_ = _rotation_system(config)
     weight = _kernel_weight(config, sys_.d)
     bandwidth = config["kernel.J"]
@@ -374,9 +363,9 @@ def cmd_koopman(config: dict, out: Path, digest: str) -> list[Path]:
             f"is {n_samples * small_modes} values, more than the cap of {MAX_STORED_VALUES}"
         )
     x0 = _point(config, "koopman.x0", sys_.d, 1.0)
-    fock_weight = FockWeight(config["fock.sigma_w"], config["fock.p_w"], config["fock.Nmax"])
+    fock_weight = fock.FockWeight(config["fock.sigma_w"], config["fock.p_w"], config["fock.Nmax"])
     sq_params = [
-        SecondQuantizationParams(
+        fock.SecondQuantizationParams(
             m=m, sigma=2.0 * weight.tau, tau=weight.tau, p=weight.p, bandwidth=bandwidth,
             grid_size=config["koopman.grid_size"],
             obs_concentration=config["koopman.obs_concentration"], weight=fock_weight,
@@ -384,37 +373,37 @@ def cmd_koopman(config: dict, out: Path, digest: str) -> list[Path]:
         for m in config["koopman.m_values"]
     ]
     tn_params = [
-        TensorNetworkParams(n=n, bandwidth=bandwidth) for n in config["koopman.n_values"]
+        fock.TensorNetworkParams(n=n, bandwidth=bandwidth) for n in config["koopman.n_values"]
     ]
     _check_phases("koopman.t_grid", config["koopman.t_grid"], sys_, max(bandwidth, f.bandwidth))
     dt = config["koopman.dt"]
-    small_lat = TruncatedLattice(sys_.d, small_J)
+    small_lat = rkha.TruncatedLattice(sys_.d, small_J)
     _check_phases("koopman.dt", [dt], sys_, small_lat.J)
-    lat = TruncatedLattice(sys_.d, bandwidth)
-    gen = analytic_generator(sys_, lat)
+    lat = rkha.TruncatedLattice(sys_.d, bandwidth)
+    gen = spectral.analytic_generator(sys_, lat)
     state = VonMisesDensity(x0, np.full(sys_.d, config["koopman.state_kappa"]))
 
     rows = []
     for t in config["koopman.t_grid"]:
         exact = koopman_exact(f, sys_, t).evaluate(x0).real
-        residual = smoothing_identity_residual(weight, gen, _restrict(f, lat), t)
+        residual = spectral.smoothing_identity_residual(weight, gen, _restrict(f, lat), t)
         for params in sq_params:
-            res = second_quantization_forecast(f, sys_, params, x0, t)
+            res = fock.second_quantization_forecast(f, sys_, params, x0, t)
             rows.append(
                 (t, f"m{params.m}", res.value, exact, abs(res.value - exact),
                  res.state_tail_norm, residual)
             )
         for params in tn_params:
-            tn = tensor_network_expectation(f, state, sys_, params, t)
+            tn = fock.tensor_network_expectation(f, state, sys_, params, t)
             rows.append(
                 (t, f"n{params.n}", tn.value, exact, abs(tn.value - exact),
                  tn.truncation_bound, residual)
             )
 
     trajectory = sample_trajectory(sys_, x0, dt, n_samples)
-    data_gen = data_driven_generator(trajectory, dt, small_lat)
-    reference = analytic_generator(sys_, small_lat)
-    freq_rows = frequency_table(data_gen, reference)
+    data_gen = spectral.data_driven_generator(trajectory, dt, small_lat)
+    reference = spectral.analytic_generator(sys_, small_lat)
+    freq_rows = spectral.frequency_table(data_gen, reference)
     paths = [out / "koopman.csv", out / "eigenfrequencies.csv"]
     columns = ["t", "m_or_n", "value", "exact", "abs_error", "truncation_mass", "identity_residual"]
     write_csv(paths[0], digest, columns, rows)
@@ -422,19 +411,22 @@ def cmd_koopman(config: dict, out: Path, digest: str) -> list[Path]:
     return paths
 
 
-def _restrict(f: FourierObservable, lat: TruncatedLattice) -> FourierObservable:
+def _restrict(f: FourierObservable, lat) -> FourierObservable:
+    """The terms of f inside the rkha.TruncatedLattice lat."""
     kept = {j: c for j, c in f.coeffs.items() if j in lat}
     return FourierObservable(kept or {(0,) * lat.d: 0.0}, d=lat.d)
 
 
 def cmd_qcirc(config: dict, out: Path, digest: str) -> list[Path]:
+    from . import qcirc
+
     sys_ = _rotation_system(config)
     weight = _kernel_weight(config, sys_.d)
     q_values, t_grid = config["qcirc.q"], config["qcirc.t_grid"]
     if not q_values or not t_grid:
         raise ValidationError("qcirc.q and qcirc.t_grid must not be empty")
     # QubitEncoding rejects sizes over the statevector limit before anything is allocated
-    encodings = [QubitEncoding(d=sys_.d, q=q) for q in q_values]
+    encodings = [qcirc.QubitEncoding(d=sys_.d, q=q) for q in q_values]
     x0 = _point(config, "qcirc.x0", sys_.d, 1.0)
     f = _observable(config, "qcirc.observable", sys_.d)
     _check_phases("qcirc.t_grid", t_grid, sys_, max(2 ** max(q_values), f.bandwidth))
@@ -442,14 +434,14 @@ def cmd_qcirc(config: dict, out: Path, digest: str) -> list[Path]:
     rows = []
     for enc in encodings:
         for t in t_grid:
-            value = circuit_expectation(enc, weight, sys_, f, x0, t)
+            value = qcirc.circuit_expectation(enc, weight, sys_, f, x0, t)
             exact = koopman_exact(f, sys_, t).evaluate(x0).real
             rows.append((enc.q, t, value, exact, abs(value - exact)))
 
-    enc = QubitEncoding(d=sys_.d, q=max(q_values))
-    coeffs = walsh_coefficients(frequency_vector(enc, sys_))
-    prep = feature_state(enc, weight, x0)
-    circuit = export_circuit(coeffs, enc, t_grid[-1], prep=prep)
+    enc = qcirc.QubitEncoding(d=sys_.d, q=max(q_values))
+    coeffs = qcirc.walsh_coefficients(qcirc.frequency_vector(enc, sys_))
+    prep = qcirc.feature_state(enc, weight, x0)
+    circuit = qcirc.export_circuit(coeffs, enc, t_grid[-1], prep=prep)
     write_csv(out / "qcirc.csv", digest, ["q", "t", "value", "exact", "abs_error"], rows)
     (out / "circuit.txt").write_text(circuit, encoding="utf-8")
     return [out / "qcirc.csv", out / "circuit.txt"]

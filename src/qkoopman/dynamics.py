@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -58,6 +57,12 @@ def _finite_point(x, d: int) -> np.ndarray:
     return x
 
 
+def _finite_time(t: float) -> None:
+    """ValidationError unless the time ``t`` is finite."""
+    if not math.isfinite(t):
+        raise ValidationError(f"time must be finite, got {t!r}")
+
+
 def flow(sys: RotationSystem, theta, t: float) -> np.ndarray:
     """Advance a torus point by time t: (theta + t*alpha) mod 2*pi.
 
@@ -65,8 +70,7 @@ def flow(sys: RotationSystem, theta, t: float) -> np.ndarray:
     are bitwise reproducible.
     """
     theta = _finite_point(theta, sys.d)
-    if not math.isfinite(t):
-        raise ValidationError(f"time must be finite, got {t!r}")
+    _finite_time(t)
     return wrap_angles(theta + t * sys.alpha)
 
 
@@ -110,6 +114,8 @@ def rational_dependence_warnings(alpha, tol: float = 1e-9, max_denominator: int 
     of a rational with denominator <= ``max_denominator``.  Returns a list
     of (i, k, Fraction) triples; an empty list means nothing was flagged.
     """
+    from fractions import Fraction  # only here, so importing the package skips it
+
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
     flagged = []
     for i in range(alpha.size):
@@ -189,7 +195,7 @@ class FourierObservable:
         return max(max(abs(v) for v in j) for j in self.coeffs)
 
     def evaluate(self, theta) -> complex:
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
+        theta = _finite_point(theta, self.d)
         total = 0.0 + 0.0j
         for j, c in self.coeffs.items():
             total += c * np.exp(1j * float(np.dot(j, theta)))
@@ -249,8 +255,7 @@ def koopman_exact(f: FourierObservable, sys: RotationSystem, t: float) -> Fourie
     """
     if f.d != sys.d:
         raise ValidationError("observable and system dimensions differ")
-    if not math.isfinite(t):
-        raise ValidationError(f"time must be finite, got {t!r}")
+    _finite_time(t)
     return FourierObservable(
         {
             j: c * complex(np.exp(1j * t * float(np.dot(j, sys.alpha))))
@@ -428,7 +433,7 @@ class VonMisesDensity:
         return self.mu.size
 
     def density(self, theta) -> float:
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
+        theta = _finite_point(theta, self.d)
         value = 1.0
         for i in range(self.d):
             value *= math.exp(self.kappa[i] * (math.cos(theta[i] - self.mu[i]) - 1.0))

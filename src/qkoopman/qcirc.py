@@ -19,12 +19,11 @@ work.  Only shot sampling, which needs the eigenbasis, builds S_f densely.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import FourierObservable, RotationSystem, _finite_point
+from .dynamics import FourierObservable, RotationSystem, _finite_point, _finite_time
 from .errors import NotAffineError, ValidationError
 from .rkha import SubexpWeight, fourier_multiplier_matrix
 
@@ -179,6 +178,7 @@ def evolve_statevector(coeffs: WalshCoefficients, psi: np.ndarray, t: float) -> 
 
     Work and memory are O(n 2^n); no 2^n x 2^n operator is ever formed.
     """
+    _finite_time(t)
     n = coeffs.n_qubits
     if psi.size != 2**n:
         raise ValidationError("statevector length does not match the qubit count")
@@ -277,8 +277,7 @@ def circuit_expectation(
     """
     _check_dims(enc, sys)
     _check_observable(enc, f)
-    if not math.isfinite(t):
-        raise ValidationError(f"t must be finite, got {t!r}")
+    _finite_time(t)
     table = enc.index_table()
     coeffs = walsh_coefficients(table @ sys.alpha)
     if shots is None:
@@ -309,6 +308,7 @@ def export_circuit(
     preparation and measurement are described as amplitude lists rather than
     synthesized into gates.
     """
+    _finite_time(t)
     lines = [
         "# diagonal phase circuit",
         f"# n={enc.n_qubits} d={enc.d} q={enc.q} t={format(t, '.17g')}",

@@ -60,6 +60,8 @@ def embed_density(sigma: np.ndarray, mu: np.ndarray) -> np.ndarray:
     sqrt(mu_i sigma_i) * sqrt(mu_j sigma_j); the trace is exactly 1.
     """
     sigma = np.asarray(sigma, dtype=float)
+    if not np.all(np.isfinite(sigma)):
+        raise ValidationError("density has a non-finite value")
     if np.max(sigma) <= 0:
         raise ValidationError("cannot embed an identically zero density")
     amp = np.sqrt(np.maximum(mu * sigma, 0.0))
@@ -144,6 +146,12 @@ def consistency_chain_gap(sys: PeriodicOrbitSystem, sigma: np.ndarray, f: np.nda
     )
 
 
+def _finite_observation(y: float) -> None:
+    """ValidationError unless the observation ``y`` is finite."""
+    if not math.isfinite(y):
+        raise ValidationError(f"observation y must be finite, got {y!r}")
+
+
 @dataclass(frozen=True)
 class ObservationModel:
     """Observation map plus a kernel likelihood in [0, 1].
@@ -173,6 +181,7 @@ class ObservationModel:
             raise ValidationError("noise_std must be nonnegative and finite")
 
     def kappa(self, y: float, values: np.ndarray) -> np.ndarray:
+        _finite_observation(y)
         values = np.asarray(values, dtype=float)
         if self.kind == VON_MISES:
             return np.exp(self.scale * (np.cos(y - values) - 1.0))
@@ -191,6 +200,7 @@ class ObservationModel:
 
     def fourier_coeffs(self, y: float, bandwidth: int) -> dict:
         """Fourier coefficients of x -> kappa(y, x) on the circle (d=1)."""
+        _finite_observation(y)
         out = {}
         if self.kind == VON_MISES:
             row = von_mises_kernel_row(self.scale, bandwidth)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import FourierObservable
+from .dynamics import FourierObservable, _finite_point
 from .errors import OutOfLatticeError, ValidationError
 
 
@@ -121,8 +121,7 @@ class TruncatedLattice:
 
 def kernel_value(w: SubexpWeight, lat: TruncatedLattice, x, y) -> complex:
     """Truncated Mercer sum k(x, y) = sum_{j in lat} lambda(j) exp(i j.(y-x))."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    x, y = _finite_point(x, lat.d), _finite_point(y, lat.d)
     lam = w.lattice_values(lat)
     phases = lat.indices @ (y - x)
     return complex(np.sum(lam * np.exp(1j * phases)))

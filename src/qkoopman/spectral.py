@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import FourierObservable, RotationSystem
+from .dynamics import FourierObservable, RotationSystem, _finite_time
 from .errors import DegeneracyError, RankDeficiencyError, ValidationError
 from .rkha import SubexpWeight, TruncatedLattice
 
@@ -64,6 +64,7 @@ class GeneratorSpec:
 
     def propagate(self, vec: np.ndarray, t: float) -> np.ndarray:
         """exp(tW) applied to a coefficient vector in lattice order."""
+        _finite_time(t)
         phases = np.exp(1j * t * self.omega)
         if self.vectors is None:
             return phases * vec

@@ -390,6 +390,53 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+# Runs cli.main(argv[1] as JSON) in a fresh process, no run for an empty
+# list, and prints its exit code, the qkoopman modules loaded, and whether
+# hashlib, OpenSSL's _hashlib and fractions were loaded.
+FOOTPRINT = """
+import json, sys
+from qkoopman import cli
+
+args = json.loads(sys.argv[1])
+code = cli.main(args) if args else 0
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "qkoopman"),
+                  [name in sys.modules for name in ("hashlib", "_hashlib", "fractions")]]))
+"""
+SHARED = ["qkoopman", "qkoopman.cli", "qkoopman.dynamics", "qkoopman.errors"]
+COMMAND_MODULES = {
+    "rotate": [],
+    "filter": ["qkoopman.qmda", "qkoopman.rkha"],
+    "koopman": ["qkoopman.fock", "qkoopman.rkha", "qkoopman.spectral"],
+    "qcirc": ["qkoopman.qcirc", "qkoopman.rkha"],
+}
+
+
+def footprint(args):
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT, json.dumps(args)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_loads_only_the_shared_modules():
+    _, modules, loaded = footprint([])
+    assert modules == SHARED
+    assert loaded == [False, False, False]
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+def test_command_loads_only_its_modules(tmp_path, command):
+    cfg = write_config(tmp_path / "c.json", TestDeterminism().configs()[command])
+    code, modules, (_, openssl, _) = footprint(
+        [command, "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert modules == sorted(SHARED + COMMAND_MODULES[command])
+    # the config hash loads no OpenSSL; the filter's np.random.default_rng
+    # loads numpy.random, which imports secrets -> hmac -> hashlib, which does
+    if command != "filter":
+        assert not openssl
+
+
 # Refuses every scipy import, as on an install without scipy, then runs the
 # jobs given as JSON in argv[1] and prints their exit codes.
 WITHOUT_SCIPY = """

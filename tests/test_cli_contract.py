@@ -6,6 +6,7 @@ traceback, and exit 2 writes no CSV.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qkoopman import cli
+from qkoopman import cli, fock, qcirc, qmda, rkha, spectral
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -142,8 +143,8 @@ def test_koopman_validates_before_it_computes(tmp_path, monkeypatch, text):
     def refuse(*args, **kwargs):
         raise AssertionError("koopman started computing before it validated")
 
-    monkeypatch.setattr(cli, "analytic_generator", refuse)
-    monkeypatch.setattr(cli, "second_quantization_forecast", refuse)
+    monkeypatch.setattr(spectral, "analytic_generator", refuse)
+    monkeypatch.setattr(fock, "second_quantization_forecast", refuse)
     code, err = run("koopman", text, tmp_path / "out")
     assert code == 2
     lines = err.strip().splitlines()
@@ -180,10 +181,11 @@ def test_stored_value_cap_exits_2_before_work(tmp_path, monkeypatch, name):
     def refuse(*args, **kwargs):
         raise AssertionError("a capped size reached the computation")
 
-    for heavy in ("TruncatedLattice", "sample_trajectory", "data_driven_generator",
-                  "analytic_generator", "second_quantization_forecast",
-                  "tensor_network_expectation", "run_filter"):
-        monkeypatch.setattr(cli, heavy, refuse)
+    for module, heavy in ((rkha, "TruncatedLattice"), (cli, "sample_trajectory"),
+                          (spectral, "data_driven_generator"), (spectral, "analytic_generator"),
+                          (fock, "second_quantization_forecast"),
+                          (fock, "tensor_network_expectation"), (qmda, "run_filter")):
+        monkeypatch.setattr(module, heavy, refuse)
     command, text = CAP_PROBES[name]
     code, err = run(command, text, tmp_path / "out")
     assert code == 2, err
@@ -230,8 +232,8 @@ def test_stored_value_cap_admits_its_bound(tmp_path, monkeypatch, command, text)
     def reached(*args, **kwargs):
         raise Reached
 
-    monkeypatch.setattr(cli, "TruncatedLattice", reached)
-    monkeypatch.setattr(cli, "run_filter", reached)
+    monkeypatch.setattr(rkha, "TruncatedLattice", reached)
+    monkeypatch.setattr(qmda, "run_filter", reached)
     with pytest.raises(Reached):
         run(command, text, tmp_path / "out")
 
@@ -371,6 +373,38 @@ def test_hash_is_over_the_config_as_written(tmp_path):
     b.write_text('{"rotate": {"n": 3, "dt": 0.1}}', encoding="utf-8")
     (config_a, hash_a), (config_b, hash_b) = cli.load_config(str(a)), cli.load_config(str(b))
     assert config_a == config_b and hash_a != hash_b
+
+
+@pytest.mark.parametrize("text", [
+    "{}",
+    '{"system": {"kind": "rotation", "alpha": [1.5, -0.25]}, '
+    '"koopman": {"observable": {"1": [0.5, 0], "-1": [0.5, 0]}, "m_values": []}}',
+    '{"qmda": {"observations_csv": "donn\u00e9es/\u89b3\u6e2c \u2713.csv"}}',
+], ids=["empty", "nested", "unicode"])
+def test_hash_is_sha256_of_the_canonical_json(tmp_path, text):
+    # cli hashes with the interpreter's built-in SHA-256, not hashlib's
+    path = tmp_path / "c.json"
+    path.write_text(text, encoding="utf-8")
+    _, digest = cli.load_config(str(path))
+    canonical = json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
+    assert digest == hashlib.sha256(canonical.encode()).hexdigest()[:16]
+    if text == "{}":
+        assert digest == "44136fa355b3678a"
+
+
+def test_built_in_sha256_matches_hashlib():
+    # lengths either side of the 64-byte block and of its padding boundary
+    for size in (0, 1, 55, 56, 63, 64, 65, 1000, 10**5):
+        data = bytes(range(256)) * (size // 256) + bytes(range(size % 256))
+        assert cli._sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+
+
+def test_fields_literals_match_the_library():
+    # spelled out in cli so that building _FIELDS imports neither module
+    kinds, _, _, default = cli._FIELDS["qmda.observation.kind"]
+    assert kinds == (qmda.GAUSSIAN, qmda.VON_MISES, qmda.EVENT)
+    assert default == qmda.VON_MISES
+    assert cli._FIELDS["qcirc.q"][2] == qcirc.MAX_STATEVECTOR_QUBITS
 
 
 # Property test: configs over the table's keys, each value either junk (wrong

@@ -502,14 +502,22 @@ SQRT2 = RotationSystem(np.array([math.sqrt(2.0)]))
         lambda: koopman_exact(FourierObservable.harmonic(1), SQRT2, math.nan),
         lambda: flow(SQRT2, [0.0], math.inf),
         lambda: flow(SQRT2, [math.nan], 1.0),
+        lambda: FourierObservable.harmonic(1).evaluate([math.nan]),
+        lambda: VonMisesDensity(np.array([0.0]), np.array([1.0])).density([math.nan]),
     ],
     ids=["dt-inf", "x0-nan", "x0-inf", "mu-nan", "mu-inf", "koopman-t-nan", "flow-t-inf",
-         "flow-theta-nan"],
+         "flow-theta-nan", "evaluate-nan", "density-nan"],
 )
 def test_non_finite_points_and_times_rejected(call):
     # each once gave NaN rows or coefficients, or an invalid-value RuntimeWarning
     with pytest.raises(ValidationError, match="finite"):
         call()
+
+
+def test_evaluate_rejects_a_point_of_another_dimension():
+    # once numpy's bare "shapes (1,) and (2,) not aligned" ValueError
+    with pytest.raises(ValidationError, match="dimension 1"):
+        FourierObservable.harmonic(1).evaluate([1.0, 2.0])
 
 
 class TestVonMisesKernelRow:

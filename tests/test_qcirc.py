@@ -241,6 +241,12 @@ class TestEvolveStatevector:
         two = evolve_statevector(coeffs, evolve_statevector(coeffs, psi, 0.4), 0.9)
         assert np.max(np.abs(two - out)) < 1e-13
 
+    def test_non_finite_time_rejected(self):
+        # t = nan once returned NaN amplitudes
+        coeffs = WalshCoefficients(v=np.array([0.7j, 0.2j]))
+        with pytest.raises(ValidationError, match="finite"):
+            evolve_statevector(coeffs, np.ones(4, dtype=complex) / 2, math.nan)
+
     def test_allocation_budget(self):
         # the factorized evolution must never build a 2^n x 2^n matrix
         n = 12
@@ -478,6 +484,13 @@ class TestExport:
         rz_lines = [l for l in text.splitlines() if l.startswith("rz(")]
         assert len(rz_lines) == enc.n_qubits
         assert all(l.startswith("rz(0)") or l.startswith("rz(-0)") for l in rz_lines)
+
+    def test_non_finite_time_rejected(self):
+        # t = nan once wrote rz(nan) lines
+        enc = QubitEncoding(d=1, q=2)
+        coeffs = walsh_coefficients(frequency_vector(enc, RotationSystem(np.array([1.0]))))
+        with pytest.raises(ValidationError, match="finite"):
+            export_circuit(coeffs, enc, math.nan)
 
     def test_roundtrip_reproduces_evolution(self):
         enc = QubitEncoding(d=1, q=3)

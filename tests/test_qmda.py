@@ -77,6 +77,11 @@ class TestEmbedding:
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-14)
         check_density_operator(rho)
 
+    def test_nan_density_rejected(self):
+        # np.max(sigma) <= 0 is False for NaN, so it once returned a NaN projector
+        with pytest.raises(ValidationError, match="non-finite"):
+            embed_density(np.array([1.0, math.nan, 1.0]), np.full(3, 1 / 3))
+
 
 class TestClassicalFilter:
     def test_identity_system(self):
@@ -230,6 +235,20 @@ class TestQuantumSteps:
 
 
 class TestEffects:
+    @pytest.mark.parametrize("kind", ["gaussian", "vonmises", "event"])
+    def test_nan_observation_rejected_by_kappa(self, kind):
+        # y = nan once gave a NaN likelihood row
+        model = ObservationModel(kind=kind, scale=1.0)
+        with pytest.raises(ValidationError, match="finite"):
+            model.kappa(math.nan, np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("kind", ["vonmises", "event"])
+    def test_nan_observation_rejected_by_fourier_coeffs(self, kind):
+        # y = nan once gave NaN coefficients
+        model = ObservationModel(kind=kind, scale=1.0)
+        with pytest.raises(ValidationError, match="finite"):
+            model.fourier_coeffs(math.nan, 4)
+
     def test_uninformative_kernel_is_identity(self):
         model = ObservationModel(kind="vonmises", scale=3.0)
         vals = model.kappa(1.2, np.array([1.2]))

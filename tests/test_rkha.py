@@ -111,6 +111,12 @@ class TestKernel:
         assert got.real == pytest.approx(expected, abs=1e-12)
         assert abs(got.imag) < 1e-12
 
+    @pytest.mark.parametrize("x,y", [([math.nan], [0.3]), ([0.3], [math.nan])])
+    def test_non_finite_point_rejected(self, x, y):
+        # a NaN point once returned k = nan
+        with pytest.raises(ValidationError, match="finite"):
+            kernel_value(SubexpWeight(1.0, 0.5), TruncatedLattice(1, 4), x, y)
+
     def test_row_sum_is_one(self):
         # only the weight at 0 survives averaging over a fine uniform grid
         w = SubexpWeight(1.0, 0.5)

@@ -200,6 +200,12 @@ class TestEvolve:
             mirror = evolved_conj.coeffs[tuple(-v for v in j)]
             assert abs(mirror - c.conjugate()) < 1e-12
 
+    def test_propagate_rejects_non_finite_time(self):
+        # t = nan once returned NaN coefficients
+        gen = analytic_generator(RotationSystem(np.array([1.0])), TruncatedLattice(1, 4))
+        with pytest.raises(ValidationError, match="finite"):
+            gen.propagate(np.ones(gen.lattice.size, dtype=complex), math.nan)
+
 
 class TestSmoothingIdentity:
     def test_semigroup_at_t0(self):
@@ -225,6 +231,13 @@ class TestSmoothingIdentity:
         w = SubexpWeight(1.0, 0.5)
         f = FourierObservable.constant(2.0, d=1)
         assert smoothing_identity_residual(w, gen, f, 3.3) == 0.0
+
+    def test_non_finite_time_rejected(self):
+        # t = nan once returned a NaN residual
+        gen = analytic_generator(RotationSystem(np.array([1.0])), TruncatedLattice(1, 4))
+        f = FourierObservable.harmonic(1)
+        with pytest.raises(ValidationError, match="finite"):
+            smoothing_identity_residual(SubexpWeight(1.0, 0.5), gen, f, math.nan)
 
 
 class TestDataDrivenGenerator:
