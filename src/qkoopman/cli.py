@@ -24,6 +24,10 @@ import numpy as np
 
 from . import __version__
 from .dynamics import (
+    EVENT,
+    GAUSSIAN,
+    MAX_STATEVECTOR_QUBITS,
+    VON_MISES,
     FourierObservable,
     PeriodicOrbitSystem,
     RotationSystem,
@@ -71,9 +75,7 @@ MAX_LIST_ENTRIES = 1024
 # sigma/2, p in (0, 1), m <= Nmax, L <= M, the qubit caps) are the library
 # classes' own checks.  Concentrations stop at 1e5, the largest kappa
 # bessel_ratios is tested at.  A default of None means the command works
-# the value out.  The observation kinds are qmda's GAUSSIAN, VON_MISES and
-# EVENT and the qubit cap is qcirc.MAX_STATEVECTOR_QUBITS, spelled out so
-# that building the table imports neither module.
+# the value out.
 _FIELDS = {
     "schema_version": (int, SCHEMA_VERSION, SCHEMA_VERSION, SCHEMA_VERSION),
     "seed": (int, 0, 2**64 - 1, 0),
@@ -89,13 +91,13 @@ _FIELDS = {
     "fock.p_w": (float, 0.0, 1.0, 0.5),
     "fock.Nmax": (int, 0, 64, 6),
     "qmda.L": (int, 1, MAX_LATTICE_MODES, None),
-    "qmda.observation.kind": (("gaussian", "vonmises", "event"), None, None, "vonmises"),
+    "qmda.observation.kind": ((GAUSSIAN, VON_MISES, EVENT), None, None, VON_MISES),
     "qmda.observation.scale": (float, 0.0, math.inf, 6.0),
     "qmda.noise_std": (float, 0.0, math.inf, 0.05),
     "qmda.steps": (int, 1, MAX_SAMPLES, 20),
     "qmda.seed": (int, 0, 2**64 - 1, None),
     "qmda.observations_csv": (str, None, None, None),
-    "qcirc.q": ([int], 1, 20, [2, 3, 4, 5, 6]),
+    "qcirc.q": ([int], 1, MAX_STATEVECTOR_QUBITS, [2, 3, 4, 5, 6]),
     "qcirc.t_grid": ([float], -math.inf, math.inf, [0.0, 1.0, 2.0]),
     "qcirc.x0": ([float], -math.inf, math.inf, None),
     "qcirc.observable": (dict, None, MAX_LATTICE_MODES, None),

@@ -19,6 +19,14 @@ from .errors import DegeneracyError, ValidationError
 
 TWO_PI = 2.0 * math.pi
 
+# Defined here, where the command line reads them without loading the
+# modules that use them: qmda's observation kinds, and qcirc's statevector
+# cap (2^20 complex amplitudes take 16 MiB).
+GAUSSIAN = "gaussian"
+VON_MISES = "vonmises"
+EVENT = "event"
+MAX_STATEVECTOR_QUBITS = 20
+
 
 def wrap_angles(theta) -> np.ndarray:
     """Canonical torus representative with every angle in [0, 2*pi)."""

@@ -23,12 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import FourierObservable, RotationSystem, _finite_point, _finite_time
+from .dynamics import (
+    MAX_STATEVECTOR_QUBITS,
+    FourierObservable,
+    RotationSystem,
+    _finite_point,
+    _finite_time,
+)
 from .errors import NotAffineError, ValidationError
 from .rkha import SubexpWeight, fourier_multiplier_matrix
 
-# a statevector of 2^20 complex amplitudes takes 16 MiB
-MAX_STATEVECTOR_QUBITS = 20
 # the dense observable of shot sampling, 2^10 x 2^10 complex, takes 16 MiB
 MAX_DENSE_QUBITS = 10
 

@@ -25,7 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import (
+    EVENT,
+    GAUSSIAN,
     TWO_PI,
+    VON_MISES,
     PeriodicOrbitSystem,
     RotationSystem,
     _i0e,
@@ -37,10 +40,6 @@ from .dynamics import (
 )
 from .errors import ValidationError, ZeroEvidenceError
 from .rkha import TruncatedLattice, fourier_multiplier_matrix
-
-GAUSSIAN = "gaussian"
-VON_MISES = "vonmises"
-EVENT = "event"
 
 
 def check_density(values: np.ndarray, mu: np.ndarray, tol: float = 1e-10):

@@ -392,15 +392,21 @@ def test_import_loads_no_scipy():
 
 # Runs cli.main(argv[1] as JSON) in a fresh process, no run for an empty
 # list, and prints its exit code, the qkoopman modules loaded, and whether
-# hashlib, OpenSSL's _hashlib and fractions were loaded.
+# hashlib, OpenSSL's _hashlib and fractions were loaded beyond what a bare
+# `import numpy` loads: NumPy 1.x imports numpy.random eagerly, and with it
+# secrets -> hmac -> hashlib, so there the baseline holds OpenSSL already.
 FOOTPRINT = """
 import json, sys
+import numpy
+
+STDLIB = ("hashlib", "_hashlib", "fractions")
+baseline = {name for name in STDLIB if name in sys.modules}
 from qkoopman import cli
 
 args = json.loads(sys.argv[1])
 code = cli.main(args) if args else 0
 print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "qkoopman"),
-                  [name in sys.modules for name in ("hashlib", "_hashlib", "fractions")]]))
+                  [name in sys.modules and name not in baseline for name in STDLIB]]))
 """
 SHARED = ["qkoopman", "qkoopman.cli", "qkoopman.dynamics", "qkoopman.errors"]
 COMMAND_MODULES = {
@@ -431,8 +437,8 @@ def test_command_loads_only_its_modules(tmp_path, command):
         [command, "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == 0
     assert modules == sorted(SHARED + COMMAND_MODULES[command])
-    # the config hash loads no OpenSSL; the filter's np.random.default_rng
-    # loads numpy.random, which imports secrets -> hmac -> hashlib, which does
+    # the config hash adds no OpenSSL; on NumPy 2 the filter's
+    # np.random.default_rng loads numpy.random, and with it hashlib
     if command != "filter":
         assert not openssl
 

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qkoopman import cli, fock, qcirc, qmda, rkha, spectral
+from qkoopman import cli, fock, qmda, rkha, spectral
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -397,14 +397,6 @@ def test_built_in_sha256_matches_hashlib():
     for size in (0, 1, 55, 56, 63, 64, 65, 1000, 10**5):
         data = bytes(range(256)) * (size // 256) + bytes(range(size % 256))
         assert cli._sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
-
-
-def test_fields_literals_match_the_library():
-    # spelled out in cli so that building _FIELDS imports neither module
-    kinds, _, _, default = cli._FIELDS["qmda.observation.kind"]
-    assert kinds == (qmda.GAUSSIAN, qmda.VON_MISES, qmda.EVENT)
-    assert default == qmda.VON_MISES
-    assert cli._FIELDS["qcirc.q"][2] == qcirc.MAX_STATEVECTOR_QUBITS
 
 
 # Property test: configs over the table's keys, each value either junk (wrong
