@@ -329,18 +329,27 @@ def _miller_lanes(kappas: np.ndarray, starts: np.ndarray, jmax: int) -> np.ndarr
     Every lane does the float run's operations in the same order, so each
     row is bitwise that run.  Lanes are sorted by start, largest first, so
     the lanes already running at index m are a prefix; a lane that has not
-    started keeps its initial ratio 0.
+    started keeps its initial ratio 0.  Each index runs three ufuncs into
+    preallocated buffers, and the prefix views change only when a lane
+    starts, so the loop allocates no temporaries.
     """
     order = np.argsort(-starts, kind="stable")
-    kappas, starts = kappas[order], starts[order]
+    kappas = kappas[order]
+    begins = starts[order].tolist()
     lanes = kappas.size
     head = np.ones((jmax + 1, lanes))
     r = np.zeros(lanes)
+    denom = np.empty(lanes)
     running = 0
-    for m in range(int(starts[0]), 0, -1):
-        while running < lanes and starts[running] >= m:
-            running += 1
-        r[:running] = kappas[:running] / (2.0 * m + kappas[:running] * r[:running])
+    for m in range(begins[0], 0, -1):
+        if running < lanes and begins[running] >= m:
+            while running < lanes and begins[running] >= m:
+                running += 1
+            k, rk, dk = kappas[:running], r[:running], denom[:running]
+        # r = kappa / (2m + kappa r), the float run's order of operations
+        np.multiply(k, rk, out=dk)
+        np.add(2.0 * m, dk, out=dk)
+        np.divide(k, dk, out=rk)
         if m <= jmax:
             head[m] = r
     out = np.empty((lanes, jmax + 1))

@@ -19,6 +19,7 @@ FFT, never built as a matrix.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -189,12 +190,21 @@ class ObservationModel:
             return np.exp(-(gap**2) / (2.0 * self.scale**2))
         return (gap <= self.scale / 2.0).astype(float)
 
-    def observe(self, true_value: float, rng: np.random.Generator) -> float:
-        y = true_value
+    def observe(self, true_value, rng: np.random.Generator):
+        """A synthetic observation of one true value, or one per entry of a 1-d array.
+
+        An array's noise comes from one ``standard_normal(count)`` call, which
+        draws the numbers ``count`` scalar calls draw, in order, so a block of
+        observations is bitwise the same observations taken one at a time.
+        """
+        scalar = np.ndim(true_value) == 0
+        y = true_value if scalar else np.asarray(true_value, dtype=float)
         if self.noise_std > 0:
-            y = y + self.noise_std * rng.standard_normal()
+            y = y + self.noise_std * rng.standard_normal(None if scalar else y.shape)
         if self.kind == VON_MISES:
-            y = float(wrap_angles(y)[0])
+            y = wrap_angles(y)
+            if scalar:
+                y = float(y[0])
         return y
 
     def fourier_coeffs(self, y: float, bandwidth: int) -> dict:
@@ -443,15 +453,26 @@ def run_torus_filter(
     square-root density generally stops being a nonnegative function even
     though the operator state stays positive.
 
-    The steps run in blocks of at most ``_TORUS_BLOCK``.  A block first runs
-    the classical track, then the operator track (the only sequential
-    numpy work: rotate, convolve, truncate, normalize), then scores every
-    step at once: the von Mises references from one ``_sqrt_von_mises_rows``
-    call over the block's posteriors, the grid values from one batched
-    ``grid_sum``.  The first failing step raises what a step-by-step run
-    raises, checked in the order zero classical evidence, annihilated
-    operator state, unconverged Bessel ratios; memory grows with steps
-    times the lattice size, never with steps times ``grid_size``.
+    Conditioning on y convolves with the kernel k_m e^{-imy}, whose phases
+    are translation by y, diagonal on the lattice: the truncated convolution
+    is D(y)* T0 D(y), D(y) = diag(e^{ijy}), with T0 = (|k|_{j-l}) one fixed
+    real Toeplitz matrix (the projected mode's kept rows only).  So the
+    track carries the state in the frame of the latest observation,
+    chi_n = D(y_n) psi_n, and a step is chi <- T0 (E_n chi) / |T0 E_n chi|
+    with E_n = D(y_n) D(y_{n-1})* times the rotation phases: one real
+    matrix product per step, the complex vector taken as its (re, im) pairs.
+
+    The steps run in blocks of at most ``_TORUS_BLOCK``.  A block draws its
+    observations at once, runs the classical track, then the operator
+    track (the only sequential numpy work), then rotates its states back to
+    psi_n = D(y_n)* chi_n and scores every step at once: the von Mises
+    references from one ``_sqrt_von_mises_rows`` call over the block's
+    posteriors, the grid values from one batched ``grid_sum``.  The states
+    agree with a step-by-step convolution run to rounding (1e-13), the
+    classical track bitwise.  The first failing step raises what a
+    step-by-step run raises, checked in the order zero classical evidence,
+    annihilated operator state, unconverged Bessel ratios; memory grows
+    with steps times the lattice size, never with steps times ``grid_size``.
     """
     if sys.d != 1:
         raise ValidationError("the torus filter is implemented for d=1")
@@ -486,26 +507,27 @@ def run_torus_filter(
     # each step's prior concentration is hypot(c_vec, s_vec), the previous
     # step's posterior one, so its scaled I_0 carries over from that step
     i0e_prior = _i0e(math.hypot(c_vec, s_vec))
-    if run_quantum:
-        psi = _sqrt_von_mises_rows(np.array([x0]), np.array([kappa0]), lat)[0] * keep
-        psi /= np.linalg.norm(psi)
     j_all = lat.indices[:, 0]
-    # step-invariant: rotation phases and the square-root kernel's magnitudes
+    # step-invariant: rotation phases and T0, the square-root kernel's
+    # magnitudes |k|_{j-l} on the kept rows
     rotate = np.exp(-1j * dt * alpha * j_all)
-    m_all = np.arange(-2 * lat.J, 2 * lat.J + 1)
     kernel_abs = von_mises_kernel_row(model.scale / 2.0, 2 * lat.J)
-    center = 3 * lat.J  # middle of the convolution's 6J + 1 entries
+    toeplitz = keep[:, None] * kernel_abs[j_all[:, None] - j_all + 2 * lat.J]
+    if run_quantum:
+        # chi in the frame of y_0 = 0, where it is psi itself
+        chi = _sqrt_von_mises_rows(np.array([x0]), np.array([kappa0]), lat)[0] * keep
+        chi /= np.linalg.norm(chi)
+    y_last = 0.0  # the observation chi's frame belongs to
 
     trace = FilterTrace(mode=mode)
     truth = _rotation_orbit(float(wrap_angles(x0)[0]), dt * alpha, steps + 1)
     next(truth)  # the wrapped x0; step n observes the n-th point after it
     for first in range(1, steps + 1, _TORUS_BLOCK):
+        truths = list(itertools.islice(truth, _TORUS_BLOCK))
+        obs = model.observe(truths, rng).tolist()
         failure = None
-        truths, obs, posteriors, evidences = [], [], [], []
-        for n in range(first, min(first + _TORUS_BLOCK, steps + 1)):
-            x = next(truth)
-            y = model.observe(x, rng)
-
+        posteriors, evidences = [], []
+        for n, y in enumerate(obs, first):
             # exact conjugate-family update
             mu_prior = math.atan2(s_vec, c_vec) + dt * alpha
             kap_prior = math.hypot(c_vec, s_vec)
@@ -519,33 +541,37 @@ def run_torus_filter(
             if evidence <= 1e-300:
                 failure = ZeroEvidenceError(f"zero evidence at step {n}")
                 break
-            truths.append(x)
-            obs.append(y)
             posteriors.append((mu_post, kap_post))
             evidences.append(evidence)
 
-        done = len(truths)
+        done = len(posteriors)
         consistency = [0.0] * done
         estimates = [mu for mu, _ in posteriors]
         if run_quantum and done:
+            # D(y) for the carried frame and each step's observation
+            frames = np.exp(1j * np.multiply.outer([y_last] + obs[:done], j_all))
+            phases = frames[1:] * frames[:-1].conj() * rotate
             rows = np.empty((done, lat.size), dtype=complex)
-            kernels = kernel_abs * np.exp(-1j * m_all * np.array(obs)[:, None])
+            pairs = rows.view(float).reshape(done, lat.size, 2)
             for i in range(done):
-                psi = psi * rotate
-                full = np.convolve(kernels[i], psi)
-                psi = full[center - lat.J : center + lat.J + 1] * keep
-                norm = np.linalg.norm(psi)
+                step = _toeplitz_step(toeplitz, phases[i] * chi)
+                flat = step.reshape(-1)
+                norm = math.sqrt(flat @ flat)
                 if norm <= 1e-150:
                     failure = ZeroEvidenceError(f"state annihilated at step {first + i}")
                     done = i
                     break
-                psi = psi / norm
-                rows[i] = psi
+                np.divide(step, norm, out=pairs[i])
+                chi = rows[i]
+            else:  # the next block goes on from the last state, in its frame
+                chi, y_last = chi.copy(), obs[done - 1]
             rows = rows[:done]
-            consistency, min_sqrt, estimates = _torus_diagnostics(
-                rows, posteriors[:done], lat, grid_size
-            )
-            trace.quantum_posteriors.extend(zip(rows, min_sqrt))
+            rows *= frames[1 : done + 1].conj()
+            if done:
+                consistency, min_sqrt, estimates = _torus_diagnostics(
+                    rows, posteriors[:done], lat, grid_size
+                )
+                trace.quantum_posteriors.extend(zip(rows, min_sqrt))
         for i in range(done):
             x = truths[i]
             gap = abs((estimates[i] - x + math.pi) % TWO_PI - math.pi)
@@ -563,6 +589,15 @@ def run_torus_filter(
         if failure is not None:
             raise failure
     return trace
+
+
+def _toeplitz_step(toeplitz: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """The real matrix ``toeplitz`` times a complex vector, as (re, im) rows.
+
+    ``vec`` is viewed as its n x 2 array of real and imaginary parts, so the
+    product is one real n x n by n x 2 matmul; the result has that layout.
+    """
+    return toeplitz @ vec.view(float).reshape(-1, 2)
 
 
 def _torus_diagnostics(rows: np.ndarray, posteriors: list, lat: TruncatedLattice, grid_size: int):

@@ -131,9 +131,10 @@ def kernel_row(w: SubexpWeight, lat: TruncatedLattice, x, grid: np.ndarray) -> n
     """Kernel section k(x, .) evaluated on a set of 1-d grid points (d=1 only)."""
     if lat.d != 1:
         raise ValidationError("kernel_row is a d=1 convenience")
+    x0 = float(_finite_point(x, 1)[0])
+    grid = _finite_point(np.ravel(grid), np.size(grid))
     lam = w.lattice_values(lat)
     j = lat.indices[:, 0].astype(float)
-    x0 = float(np.atleast_1d(x)[0])
     out = np.empty(grid.size)
     for chunk in range(0, grid.size, 64):
         u = grid[chunk : chunk + 64] - x0
@@ -141,26 +142,51 @@ def kernel_row(w: SubexpWeight, lat: TruncatedLattice, x, grid: np.ndarray) -> n
     return out
 
 
-def kernel_gram(w: SubexpWeight, lat: TruncatedLattice, points: np.ndarray) -> np.ndarray:
-    """Matrix k(x_a, x_b) over a point set, one row at a time.
+# Phases kernel_gram holds at once, in floats (2 MiB): a batch of point
+# pairs times half the lattice.
+_GRAM_BATCH = 2**18
 
-    Each entry uses kernel_value's phase j.(x_b - x_a), formed elementwise so
-    that swapping a and b negates it exactly: the matrix is exactly
-    Hermitian and every diagonal entry is the same sum of lambda.  Memory
-    is O(n |lat|).
+
+def kernel_gram(w: SubexpWeight, lat: TruncatedLattice, points: np.ndarray) -> np.ndarray:
+    """Matrix k(x_a, x_b) over a point set, each unordered pair once.
+
+    The weight is even, lambda(j) = lambda(-j), and the box is symmetric, so
+    the kernel is real: k(x, y) = lambda(0) + 2 sum_{j > 0} lambda(j)
+    cos(j.(y - x)) over the lattice's positive half (the indices after 0 in
+    lexicographic order).  Each pair a < b is evaluated from its difference
+    x_b - x_a, as ``kernel_value`` does, and mirrored into (b, a); the
+    diagonal is the same sum at difference 0.  The matrix is then exactly
+    Hermitian (real symmetric, held as complex) with a constant diagonal.
+    Memory beyond the matrix is O(|lat|) per pair in batches of
+    ``_GRAM_BATCH`` floats.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != lat.d:
-        raise ValidationError(f"points have dimension {pts.shape[1]}, lattice has {lat.d}")
+    if pts.ndim != 2 or pts.shape[1] != lat.d:
+        raise ValidationError(f"points have shape {pts.shape}, the lattice dimension is {lat.d}")
+    _finite_point(pts.reshape(-1), pts.size)
     lam = w.lattice_values(lat)
-    freqs = lat.indices.astype(float)
-    gram = np.empty((pts.shape[0],) * 2, dtype=complex)
-    for a, x in enumerate(pts):
-        diff = pts - x
+    mid = lat.size // 2  # the index 0; indices past it are the positive half
+    freqs = lat.indices[mid + 1 :].astype(float)
+    half = lam[mid + 1 :]
+
+    def values(diff):
+        # elementwise and summed along rows, so a pair's bits never depend
+        # on the batch it sits in
         phases = diff[:, :1] * freqs[:, 0]
         for axis in range(1, lat.d):
-            phases = phases + diff[:, axis : axis + 1] * freqs[:, axis]
-        gram[a] = np.sum(lam * np.exp(1j * phases), axis=1)
+            phases += diff[:, axis : axis + 1] * freqs[:, axis]
+        terms = np.cos(phases, out=phases)
+        terms *= half
+        return lam[mid] + 2.0 * terms.sum(axis=1)
+
+    n = pts.shape[0]
+    gram = np.zeros((n, n), dtype=complex)
+    rows, cols = np.triu_indices(n, 1)
+    batch = max(1, _GRAM_BATCH // max(1, half.size))
+    for lo in range(0, rows.size, batch):
+        a, b = rows[lo : lo + batch], cols[lo : lo + batch]
+        gram.real[a, b] = gram.real[b, a] = values(pts[b] - pts[a])
+    np.fill_diagonal(gram.real, values(np.zeros((1, lat.d)))[0])
     return gram
 
 
@@ -259,7 +285,7 @@ def feature_coefficients(w: SubexpWeight, lat: TruncatedLattice, x) -> np.ndarra
     Entry at j is sqrt(lambda(j)) exp(-i j.x); the squared norm reproduces
     kernel_value(x, x).
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = _finite_point(x, lat.d)
     lam = w.lattice_values(lat)
     return np.sqrt(lam) * np.exp(-1j * (lat.indices @ x))
 

@@ -2,13 +2,13 @@
 
 Each function here is the direct, matrix-building form of a computation the
 package now does in closed form, by FFT, axis by axis or on a state vector,
-or (the torus filter) the step-by-step form of one it now runs in blocks, or
-(the data-driven generator) the one-shot form of a sum it now accumulates
-over sample blocks, or (the tensor-power forecast) the state-evolving form
-of one that now evolves the observable, or (the grading-m forecast) the
-G^d grid form of one that now runs on d one-dimensional grids, or (the
-pure-state distance and the square-root von Mises row) the one-vector
-form of one that now broadcasts over rows.  Nothing in
+or (the torus filter) the step-by-step convolution form of one it now runs
+in blocks of Toeplitz products, or (the data-driven generator) the one-shot
+form of a sum it now accumulates over sample blocks, or (the tensor-power
+forecast) the state-evolving form of one that now evolves the observable,
+or (the grading-m forecast) the G^d grid form of one that now runs on d
+one-dimensional grids, or (the pure-state distance and the square-root von
+Mises row) the one-vector form of one that now broadcasts over rows.  Nothing in
 ``src/`` calls them; the tests compare the fast paths against them.
 """
 
@@ -172,9 +172,12 @@ def stepwise_torus_filter(
 
     Each step scores its operator state against a von Mises reference from
     its own scalar ``bessel_ratios`` call, by ``np.vdot`` products, and
-    evaluates it on the grid with its own ``grid_sum``; the package runs the
-    same steps in blocks.  The initial state comes from the package's
-    square-root builder, so the states can be compared bit for bit.
+    evaluates it on the grid with its own ``grid_sum``, and conditions by
+    ``np.convolve`` with the kernel k_m e^{-imy}; the package runs the same
+    steps in blocks, conditioning by one fixed real Toeplitz product in the
+    observation's frame.  The initial state comes from the package's
+    square-root builder and the observations from the same noise draws, so
+    the classical tracks agree bit for bit and the states to rounding.
 
     The classical filter stays inside the von Mises family (rotation shifts
     the location, the circular-kernel update adds concentration vectors), so

@@ -6,6 +6,7 @@ import pytest
 from oracles import direct_convolve
 
 from qkoopman.dynamics import TWO_PI, FourierObservable
+from qkoopman import rkha
 from qkoopman.errors import ValidationError
 from qkoopman.rkha import (
     G_TAU,
@@ -157,6 +158,34 @@ class TestKernel:
         assert np.max(np.abs(gram - gram.conj().T)) == 0.0
         assert np.ptp(np.diag(gram).real) == 0.0
 
+    @pytest.mark.parametrize("d,J,n,offset", [(1, 16, 40, 1e6), (2, 12, 64, 0.0),
+                                              (2, 4, 17, 1e6)])
+    def test_gram_pairs_match_kernel_value_loop(self, d, J, n, offset):
+        # each pair from its own difference, as kernel_value forms it: far
+        # from the origin, a product of feature vectors e^{-ij.x} would be
+        # off by about 1e-9 (the phases' rounding at |j.x| ~ 1e7).  The
+        # bound is 1e-14 of the largest entry k(x, x) = sum lambda, 36 at
+        # d = 2, J = 12, where two orders of the same sum differ by 3 ulps
+        w = SubexpWeight(0.7, 0.5, d=d)
+        lat = TruncatedLattice(d, J)
+        pts = offset + np.random.default_rng(n).uniform(0, TWO_PI, size=(n, d))
+        oracle = np.array(
+            [[kernel_value(w, lat, pts[a], pts[b]) for b in range(n)] for a in range(n)]
+        )
+        gram = kernel_gram(w, lat, pts)
+        assert np.max(np.abs(gram - oracle)) <= 1e-14 * max(1.0, np.sum(w.lattice_values(lat)))
+        assert np.max(np.abs(gram - gram.conj().T)) == 0.0
+        assert np.ptp(np.diag(gram).real) == 0.0
+
+    def test_gram_in_batches_of_pairs(self, monkeypatch):
+        # 100 phases per batch at J = 9: batches of 11 pairs, the last partial
+        w = SubexpWeight(0.7, 0.5)
+        lat = TruncatedLattice(1, 9)
+        pts = np.random.default_rng(3).uniform(0, TWO_PI, size=(13, 1))
+        whole = kernel_gram(w, lat, pts)
+        monkeypatch.setattr(rkha, "_GRAM_BATCH", 100)
+        assert kernel_gram(w, lat, pts).tobytes() == whole.tobytes()
+
     def test_gram_rejects_point_dimension(self):
         w = SubexpWeight(0.7, 0.5, d=2)
         with pytest.raises(ValidationError):
@@ -170,6 +199,37 @@ class TestKernel:
         gram = kernel_gram(w, lat, pts)
         eigs = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
         assert eigs.min() >= -1e-10
+
+
+class TestPointChecks:
+    """Every kernel evaluation refuses a non-finite or wrong-length point."""
+
+    W = SubexpWeight(1.0, 0.5)
+    LAT = TruncatedLattice(1, 4)
+
+    @pytest.mark.parametrize("x,grid", [([math.nan], [0.0, 1.0]), ([0.0], [0.0, math.inf]),
+                                        ([0.0], [math.nan])])
+    def test_kernel_row_non_finite(self, x, grid):
+        # a NaN point or grid value once gave a NaN row
+        with pytest.raises(ValidationError, match="finite"):
+            kernel_row(self.W, self.LAT, x, np.array(grid))
+
+    def test_kernel_row_longer_point(self):
+        # [0.0, 5.0] once gave the row of [0.0]
+        with pytest.raises(ValidationError, match="dimension"):
+            kernel_row(self.W, self.LAT, [0.0, 5.0], np.arange(4.0))
+
+    @pytest.mark.parametrize("pts", [[[0.0], [math.nan]], [[math.inf]]])
+    def test_kernel_gram_non_finite(self, pts):
+        # a NaN point once gave a NaN row and column
+        with pytest.raises(ValidationError, match="finite"):
+            kernel_gram(self.W, self.LAT, np.array(pts))
+
+    @pytest.mark.parametrize("x", [[math.nan], [0.0, 5.0]])
+    def test_feature_coefficients_bad_point(self, x):
+        # a NaN point once gave NaN coefficients
+        with pytest.raises(ValidationError):
+            feature_coefficients(self.W, self.LAT, x)
 
 
 class TestSubconvolutivity:
