@@ -145,6 +145,8 @@ class FockWeight:
         """
         if n is None:
             n = self.nmax
+        if not (0 <= n < math.inf):  # a NaN n never ends _log_gammaincc's Lentz loop
+            raise ValidationError(f"tail start n must be finite and >= 0, got {n!r}")
         c = 2.0 * self.sigma_w
         a = 1.0 / self.p_w
         log_scale = math.lgamma(a) - math.log(self.p_w) - a * math.log(c)  # the bound at Q = 1

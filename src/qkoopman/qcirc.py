@@ -31,7 +31,7 @@ from .dynamics import (
     _finite_time,
 )
 from .errors import NotAffineError, ValidationError
-from .rkha import SubexpWeight, fourier_multiplier_matrix
+from .rkha import SubexpWeight, _feature_vector, _integer_key, fourier_multiplier_matrix
 
 # the dense observable of shot sampling, 2^10 x 2^10 complex, takes 16 MiB
 MAX_DENSE_QUBITS = 10
@@ -41,10 +41,10 @@ MAX_DENSE_QUBITS = 10
 class QubitEncoding:
     """Bijection between J_q^d (indices with 0 < |j_i| <= 2^q) and n-bit strings.
 
-    Within each dimension the integer j maps to j + 2^q (j < 0) or
+    Within each dimension the integer j maps to the digit j + 2^q (j < 0) or
     j + 2^q - 1 (j > 0), written as q+1 bits most-significant-first; the d
     groups are concatenated, qubit 0 being the most significant bit of the
-    first dimension.
+    first dimension.  ``encode`` and ``_decode`` shift all digits at once.
     """
 
     d: int
@@ -67,49 +67,41 @@ class QubitEncoding:
     def dim(self) -> int:
         return 2**self.n_qubits
 
+    def _shifts(self) -> np.ndarray:  # bit offset of each digit, the first one highest
+        return (self.q + 1) * np.arange(self.d - 1, -1, -1)
+
     def encode(self, j) -> int:
-        j = np.atleast_1d(np.asarray(j, dtype=int))
-        if j.size != self.d:
-            raise ValidationError(f"index must have dimension {self.d}")
+        key = _integer_key(j)
+        if key is None or len(key) != self.d:
+            raise ValidationError(f"index must have dimension {self.d} and integral components")
+        j = np.array(key)
         half = 2**self.q
-        index = 0
-        for ji in j:
-            if ji == 0 or abs(ji) > half:
-                raise ValidationError(f"component {ji} outside the encodable set")
-            jt = ji + half if ji < 0 else ji + half - 1
-            index = (index << (self.q + 1)) | int(jt)
-        return index
+        outside = (j == 0) | (np.abs(j) > half)
+        if outside.any():
+            raise ValidationError(f"component {j[outside][0]} outside the encodable set")
+        digits = np.where(j < 0, j + half, j + half - 1)
+        return int(np.sum(digits << self._shifts()))
 
     def bits(self, j) -> tuple:
         index = self.encode(j)
         return tuple((index >> (self.n_qubits - 1 - i)) & 1 for i in range(self.n_qubits))
 
-    def decode(self, index: int):
-        if not (0 <= index < self.dim):
-            raise ValidationError("basis index out of range")
-        half = 2**self.q
-        width = self.q + 1
-        groups = []
-        rem = index
-        for _ in range(self.d):
-            groups.append(rem & (2**width - 1))
-            rem >>= width
-        out = []
-        for jt in reversed(groups):  # low bits hold the last dimension
-            j = jt - half
-            if j >= 0:
-                j += 1
-            out.append(int(j))
-        return tuple(out)
-
-    def index_table(self) -> np.ndarray:
-        """Decoded multi-index for every computational basis state (one row each)."""
-        width = self.q + 1
-        shifts = width * np.arange(self.d - 1, -1, -1)  # first dimension in the high bits
-        table = (np.arange(self.dim)[:, None] >> shifts) & (2**width - 1)
+    def _decode(self, indices: np.ndarray) -> np.ndarray:
+        """Decoded multi-index of each basis index in an array (one row each)."""
+        table = (indices[:, None] >> self._shifts()) & (2 ** (self.q + 1) - 1)
         table -= 2**self.q
         table[table >= 0] += 1
         return table
+
+    def decode(self, index: int):
+        key = _integer_key(index)
+        if key is None or len(key) != 1 or not (0 <= key[0] < self.dim):
+            raise ValidationError(f"basis index must be an integer in [0, {self.dim})")
+        return tuple(int(v) for v in self._decode(np.array(key))[0])
+
+    def index_table(self) -> np.ndarray:
+        """Decoded multi-index for every computational basis state (one row each)."""
+        return self._decode(np.arange(self.dim))
 
 
 def _check_dims(enc: QubitEncoding, sys: RotationSystem) -> None:
@@ -195,15 +187,9 @@ def evolve_statevector(coeffs: WalshCoefficients, psi: np.ndarray, t: float) -> 
     return cube.reshape(-1)
 
 
-def _log_weights(table: np.ndarray, w: SubexpWeight) -> np.ndarray:
-    return -w.tau * np.sum(np.abs(table) ** w.p, axis=1)
-
-
 def feature_amplitudes(enc: QubitEncoding, w: SubexpWeight, x) -> np.ndarray:
     """Unnormalized feature-state amplitudes sqrt(lambda(j)) exp(-i j.x) per state."""
-    table = enc.index_table()
-    lam = np.exp(_log_weights(table, w))
-    return np.sqrt(lam) * np.exp(-1j * (table @ _finite_point(x, enc.d)))
+    return _feature_vector(w, enc.index_table(), x)
 
 
 def feature_state(enc: QubitEncoding, w: SubexpWeight, x) -> np.ndarray:
@@ -231,7 +217,7 @@ def _projected_observable(table: np.ndarray, w: SubexpWeight, f: FourierObservab
             f"a dense observable is limited to {MAX_DENSE_QUBITS} qubits; "
             f"this encoding has {table.shape[0].bit_length() - 1}"
         )
-    log_lam = _log_weights(table, w)
+    log_lam = w.log_values(table)
     scale = np.exp(0.5 * (log_lam[None, :] - log_lam[:, None]))
     m = fourier_multiplier_matrix(f.coeffs, table) * scale
     return 0.5 * (m + m.conj().T)
@@ -285,7 +271,7 @@ def circuit_expectation(
     table = enc.index_table()
     coeffs = walsh_coefficients(table @ sys.alpha)
     if shots is None:
-        lam = np.exp(_log_weights(table, w))
+        lam = np.exp(w.log_values(table))
         chi_t = evolve_statevector(coeffs, np.exp(-1j * (table @ _finite_point(x, enc.d))), -t)
         value = np.vdot(chi_t, _apply_convolution(table, f, lam * chi_t)).real
         return float(value / np.sum(lam))

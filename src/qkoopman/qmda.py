@@ -115,14 +115,6 @@ def multiplication_operator_fourier(coeffs: dict, lat: TruncatedLattice) -> np.n
     return fourier_multiplier_matrix(coeffs, lat.indices)
 
 
-def expectation_classical(sigma: np.ndarray, f: np.ndarray, mu: np.ndarray) -> complex:
-    return complex(np.dot(mu, np.asarray(sigma) * np.asarray(f)))
-
-
-def expectation_quantum(rho: np.ndarray, a: np.ndarray) -> complex:
-    return complex(np.trace(rho @ a))
-
-
 def consistency_chain_gap(sys: PeriodicOrbitSystem, sigma: np.ndarray, f: np.ndarray) -> float:
     """Largest pairwise gap among the four equivalent one-step expectations.
 
@@ -135,11 +127,12 @@ def consistency_chain_gap(sys: PeriodicOrbitSystem, sigma: np.ndarray, f: np.nda
     p_sigma = classical_forecast(sys, sigma)
     rho = embed_density(sigma, mu)
     m_f = multiplication_operator_point(f)
+    # classical E_sigma(g) = mu.(sigma g); quantum E_rho(A) = tr(rho A)
     values = [
-        expectation_classical(sigma, uf, mu),
-        expectation_classical(p_sigma, f, mu),
-        expectation_quantum(rho, u @ m_f @ u.conj().T),
-        expectation_quantum(u.conj().T @ rho @ u, m_f),
+        complex(np.dot(mu, np.asarray(sigma) * uf)),
+        complex(np.dot(mu, p_sigma * np.asarray(f))),
+        complex(np.trace(rho @ (u @ m_f @ u.conj().T))),
+        complex(np.trace((u.conj().T @ rho @ u) @ m_f)),
     ]
     return max(
         abs(a - b) for i, a in enumerate(values) for b in values[i + 1 :]

@@ -20,6 +20,7 @@ exactly.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +29,20 @@ from .dynamics import FourierObservable, _finite_point
 from .errors import OutOfLatticeError, ValidationError
 
 
+def _integer_key(j) -> tuple | None:
+    """j (a scalar or a sequence) as a tuple of ints, or None unless every entry is integral."""
+    try:
+        values = (j,) if np.isscalar(j) else tuple(j)
+    except TypeError:  # neither a scalar nor a sequence
+        return None
+    if all(isinstance(v, numbers.Real) and math.isfinite(v) and v == int(v) for v in values):
+        return tuple(int(v) for v in values)
+    return None
+
+
 @dataclass(frozen=True)
 class SubexpWeight:
-    """Subexponential lattice weight lambda(j) = prod_i exp(-tau |j_i|^p)."""
+    """Subexponential lattice weight lambda(j) = prod_i exp(-tau |j_i|^p), formed from ``log_values``."""
 
     tau: float
     p: float
@@ -44,15 +56,18 @@ class SubexpWeight:
         if self.d < 1:
             raise ValidationError("dimension must be >= 1")
 
+    def log_values(self, indices) -> np.ndarray:
+        """log lambda(j) = -tau sum_i |j_i|^p per row j of an (n, d) index table: the one exponent."""
+        return -self.tau * np.sum(np.abs(np.asarray(indices, dtype=float)) ** self.p, axis=-1)
+
     def log_value(self, j) -> float:
-        j = np.atleast_1d(np.asarray(j, dtype=float))
-        return -self.tau * float(np.sum(np.abs(j) ** self.p))
+        return float(self.log_values(np.atleast_1d(j)))
 
     def value(self, j) -> float:
         return math.exp(self.log_value(j))
 
     def lattice_values(self, lat: "TruncatedLattice") -> np.ndarray:
-        return np.exp(-self.tau * np.sum(np.abs(lat.indices) ** self.p, axis=1))
+        return np.exp(self.log_values(lat.indices))
 
     def half(self) -> "SubexpWeight":
         return SubexpWeight(self.tau / 2.0, self.p, self.d)
@@ -67,8 +82,9 @@ class TruncatedLattice:
     """All multi-indices j in Z^d with |j_i| <= J, in lexicographic order.
 
     The box is a product of d copies of [-J, J], so membership and position
-    are arithmetic: j is in the box when it has d entries, each |j_i| <= J,
-    and sits at row sum_i (j_i + J) (2J+1)^(d-1-i) of ``indices``.
+    are arithmetic: j is in the box when it has d integral entries, each
+    |j_i| <= J, and sits at row sum_i (j_i + J) (2J+1)^(d-1-i) of
+    ``indices``.  A non-integral entry is not in the box.
     """
 
     __slots__ = ("d", "J", "indices")
@@ -85,21 +101,24 @@ class TruncatedLattice:
     def size(self) -> int:
         return (2 * self.J + 1) ** self.d
 
-    def _key(self, j) -> tuple:
-        return (int(j),) if np.isscalar(j) else tuple(int(v) for v in j)
+    def _key(self, j) -> tuple | None:
+        """The index as a tuple of ints, or None unless it is in the box."""
+        key = _integer_key(j)
+        if key is None or len(key) != self.d or any(abs(v) > self.J for v in key):
+            return None
+        return key
 
     def position(self, j) -> int:
         key = self._key(j)
-        if key not in self:
-            raise ValidationError(f"index {key} outside lattice J={self.J}")
+        if key is None:
+            raise ValidationError(f"index {j!r} outside lattice J={self.J}")
         pos = 0
         for v in key:
             pos = pos * (2 * self.J + 1) + v + self.J
         return pos
 
     def __contains__(self, j) -> bool:
-        key = self._key(j)
-        return len(key) == self.d and all(abs(v) <= self.J for v in key)
+        return self._key(j) is not None
 
     def observable_vector(self, f: FourierObservable) -> np.ndarray:
         """Dense coefficient vector of f over this lattice (error if outside)."""
@@ -119,74 +138,62 @@ class TruncatedLattice:
         )
 
 
-def kernel_value(w: SubexpWeight, lat: TruncatedLattice, x, y) -> complex:
-    """Truncated Mercer sum k(x, y) = sum_{j in lat} lambda(j) exp(i j.(y-x))."""
-    x, y = _finite_point(x, lat.d), _finite_point(y, lat.d)
-    lam = w.lattice_values(lat)
-    phases = lat.indices @ (y - x)
-    return complex(np.sum(lam * np.exp(1j * phases)))
+# Phases the kernel sum holds at once, in floats (2 MiB): a batch of
+# differences times half the lattice.
+_GRAM_BATCH = 2**18
 
 
-def kernel_row(w: SubexpWeight, lat: TruncatedLattice, x, grid: np.ndarray) -> np.ndarray:
-    """Kernel section k(x, .) evaluated on a set of 1-d grid points (d=1 only)."""
-    if lat.d != 1:
-        raise ValidationError("kernel_row is a d=1 convenience")
-    x0 = float(_finite_point(x, 1)[0])
-    grid = _finite_point(np.ravel(grid), np.size(grid))
-    lam = w.lattice_values(lat)
-    j = lat.indices[:, 0].astype(float)
-    out = np.empty(grid.size)
-    for chunk in range(0, grid.size, 64):
-        u = grid[chunk : chunk + 64] - x0
-        out[chunk : chunk + 64] = (lam[None, :] * np.cos(np.outer(u, j))).sum(axis=1)
+def _kernel_sum(w: SubexpWeight, lat: TruncatedLattice, diffs: np.ndarray) -> np.ndarray:
+    """k at each row u = y - x of an (n, d) table: lambda(0) + 2 sum_{j > 0} lambda(j) cos(j.u).
+
+    Real, as the weight is even and the box symmetric; j > 0 are the indices
+    after 0 in lexicographic order, and lambda(0) = 1.  A row's phases are
+    formed elementwise and summed along it, so no batch moves its bits.
+    """
+    freqs = lat.indices[lat.size // 2 + 1 :].astype(float)
+    half = np.exp(w.log_values(freqs))
+    out = np.empty(diffs.shape[0])
+    batch = max(1, _GRAM_BATCH // max(1, half.size))
+    for lo in range(0, out.size, batch):
+        phases = diffs[lo : lo + batch, :1] * freqs[:, 0]
+        for axis in range(1, lat.d):
+            phases += diffs[lo : lo + batch, axis : axis + 1] * freqs[:, axis]
+        terms = np.cos(phases, out=phases)
+        terms *= half
+        out[lo : lo + batch] = 1.0 + 2.0 * terms.sum(axis=1)
     return out
 
 
-# Phases kernel_gram holds at once, in floats (2 MiB): a batch of point
-# pairs times half the lattice.
-_GRAM_BATCH = 2**18
+def kernel_value(w: SubexpWeight, lat: TruncatedLattice, x, y) -> complex:
+    """Truncated Mercer sum k(x, y) = sum_{j in lat} lambda(j) exp(i j.(y-x)), exactly real."""
+    x, y = _finite_point(x, lat.d), _finite_point(y, lat.d)
+    return complex(_kernel_sum(w, lat, (y - x)[None, :])[0])
+
+
+def kernel_row(w: SubexpWeight, lat: TruncatedLattice, x, grid: np.ndarray) -> np.ndarray:
+    """Kernel section k(x, .) on 1-d grid points (d=1 only), bitwise ``kernel_value``'s."""
+    if lat.d != 1:
+        raise ValidationError("kernel_row is a d=1 convenience")
+    grid = _finite_point(np.ravel(grid), np.size(grid))
+    return _kernel_sum(w, lat, (grid - _finite_point(x, 1))[:, None])
 
 
 def kernel_gram(w: SubexpWeight, lat: TruncatedLattice, points: np.ndarray) -> np.ndarray:
     """Matrix k(x_a, x_b) over a point set, each unordered pair once.
 
-    The weight is even, lambda(j) = lambda(-j), and the box is symmetric, so
-    the kernel is real: k(x, y) = lambda(0) + 2 sum_{j > 0} lambda(j)
-    cos(j.(y - x)) over the lattice's positive half (the indices after 0 in
-    lexicographic order).  Each pair a < b is evaluated from its difference
-    x_b - x_a, as ``kernel_value`` does, and mirrored into (b, a); the
-    diagonal is the same sum at difference 0.  The matrix is then exactly
-    Hermitian (real symmetric, held as complex) with a constant diagonal.
-    Memory beyond the matrix is O(|lat|) per pair in batches of
-    ``_GRAM_BATCH`` floats.
+    Pair a <= b is summed from its difference x_b - x_a, so entry (a, b) is
+    bitwise ``kernel_value(w, lat, x_a, x_b)``, and mirrored into (b, a).
+    The matrix is exactly Hermitian (real, held as complex) with a constant
+    diagonal.  Memory beyond it is the pairs' differences and
+    ``_GRAM_BATCH`` phases.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != lat.d:
         raise ValidationError(f"points have shape {pts.shape}, the lattice dimension is {lat.d}")
     _finite_point(pts.reshape(-1), pts.size)
-    lam = w.lattice_values(lat)
-    mid = lat.size // 2  # the index 0; indices past it are the positive half
-    freqs = lat.indices[mid + 1 :].astype(float)
-    half = lam[mid + 1 :]
-
-    def values(diff):
-        # elementwise and summed along rows, so a pair's bits never depend
-        # on the batch it sits in
-        phases = diff[:, :1] * freqs[:, 0]
-        for axis in range(1, lat.d):
-            phases += diff[:, axis : axis + 1] * freqs[:, axis]
-        terms = np.cos(phases, out=phases)
-        terms *= half
-        return lam[mid] + 2.0 * terms.sum(axis=1)
-
-    n = pts.shape[0]
-    gram = np.zeros((n, n), dtype=complex)
-    rows, cols = np.triu_indices(n, 1)
-    batch = max(1, _GRAM_BATCH // max(1, half.size))
-    for lo in range(0, rows.size, batch):
-        a, b = rows[lo : lo + batch], cols[lo : lo + batch]
-        gram.real[a, b] = gram.real[b, a] = values(pts[b] - pts[a])
-    np.fill_diagonal(gram.real, values(np.zeros((1, lat.d)))[0])
+    gram = np.zeros((pts.shape[0],) * 2, dtype=complex)
+    rows, cols = np.triu_indices(pts.shape[0])
+    gram.real[rows, cols] = gram.real[cols, rows] = _kernel_sum(w, lat, pts[cols] - pts[rows])
     return gram
 
 
@@ -216,7 +223,7 @@ def truncated_autoconvolution(w: SubexpWeight, lat: TruncatedLattice) -> np.ndar
     O((2J+1)^(2d)).
     """
     J = lat.J
-    row = np.exp(-w.tau * np.abs(np.arange(-J, J + 1, dtype=float)) ** w.p)
+    row = np.exp(w.log_values(np.arange(-J, J + 1)[:, None]))
     axis = np.convolve(row, row)[J : 3 * J + 1]
     out = axis
     for _ in range(lat.d - 1):
@@ -233,13 +240,19 @@ def subconvolutivity_constant(w: SubexpWeight, lat: TruncatedLattice) -> float:
     return float(np.max(conv[mask] / lam[mask]))
 
 
+def _gamma_terms(w: SubexpWeight, gamma, nmax: int):
+    """s = sum_i |gamma_i|^p and n = 1..nmax, for a finite nonzero gamma and nmax >= 1."""
+    gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
+    if not np.all(np.isfinite(gamma)) or np.all(gamma == 0):
+        raise ValidationError("gamma must be finite and nonzero")
+    if not nmax >= 1:
+        raise ValidationError(f"nmax must be >= 1, got {nmax}")
+    return float(np.sum(np.abs(gamma) ** w.p)), np.arange(1, nmax + 1, dtype=float)
+
+
 def grs_sequence(w: SubexpWeight, gamma, nmax: int) -> np.ndarray:
     """lambda(n*gamma)^(1/n) for n = 1..nmax; tends to 1 for these weights."""
-    gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
-    if np.all(gamma == 0):
-        raise ValidationError("gamma must be nonzero")
-    s = float(np.sum(np.abs(gamma) ** w.p))
-    n = np.arange(1, nmax + 1, dtype=float)
+    s, n = _gamma_terms(w, gamma, nmax)
     return np.exp(-w.tau * n ** (w.p - 1.0) * s)
 
 
@@ -249,11 +262,7 @@ def beurling_domar_sum(w: SubexpWeight, gamma, nmax: int = 100_000):
     The summand is tau * n^(p-2) * sum_i |gamma_i|^p, so the tail beyond nmax
     is below tau * s * nmax^(p-1) / (1-p) by integral comparison.
     """
-    gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
-    if np.all(gamma == 0):
-        raise ValidationError("gamma must be nonzero")
-    s = float(np.sum(np.abs(gamma) ** w.p))
-    n = np.arange(1, nmax + 1, dtype=float)
+    s, n = _gamma_terms(w, gamma, nmax)
     partial = w.tau * s * float(np.sum(n ** (w.p - 2.0)))
     tail = w.tau * s * nmax ** (w.p - 1.0) / (1.0 - w.p)
     return partial, tail
@@ -265,9 +274,9 @@ def comultiplication_pairs(w: SubexpWeight, gamma, lat: TruncatedLattice):
     The basis vector at gamma splits as sum over such pairs with coefficient
     sqrt(lambda(alpha) lambda(beta) / lambda(gamma)).
     """
-    gamma_t = (int(gamma),) if np.isscalar(gamma) else tuple(int(v) for v in gamma)
-    if gamma_t not in lat:
-        raise ValidationError(f"gamma {gamma_t} outside lattice")
+    gamma_t = lat._key(gamma)
+    if gamma_t is None:
+        raise ValidationError(f"gamma {gamma!r} outside lattice")
     log_g = w.log_value(gamma_t)
     pairs = []
     for alpha in lat.indices:
@@ -285,9 +294,13 @@ def feature_coefficients(w: SubexpWeight, lat: TruncatedLattice, x) -> np.ndarra
     Entry at j is sqrt(lambda(j)) exp(-i j.x); the squared norm reproduces
     kernel_value(x, x).
     """
-    x = _finite_point(x, lat.d)
-    lam = w.lattice_values(lat)
-    return np.sqrt(lam) * np.exp(-1j * (lat.indices @ x))
+    return _feature_vector(w, lat.indices, x)
+
+
+def _feature_vector(w: SubexpWeight, indices: np.ndarray, x) -> np.ndarray:
+    """sqrt(lambda(j)) exp(-i j.x) per row j of an index table (also ``qcirc``'s amplitudes)."""
+    x = _finite_point(x, indices.shape[1])
+    return np.sqrt(np.exp(w.log_values(indices))) * np.exp(-1j * (indices @ x))
 
 
 K_TAU = "K_tau"

@@ -8,8 +8,11 @@ form of a sum it now accumulates over sample blocks, or (the tensor-power
 forecast) the state-evolving form of one that now evolves the observable,
 or (the grading-m forecast) the G^d grid form of one that now runs on d
 one-dimensional grids, or (the pure-state distance and the square-root von
-Mises row) the one-vector form of one that now broadcasts over rows.  Nothing in
-``src/`` calls them; the tests compare the fast paths against them.
+Mises row) the one-vector form of one that now broadcasts over rows, or
+(the Mercer kernel and the qubit decoder) the complex-exponential and
+per-axis loop forms of sums the package now takes as one real half-lattice
+cosine sum and one vectorized digit decoder.  Nothing in ``src/`` calls
+them; the tests compare the fast paths against them.
 """
 
 from __future__ import annotations
@@ -277,6 +280,34 @@ def stepwise_torus_filter(
             )
         )
     return trace
+
+
+# --- rkha and qcirc: the complex Mercer sum and the loop decoder --------------
+
+
+def kernel_value_complex(w: SubexpWeight, lat: TruncatedLattice, x, y) -> complex:
+    """k(x, y) = sum_{j in lat} lambda(j) exp(i j.(y-x)) over the whole lattice."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return complex(np.sum(w.lattice_values(lat) * np.exp(1j * (lat.indices @ (y - x)))))
+
+
+def decode_loop(enc: QubitEncoding, index: int) -> tuple:
+    """Multi-index of one basis state, one (q+1)-bit group per dimension."""
+    half = 2**enc.q
+    width = enc.q + 1
+    groups = []
+    rem = index
+    for _ in range(enc.d):
+        groups.append(rem & (2**width - 1))
+        rem >>= width
+    out = []
+    for jt in reversed(groups):  # low bits hold the last dimension
+        j = jt - half
+        if j >= 0:
+            j += 1
+        out.append(int(j))
+    return tuple(out)
 
 
 # --- qcirc and fock: dense observable and the Gelfand pairing -----------------

@@ -1,5 +1,6 @@
 import itertools
 import math
+import signal
 import sys
 import time
 import tracemalloc
@@ -115,6 +116,23 @@ class TestWeight:
         start = time.perf_counter()
         assert FockWeight(5e14, 1e-15, 6).inv_square_tail(6) == 0.0
         assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("n", [math.nan, math.inf, -1, -0.5])
+    def test_tail_start_finite_and_nonnegative(self, n):
+        # n = nan once never left _log_gammaincc's Lentz loop, and n = -1
+        # raised a bare TypeError from the complex (-1)^p; the alarm fails a
+        # hang instead of waiting on it
+        def hung(signum, frame):
+            raise TimeoutError(f"inv_square_tail({n}) ran past 5 s")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(5)
+        try:
+            with pytest.raises(ValidationError, match="finite"):
+                W.inv_square_tail(n)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     @pytest.mark.parametrize("p_w", [5e-324, 1e-310])
     def test_tail_reciprocal_overflow_is_degenerate(self, p_w):

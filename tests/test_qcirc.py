@@ -26,7 +26,7 @@ from qkoopman.qcirc import (
 )
 from qkoopman.rkha import SubexpWeight, TruncatedLattice
 
-from oracles import projected_observable
+from oracles import decode_loop, projected_observable
 
 COS = FourierObservable({(1,): 0.5, (-1,): 0.5}, d=1)
 # real observables whose support reaches past every encoded index difference
@@ -69,7 +69,26 @@ class TestEncoding:
         enc = QubitEncoding(d=d, q=q)
         table = enc.index_table()
         assert table.shape == (enc.dim, d)
-        assert np.array_equal(table, np.array([enc.decode(b) for b in range(enc.dim)]))
+        assert np.array_equal(table, np.array([decode_loop(enc, b) for b in range(enc.dim)]))
+        assert all(enc.decode(b) == decode_loop(enc, b) for b in range(enc.dim))
+        assert all(enc.encode(decode_loop(enc, b)) == b for b in range(enc.dim))
+
+    @pytest.mark.parametrize("j", [[1.7], [-0.5], [math.nan], [math.inf], [1, 2], [0], [5]])
+    def test_encode_rejects_non_indices(self, j):
+        # [1.7] once encoded the index 1
+        with pytest.raises(ValidationError):
+            QubitEncoding(d=1, q=2).encode(j)
+
+    @pytest.mark.parametrize("index", [3.5, -1, 8, math.nan, "3"])
+    def test_decode_rejects_non_basis_indices(self, index):
+        # 3.5 once raised a bare TypeError
+        with pytest.raises(ValidationError):
+            QubitEncoding(d=1, q=2).decode(index)
+
+    def test_integral_numbers_accepted(self):
+        enc = QubitEncoding(d=2, q=2)
+        assert enc.encode([np.int64(-3), 2.0]) == enc.encode((-3, 2))
+        assert enc.decode(np.int32(9)) == enc.decode(9.0) == decode_loop(enc, 9)
 
     def test_statevector_cap(self):
         assert QubitEncoding(d=1, q=MAX_STATEVECTOR_QUBITS - 1).n_qubits == MAX_STATEVECTOR_QUBITS

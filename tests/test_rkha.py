@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import direct_convolve
+from oracles import direct_convolve, kernel_value_complex
 
 from qkoopman.dynamics import TWO_PI, FourierObservable
 from qkoopman import rkha
@@ -102,6 +102,18 @@ class TestLattice:
             with pytest.raises(ValidationError):
                 lat.position(key)
 
+    @pytest.mark.parametrize("key", [1.7, (0.5,), (math.nan,), math.inf, "1", [[1]]])
+    def test_non_integral_index_is_outside(self, key):
+        # 1.7 once answered for 1, and 1.7 in lat was True
+        lat = TruncatedLattice(1, 4)
+        assert key not in lat
+        with pytest.raises(ValidationError):
+            lat.position(key)
+
+    def test_integral_floats_are_inside(self):
+        lat = TruncatedLattice(2, 3)
+        assert (1.0, -2.0) in lat and lat.position((1.0, -2.0)) == lat.position((1, -2))
+
 
 class TestKernel:
     def test_diagonal_series_oracle(self):
@@ -151,7 +163,7 @@ class TestKernel:
         lat = TruncatedLattice(d, 9 if d == 1 else 4)
         pts = np.random.default_rng(10 * d + n).uniform(0, TWO_PI, size=(n, d))
         oracle = np.array(
-            [[kernel_value(w, lat, pts[a], pts[b]) for b in range(n)] for a in range(n)]
+            [[kernel_value_complex(w, lat, pts[a], pts[b]) for b in range(n)] for a in range(n)]
         )
         gram = kernel_gram(w, lat, pts)
         assert np.max(np.abs(gram - oracle)) <= 1e-14
@@ -161,21 +173,51 @@ class TestKernel:
     @pytest.mark.parametrize("d,J,n,offset", [(1, 16, 40, 1e6), (2, 12, 64, 0.0),
                                               (2, 4, 17, 1e6)])
     def test_gram_pairs_match_kernel_value_loop(self, d, J, n, offset):
-        # each pair from its own difference, as kernel_value forms it: far
-        # from the origin, a product of feature vectors e^{-ij.x} would be
-        # off by about 1e-9 (the phases' rounding at |j.x| ~ 1e7).  The
+        # each pair from its own difference, as the complex sum forms it:
+        # far from the origin, a product of feature vectors e^{-ij.x} would
+        # be off by about 1e-9 (the phases' rounding at |j.x| ~ 1e7).  The
         # bound is 1e-14 of the largest entry k(x, x) = sum lambda, 36 at
         # d = 2, J = 12, where two orders of the same sum differ by 3 ulps
         w = SubexpWeight(0.7, 0.5, d=d)
         lat = TruncatedLattice(d, J)
         pts = offset + np.random.default_rng(n).uniform(0, TWO_PI, size=(n, d))
         oracle = np.array(
-            [[kernel_value(w, lat, pts[a], pts[b]) for b in range(n)] for a in range(n)]
+            [[kernel_value_complex(w, lat, pts[a], pts[b]) for b in range(n)] for a in range(n)]
         )
         gram = kernel_gram(w, lat, pts)
         assert np.max(np.abs(gram - oracle)) <= 1e-14 * max(1.0, np.sum(w.lattice_values(lat)))
         assert np.max(np.abs(gram - gram.conj().T)) == 0.0
         assert np.ptp(np.diag(gram).real) == 0.0
+
+    @pytest.mark.parametrize("d,J,offset", [(1, 16, 0.0), (1, 16, 1e6), (2, 12, 0.0), (2, 4, 1e6),
+                                            (3, 2, 0.0)])
+    def test_value_real_and_within_complex_sum(self, d, J, offset):
+        # the real half-lattice sum leaves no imaginary rounding residue
+        w = SubexpWeight(0.7, 0.5, d=d)
+        lat = TruncatedLattice(d, J)
+        pts = offset + np.random.default_rng(J).uniform(0, TWO_PI, size=(6, d))
+        bound = 1e-14 * np.sum(w.lattice_values(lat))
+        for x, y in itertools.product(pts, pts):
+            got = kernel_value(w, lat, x, y)
+            assert got.imag == 0.0
+            assert abs(got - kernel_value_complex(w, lat, x, y)) <= bound
+
+    @pytest.mark.parametrize("d,J,n", [(1, 16, 40), (2, 4, 17), (3, 2, 9)])
+    def test_gram_entries_are_kernel_values(self, d, J, n):
+        w = SubexpWeight(0.7, 0.5, d=d)
+        lat = TruncatedLattice(d, J)
+        pts = 1e6 + np.random.default_rng(n).uniform(0, TWO_PI, size=(n, d))
+        gram = kernel_gram(w, lat, pts)
+        for a, b in itertools.product(range(n), range(n)):
+            assert gram[a, b] == kernel_value(w, lat, pts[a], pts[b])
+
+    @pytest.mark.parametrize("x", [0.0, 1.1, -1e6])
+    def test_row_entries_are_kernel_values(self, x):
+        w = SubexpWeight(0.7, 0.5)
+        lat = TruncatedLattice(1, 64)
+        grid = np.arange(300) * TWO_PI / 300
+        row = kernel_row(w, lat, [x], grid)
+        assert all(row[i] == kernel_value(w, lat, [x], [g]).real for i, g in enumerate(grid))
 
     def test_gram_in_batches_of_pairs(self, monkeypatch):
         # 100 phases per batch at J = 9: batches of 11 pairs, the last partial
@@ -324,6 +366,21 @@ class TestGrowthConditions:
         partial, tail = beurling_domar_sum(w, (1,), nmax=100_000)
         assert math.isfinite(partial)
         assert tail < 1e-2 * partial
+
+    @pytest.mark.parametrize("gamma", [(math.nan,), (math.inf,), (1.0, -math.inf), (0, 0)])
+    @pytest.mark.parametrize("diagnostic", [beurling_domar_sum, grs_sequence])
+    def test_gamma_finite_and_nonzero(self, diagnostic, gamma):
+        # (nan,) once gave (nan, nan) and (inf,) a GRS row of zeros
+        with pytest.raises(ValidationError, match="gamma"):
+            diagnostic(SubexpWeight(1.0, 0.5), gamma, 3)
+
+    @pytest.mark.parametrize("nmax", [0, -3])
+    @pytest.mark.parametrize("diagnostic", [beurling_domar_sum, grs_sequence])
+    def test_nmax_at_least_one(self, diagnostic, nmax):
+        # beurling_domar_sum once raised ZeroDivisionError at 0 and gave a
+        # complex tail at -3
+        with pytest.raises(ValidationError, match="nmax"):
+            diagnostic(SubexpWeight(1.0, 0.5), (1,), nmax)
 
 
 class TestComultiplication:
