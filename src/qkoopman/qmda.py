@@ -40,7 +40,6 @@ from .dynamics import (
     wrap_angles,
 )
 from .errors import ValidationError, ZeroEvidenceError
-from .rkha import TruncatedLattice, fourier_multiplier_matrix
 
 
 def check_density(values: np.ndarray, mu: np.ndarray, tol: float = 1e-10):
@@ -85,13 +84,39 @@ def classical_analysis(sigma: np.ndarray, likelihood: np.ndarray, mu: np.ndarray
     return sigma * likelihood / evidence
 
 
-def effect_sqrt(e: np.ndarray) -> np.ndarray:
-    """Positive square root of an effect, eigenvalues clamped into [0, 1]."""
-    eigs, vecs = np.linalg.eigh(0.5 * (e + e.conj().T))
+def _effect_real_form(dft: np.ndarray, rank: int) -> np.ndarray:
+    """S = U* C U for the compressed effect C_ab = dft[a - b] on an ascending band.
+
+    ``dft`` is DFT(l) / M of a real likelihood l, indexed mod M.  With J the
+    reversal of the band's ``rank`` modes, C is Hermitian and centrohermitian
+    (J C J = conj C), so with U = e^{i pi/4} (I - iJ) / sqrt(2) the matrix
+    S = Re C + Im(C) J is real symmetric (A. Lee, Linear Algebra Appl. 29,
+    1980): the Toeplitz-plus-Hankel S_ab = Re dft[a - b] + Im dft[a + b - (rank - 1)].
+    Both parts are views of one sliding window over dft[1 - rank .. rank - 1],
+    so the only L x L array built is S itself.
+    """
+    # windows[a, b] = dft[a + b - (rank - 1)]: the Hankel part, and reversed the Toeplitz one
+    windows = np.lib.stride_tricks.sliding_window_view(dft[np.arange(1 - rank, rank)], rank)
+    return windows.real[:, ::-1] + windows.imag
+
+
+def _real_form_root_apply(s: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """sqrt(C) psi for the effect C whose real form ``_effect_real_form`` gave S.
+
+    sqrt(C) = U sqrt(S) U*: one real ``eigh`` of S, with the eigenvalues
+    clamped into [0, 1] as for any effect, and U and U* applied to psi in
+    O(n), their phases cancelling.
+    """
+    eigs, vecs = np.linalg.eigh(s)
     # eigenvalues within eigh's rounding of 0 are 0, not noise for sqrt to amplify
     floor = eigs.size * np.finfo(float).eps * np.abs(eigs).max()
-    eigs = np.where(eigs > floor, np.minimum(eigs, 1.0), 0.0)
-    return (vecs * np.sqrt(eigs)) @ vecs.conj().T
+    root = np.sqrt(np.where(eigs > floor, np.minimum(eigs, 1.0), 0.0))
+    # sqrt(2) e^{i pi/4} U* psi, as (re, im) rows for the two real products
+    pairs = (psi + 1j * psi[::-1]).view(float).reshape(-1, 2)
+    coords = vecs.T @ pairs
+    coords *= root[:, None]
+    out = (vecs @ coords).view(complex)[:, 0]
+    return 0.5 * (out - 1j * out[::-1])
 
 
 def compress(matrix: np.ndarray, rank: int) -> np.ndarray:
@@ -112,6 +137,8 @@ def multiplication_operator_fourier(coeffs: dict, lat: TruncatedLattice) -> np.n
     Entries are c(i - j); a real multiplier (conjugate-symmetric c) gives a
     Hermitian Toeplitz-style matrix.
     """
+    from .rkha import fourier_multiplier_matrix
+
     return fourier_multiplier_matrix(coeffs, lat.indices)
 
 
@@ -291,9 +318,18 @@ def run_filter(
 
     The operator state is the vector psi of rho = |psi><psi| (exact, as every
     step keeps rho rank 1), and ``quantum_posteriors`` holds it per step.
-    Quantum mode permutes psi and multiplies it by sqrt(likelihood); the
-    projected transfer is a phase per mode, and only the rank x rank
-    compressed effect needs a matrix square root.
+    Quantum mode permutes psi and multiplies it by sqrt(likelihood).  The
+    projected mode carries psi on its band of frequencies in ascending
+    order: the transfer is a phase per mode, and the compressed effect
+    C_ab = DFT(l)[k_a - k_b] / M is Toeplitz and, l being real,
+    centrohermitian, so its square root takes one real ``eigh`` of an
+    L x L real form (``_effect_real_form``, ``_real_form_root_apply``).
+    Its ``quantum_posteriors`` hold psi in the mode order 0, +1, -1, ...
+
+    The step loop does only the sequential work: the classical track, psi
+    and the two zero-evidence checks, classical first.  Every step's
+    consistency and argmax estimate are then scored at once, in blocks of
+    rows (``_score_orbit_steps``).
     """
     if steps < 1:
         raise ValidationError("steps must be >= 1")
@@ -313,23 +349,24 @@ def run_filter(
     sigma = np.ones(sys.M) if sigma0 is None else np.asarray(sigma0, dtype=float)
     check_density(sigma, mu)
 
-    run_quantum = mode in (QUANTUM, QUANTUM_PROJECTED)
-    if mode == QUANTUM:
-        to_modes = from_modes = lambda v: v  # the point basis
-    elif mode == QUANTUM_PROJECTED:
-        # the unitary DFT rows of the leading frequencies, applied by FFT
+    freqs = None
+    if mode == QUANTUM_PROJECTED:
+        # the kept frequencies in mode order, and the same band ascending,
+        # where reversing the band maps each frequency k to its negative
+        # (plus 1 for an even band): the J of the centrohermitian effect
         freqs = _orbit_mode_order(sys.M)[:rank]
-        root_m = math.sqrt(sys.M)
-        shift = np.exp(-2j * math.pi * freqs / sys.M)
-        to_modes = lambda v: np.fft.fft(v)[freqs] / root_m
-        from_modes = lambda v: grid_sum(freqs[:, None], v, sys.M) / root_m
-        gaps = freqs[:, None] - freqs[None, :]
-    if run_quantum:
+        band = np.sort(freqs)
+        shift = np.exp(-2j * math.pi * band / sys.M)
+        publish = freqs - band[0]  # where each mode sits in the band
+    if mode != CLASSICAL:
         # the first mode is the constant one, so the projected psi is never 0
-        psi = to_modes(np.sqrt(np.maximum(mu * sigma, 0.0)))
+        psi = np.sqrt(np.maximum(mu * sigma, 0.0))
+        if mode == QUANTUM_PROJECTED:
+            psi = np.fft.fft(psi)[band] / math.sqrt(sys.M)
         psi /= np.linalg.norm(psi)
 
     trace = FilterTrace(mode=mode)
+    truths, evidences = [], []
     x = int(x0) % sys.M
     for n in range(1, steps + 1):
         x = sys.step(x)
@@ -344,40 +381,69 @@ def run_filter(
             sigma = classical_analysis(prior, likelihood, mu)
         except ZeroEvidenceError as err:
             raise ZeroEvidenceError(f"zero evidence at step {n}: {err}") from None
-        evidence = float(np.dot(mu, prior * likelihood))
-        trace.classical_posteriors.append(sigma.copy())
+        truths.append(x)
+        evidences.append(float(np.dot(mu, prior * likelihood)))
+        trace.classical_posteriors.append(sigma)
+        if mode == CLASSICAL:
+            continue
+        if mode == QUANTUM:
+            psi = np.sqrt(likelihood) * np.roll(psi, 1)
+        else:
+            real_form = _effect_real_form(np.fft.fft(likelihood) / sys.M, rank)
+            psi = _real_form_root_apply(real_form, shift * psi)
+        quantum_evidence = float(np.vdot(psi, psi).real)  # <psi, E psi>
+        if quantum_evidence <= 1e-14:
+            raise ZeroEvidenceError(f"zero evidence at step {n} under the operator state")
+        psi = psi / math.sqrt(quantum_evidence)
+        trace.quantum_posteriors.append(psi if mode == QUANTUM else psi[publish])
 
-        consistency = 0.0
-        marginals = sigma * mu
-        if run_quantum:
-            if mode == QUANTUM:
-                psi = np.sqrt(likelihood) * np.roll(psi, 1)
-            else:
-                # the compressed effect is Toeplitz: entry (a, b) is DFT(l)[f_a - f_b] / M
-                effect = np.fft.fft(likelihood)[gaps] / sys.M
-                psi = effect_sqrt(effect) @ (shift * psi)
-            quantum_evidence = float(np.vdot(psi, psi).real)  # <psi, E psi>
-            if quantum_evidence <= 1e-14:
-                raise ZeroEvidenceError(f"zero evidence at step {n} under the operator state")
-            psi = psi / math.sqrt(quantum_evidence)
-            trace.quantum_posteriors.append(psi)
-            embedded = to_modes(np.sqrt(np.maximum(mu * sigma, 0.0)))
-            consistency = float(_pure_state_distance(embedded, psi))
-            marginals = np.abs(from_modes(psi)) ** 2
-
-        estimate = int(np.argmax(marginals))
-        err_steps = min((estimate - x) % sys.M, (x - estimate) % sys.M)
-        trace.steps.append(
-            FilterStep(
-                step=n,
-                evidence=evidence,
-                consistency=consistency,
-                estimate=float(estimate),
-                estimate_error=float(err_steps),
-                truth=float(x),
-            )
-        )
+    _score_orbit_steps(trace, sys, truths, evidences, freqs)
     return trace
+
+
+def _score_orbit_steps(trace: FilterTrace, sys: PeriodicOrbitSystem, truths: list,
+                       evidences: list, freqs: np.ndarray | None) -> None:
+    """Append to ``trace`` one FilterStep per stored posterior, scored in blocks.
+
+    Each step gets what one step of the filter computes for it: the distance
+    between the embedded classical posterior and the operator state, and the
+    argmax of the point marginals.  ``freqs`` are the projected mode's kept
+    frequencies in mode order, or None in the point basis.  A block holds at
+    most ``_SCORE_BATCH`` point values (one row if M is larger), so scoring
+    holds a bounded slice of what the trace already stores.
+    """
+    mu, m = sys.mu, sys.M
+    batch = max(1, _SCORE_BATCH // m)
+    for lo in range(0, len(truths), batch):
+        sigmas = np.array(trace.classical_posteriors[lo : lo + batch])
+        consistency = np.zeros(len(sigmas))
+        if trace.mode == CLASSICAL:
+            marginals = sigmas * mu
+        else:
+            psis = np.array(trace.quantum_posteriors[lo : lo + batch])
+            embedded = np.sqrt(np.maximum(mu * sigmas, 0.0))
+            if freqs is None:
+                marginals = np.abs(psis) ** 2
+            else:
+                root_m = math.sqrt(m)
+                embedded = np.fft.fft(embedded)[:, freqs] / root_m
+                values = grid_sum(freqs[:, None], psis, m)
+                values /= root_m
+                marginals = np.abs(values) ** 2
+            consistency = _pure_state_distance(embedded, psis)
+        estimates = np.argmax(marginals, axis=1).tolist()
+        for i, (estimate, c) in enumerate(zip(estimates, consistency.tolist()), lo):
+            x = truths[i]
+            trace.steps.append(
+                FilterStep(
+                    step=i + 1,
+                    evidence=evidences[i],
+                    consistency=c,
+                    estimate=float(estimate),
+                    estimate_error=float(min((estimate - x) % m, (x - estimate) % m)),
+                    truth=float(x),
+                )
+            )
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -418,6 +484,10 @@ _TORUS_BLOCK = 256
 # Grid values evaluated at once, in complex entries (16 MiB): a block's
 # rows share one FFT unless grid_size is above 4096.
 _GRID_BATCH = 2**20
+# Orbit point values the orbit filter scores at once (64 KiB a complex
+# array): 60 steps on M = 128 in one block of 7,680 values held ~0.2 MiB
+# more peak RSS than scoring step by step; blocks of 4,096 held none.
+_SCORE_BATCH = 2**12
 
 
 def run_torus_filter(
@@ -483,6 +553,8 @@ def run_torus_filter(
         raise ValidationError("grid_size must be >= 1")
     if mode not in (CLASSICAL, QUANTUM, QUANTUM_PROJECTED):
         raise ValidationError(f"unknown filter mode {mode!r}")
+    from .rkha import TruncatedLattice
+
     lat = TruncatedLattice(1, bandwidth)
     if mode != QUANTUM_PROJECTED:
         rank = lat.size

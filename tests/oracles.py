@@ -11,8 +11,10 @@ one-dimensional grids, or (the pure-state distance and the square-root von
 Mises row) the one-vector form of one that now broadcasts over rows, or
 (the Mercer kernel and the qubit decoder) the complex-exponential and
 per-axis loop forms of sums the package now takes as one real half-lattice
-cosine sum and one vectorized digit decoder.  Nothing in ``src/`` calls
-them; the tests compare the fast paths against them.
+cosine sum and one vectorized digit decoder, or (the projected filter's
+effect root) the complex ``eigh`` form of one the package now takes from a
+real symmetric matrix.  Nothing in ``src/`` calls them; the tests compare
+the fast paths against them.
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ from qkoopman.qmda import (
     ObservationModel,
     _orbit_mode_order,
     _sqrt_von_mises_rows,
-    effect_sqrt,
     multiplication_operator_fourier,
     multiplication_operator_point,
 )
@@ -68,6 +69,15 @@ from qkoopman.spectral import GeneratorSpec, _spectral_order, _taper_weights
 
 
 # --- qmda: the density-operator filter on M x M matrices ---------------------
+
+
+def effect_sqrt(e: np.ndarray) -> np.ndarray:
+    """Positive square root of an effect, eigenvalues clamped into [0, 1]."""
+    eigs, vecs = np.linalg.eigh(0.5 * (e + e.conj().T))
+    # eigenvalues within eigh's rounding of 0 are 0, not noise for sqrt to amplify
+    floor = eigs.size * np.finfo(float).eps * np.abs(eigs).max()
+    eigs = np.where(eigs > floor, np.minimum(eigs, 1.0), 0.0)
+    return (vecs * np.sqrt(eigs)) @ vecs.conj().T
 
 
 def trace_norm(a: np.ndarray) -> float:

@@ -411,7 +411,7 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "qko
 SHARED = ["qkoopman", "qkoopman.cli", "qkoopman.dynamics", "qkoopman.errors"]
 COMMAND_MODULES = {
     "rotate": [],
-    "filter": ["qkoopman.qmda", "qkoopman.rkha"],
+    "filter": ["qkoopman.qmda"],
     "koopman": ["qkoopman.fock", "qkoopman.rkha", "qkoopman.spectral"],
     "qcirc": ["qkoopman.qcirc", "qkoopman.rkha"],
 }

@@ -22,7 +22,6 @@ from qkoopman.qmda import (
     classical_forecast,
     compress,
     consistency_chain_gap,
-    effect_sqrt,
     embed_density,
     multiplication_operator_fourier,
     multiplication_operator_point,
@@ -39,6 +38,7 @@ from oracles import (
     check_effect,
     classical_forecast_rotation,
     effect_from_observation,
+    effect_sqrt,
     orbit_mode_transform,
     quantum_analysis,
     quantum_forecast,
@@ -530,6 +530,112 @@ def test_run_filter_matches_dense_loop(m, kind):
                 if top - second > 1e-9 * top:  # exact ties go either way
                     assert step.estimate == np.argmax(marginals)
             assert all(psi.shape == (rank,) for psi in trace.quantum_posteriors)
+
+
+def ascending_effect(like, rank):
+    """The compressed effect of ``like`` on the leading ``rank`` modes, built
+    densely and reordered to the ascending band run_filter carries."""
+    m = len(like)
+    modes = orbit_mode_transform(m)
+    band = np.argsort(qmda._orbit_mode_order(m)[:rank])
+    return compress(modes @ np.diag(like) @ modes.conj().T, rank)[np.ix_(band, band)]
+
+
+def mp_root_apply(like, rank, psi):
+    """sqrt(C) psi at 40 digits, no clamp, for the effect of the float ``like``."""
+    m = len(like)
+    band = np.sort(qmda._orbit_mode_order(m)[:rank])
+    with mpmath.workdps(40):
+        dft = {
+            n: mpmath.fsum(mpmath.mpf(float(v)) * mpmath.expjpi(mpmath.mpf(-2 * n * x) / m)
+                           for x, v in enumerate(like)) / m
+            for n in range(-(rank - 1), rank)
+        }
+        effect = mpmath.matrix([[dft[int(a - b)] for b in band] for a in band])
+        eigs, vecs = mpmath.eighe(effect)
+        coords = vecs.H * mpmath.matrix([mpmath.mpc(complex(p)) for p in psi])
+        for i in range(rank):
+            coords[i] *= mpmath.sqrt(max(eigs[i], 0))
+        out = vecs * coords
+        return np.array([complex(out[i]) for i in range(rank)]), max(map(float, eigs))
+
+
+class TestProjectedStep:
+    """The projected step's real square root against the dense complex one."""
+
+    @pytest.mark.parametrize("m", [7, 8, 31, 32])
+    def test_real_root_matches_dense_oracle(self, m):
+        # every band shape for odd and even M: L = 1, 2, odd, even, M - 1 and
+        # M, where the gaps k_a - k_b wrap mod M
+        rng = np.random.default_rng(m)
+        for rank in sorted({1, 2, 5, 6, m - 1, m}):
+            flip = np.eye(rank)[::-1]
+            unitary = cmath.exp(0.25j * math.pi) * (np.eye(rank) - 1j * flip) / math.sqrt(2)
+            for _ in range(5):
+                like = rng.uniform(0.0, 1.0, m)
+                effect = ascending_effect(like, rank)
+                real_form = qmda._effect_real_form(np.fft.fft(like) / m, rank)
+                assert real_form.dtype == float
+                assert np.max(np.abs(unitary.conj().T @ effect @ unitary - real_form)) <= 1e-14
+                psi = rng.standard_normal(rank) + 1j * rng.standard_normal(rank)
+                want = effect_sqrt(effect) @ psi
+                got = qmda._real_form_root_apply(real_form, psi)
+                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_projected_run_takes_no_complex_eigh(self, monkeypatch):
+        eigh, shapes = np.linalg.eigh, []
+
+        def real_only(a, *args, **kwargs):
+            assert not np.iscomplexobj(a), "a complex matrix reached eigh"
+            shapes.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", real_only)
+        run_filter(PeriodicOrbitSystem(17), KERNELS["vonmises"](17), 0, 6,
+                   mode=QUANTUM_PROJECTED, rank=9, seed=1)
+        assert shapes == [(9, 9)] * 6
+
+    @pytest.mark.parametrize("rank", [14, 16])
+    def test_gaussian_effect_roots_against_mpmath(self, rank):
+        # at scale 0.3 the effect's eigenvalues reach 1e-24, far below the
+        # clamp at L eps |C|.  Clamping and eigh's backward error move C by
+        # about L eps |C|, and |sqrt(A) - sqrt(B)| <= |A - B|^(1/2) for
+        # positive A, B, so both forms lie within that bound of the exact root
+        rng = np.random.default_rng(rank)
+        m = 16
+        model = ObservationModel(kind="gaussian", scale=0.3)
+        like = model.kappa(rng.uniform(0.0, 2 * math.pi), orbit_observation_values(
+            PeriodicOrbitSystem(m)))
+        psi = rng.standard_normal(rank) + 1j * rng.standard_normal(rank)
+        psi /= np.linalg.norm(psi)
+        exact, top = mp_root_apply(like, rank, psi)
+        bound = 2.0 * math.sqrt(rank * np.finfo(float).eps * top)
+        dense = effect_sqrt(ascending_effect(like, rank)) @ psi
+        real = qmda._real_form_root_apply(qmda._effect_real_form(np.fft.fft(like) / m, rank), psi)
+        assert np.linalg.norm(dense - exact) <= bound
+        assert np.linalg.norm(real - exact) <= bound
+
+    @pytest.mark.parametrize("mode,rank", [(CLASSICAL, None), (QUANTUM, None),
+                                           (QUANTUM_PROJECTED, 9)])
+    def test_scored_once_per_block_of_rows(self, monkeypatch, mode, rank):
+        # 51 point values on M = 17: blocks of 3 steps, the last partial,
+        # against the default batch, which holds all 20 steps
+        args = (PeriodicOrbitSystem(17), KERNELS["vonmises"](17), 4, 20)
+        calls = []
+        distance = qmda._pure_state_distance
+
+        def counted(a, b):
+            calls.append(len(a))
+            return distance(a, b)
+
+        monkeypatch.setattr(qmda, "_pure_state_distance", counted)
+        want = run_filter(*args, mode=mode, rank=rank, seed=5)
+        assert calls == ([] if mode == CLASSICAL else [20])
+        calls.clear()
+        monkeypatch.setattr(qmda, "_SCORE_BATCH", 51)
+        got = run_filter(*args, mode=mode, rank=rank, seed=5)
+        assert calls == ([] if mode == CLASSICAL else [3] * 6 + [2])
+        assert got.steps == want.steps
 
 
 def bits(values):
