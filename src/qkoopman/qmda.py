@@ -19,7 +19,6 @@ FFT, never built as a matrix.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -39,7 +38,7 @@ from .dynamics import (
     von_mises_kernel_row,
     wrap_angles,
 )
-from .errors import ValidationError, ZeroEvidenceError
+from .errors import DegeneracyError, ValidationError, ZeroEvidenceError
 
 
 def check_density(values: np.ndarray, mu: np.ndarray, tol: float = 1e-10):
@@ -255,14 +254,9 @@ def orbit_observation_values(sys: PeriodicOrbitSystem) -> np.ndarray:
 
 def _orbit_mode_order(m: int) -> np.ndarray:
     """Cyclic-group frequencies ordered 0, +1, -1, +2, -2, ... as DFT rows."""
-    freqs = [0]
-    k = 1
-    while len(freqs) < m:
-        freqs.append(k)
-        if len(freqs) < m:
-            freqs.append(-k)
-        k += 1
-    return np.asarray(freqs)
+    freqs = (np.arange(m) + 1) // 2  # 0, 1, 1, 2, 2, ...
+    freqs[2::2] *= -1
+    return freqs
 
 
 @dataclass
@@ -326,28 +320,33 @@ def run_filter(
     L x L real form (``_effect_real_form``, ``_real_form_root_apply``).
     Its ``quantum_posteriors`` hold psi in the mode order 0, +1, -1, ...
 
-    The step loop does only the sequential work: the classical track, psi
-    and the two zero-evidence checks, classical first.  Every step's
-    consistency and argmax estimate are then scored at once, in blocks of
-    rows (``_score_orbit_steps``).
+    The run has the torus filter's shape: the truths are x0 + n mod M, and
+    every synthetic observation comes from one draw (``_observe_run``).  One
+    loop over the steps does the sequential work, the classical track and
+    psi, and records the first zero evidence, classical before operator.
+    Every step it finished is then scored in blocks of rows
+    (``_score_orbit_steps``) before that failure is raised.
     """
     if steps < 1:
         raise ValidationError("steps must be >= 1")
     if observations is not None:
         if len(observations) < steps:
             raise ValidationError(f"need {steps} observations, got {len(observations)}")
-        if not np.all(np.isfinite(np.asarray(observations[:steps], dtype=float))):
+        observations = np.asarray(observations[:steps], dtype=float)
+        if not np.all(np.isfinite(observations)):
             raise ValidationError("observations must be finite")
     if mode not in (CLASSICAL, QUANTUM, QUANTUM_PROJECTED):
         raise ValidationError(f"unknown filter mode {mode!r}")
     if mode == QUANTUM_PROJECTED and (rank is None or not (1 <= rank <= sys.M)):
         raise ValidationError("projected mode needs a rank between 1 and M")
 
-    rng = np.random.default_rng(seed)
     mu = sys.mu
     h_values = orbit_observation_values(sys)
     sigma = np.ones(sys.M) if sigma0 is None else np.asarray(sigma0, dtype=float)
     check_density(sigma, mu)
+    truths = (int(x0) % sys.M + np.arange(1, steps + 1)) % sys.M
+    if observations is None:
+        observations = _observe_run(model, h_values[truths], seed)
 
     freqs = None
     if mode == QUANTUM_PROJECTED:
@@ -366,42 +365,37 @@ def run_filter(
         psi /= np.linalg.norm(psi)
 
     trace = FilterTrace(mode=mode)
-    truths, evidences = [], []
-    x = int(x0) % sys.M
-    for n in range(1, steps + 1):
-        x = sys.step(x)
-        if observations is None:
-            y = model.observe(h_values[x], rng)
-        else:
-            y = float(observations[n - 1])
+    evidences, failure = [], None
+    for n, y in enumerate(observations.tolist(), 1):
         likelihood = model.kappa(y, h_values)
-
         prior = classical_forecast(sys, sigma)
         try:
             sigma = classical_analysis(prior, likelihood, mu)
         except ZeroEvidenceError as err:
-            raise ZeroEvidenceError(f"zero evidence at step {n}: {err}") from None
-        truths.append(x)
+            failure = ZeroEvidenceError(f"zero evidence at step {n}: {err}")
+            break
+        if mode != CLASSICAL:
+            if mode == QUANTUM:
+                psi = np.sqrt(likelihood) * np.roll(psi, 1)
+            else:
+                real_form = _effect_real_form(np.fft.fft(likelihood) / sys.M, rank)
+                psi = _real_form_root_apply(real_form, shift * psi)
+            quantum_evidence = float(np.vdot(psi, psi).real)  # <psi, E psi>
+            if quantum_evidence <= 1e-14:
+                failure = ZeroEvidenceError(f"zero evidence at step {n} under the operator state")
+                break
+            psi = psi / math.sqrt(quantum_evidence)
+            trace.quantum_posteriors.append(psi if mode == QUANTUM else psi[publish])
         evidences.append(float(np.dot(mu, prior * likelihood)))
         trace.classical_posteriors.append(sigma)
-        if mode == CLASSICAL:
-            continue
-        if mode == QUANTUM:
-            psi = np.sqrt(likelihood) * np.roll(psi, 1)
-        else:
-            real_form = _effect_real_form(np.fft.fft(likelihood) / sys.M, rank)
-            psi = _real_form_root_apply(real_form, shift * psi)
-        quantum_evidence = float(np.vdot(psi, psi).real)  # <psi, E psi>
-        if quantum_evidence <= 1e-14:
-            raise ZeroEvidenceError(f"zero evidence at step {n} under the operator state")
-        psi = psi / math.sqrt(quantum_evidence)
-        trace.quantum_posteriors.append(psi if mode == QUANTUM else psi[publish])
 
     _score_orbit_steps(trace, sys, truths, evidences, freqs)
+    if failure is not None:
+        raise failure
     return trace
 
 
-def _score_orbit_steps(trace: FilterTrace, sys: PeriodicOrbitSystem, truths: list,
+def _score_orbit_steps(trace: FilterTrace, sys: PeriodicOrbitSystem, truths: np.ndarray,
                        evidences: list, freqs: np.ndarray | None) -> None:
     """Append to ``trace`` one FilterStep per stored posterior, scored in blocks.
 
@@ -414,7 +408,7 @@ def _score_orbit_steps(trace: FilterTrace, sys: PeriodicOrbitSystem, truths: lis
     """
     mu, m = sys.mu, sys.M
     batch = max(1, _SCORE_BATCH // m)
-    for lo in range(0, len(truths), batch):
+    for lo in range(0, len(evidences), batch):
         sigmas = np.array(trace.classical_posteriors[lo : lo + batch])
         consistency = np.zeros(len(sigmas))
         if trace.mode == CLASSICAL:
@@ -431,19 +425,40 @@ def _score_orbit_steps(trace: FilterTrace, sys: PeriodicOrbitSystem, truths: lis
                 values /= root_m
                 marginals = np.abs(values) ** 2
             consistency = _pure_state_distance(embedded, psis)
-        estimates = np.argmax(marginals, axis=1).tolist()
-        for i, (estimate, c) in enumerate(zip(estimates, consistency.tolist()), lo):
-            x = truths[i]
-            trace.steps.append(
-                FilterStep(
-                    step=i + 1,
-                    evidence=evidences[i],
-                    consistency=c,
-                    estimate=float(estimate),
-                    estimate_error=float(min((estimate - x) % m, (x - estimate) % m)),
-                    truth=float(x),
-                )
-            )
+        _record_steps(trace, lo + 1, m, truths[lo : lo + batch].tolist(),
+                      evidences[lo : lo + batch], consistency.tolist(),
+                      np.argmax(marginals, axis=1).tolist())
+
+
+def _record_steps(trace: FilterTrace, first: int, period, truths, evidences, consistency,
+                  estimates) -> None:
+    """Append a FilterStep per step from ``first`` on, for either filter.
+
+    The estimate error is the circular gap |((estimate - truth + P/2) mod P) - P/2|
+    on a circle of period P: the orbit's M points, exact in doubles, or
+    the torus's 2 pi.
+    """
+    half = period / 2
+    for n, (x, evidence, c, estimate) in enumerate(zip(truths, evidences, consistency,
+                                                       estimates), first):
+        gap = abs((estimate - x + half) % period - half)
+        trace.steps.append(FilterStep(n, evidence, c, float(estimate), gap, float(x)))
+
+
+def _observe_run(model: ObservationModel, truths, seed: int) -> np.ndarray:
+    """Every synthetic observation of a run, from one ``observe`` call.
+
+    Noise that overflows an observation to NaN or infinity raises a
+    DegeneracyError naming the noise level and the first step it hits,
+    before any step runs.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        obs = model.observe(truths, np.random.default_rng(seed))
+    bad = np.flatnonzero(~np.isfinite(obs))
+    if bad.size:
+        raise DegeneracyError(f"noise_std {model.noise_std!r} overflows the synthetic "
+                              f"observation at step {bad[0] + 1}")
+    return obs
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -478,11 +493,12 @@ def _sqrt_von_mises_rows(mu, kappa, lat: TruncatedLattice) -> np.ndarray:
     return rows / np.sqrt(_dots(rows, rows).real)[:, None]
 
 
-# Steps per block of the torus filter: bessel_ratios runs a block's
-# concentrations as numpy lanes, which beat its float loop from ~64 on.
+# Steps of the torus filter whose rotating frames are taken at once, and
+# the most it scores at once: bessel_ratios runs a batch's concentrations
+# as numpy lanes, which beat its float loop from ~64 on.
 _TORUS_BLOCK = 256
-# Grid values evaluated at once, in complex entries (16 MiB): a block's
-# rows share one FFT unless grid_size is above 4096.
+# Grid values evaluated at once, in complex entries (16 MiB): a scoring
+# batch is _TORUS_BLOCK rows unless grid_size is above 4096.
 _GRID_BATCH = 2**20
 # Orbit point values the orbit filter scores at once (64 KiB a complex
 # array): 60 steps on M = 128 in one block of 7,680 values held ~0.2 MiB
@@ -525,17 +541,16 @@ def run_torus_filter(
     with E_n = D(y_n) D(y_{n-1})* times the rotation phases: one real
     matrix product per step, the complex vector taken as its (re, im) pairs.
 
-    The steps run in blocks of at most ``_TORUS_BLOCK``.  A block draws its
-    observations at once, runs the classical track, then the operator
-    track (the only sequential numpy work), then rotates its states back to
-    psi_n = D(y_n)* chi_n and scores every step at once: the von Mises
-    references from one ``_sqrt_von_mises_rows`` call over the block's
-    posteriors, the grid values from one batched ``grid_sum``.  The states
-    agree with a step-by-step convolution run to rounding (1e-13), the
-    classical track bitwise.  The first failing step raises what a
-    step-by-step run raises, checked in the order zero classical evidence,
-    annihilated operator state, unconverged Bessel ratios; memory grows
-    with steps times the lattice size, never with steps times ``grid_size``.
+    The run has the orbit filter's shape: one draw of every observation
+    (``_observe_run``), one loop running both tracks that records the first
+    failure (zero classical evidence, then an annihilated operator state)
+    and stores psi_n = D(y_n)* chi_n, taking D(y_n)* and E_n for
+    ``_TORUS_BLOCK`` steps at once as it enters them, then scoring in
+    batches (``_torus_diagnostics``), where an unconverged Bessel ratio
+    raises ahead of the recorded failure.  So the first failing step raises what a
+    step-by-step run raises; the states agree with it to rounding (1e-13),
+    the classical track bitwise.  Memory grows with steps times the lattice
+    size, never with steps times ``grid_size``.
     """
     if sys.d != 1:
         raise ValidationError("the torus filter is implemented for d=1")
@@ -563,7 +578,6 @@ def run_torus_filter(
     keep = np.zeros(lat.size)  # indicator of the modes the operator track keeps
     keep[_orbit_mode_order(lat.size)[:rank] + lat.J] = 1.0
 
-    rng = np.random.default_rng(seed)
     alpha = float(sys.alpha[0])
     run_quantum = mode in (QUANTUM, QUANTUM_PROJECTED)
     # classical state as concentration vector (C, S) = kappa (cos mu, sin mu)
@@ -582,77 +596,61 @@ def run_torus_filter(
         # chi in the frame of y_0 = 0, where it is psi itself
         chi = _sqrt_von_mises_rows(np.array([x0]), np.array([kappa0]), lat)[0] * keep
         chi /= np.linalg.norm(chi)
-    y_last = 0.0  # the observation chi's frame belongs to
+        chi_pairs = chi.view(float).reshape(lat.size, 2)
 
     trace = FilterTrace(mode=mode)
     truth = _rotation_orbit(float(wrap_angles(x0)[0]), dt * alpha, steps + 1)
     next(truth)  # the wrapped x0; step n observes the n-th point after it
-    for first in range(1, steps + 1, _TORUS_BLOCK):
-        truths = list(itertools.islice(truth, _TORUS_BLOCK))
-        obs = model.observe(truths, rng).tolist()
-        failure = None
-        posteriors, evidences = [], []
-        for n, y in enumerate(obs, first):
-            # exact conjugate-family update
-            mu_prior = math.atan2(s_vec, c_vec) + dt * alpha
-            kap_prior = math.hypot(c_vec, s_vec)
-            c_vec = kap_prior * math.cos(mu_prior) + model.scale * math.cos(y)
-            s_vec = kap_prior * math.sin(mu_prior) + model.scale * math.sin(y)
-            kap_post = math.hypot(c_vec, s_vec)
-            mu_post = math.atan2(s_vec, c_vec) % TWO_PI
-            i0e_post = _i0e(kap_post)
-            evidence = i0e_post / i0e_prior * math.exp(kap_post - kap_prior - model.scale)
-            i0e_prior = i0e_post
-            if evidence <= 1e-300:
-                failure = ZeroEvidenceError(f"zero evidence at step {n}")
+    truths = np.fromiter(truth, float, steps)
+    obs = _observe_run(model, truths, seed)
+    if run_quantum:
+        rows = np.empty((steps, lat.size), dtype=complex)  # psi_n
+        frame_ys = np.concatenate(([0.0], obs))  # chi_0's frame is y_0 = 0
+    evidences, failure = [], None
+    for i, y in enumerate(obs.tolist()):
+        # exact conjugate-family update
+        mu_prior = math.atan2(s_vec, c_vec) + dt * alpha
+        kap_prior = math.hypot(c_vec, s_vec)
+        c_vec = kap_prior * math.cos(mu_prior) + model.scale * math.cos(y)
+        s_vec = kap_prior * math.sin(mu_prior) + model.scale * math.sin(y)
+        kap_post = math.hypot(c_vec, s_vec)
+        mu_post = math.atan2(s_vec, c_vec) % TWO_PI
+        i0e_post = _i0e(kap_post)
+        evidence = i0e_post / i0e_prior * math.exp(kap_post - kap_prior - model.scale)
+        i0e_prior = i0e_post
+        if evidence <= 1e-300:
+            failure = ZeroEvidenceError(f"zero evidence at step {i + 1}")
+            break
+        if run_quantum:
+            k = i % _TORUS_BLOCK
+            if k == 0:  # the block's D(y_n)* and E_n = D(y_n) D(y_{n-1})* rotate
+                frames = np.exp(1j * np.multiply.outer(frame_ys[i : i + _TORUS_BLOCK + 1], j_all))
+                back = frames[1:].conj()
+                phases = frames[1:] * frames[:-1].conj() * rotate
+            step = _toeplitz_step(toeplitz, phases[k] * chi)
+            norm = math.sqrt(np.vdot(step, step))
+            if norm <= 1e-150:
+                failure = ZeroEvidenceError(f"state annihilated at step {i + 1}")
                 break
-            posteriors.append((mu_post, kap_post))
-            evidences.append(evidence)
+            np.divide(step, norm, out=chi_pairs)
+            np.multiply(chi, back[k], out=rows[i])
+        trace.classical_posteriors.append((mu_post, kap_post))
+        evidences.append(evidence)
 
-        done = len(posteriors)
-        consistency = [0.0] * done
-        estimates = [mu for mu, _ in posteriors]
-        if run_quantum and done:
-            # D(y) for the carried frame and each step's observation
-            frames = np.exp(1j * np.multiply.outer([y_last] + obs[:done], j_all))
-            phases = frames[1:] * frames[:-1].conj() * rotate
-            rows = np.empty((done, lat.size), dtype=complex)
-            pairs = rows.view(float).reshape(done, lat.size, 2)
-            for i in range(done):
-                step = _toeplitz_step(toeplitz, phases[i] * chi)
-                flat = step.reshape(-1)
-                norm = math.sqrt(flat @ flat)
-                if norm <= 1e-150:
-                    failure = ZeroEvidenceError(f"state annihilated at step {first + i}")
-                    done = i
-                    break
-                np.divide(step, norm, out=pairs[i])
-                chi = rows[i]
-            else:  # the next block goes on from the last state, in its frame
-                chi, y_last = chi.copy(), obs[done - 1]
-            rows = rows[:done]
-            rows *= frames[1 : done + 1].conj()
-            if done:
-                consistency, min_sqrt, estimates = _torus_diagnostics(
-                    rows, posteriors[:done], lat, grid_size
-                )
-                trace.quantum_posteriors.extend(zip(rows, min_sqrt))
-        for i in range(done):
-            x = truths[i]
-            gap = abs((estimates[i] - x + math.pi) % TWO_PI - math.pi)
-            trace.classical_posteriors.append(posteriors[i])
-            trace.steps.append(
-                FilterStep(
-                    step=first + i,
-                    evidence=evidences[i],
-                    consistency=consistency[i],
-                    estimate=float(estimates[i]),
-                    estimate_error=float(gap),
-                    truth=x,
-                )
-            )
-        if failure is not None:
-            raise failure
+    done = len(evidences)
+    batch = max(1, min(_TORUS_BLOCK, _GRID_BATCH // grid_size))
+    for lo in range(0, done, batch):
+        hi = min(lo + batch, done)
+        posteriors = trace.classical_posteriors[lo:hi]
+        consistency, estimates = [0.0] * (hi - lo), [mu for mu, _ in posteriors]
+        if run_quantum:
+            psis = rows[lo:hi]
+            consistency, min_sqrt, estimates = _torus_diagnostics(psis, posteriors, lat, grid_size)
+            trace.quantum_posteriors.extend(zip(psis, min_sqrt))
+        _record_steps(trace, lo + 1, TWO_PI, truths[lo:hi].tolist(), evidences[lo:hi],
+                      consistency, estimates)
+    if failure is not None:
+        raise failure
     return trace
 
 
@@ -672,19 +670,18 @@ def _torus_diagnostics(rows: np.ndarray, posteriors: list, lat: TruncatedLattice
     what one step of the filter computes for it: the distance to the unit
     square root of the von Mises posterior, the most negative real part of
     the grid values after rotating the largest one onto the positive axis,
-    and the phase of the first autocorrelation of the coefficients.
+    and the phase of the first autocorrelation of the coefficients.  The
+    rows are one scoring batch, whose grid values are one ``grid_sum`` call
+    of at most ``_GRID_BATCH`` entries (or one row).
     """
     mu, kappa = np.array(posteriors).T
     consistency = _pure_state_distance(_sqrt_von_mises_rows(mu, kappa, lat), rows)
 
-    min_sqrt = np.empty(len(rows))
-    batch = max(1, _GRID_BATCH // grid_size)
-    for lo in range(0, len(rows), batch):
-        values = grid_sum(lat.indices, rows[lo : lo + batch], grid_size)
-        peak = values[np.arange(len(values)), np.argmax(np.abs(values), axis=1)]
-        # what Python's complex abs() computes; numpy's array abs can differ by an ulp
-        unit = peak.conjugate() / np.hypot(peak.real, peak.imag)
-        min_sqrt[lo : lo + batch] = (values * unit[:, None]).real.min(axis=1)
+    values = grid_sum(lat.indices, rows, grid_size)
+    peak = values[np.arange(len(values)), np.argmax(np.abs(values), axis=1)]
+    # what Python's complex abs() computes; numpy's array abs can differ by an ulp
+    unit = peak.conjugate() / np.hypot(peak.real, peak.imag)
+    min_sqrt = (values * unit[:, None]).real.min(axis=1)
 
     first = np.sum(np.conj(rows[:, 1:]) * rows[:, :-1], axis=1)
     estimates = [math.atan2(f.imag, f.real) % TWO_PI for f in first.tolist()]

@@ -2,19 +2,20 @@
 
 Each function here is the direct, matrix-building form of a computation the
 package now does in closed form, by FFT, axis by axis or on a state vector,
-or (the torus filter) the step-by-step convolution form of one it now runs
-in blocks of Toeplitz products, or (the data-driven generator) the one-shot
-form of a sum it now accumulates over sample blocks, or (the tensor-power
-forecast) the state-evolving form of one that now evolves the observable,
-or (the grading-m forecast) the G^d grid form of one that now runs on d
+or (the torus filter) the step-by-step convolution form of one it now
+conditions by Toeplitz products and scores in batches, or (the data-driven
+generator) the one-shot form of a sum it now accumulates over sample
+blocks, or (the tensor-power forecast) the state-evolving form of one that
+now evolves the observable, or (the grading-m forecast) the G^d grid form of one that now runs on d
 one-dimensional grids, or (the pure-state distance and the square-root von
 Mises row) the one-vector form of one that now broadcasts over rows, or
 (the Mercer kernel and the qubit decoder) the complex-exponential and
 per-axis loop forms of sums the package now takes as one real half-lattice
 cosine sum and one vectorized digit decoder, or (the projected filter's
 effect root) the complex ``eigh`` form of one the package now takes from a
-real symmetric matrix.  Nothing in ``src/`` calls them; the tests compare
-the fast paths against them.
+real symmetric matrix, or (the orbit's mode order) the loop that appends
+the frequencies a closed form now gives.  Nothing in ``src/`` calls them;
+the tests compare the fast paths against them.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from qkoopman.qmda import (
     FilterStep,
     FilterTrace,
     ObservationModel,
-    _orbit_mode_order,
     _sqrt_von_mises_rows,
     multiplication_operator_fourier,
     multiplication_operator_point,
@@ -138,9 +138,21 @@ def effect_from_observation(model: ObservationModel, y: float, basis) -> np.ndar
     return multiplication_operator_point(model.kappa(y, np.asarray(basis, dtype=float)))
 
 
+def orbit_mode_order(m: int) -> np.ndarray:
+    """Cyclic-group frequencies ordered 0, +1, -1, +2, -2, ..., appended one by one."""
+    freqs = [0]
+    k = 1
+    while len(freqs) < m:
+        freqs.append(k)
+        if len(freqs) < m:
+            freqs.append(-k)
+        k += 1
+    return np.asarray(freqs)
+
+
 def orbit_mode_transform(m: int) -> np.ndarray:
     """Unitary point-basis -> mode-basis map, rows ordered by |frequency|."""
-    freqs = _orbit_mode_order(m)
+    freqs = orbit_mode_order(m)
     points = np.arange(m)
     return np.exp(-2j * math.pi * np.outer(freqs, points) / m) / math.sqrt(m)
 
@@ -187,10 +199,11 @@ def stepwise_torus_filter(
     its own scalar ``bessel_ratios`` call, by ``np.vdot`` products, and
     evaluates it on the grid with its own ``grid_sum``, and conditions by
     ``np.convolve`` with the kernel k_m e^{-imy}; the package runs the same
-    steps in blocks, conditioning by one fixed real Toeplitz product in the
-    observation's frame.  The initial state comes from the package's
-    square-root builder and the observations from the same noise draws, so
-    the classical tracks agree bit for bit and the states to rounding.
+    steps in one loop, conditioning by one fixed real Toeplitz product in the
+    observation's frame, and scores them in batches after it.  The initial
+    state comes from the package's square-root builder and the observations
+    from the same noise draws, so the classical tracks agree bit for bit
+    and the states to rounding.
 
     The classical filter stays inside the von Mises family (rotation shifts
     the location, the circular-kernel update adds concentration vectors), so
@@ -219,7 +232,7 @@ def stepwise_torus_filter(
     elif rank is None or not (1 <= rank <= lat.size):
         raise ValidationError("projected mode needs a rank between 1 and the lattice size")
     keep = np.zeros(lat.size)  # indicator of the modes the operator track keeps
-    for freq in _orbit_mode_order(lat.size)[:rank]:
+    for freq in orbit_mode_order(lat.size)[:rank]:
         keep[lat.position((int(freq),))] = 1.0
 
     rng = np.random.default_rng(seed)

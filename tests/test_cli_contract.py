@@ -107,6 +107,14 @@ DEGENERATE_PROBES = {
     "koopman-dt-huge": ("koopman", '{"kernel": {"J": 4}, "koopman": {"dt": 1e300}}'),
     # 1/(2 dt) overflows: a LinAlgError traceback from eigh (exit 1)
     "koopman-dt-subnormal": ("koopman", '{"kernel": {"J": 4}, "koopman": {"dt": 1e-320}}'),
+    # the noise overflows synthetic observations to NaN or infinity, which
+    # once exited 2 as if the user had supplied a non-finite observation
+    "filter-noise-huge": (
+        "filter", '{"system": {"kind": "orbit", "M": 8}, '
+        '"qmda": {"steps": 200, "noise_std": 1e308}}'),
+    "filter-noise-huge-gaussian": (
+        "filter", '{"system": {"kind": "orbit", "M": 8}, '
+        '"qmda": {"steps": 200, "noise_std": 1e308, "observation": {"kind": "gaussian"}}}'),
 }
 
 
@@ -252,6 +260,8 @@ def test_probe_exits_3_with_one_line(tmp_path, name):
     assert not list((tmp_path / "out").iterdir())
     if "-t-" in name or "-dt-huge" in name:
         assert "t=" in lines[0]
+    if "-noise-" in name:
+        assert re.search(r"noise_std 1e\+308 .* at step \d+$", lines[0]), lines[0]
 
 
 def test_phase_check_threshold():

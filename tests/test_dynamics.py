@@ -1,4 +1,6 @@
 import math
+import re
+import signal
 import time
 
 import mpmath
@@ -437,6 +439,37 @@ class TestBesselRatios:
             bessel_ratios(np.array([1.0, -1.0]), 3)
         with pytest.raises(ValidationError):
             bessel_ratios(np.ones((2, 2)), 3)
+
+    @pytest.mark.parametrize("kappa", [1e200, 1e18, 1e12, math.nextafter(1e8, math.inf)])
+    def test_huge_concentration_refused_before_any_run(self, kappa):
+        # 1e200 once raised a bare OverflowError building the start indices,
+        # 1e12 ran 2.4 s and 1e18 over 100 s; the alarm fails a hang
+        def hung(signum, frame):
+            raise TimeoutError(f"bessel_ratios({kappa}) ran past 5 s")
+
+        message = re.escape(f"concentration {kappa!r} is above the cap")
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(5)
+        try:
+            for value in (kappa, np.array([1.0, kappa]), np.full(64, kappa)):
+                with pytest.raises(ValidationError, match=message):
+                    bessel_ratios(value, 8)
+        except TimeoutError as err:
+            # the interrupted frame can have no line number, which pytest's
+            # traceback report does not survive
+            pytest.fail(str(err), pytrace=False)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_cap_itself_is_accepted(self):
+        mpmath.mp.dps = 30
+        kappa = dynamics._BESSEL_MAX_KAPPA
+        got = bessel_ratios(kappa, 8)
+        i0 = mpmath.besseli(0, kappa)
+        for j in range(9):
+            exact = float(mpmath.besseli(j, kappa) / i0)
+            assert abs(got[j] - exact) <= 1e-12 * exact
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_concentration_rejected(self, bad):

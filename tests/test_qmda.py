@@ -39,6 +39,7 @@ from oracles import (
     classical_forecast_rotation,
     effect_from_observation,
     effect_sqrt,
+    orbit_mode_order,
     orbit_mode_transform,
     quantum_analysis,
     quantum_forecast,
@@ -249,21 +250,42 @@ class TestEffects:
         with pytest.raises(ValidationError, match="finite"):
             model.fourier_coeffs(math.nan, 4)
 
-    @pytest.mark.parametrize("count", [255, 256, 257])
+    @pytest.mark.parametrize("count", [1, 255, 256, 257, 600])
     @pytest.mark.parametrize("kind,noise_std", [("vonmises", 0.1), ("vonmises", 0.0),
-                                                ("gaussian", 0.3), ("gaussian", 0.0)])
+                                                ("gaussian", 0.3), ("gaussian", 0.0),
+                                                ("event", 0.2)])
     def test_block_observations_match_per_step_draws(self, kind, noise_std, count):
-        # blocks of up to 256 true values, as the torus filter passes them,
+        # every true value of a run in one call, as both filters pass them,
         # against one scalar observe call per value from an equal generator
         model = ObservationModel(kind=kind, scale=1.0, noise_std=noise_std)
         truths = (5.0 + 0.37 * np.arange(count)).tolist()  # most past 2 pi
         blocked_rng, stepped_rng = np.random.default_rng(11), np.random.default_rng(11)
-        blocked = np.concatenate([model.observe(truths[lo : lo + 256], blocked_rng)
-                                  for lo in range(0, count, 256)])
+        blocked = model.observe(truths, blocked_rng)
         stepped = [model.observe(x, stepped_rng) for x in truths]
         assert bits(blocked) == bits(stepped)
         # and both generators have drawn the same numbers
         assert blocked_rng.standard_normal() == stepped_rng.standard_normal()
+
+    @pytest.mark.parametrize("mode,rank", [(CLASSICAL, None), (QUANTUM, None),
+                                           (QUANTUM_PROJECTED, 9)])
+    def test_each_run_draws_once(self, monkeypatch, mode, rank):
+        # one observe call over every true value, where the orbit filter once
+        # drew one value a step and the torus filter one block of 256 a call
+        sizes = []
+        observe = ObservationModel.observe
+
+        def counted(self, true_value, rng):
+            sizes.append(np.size(true_value))
+            return observe(self, true_value, rng)
+
+        monkeypatch.setattr(ObservationModel, "observe", counted)
+        model = ObservationModel(kind="vonmises", scale=4.0, noise_std=0.1)
+        run_filter(PeriodicOrbitSystem(17), model, 3, 600, mode=mode, rank=rank, seed=1)
+        run_torus_filter(RotationSystem(np.array([np.sqrt(2.0)])), model, 1.3, 600, 0.3,
+                         mode=mode, rank=rank, seed=1)
+        run_filter(PeriodicOrbitSystem(17), model, 3, 4, mode=mode, rank=rank,
+                   observations=[0.1, 0.2, 0.3, 0.4])
+        assert sizes == [600, 600]
 
     def test_uninformative_kernel_is_identity(self):
         model = ObservationModel(kind="vonmises", scale=3.0)
@@ -867,13 +889,41 @@ class TestTorusFilter:
         growth = peak(2000) - peak(500)
         assert growth < 1500 * 2048, growth
 
+    def test_transient_memory_is_bounded_by_a_block(self):
+        # peak minus what the trace retains: the rotating frames of a block
+        # and a scoring batch, freed before the next.  At 3000 steps against
+        # 300 it grows ~0.4 MiB (the run's observation arrays and lists);
+        # frames taken for the whole run at once grew ~8.8 MiB
+        def transient(steps):
+            tracemalloc.start()
+            try:
+                trace = run_torus_filter(self.SYS, self.MODEL, 1.3, steps, 0.3, bandwidth=32,
+                                         mode=QUANTUM, seed=1)
+                retained, peak = tracemalloc.get_traced_memory()
+                assert len(trace.steps) == steps
+                return peak - retained
+            finally:
+                tracemalloc.stop()
+
+        growth = transient(3000) - transient(300)
+        assert growth < 2**20, growth
+
+    @pytest.mark.parametrize("mode,rank", [(QUANTUM, None), (QUANTUM_PROJECTED, 9)])
+    def test_huge_observation_scale_rejected(self, mode, rank):
+        # scale = 1e200 once raised a bare OverflowError from bessel_ratios,
+        # building the square-root kernel the operator track conditions by
+        model = ObservationModel(kind="vonmises", scale=1e200)
+        with pytest.raises(ValidationError, match="cap"):
+            run_torus_filter(self.SYS, model, 1.3, 5, 0.3, mode=mode, rank=rank)
+
 
 class TestTorusFilterFirstError:
-    """Blocks raise what the stepwise filter raises, at the same step.
+    """The package raises what the stepwise filter raises, at the same step.
 
     Within a step the checks run in the order zero classical evidence,
-    annihilated operator state, unconverged Bessel ratios.  The scenarios
-    fail past the first block of 256 steps.
+    annihilated operator state, unconverged Bessel ratios.  The package
+    finds the first two in its step loop and the third when it scores
+    afterwards.  The scenarios fail past the first block of 256 steps.
     """
 
     SYS = RotationSystem(np.array([np.sqrt(2.0)]))
@@ -959,8 +1009,9 @@ class TestTorusFilterFirstError:
 
     @pytest.mark.parametrize("mode,rank", MODES[1:])
     def test_annihilation_at_a_block_start(self, monkeypatch, mode, rank):
-        # a block whose first state is annihilated scores no rows; scoring
-        # the empty block once raised a ValueError from its unpacking
+        # the first state of a block of rotating frames is annihilated: the
+        # rows before it fill one scoring batch exactly, and blocks that
+        # scored each run on their own once scored an empty one here
         (kind, message), blocked = self.errors(monkeypatch, self.SLOW, 7, mode, rank, 257)
         assert blocked == (kind, message) == (ZeroEvidenceError, "state annihilated at step 257")
 
@@ -1062,6 +1113,69 @@ class TestSqrtVonMisesRows:
             for row, m, k in zip(rows, mu, kappa):
                 want = sqrt_von_mises_coeffs(m, k, lat)
                 assert np.max(np.abs(row - want)) <= 1e-15
+
+
+class TestOverflowingNoise:
+    """Noise that overflows a synthetic observation is a degeneracy of the run.
+
+    At noise_std = 1e308 a normal draw past ~1.8 in magnitude overflows the
+    observation to infinity (NaN once wrapped): the torus filter's
+    classical mode once returned NaN rows, its operator modes raised a
+    ValidationError from bessel_ratios, and the orbit filter a
+    ValidationError about the observation, as if the user had given it.
+    """
+
+    MODES = [(CLASSICAL, None), (QUANTUM, None), (QUANTUM_PROJECTED, 6)]
+
+    @staticmethod
+    def first_overflow(truths, seed):
+        with np.errstate(over="ignore"):
+            noise = 1e308 * np.random.default_rng(seed).standard_normal(len(truths))
+        step = int(np.flatnonzero(~np.isfinite(truths + noise))[0]) + 1
+        assert step > 1
+        return step
+
+    @pytest.mark.parametrize("kind", ["vonmises", "gaussian", "event"])
+    @pytest.mark.parametrize("mode,rank", MODES)
+    def test_orbit_filter(self, monkeypatch, kind, mode, rank):
+        def refuse(*args):
+            raise AssertionError("a step ran before the observations were checked")
+
+        sys_ = PeriodicOrbitSystem(8)
+        truths = orbit_observation_values(sys_)[(3 + np.arange(1, 201)) % 8]
+        step = self.first_overflow(truths, 1)
+        monkeypatch.setattr(qmda, "classical_analysis", refuse)
+        model = ObservationModel(kind=kind, scale=1.0, noise_std=1e308)
+        with pytest.raises(DegeneracyError) as info:
+            run_filter(sys_, model, 3, 200, mode=mode, rank=rank, seed=1)
+        assert info.type is DegeneracyError
+        assert str(info.value) == (
+            f"noise_std 1e+308 overflows the synthetic observation at step {step}")
+
+    @pytest.mark.parametrize("mode,rank", MODES)
+    def test_torus_filter(self, monkeypatch, mode, rank):
+        sys_ = RotationSystem(np.array([np.sqrt(2.0)]))
+        truths = sample_trajectory(sys_, [1.0], 0.3, 201)[1:, 0]
+        step = self.first_overflow(truths, 1)
+        calls = []  # the initial prior's I_0, then one a step
+        i0e = dynamics._i0e
+        monkeypatch.setattr(qmda, "_i0e", lambda kappa: calls.append(kappa) or i0e(kappa))
+        model = ObservationModel(kind="vonmises", scale=4.0, noise_std=1e308)
+        with pytest.raises(DegeneracyError) as info:
+            run_torus_filter(sys_, model, 1.0, 200, 0.3, mode=mode, rank=rank, seed=1)
+        assert info.type is DegeneracyError
+        assert str(info.value) == (
+            f"noise_std 1e+308 overflows the synthetic observation at step {step}")
+        assert len(calls) == 1
+
+
+class TestModeOrder:
+    @pytest.mark.parametrize("m", range(1, 65))
+    def test_closed_form_matches_loop(self, m):
+        got = qmda._orbit_mode_order(m)
+        want = orbit_mode_order(m)
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist()
 
 
 class TestModeTransform:
