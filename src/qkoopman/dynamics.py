@@ -11,6 +11,7 @@ against which every approximation in the package is checked.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,31 +56,58 @@ class RotationSystem:
         return self.alpha.size
 
 
-def _finite_point(x, d: int) -> np.ndarray:
-    """``x`` as a vector of d finite floats; ValidationError otherwise."""
+# The library's argument rules, one function each; every entry point that
+# applies a rule calls it once, before any work, and its ValidationError
+# names the argument.
+
+
+def _finite_point(x, d: int, name: str = "point") -> np.ndarray:
+    """``x`` as a vector of d finite floats; ValidationError naming ``name`` otherwise."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (d,):
-        raise ValidationError(f"point of shape {x.shape} does not match the dimension {d}")
+        raise ValidationError(f"{name} of shape {x.shape} does not match the dimension {d}")
     if not np.all(np.isfinite(x)):
-        raise ValidationError(f"point coordinates must be finite, got {x}")
+        raise ValidationError(f"{name} must be finite, got {x}")
     return x
 
 
-def _finite_time(t: float) -> None:
-    """ValidationError unless the time ``t`` is finite."""
+def _finite_time(t: float, name: str = "time") -> None:
+    """ValidationError unless the scalar ``t`` is finite."""
     if not math.isfinite(t):
-        raise ValidationError(f"time must be finite, got {t!r}")
+        raise ValidationError(f"{name} must be finite, got {t!r}")
+
+
+def _count(name: str, value, lo: float, hi: float = math.inf) -> None:
+    """ValidationError unless ``value`` is an integer in [lo, hi].
+
+    An integer is a ``numbers.Integral`` (NumPy integers included) other
+    than a bool.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not lo <= value <= hi:
+        raise ValidationError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
+
+
+def _same_dimension(**dims: int) -> None:
+    """ValidationError unless every keyword names the same dimension."""
+    if len(set(dims.values())) > 1:
+        named = ", ".join(f"{name} {d}" for name, d in dims.items())
+        raise ValidationError(f"dimensions differ: {named}")
 
 
 def flow(sys: RotationSystem, theta, t: float) -> np.ndarray:
     """Advance a torus point by time t: (theta + t*alpha) mod 2*pi.
 
     A single fused mod is applied after the arithmetic so repeated calls
-    are bitwise reproducible.
+    are bitwise reproducible.  A t*alpha past the float range raises a
+    DegeneracyError naming t.
     """
     theta = _finite_point(theta, sys.d)
     _finite_time(t)
-    return wrap_angles(theta + t * sys.alpha)
+    with np.errstate(over="ignore"):
+        moved = theta + t * sys.alpha
+    if not np.all(np.isfinite(moved)):
+        raise DegeneracyError(f"the flow leaves the float range at t={t!r}")
+    return wrap_angles(moved)
 
 
 def _rotation_orbit(x: float, step: float, n: int):
@@ -103,8 +131,7 @@ def sample_trajectory(sys: RotationSystem, x0, dt: float, n: int) -> np.ndarray:
     2*pi from the wrapped x0, so consecutive rows are bitwise the flow step
     ``flow(sys, row, dt)`` without a numpy call per sample.
     """
-    if n < 1:
-        raise ValidationError("trajectory length must be >= 1")
+    _count("n", n, 1)
     if not (0 < dt < math.inf):
         raise ValidationError("dt must be positive and finite")
     start = wrap_angles(_finite_point(x0, sys.d))
@@ -142,8 +169,7 @@ class PeriodicOrbitSystem:
     M: int
 
     def __post_init__(self):
-        if self.M < 1:
-            raise ValidationError("orbit length must be >= 1")
+        _count("M", self.M, 1)
 
     @property
     def mu(self) -> np.ndarray:
@@ -168,6 +194,7 @@ class FourierObservable:
 
     The represented function is f(theta) = sum_j c_j exp(i j.theta).  A real
     valued function requires c_{-j} = conj(c_j) for every stored index.
+    Every coefficient is finite.
     """
 
     __slots__ = ("coeffs", "d")
@@ -177,6 +204,8 @@ class FourierObservable:
         for j, c in coeffs.items():
             key = (int(j),) if np.isscalar(j) else tuple(int(v) for v in j)
             items[key] = complex(c)
+        values = np.array(list(items.values()), dtype=complex)
+        _finite_point(values.view(float), 2 * values.size, "coefficients")
         if d is None:
             if not items:
                 raise ValidationError("dimension required for an empty observable")
@@ -223,8 +252,7 @@ class FourierObservable:
         return True
 
     def plus(self, other: "FourierObservable") -> "FourierObservable":
-        if other.d != self.d:
-            raise ValidationError("dimension mismatch")
+        _same_dimension(observable=self.d, other=other.d)
         out = dict(self.coeffs)
         for j, c in other.coeffs.items():
             out[j] = out.get(j, 0.0) + c
@@ -244,12 +272,13 @@ def grid_sum(indices, coeffs, grid_size: int) -> np.ndarray:
     support.  ``indices`` is an (n, d) integer array and ``coeffs`` holds
     its n coefficients on the last axis; leading axes of ``coeffs`` are a
     batch of sums, each placed and transformed on its own.  The result has
-    shape coeffs.shape[:-1] + (G,) * d.
+    shape coeffs.shape[:-1] + (G,) * d.  A non-finite coefficient is
+    refused, once per call.
     """
-    if grid_size < 1:
-        raise ValidationError("grid_size must be >= 1")
+    _count("grid_size", grid_size, 1)
     indices = np.asarray(indices, dtype=int)
     coeffs = np.asarray(coeffs, dtype=complex)
+    _finite_point(np.ravel(coeffs).view(float), 2 * coeffs.size, "coefficients")
     d = indices.shape[1]
     box = np.zeros(coeffs.shape[:-1] + (grid_size,) * d, dtype=complex)
     np.add.at(box, (Ellipsis,) + tuple((indices % grid_size).T), coeffs)
@@ -261,8 +290,7 @@ def koopman_exact(f: FourierObservable, sys: RotationSystem, t: float) -> Fourie
 
     This is the oracle every forecast in the package is compared against.
     """
-    if f.d != sys.d:
-        raise ValidationError("observable and system dimensions differ")
+    _same_dimension(observable=f.d, system=sys.d)
     _finite_time(t)
     return FourierObservable(
         {
@@ -399,8 +427,7 @@ def bessel_ratios(kappa, jmax: int) -> np.ndarray:
         raise ValidationError(
             f"concentration {float(huge[0])!r} is above the cap of {_BESSEL_MAX_KAPPA:g}"
         )
-    if jmax < 0:
-        raise ValidationError("jmax must be >= 0")
+    _count("jmax", jmax, 0)
     rows = kappas.reshape(-1)
     out = np.zeros((rows.size, jmax + 1))
     out[:, 0] = 1.0
@@ -470,8 +497,7 @@ class VonMisesDensity:
 
     def nth_root(self, n: int) -> "VonMisesDensity":
         """The normalized density proportional to p^(1/n): same family, kappa/n."""
-        if n < 1:
-            raise ValidationError("root order must be >= 1")
+        _count("n", n, 1)
         return VonMisesDensity(self.mu, self.kappa / n)
 
 
@@ -482,8 +508,7 @@ def von_mises_fourier(p: VonMisesDensity, bandwidth: int) -> FourierObservable:
     times the location phase exp(-i j mu); the product density multiplies
     these across dimensions.
     """
-    if bandwidth < 0:
-        raise ValidationError("bandwidth must be >= 0")
+    _count("bandwidth", bandwidth, 0)
     per_dim = []
     for i in range(p.d):
         ratios = bessel_ratios(p.kappa[i], bandwidth)

@@ -39,7 +39,10 @@ from .dynamics import (
     FourierObservable,
     RotationSystem,
     VonMisesDensity,
+    _count,
     _finite_point,
+    _finite_time,
+    _same_dimension,
     bessel_ratios,
     grid_sum,
     koopman_exact,
@@ -126,8 +129,9 @@ class FockWeight:
     nmax: int
 
     def __post_init__(self):
-        if not (self.sigma_w > 0 and 0.0 < self.p_w < 1.0) or self.nmax < 0:
-            raise ValidationError("need sigma_w > 0, p_w in (0,1), nmax >= 0")
+        if not (self.sigma_w > 0 and 0.0 < self.p_w < 1.0):
+            raise ValidationError("need sigma_w > 0 and p_w in (0,1)")
+        _count("nmax", self.nmax, 0)
 
     def value(self, n: int) -> float:
         return math.exp(self.sigma_w * float(n) ** self.p_w)
@@ -135,7 +139,7 @@ class FockWeight:
     def squared(self, n: int) -> float:
         return math.exp(2.0 * self.sigma_w * float(n) ** self.p_w)
 
-    def inv_square_tail(self, n: int | None = None) -> float:
+    def inv_square_tail(self, n: float | None = None) -> float:
         """Upper bound for sum_{k > n} w^-2(k), by integral comparison.
 
         With c = 2 sigma_w, sum_{k>n} exp(-c k^p) <= int_n^inf exp(-c x^p) dx
@@ -168,8 +172,8 @@ class FockWeight:
 def occupation(counts) -> tuple:
     """Canonical occupation key: sorted tuple of (mode, count) with count >= 1."""
     items = tuple(sorted((m, int(c)) for m, c in counts if c))
-    if any(c < 1 for _, c in items):
-        raise ValidationError("occupation counts must be >= 1")
+    for _, c in items:
+        _count("occupation count", c, 1)
     return items
 
 
@@ -433,14 +437,11 @@ class SecondQuantizationParams:
     weight: FockWeight = field(default_factory=lambda: FockWeight(3.0, 0.5, 6))
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValidationError("grading m must be >= 1")
-        if self.m > self.weight.nmax:
-            raise ValidationError("grading cutoff nmax must cover m")
+        _count("m", self.m, 1, self.weight.nmax)  # the grading cutoff covers m
         if not (0.0 < self.tau <= self.sigma / 2.0):
             raise ValidationError("need 0 < tau <= sigma/2")
-        if self.grid_size < 2 * self.bandwidth + 2:
-            raise ValidationError("quadrature grid must resolve the lattice")
+        _count("bandwidth", self.bandwidth, 0)
+        _count("grid_size", self.grid_size, 2 * self.bandwidth + 2)  # resolves the lattice
         if self.obs_concentration <= 0:
             raise ValidationError("kernel concentration must be positive")
 
@@ -493,11 +494,9 @@ def second_quantization_forecast(
     observation-kernel mass outside the lattice.
     """
     d = sys.d
-    if f.d != d:
-        raise ValidationError("observable and system dimensions differ")
+    _same_dimension(observable=f.d, system=d)
     x = _finite_point(x, d)
-    if not math.isfinite(t):
-        raise ValidationError(f"forecast time must be finite, got {t!r}")
+    _finite_time(t)
     J, g = params.bandwidth, params.grid_size
     j = np.arange(-J, J + 1)
     power = np.abs(j) ** params.p
@@ -505,6 +504,8 @@ def second_quantization_forecast(
     varpi2 = float(np.sum(lam_sigma))  # one axis: varpi^2 is its d-th power
     c = von_mises_kernel_row(params.obs_concentration, J)
     a = (lam_sigma * c / varpi2) * np.exp(1j * np.outer(x + t * sys.alpha, j))  # row i: a_i
+    if not np.all(np.isfinite(a)):  # NaN at sigma = inf: lambda_sigma(0) = exp(-inf * 0)
+        raise DegeneracyError(f"the section pairing is not finite at sigma={params.sigma!r}")
     k_pow = np.fft.ifft(grid_sum(-j[:, None], a, g) ** params.m, axis=-1)  # row i: K_i
 
     idx = np.array(list(f.coeffs), dtype=int).reshape(-1, d) % g
@@ -538,10 +539,8 @@ class TensorNetworkParams:
     bandwidth: int = 16
 
     def __post_init__(self):
-        if not (1 <= self.n <= 3):
-            raise ValidationError("n must lie in {1, 2, 3}")
-        if self.bandwidth < 1:
-            raise ValidationError("bandwidth must be >= 1")
+        _count("n", self.n, 1, 3)
+        _count("bandwidth", self.bandwidth, 1)
 
 
 @dataclass
@@ -576,10 +575,8 @@ def tensor_network_expectation(
     their bounds.
     """
     d = state.d
-    if f.d != d or sys.d != d:
-        raise ValidationError("dimension mismatch between observable, state, and system")
-    if not math.isfinite(t):
-        raise ValidationError("forecast time must be finite")
+    _same_dimension(observable=f.d, state=d, system=sys.d)
+    _finite_time(t)
     J, n = params.bandwidth, params.n
     root = state.nth_root(n)
     # one Miller run per dimension: the factor's row and its tail beyond J

@@ -27,8 +27,10 @@ from .dynamics import (
     MAX_STATEVECTOR_QUBITS,
     FourierObservable,
     RotationSystem,
+    _count,
     _finite_point,
     _finite_time,
+    _same_dimension,
 )
 from .errors import NotAffineError, ValidationError
 from .rkha import SubexpWeight, _feature_vector, _integer_key, fourier_multiplier_matrix
@@ -51,8 +53,8 @@ class QubitEncoding:
     q: int
 
     def __post_init__(self):
-        if self.d < 1 or self.q < 0:
-            raise ValidationError("need d >= 1 and q >= 0")
+        _count("d", self.d, 1)
+        _count("q", self.q, 0)
         if self.n_qubits > MAX_STATEVECTOR_QUBITS:
             raise ValidationError(
                 f"encoding needs {self.n_qubits} qubits (d={self.d}, q={self.q}); "
@@ -104,14 +106,9 @@ class QubitEncoding:
         return self._decode(np.arange(self.dim))
 
 
-def _check_dims(enc: QubitEncoding, sys: RotationSystem) -> None:
-    if sys.d != enc.d:
-        raise ValidationError("system and encoding dimensions differ")
-
-
 def frequency_vector(enc: QubitEncoding, sys: RotationSystem) -> np.ndarray:
     """Frequency j.alpha of the decoded index at every basis state."""
-    _check_dims(enc, sys)
+    _same_dimension(encoding=enc.d, system=sys.d)
     return enc.index_table() @ sys.alpha
 
 
@@ -145,8 +142,9 @@ def walsh_coefficients(freqs: np.ndarray, rel_tol: float = 1e-10) -> WalshCoeffi
 
     Raises if the constant term or any weight >= 2 coefficient exceeds
     rel_tol times max|freq|, since that breaks the single-qubit phase
-    factorization of the evolution.
+    factorization of the evolution, and refuses a non-finite frequency.
     """
+    freqs = _finite_point(freqs, np.size(freqs), "frequencies")
     size = freqs.size
     n = size.bit_length() - 1
     if 2**n != size:
@@ -176,8 +174,7 @@ def evolve_statevector(coeffs: WalshCoefficients, psi: np.ndarray, t: float) -> 
     """
     _finite_time(t)
     n = coeffs.n_qubits
-    if psi.size != 2**n:
-        raise ValidationError("statevector length does not match the qubit count")
+    _same_dimension(statevector=psi.size, register=2**n)
     cube = np.array(psi, dtype=complex).reshape((2,) * n)
     for i in range(n):
         shape = [1] * n
@@ -198,8 +195,7 @@ def feature_state(enc: QubitEncoding, w: SubexpWeight, x) -> np.ndarray:
 
 
 def _check_observable(enc: QubitEncoding, f: FourierObservable) -> None:
-    if f.d != enc.d:
-        raise ValidationError("observable and encoding dimensions differ")
+    _same_dimension(observable=f.d, encoding=enc.d)
     if not f.is_real():
         raise ValidationError("observable must be real-valued (conjugate-symmetric)")
 
@@ -265,7 +261,7 @@ def circuit_expectation(
     with a seeded generator; only that path builds the dense S_f, so it is
     limited to MAX_DENSE_QUBITS qubits.
     """
-    _check_dims(enc, sys)
+    _same_dimension(encoding=enc.d, system=sys.d)
     _check_observable(enc, f)
     _finite_time(t)
     table = enc.index_table()

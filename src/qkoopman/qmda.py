@@ -31,6 +31,9 @@ from .dynamics import (
     VON_MISES,
     PeriodicOrbitSystem,
     RotationSystem,
+    _count,
+    _finite_point,
+    _finite_time,
     _i0e,
     _rotation_orbit,
     bessel_ratios,
@@ -120,9 +123,7 @@ def _real_form_root_apply(s: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
 def compress(matrix: np.ndarray, rank: int) -> np.ndarray:
     """Top-left rank x rank block in the fixed basis: linear, positivity preserving."""
-    n = matrix.shape[0]
-    if not (1 <= rank <= n):
-        raise ValidationError(f"rank must lie in [1, {n}]")
+    _count("rank", rank, 1, matrix.shape[0])
     return np.array(matrix[:rank, :rank])
 
 
@@ -165,12 +166,6 @@ def consistency_chain_gap(sys: PeriodicOrbitSystem, sigma: np.ndarray, f: np.nda
     )
 
 
-def _finite_observation(y: float) -> None:
-    """ValidationError unless the observation ``y`` is finite."""
-    if not math.isfinite(y):
-        raise ValidationError(f"observation y must be finite, got {y!r}")
-
-
 @dataclass(frozen=True)
 class ObservationModel:
     """Observation map plus a kernel likelihood in [0, 1].
@@ -200,7 +195,7 @@ class ObservationModel:
             raise ValidationError("noise_std must be nonnegative and finite")
 
     def kappa(self, y: float, values: np.ndarray) -> np.ndarray:
-        _finite_observation(y)
+        _finite_time(y, "observation y")
         values = np.asarray(values, dtype=float)
         if self.kind == VON_MISES:
             return np.exp(self.scale * (np.cos(y - values) - 1.0))
@@ -228,7 +223,7 @@ class ObservationModel:
 
     def fourier_coeffs(self, y: float, bandwidth: int) -> dict:
         """Fourier coefficients of x -> kappa(y, x) on the circle (d=1)."""
-        _finite_observation(y)
+        _finite_time(y, "observation y")
         out = {}
         if self.kind == VON_MISES:
             row = von_mises_kernel_row(self.scale, bandwidth)
@@ -327,22 +322,20 @@ def run_filter(
     Every step it finished is then scored in blocks of rows
     (``_score_orbit_steps``) before that failure is raised.
     """
-    if steps < 1:
-        raise ValidationError("steps must be >= 1")
+    _count("steps", steps, 1)
+    _count("x0", x0, -math.inf)
     if observations is not None:
         if len(observations) < steps:
             raise ValidationError(f"need {steps} observations, got {len(observations)}")
-        observations = np.asarray(observations[:steps], dtype=float)
-        if not np.all(np.isfinite(observations)):
-            raise ValidationError("observations must be finite")
+        observations = _finite_point(observations[:steps], steps, "observations")
     if mode not in (CLASSICAL, QUANTUM, QUANTUM_PROJECTED):
         raise ValidationError(f"unknown filter mode {mode!r}")
-    if mode == QUANTUM_PROJECTED and (rank is None or not (1 <= rank <= sys.M)):
-        raise ValidationError("projected mode needs a rank between 1 and M")
+    if mode == QUANTUM_PROJECTED:
+        _count("rank", rank, 1, sys.M)
 
     mu = sys.mu
     h_values = orbit_observation_values(sys)
-    sigma = np.ones(sys.M) if sigma0 is None else np.asarray(sigma0, dtype=float)
+    sigma = np.ones(sys.M) if sigma0 is None else _finite_point(sigma0, sys.M, "sigma0")
     check_density(sigma, mu)
     truths = (int(x0) % sys.M + np.arange(1, steps + 1)) % sys.M
     if observations is None:
@@ -550,33 +543,32 @@ def run_torus_filter(
     raises ahead of the recorded failure.  So the first failing step raises what a
     step-by-step run raises; the states agree with it to rounding (1e-13),
     the classical track bitwise.  Memory grows with steps times the lattice
-    size, never with steps times ``grid_size``.
+    size, never with steps times ``grid_size``.  Classical mode builds none
+    of the operator track's set-up (kept modes, rotation phases, half
+    kernel, T0), so only the operator modes refuse a half kernel above the
+    Bessel cap.
     """
     if sys.d != 1:
         raise ValidationError("the torus filter is implemented for d=1")
     if model.kind != VON_MISES:
         raise ValidationError("torus filtering uses the circular observation kernel")
-    if steps < 1:
-        raise ValidationError("need steps >= 1")
-    if not math.isfinite(x0):
-        raise ValidationError(f"x0 must be finite, got {x0!r}")
+    _count("steps", steps, 1)
+    _finite_time(x0, "x0")
     if not (math.isfinite(dt) and dt > 0):
         raise ValidationError(f"dt must be finite and > 0, got {dt!r}")
     if not (math.isfinite(kappa0) and kappa0 >= 0):
         raise ValidationError(f"kappa0 must be finite and >= 0, got {kappa0!r}")
-    if grid_size < 1:
-        raise ValidationError("grid_size must be >= 1")
+    _count("grid_size", grid_size, 1)
+    _count("bandwidth", bandwidth, 0)
     if mode not in (CLASSICAL, QUANTUM, QUANTUM_PROJECTED):
         raise ValidationError(f"unknown filter mode {mode!r}")
     from .rkha import TruncatedLattice
 
     lat = TruncatedLattice(1, bandwidth)
-    if mode != QUANTUM_PROJECTED:
+    if mode == QUANTUM_PROJECTED:
+        _count("rank", rank, 1, lat.size)
+    else:
         rank = lat.size
-    elif rank is None or not (1 <= rank <= lat.size):
-        raise ValidationError("projected mode needs a rank between 1 and the lattice size")
-    keep = np.zeros(lat.size)  # indicator of the modes the operator track keeps
-    keep[_orbit_mode_order(lat.size)[:rank] + lat.J] = 1.0
 
     alpha = float(sys.alpha[0])
     run_quantum = mode in (QUANTUM, QUANTUM_PROJECTED)
@@ -586,13 +578,15 @@ def run_torus_filter(
     # each step's prior concentration is hypot(c_vec, s_vec), the previous
     # step's posterior one, so its scaled I_0 carries over from that step
     i0e_prior = _i0e(math.hypot(c_vec, s_vec))
-    j_all = lat.indices[:, 0]
-    # step-invariant: rotation phases and T0, the square-root kernel's
-    # magnitudes |k|_{j-l} on the kept rows
-    rotate = np.exp(-1j * dt * alpha * j_all)
-    kernel_abs = von_mises_kernel_row(model.scale / 2.0, 2 * lat.J)
-    toeplitz = keep[:, None] * kernel_abs[j_all[:, None] - j_all + 2 * lat.J]
     if run_quantum:
+        j_all = lat.indices[:, 0]
+        keep = np.zeros(lat.size)  # indicator of the modes the operator track keeps
+        keep[_orbit_mode_order(lat.size)[:rank] + lat.J] = 1.0
+        # step-invariant: rotation phases and T0, the square-root kernel's
+        # magnitudes |k|_{j-l} on the kept rows
+        rotate = np.exp(-1j * dt * alpha * j_all)
+        kernel_abs = von_mises_kernel_row(model.scale / 2.0, 2 * lat.J)
+        toeplitz = keep[:, None] * kernel_abs[j_all[:, None] - j_all + 2 * lat.J]
         # chi in the frame of y_0 = 0, where it is psi itself
         chi = _sqrt_von_mises_rows(np.array([x0]), np.array([kappa0]), lat)[0] * keep
         chi /= np.linalg.norm(chi)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import FourierObservable, _finite_point
+from .dynamics import FourierObservable, _count, _finite_point, _finite_time, _same_dimension
 from .errors import OutOfLatticeError, ValidationError
 
 
@@ -49,12 +49,12 @@ class SubexpWeight:
     d: int = 1
 
     def __post_init__(self):
+        _finite_time(self.tau, "tau")
         if not (self.tau > 0):
             raise ValidationError("tau must be positive")
         if not (0.0 < self.p < 1.0):
             raise ValidationError("p must lie in (0, 1)")
-        if self.d < 1:
-            raise ValidationError("dimension must be >= 1")
+        _count("d", self.d, 1)
 
     def log_values(self, indices) -> np.ndarray:
         """log lambda(j) = -tau sum_i |j_i|^p per row j of an (n, d) index table: the one exponent."""
@@ -90,8 +90,8 @@ class TruncatedLattice:
     __slots__ = ("d", "J", "indices")
 
     def __init__(self, d: int, J: int):
-        if d < 1 or J < 0:
-            raise ValidationError("lattice needs d >= 1 and J >= 0")
+        _count("d", d, 1)
+        _count("J", J, 0)
         self.d = d
         self.J = J
         grid = np.indices((2 * J + 1,) * d, dtype=int).reshape(d, -1) - J
@@ -122,8 +122,7 @@ class TruncatedLattice:
 
     def observable_vector(self, f: FourierObservable) -> np.ndarray:
         """Dense coefficient vector of f over this lattice (error if outside)."""
-        if f.d != self.d:
-            raise ValidationError("observable and lattice dimensions differ")
+        _same_dimension(observable=f.d, lattice=self.d)
         out = np.zeros(self.size, dtype=complex)
         for j, c in f.coeffs.items():
             if j not in self:
@@ -245,8 +244,7 @@ def _gamma_terms(w: SubexpWeight, gamma, nmax: int):
     gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
     if not np.all(np.isfinite(gamma)) or np.all(gamma == 0):
         raise ValidationError("gamma must be finite and nonzero")
-    if not nmax >= 1:
-        raise ValidationError(f"nmax must be >= 1, got {nmax}")
+    _count("nmax", nmax, 1)
     return float(np.sum(np.abs(gamma) ** w.p)), np.arange(1, nmax + 1, dtype=float)
 
 

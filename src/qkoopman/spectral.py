@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import FourierObservable, RotationSystem, _finite_time
+from .dynamics import FourierObservable, RotationSystem, _finite_time, _same_dimension
 from .errors import DegeneracyError, RankDeficiencyError, ValidationError
 from .rkha import SubexpWeight, TruncatedLattice
 
@@ -74,8 +74,7 @@ class GeneratorSpec:
 
 def analytic_generator(sys: RotationSystem, lat: TruncatedLattice) -> GeneratorSpec:
     """Exact rotation generator: diagonal with omega_j = j.alpha on the lattice."""
-    if sys.d != lat.d:
-        raise ValidationError("system and lattice dimensions differ")
+    _same_dimension(system=sys.d, lattice=lat.d)
     return GeneratorSpec(lattice=lat, omega=lat.indices @ sys.alpha)
 
 
@@ -111,8 +110,7 @@ def data_driven_generator(
     if not (math.isfinite(dt) and dt > 0):
         raise ValidationError(f"dt must be finite and > 0, got {dt!r}")
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    if samples.shape[1] != lat.d:
-        raise ValidationError("trajectory and lattice dimensions differ")
+    _same_dimension(trajectory=samples.shape[1], lattice=lat.d)
     if not np.all(np.isfinite(samples)):
         raise ValidationError("trajectory samples must be finite")
     n = samples.shape[0]
@@ -177,7 +175,6 @@ def frequency_table(gen: GeneratorSpec, reference: GeneratorSpec | None = None):
     omega = gen.eigen_omega
     err = np.zeros(omega.size)
     if reference is not None:
-        if reference.omega.size != omega.size:
-            raise ValidationError("generator and reference have different sizes")
+        _same_dimension(generator=omega.size, reference=reference.omega.size)
         err[np.argsort(omega, kind="stable")] = np.abs(np.sort(omega) - np.sort(reference.omega))
     return [(k, float(om), float(e)) for k, (om, e) in enumerate(zip(omega, err))]

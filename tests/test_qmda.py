@@ -826,9 +826,9 @@ class TestTorusFilter:
 
     @pytest.mark.parametrize("steps", [1, 200, 600])
     def test_one_i0e_per_step(self, monkeypatch, steps):
-        # each prior reuses the previous posterior's value; the other two
-        # calls are the initial prior and the half kernel, whose row
-        # dynamics.von_mises_kernel_row builds
+        # each prior reuses the previous posterior's value; the other calls
+        # are the initial prior and, in the operator modes only, the half
+        # kernel, whose row dynamics.von_mises_kernel_row builds
         calls = []
         i0e = dynamics._i0e
 
@@ -838,8 +838,22 @@ class TestTorusFilter:
 
         monkeypatch.setattr(qmda, "_i0e", counted)
         monkeypatch.setattr(dynamics, "_i0e", counted)
-        run_torus_filter(self.SYS, self.MODEL, 1.3, steps, 0.3, mode=CLASSICAL, seed=7)
-        assert len(calls) == steps + 2
+        for mode, rank, extra in ((CLASSICAL, None, 1), (QUANTUM, None, 2),
+                                  (QUANTUM_PROJECTED, 9, 2)):
+            calls.clear()
+            run_torus_filter(self.SYS, self.MODEL, 1.3, steps, 0.3, mode=mode, rank=rank, seed=7)
+            assert len(calls) == steps + extra, mode
+
+    def test_classical_mode_builds_no_half_kernel(self):
+        # the half kernel's concentration 2.5e8 is above the Bessel cap, which
+        # once refused this run in classical mode too, where no kernel is used
+        model = ObservationModel(kind="vonmises", scale=5e8, noise_std=0.0)
+        trace = run_torus_filter(self.SYS, model, 1.0, 50, 0.1, mode=CLASSICAL)
+        assert len(trace.steps) == 50
+        assert max(step.estimate_error for step in trace.steps) <= 1e-13
+        for mode, rank in ((QUANTUM, None), (QUANTUM_PROJECTED, 9)):
+            with pytest.raises(ValidationError, match="above the cap"):
+                run_torus_filter(self.SYS, model, 1.0, 50, 0.1, mode=mode, rank=rank)
 
     @pytest.mark.parametrize("mode,rank", [(QUANTUM, None), (QUANTUM_PROJECTED, 9)])
     def test_grid_values_in_batches_of_rows(self, monkeypatch, mode, rank):
