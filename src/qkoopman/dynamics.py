@@ -27,6 +27,9 @@ GAUSSIAN = "gaussian"
 VON_MISES = "vonmises"
 EVENT = "event"
 MAX_STATEVECTOR_QUBITS = 20
+# Largest grading, series cutoff (nmax) or shot count accepted: each takes a
+# float per term, 8 MB at the cap; tests and demos use at most 200,000.
+_MAX_TERMS = 10**6
 
 
 def wrap_angles(theta) -> np.ndarray:
@@ -44,11 +47,9 @@ class RotationSystem:
     alpha: np.ndarray
 
     def __post_init__(self):
-        alpha = np.atleast_1d(np.asarray(self.alpha, dtype=float))
-        if alpha.ndim != 1 or alpha.size < 1:
-            raise ValidationError("alpha must be a nonempty vector of frequencies")
-        if not np.all(np.isfinite(alpha)) or np.any(alpha == 0.0):
-            raise ValidationError("all frequencies must be finite and nonzero")
+        alpha = _finite_point(self.alpha, np.size(self.alpha), "alpha")
+        if alpha.size < 1 or np.any(alpha == 0.0):
+            raise ValidationError("alpha must be a nonempty vector of nonzero frequencies")
         object.__setattr__(self, "alpha", alpha)
 
     @property
@@ -58,7 +59,8 @@ class RotationSystem:
 
 # The library's argument rules, one function each; every entry point that
 # applies a rule calls it once, before any work, and its ValidationError
-# names the argument.
+# names the argument.  ``_phases`` also refuses a t * frequency past the
+# float range, with a DegeneracyError naming t.
 
 
 def _finite_point(x, d: int, name: str = "point") -> np.ndarray:
@@ -69,12 +71,6 @@ def _finite_point(x, d: int, name: str = "point") -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValidationError(f"{name} must be finite, got {x}")
     return x
-
-
-def _finite_time(t: float, name: str = "time") -> None:
-    """ValidationError unless the scalar ``t`` is finite."""
-    if not math.isfinite(t):
-        raise ValidationError(f"{name} must be finite, got {t!r}")
 
 
 def _count(name: str, value, lo: float, hi: float = math.inf) -> None:
@@ -94,20 +90,52 @@ def _same_dimension(**dims: int) -> None:
         raise ValidationError(f"dimensions differ: {named}")
 
 
+def _real(name: str, value, lo: float = -math.inf, hi: float = math.inf, strict=False) -> None:
+    """ValidationError unless ``value``, a number or an array of them, is finite and in [lo, hi].
+
+    With ``strict`` the interval is (lo, hi).  One float is checked without
+    numpy, as the filters check an observation each step.  The error names
+    the first value refused; one above a finite closed ``hi`` is reported
+    against that cap.
+    """
+    if isinstance(value, float) and math.isfinite(value) and (
+            lo < value < hi if strict else lo <= value <= hi):
+        return
+    x = np.asarray(value, dtype=float)
+    ok = np.isfinite(x) & ((x > lo) & (x < hi) if strict else (x >= lo) & (x <= hi))
+    if ok.all():
+        return
+    bad = float(x[~ok][0])
+    if not strict and hi < bad < math.inf:
+        raise ValidationError(f"{name} {bad!r} is above the cap of {hi:g}")
+    interval = f"({lo:g}, {hi:g})" if strict else f"[{lo:g}, {hi:g}]"
+    raise ValidationError(f"{name} must be finite and in {interval}, got {bad!r}")
+
+
+def _phases(t: float, freqs, name: str = "time") -> np.ndarray:
+    """The phases t * freqs for a finite ``t`` (checked by ``_real``).
+
+    A product past the float range raises a DegeneracyError naming ``t``;
+    callers use the product returned, so the check and the arithmetic are
+    one.
+    """
+    _real(name, t)
+    with np.errstate(over="ignore"):
+        phases = t * np.asarray(freqs)
+    if not np.all(np.isfinite(phases)):
+        raise DegeneracyError(f"{name} t={t!r} takes a phase past the float range")
+    return phases
+
+
 def flow(sys: RotationSystem, theta, t: float) -> np.ndarray:
     """Advance a torus point by time t: (theta + t*alpha) mod 2*pi.
 
     A single fused mod is applied after the arithmetic so repeated calls
     are bitwise reproducible.  A t*alpha past the float range raises a
-    DegeneracyError naming t.
+    DegeneracyError naming t (``_phases``).
     """
     theta = _finite_point(theta, sys.d)
-    _finite_time(t)
-    with np.errstate(over="ignore"):
-        moved = theta + t * sys.alpha
-    if not np.all(np.isfinite(moved)):
-        raise DegeneracyError(f"the flow leaves the float range at t={t!r}")
-    return wrap_angles(moved)
+    return wrap_angles(theta + _phases(t, sys.alpha))
 
 
 def _rotation_orbit(x: float, step: float, n: int):
@@ -132,11 +160,10 @@ def sample_trajectory(sys: RotationSystem, x0, dt: float, n: int) -> np.ndarray:
     ``flow(sys, row, dt)`` without a numpy call per sample.
     """
     _count("n", n, 1)
-    if not (0 < dt < math.inf):
-        raise ValidationError("dt must be positive and finite")
+    _real("dt", dt, 0, strict=True)
     start = wrap_angles(_finite_point(x0, sys.d))
     out = np.empty((n, sys.d))
-    for i, step in enumerate(dt * sys.alpha):
+    for i, step in enumerate(_phases(dt, sys.alpha, "dt")):
         out[:, i] = np.fromiter(_rotation_orbit(float(start[i]), float(step), n), float, count=n)
     return out
 
@@ -151,7 +178,7 @@ def rational_dependence_warnings(alpha, tol: float = 1e-9, max_denominator: int 
     """
     from fractions import Fraction  # only here, so importing the package skips it
 
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
+    alpha = _finite_point(alpha, np.size(alpha), "alpha")
     flagged = []
     for i in range(alpha.size):
         for k in range(i + 1, alpha.size):
@@ -291,13 +318,9 @@ def koopman_exact(f: FourierObservable, sys: RotationSystem, t: float) -> Fourie
     This is the oracle every forecast in the package is compared against.
     """
     _same_dimension(observable=f.d, system=sys.d)
-    _finite_time(t)
+    phases = _phases(t, [float(np.dot(j, sys.alpha)) for j in f.coeffs]).tolist()
     return FourierObservable(
-        {
-            j: c * complex(np.exp(1j * t * float(np.dot(j, sys.alpha))))
-            for j, c in f.coeffs.items()
-        },
-        d=f.d,
+        {j: c * complex(np.exp(1j * p)) for (j, c), p in zip(f.coeffs.items(), phases)}, d=f.d
     )
 
 
@@ -420,13 +443,7 @@ def bessel_ratios(kappa, jmax: int) -> np.ndarray:
     kappas = np.asarray(kappa, dtype=float)
     if kappas.ndim > 1:
         raise ValidationError("kappa must be a number or a 1-d array")
-    if not np.all((kappas >= 0) & (kappas < math.inf)):
-        raise ValidationError("concentration must be nonnegative and finite")
-    huge = kappas[kappas > _BESSEL_MAX_KAPPA]
-    if huge.size:
-        raise ValidationError(
-            f"concentration {float(huge[0])!r} is above the cap of {_BESSEL_MAX_KAPPA:g}"
-        )
+    _real("concentration", kappa, 0, _BESSEL_MAX_KAPPA)
     _count("jmax", jmax, 0)
     rows = kappas.reshape(-1)
     out = np.zeros((rows.size, jmax + 1))
@@ -470,7 +487,11 @@ def von_mises_kernel_row(kappa: float, bandwidth: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class VonMisesDensity:
-    """Product von Mises density p(theta) = prod_i exp(kappa_i cos(theta_i - mu_i))/I_0(kappa_i)."""
+    """Product von Mises density p(theta) = prod_i exp(kappa_i cos(theta_i - mu_i))/I_0(kappa_i).
+
+    Each kappa_i lies in [0, ``_BESSEL_MAX_KAPPA``], the concentrations
+    ``bessel_ratios`` accepts.
+    """
 
     mu: np.ndarray
     kappa: np.ndarray
@@ -478,8 +499,7 @@ class VonMisesDensity:
     def __post_init__(self):
         kappa = np.atleast_1d(np.asarray(self.kappa, dtype=float))
         mu = _finite_point(self.mu, kappa.size)  # the location: one angle per kappa
-        if not np.all((kappa >= 0) & (kappa < math.inf)):
-            raise ValidationError("kappa entries must be nonnegative and finite")
+        _real("kappa", kappa, 0, _BESSEL_MAX_KAPPA)
         object.__setattr__(self, "mu", wrap_angles(mu))
         object.__setattr__(self, "kappa", kappa)
 

@@ -35,13 +35,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import (
+    _MAX_TERMS,
     TWO_PI,
     FourierObservable,
     RotationSystem,
     VonMisesDensity,
     _count,
     _finite_point,
-    _finite_time,
+    _phases,
+    _real,
     _same_dimension,
     bessel_ratios,
     grid_sum,
@@ -129,9 +131,9 @@ class FockWeight:
     nmax: int
 
     def __post_init__(self):
-        if not (self.sigma_w > 0 and 0.0 < self.p_w < 1.0):
-            raise ValidationError("need sigma_w > 0 and p_w in (0,1)")
-        _count("nmax", self.nmax, 0)
+        _real("sigma_w", self.sigma_w, 0, strict=True)
+        _real("p_w", self.p_w, 0, 1, strict=True)
+        _count("nmax", self.nmax, 0, _MAX_TERMS)
 
     def value(self, n: int) -> float:
         return math.exp(self.sigma_w * float(n) ** self.p_w)
@@ -149,8 +151,7 @@ class FockWeight:
         """
         if n is None:
             n = self.nmax
-        if not (0 <= n < math.inf):  # a NaN n never ends _log_gammaincc's Lentz loop
-            raise ValidationError(f"tail start n must be finite and >= 0, got {n!r}")
+        _real("tail start n", n, 0)  # a NaN n never ends _log_gammaincc's Lentz loop
         c = 2.0 * self.sigma_w
         a = 1.0 / self.p_w
         log_scale = math.lgamma(a) - math.log(self.p_w) - a * math.log(c)  # the bound at Q = 1
@@ -289,6 +290,7 @@ def vector_power(amplitudes: dict, n: int) -> FockVector:
     (sum_k eta_k zeta_k)^(vee n) expands over occupations A of grading n with
     multinomial coefficients n!/prod A_k! times prod eta_k^A_k.
     """
+    _count("n", n, 0, _MAX_TERMS)
     if n == 0:
         return FockVector.vacuum()
     modes = sorted(m for m, a in amplitudes.items() if a != 0)
@@ -328,11 +330,9 @@ def apply_lifted_generator(freqs: dict, v: FockVector) -> FockVector:
 
 def evolve_lifted(freqs: dict, v: FockVector, t: float) -> FockVector:
     """Unitary lifted evolution: phase exp(i t sum_k A_k omega_k) per occupation."""
+    phases = _phases(t, [occupation_frequency(occ, freqs) for occ in v.terms]).tolist()
     return FockVector(
-        {
-            occ: complex(np.exp(1j * t * occupation_frequency(occ, freqs))) * a
-            for occ, a in v.terms.items()
-        }
+        {occ: complex(np.exp(1j * p)) * a for (occ, a), p in zip(v.terms.items(), phases)}
     )
 
 
@@ -352,15 +352,15 @@ class SpectrumTorusPoint:
     phases: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.amplitudes, dtype=float)
+        a = _finite_point(self.amplitudes, len(self.modes), "amplitudes")
         z = np.asarray(self.phases, dtype=complex)
-        if a.shape != z.shape or len(self.modes) != a.size:
+        if a.shape != z.shape:
             raise ValidationError("modes, amplitudes, and phases must align")
         if np.any(a < 0):
             raise ValidationError("amplitudes must be nonnegative")
         if np.linalg.norm(a) > 1.0 + 1e-12:
             raise ValidationError("amplitude vector exceeds the series radius 1")
-        if np.max(np.abs(np.abs(z) - 1.0)) > 1e-12:
+        if not np.all(np.abs(np.abs(z) - 1.0) <= 1e-12):  # a NaN phase fails too
             raise ValidationError("phases must be unimodular")
         if abs(z[0] - 1.0) > 1e-12:
             raise ValidationError("the constant mode carries no phase")
@@ -384,14 +384,15 @@ def rotate_phase_point(
     rotated point against a vector equals pairing the original point against
     the evolved vector.
     """
-    omegas = np.array([freqs[m] for m in pt.modes])
-    return SpectrumTorusPoint(pt.modes, pt.amplitudes, np.exp(-1j * omegas * t) * pt.phases)
+    omegas = _phases(t, [freqs[m] for m in pt.modes])
+    return SpectrumTorusPoint(pt.modes, pt.amplitudes, np.exp(-1j * omegas) * pt.phases)
 
 
 def xi_vector(eta: dict, weight: FockWeight, nmax: int | None = None) -> FockVector:
     """Truncated multiplicative-functional vector sum_{n<=nmax} w^-2(n) eta^(vee n)."""
     if nmax is None:
         nmax = weight.nmax
+    _count("nmax", nmax, 0, _MAX_TERMS)
     out = FockVector.vacuum()  # w^-2(0) = 1
     for n in range(1, nmax + 1):
         out = out.plus(vector_power(eta, n).scaled(1.0 / weight.squared(n)))
@@ -406,8 +407,8 @@ def xi_tail_norm(eta_norm: float, weight: FockWeight, nmax: int | None = None) -
     """
     if nmax is None:
         nmax = weight.nmax
-    if eta_norm > 1.0 + 1e-12:
-        raise ValidationError("eta norm exceeds the series radius 1")
+    _count("nmax", nmax, 0, _MAX_TERMS)
+    _real("eta norm", eta_norm, 0, 1.0 + 1e-12)  # the series radius 1
     return float(min(eta_norm, 1.0) ** (nmax + 1) * math.sqrt(weight.inv_square_tail(nmax)))
 
 
@@ -442,8 +443,8 @@ class SecondQuantizationParams:
             raise ValidationError("need 0 < tau <= sigma/2")
         _count("bandwidth", self.bandwidth, 0)
         _count("grid_size", self.grid_size, 2 * self.bandwidth + 2)  # resolves the lattice
-        if self.obs_concentration <= 0:
-            raise ValidationError("kernel concentration must be positive")
+        _real("p", self.p, 0, 1, strict=True)
+        _real("obs_concentration", self.obs_concentration, 0, strict=True)
 
 
 @dataclass
@@ -496,15 +497,19 @@ def second_quantization_forecast(
     d = sys.d
     _same_dimension(observable=f.d, system=d)
     x = _finite_point(x, d)
-    _finite_time(t)
+    shift = _phases(t, sys.alpha)  # t alpha
     J, g = params.bandwidth, params.grid_size
     j = np.arange(-J, J + 1)
     power = np.abs(j) ** params.p
-    lam_sigma = np.exp(-params.sigma * power)
+    # eta2 is sum_j |eta_j|^2 on one axis, lambda_sigma^2 / lambda_tau in one exp; a
+    # sigma or 2 sigma - tau that overflows gives inf * 0 = NaN at j = 0, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam_sigma = np.exp(-params.sigma * power)
+        eta2 = float(np.sum(np.exp(-(2.0 * params.sigma - params.tau) * power)))
     varpi2 = float(np.sum(lam_sigma))  # one axis: varpi^2 is its d-th power
     c = von_mises_kernel_row(params.obs_concentration, J)
-    a = (lam_sigma * c / varpi2) * np.exp(1j * np.outer(x + t * sys.alpha, j))  # row i: a_i
-    if not np.all(np.isfinite(a)):  # NaN at sigma = inf: lambda_sigma(0) = exp(-inf * 0)
+    a = (lam_sigma * c / varpi2) * np.exp(1j * np.outer(x + shift, j))  # row i: a_i
+    if not (np.all(np.isfinite(a)) and math.isfinite(eta2)):
         raise DegeneracyError(f"the section pairing is not finite at sigma={params.sigma!r}")
     k_pow = np.fft.ifft(grid_sum(-j[:, None], a, g) ** params.m, axis=-1)  # row i: K_i
 
@@ -515,8 +520,6 @@ def second_quantization_forecast(
         raise DegenerateNormalizationError(
             f"normalizing pairing {abs(den):.3e} below threshold 1e-8"
         )
-    # sum_j |eta_j|^2 on one axis, lambda_sigma^2 / lambda_tau in one exp
-    eta2 = float(np.sum(np.exp(-(2.0 * params.sigma - params.tau) * power)))
     return SecondQuantizationResult(
         value=float((num / den).real),
         normalization=float(abs(den)),
@@ -576,7 +579,7 @@ def tensor_network_expectation(
     """
     d = state.d
     _same_dimension(observable=f.d, state=d, system=sys.d)
-    _finite_time(t)
+    _real("time", t)
     J, n = params.bandwidth, params.n
     root = state.nth_root(n)
     # one Miller run per dimension: the factor's row and its tail beyond J

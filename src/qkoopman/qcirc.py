@@ -24,12 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
+    _MAX_TERMS,
     MAX_STATEVECTOR_QUBITS,
     FourierObservable,
     RotationSystem,
     _count,
     _finite_point,
-    _finite_time,
+    _phases,
+    _real,
     _same_dimension,
 )
 from .errors import NotAffineError, ValidationError
@@ -172,14 +174,14 @@ def evolve_statevector(coeffs: WalshCoefficients, psi: np.ndarray, t: float) -> 
 
     Work and memory are O(n 2^n); no 2^n x 2^n operator is ever formed.
     """
-    _finite_time(t)
+    forward, backward = _phases(t, coeffs.v), _phases(-t, coeffs.v)  # t v_i and -t v_i
     n = coeffs.n_qubits
     _same_dimension(statevector=psi.size, register=2**n)
     cube = np.array(psi, dtype=complex).reshape((2,) * n)
     for i in range(n):
         shape = [1] * n
         shape[i] = 2
-        phases = np.exp(np.array([t * coeffs.v[i], -t * coeffs.v[i]])).reshape(shape)
+        phases = np.exp(np.array([forward[i], backward[i]])).reshape(shape)
         cube = cube * phases
     return cube.reshape(-1)
 
@@ -263,7 +265,9 @@ def circuit_expectation(
     """
     _same_dimension(encoding=enc.d, system=sys.d)
     _check_observable(enc, f)
-    _finite_time(t)
+    _real("time", t)
+    if shots is not None:
+        _count("shots", shots, 1, _MAX_TERMS)
     table = enc.index_table()
     coeffs = walsh_coefficients(table @ sys.alpha)
     if shots is None:
@@ -294,13 +298,12 @@ def export_circuit(
     preparation and measurement are described as amplitude lists rather than
     synthesized into gates.
     """
-    _finite_time(t)
+    thetas = _phases(t, -2.0 * coeffs.v.imag).tolist()  # (-2t) v_i bitwise: doubling is exact
     lines = [
         "# diagonal phase circuit",
         f"# n={enc.n_qubits} d={enc.d} q={enc.q} t={format(t, '.17g')}",
     ]
-    for i in range(enc.n_qubits):
-        theta = -2.0 * t * float(coeffs.v[i].imag)
+    for i, theta in enumerate(thetas):
         lines.append(f"rz({format(theta, '.17g')}) q[{i}]")
     lines.append("# state preparation amplitudes (computational basis order)")
     if prep is not None:

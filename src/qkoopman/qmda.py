@@ -33,8 +33,9 @@ from .dynamics import (
     RotationSystem,
     _count,
     _finite_point,
-    _finite_time,
     _i0e,
+    _phases,
+    _real,
     _rotation_orbit,
     bessel_ratios,
     grid_sum,
@@ -78,8 +79,7 @@ def classical_analysis(sigma: np.ndarray, likelihood: np.ndarray, mu: np.ndarray
     """Bayes update: pointwise product with the likelihood, renormalized."""
     sigma = np.asarray(sigma, dtype=float)
     likelihood = np.asarray(likelihood, dtype=float)
-    if not np.all((likelihood >= 0) & (likelihood < math.inf)):
-        raise ValidationError("likelihood must be nonnegative and finite")
+    _real("likelihood", likelihood, 0)
     evidence = float(np.dot(mu, sigma * likelihood))
     if evidence <= 1e-300:
         raise ZeroEvidenceError("observation has zero evidence under the prior")
@@ -189,16 +189,17 @@ class ObservationModel:
     def __post_init__(self):
         if self.kind not in (GAUSSIAN, VON_MISES, EVENT):
             raise ValidationError(f"unknown observation kind {self.kind!r}")
-        if not (0 < self.scale < math.inf):
-            raise ValidationError("scale must be positive and finite")
-        if not (0 <= self.noise_std < math.inf):
-            raise ValidationError("noise_std must be nonnegative and finite")
+        _real("scale", self.scale, 0, strict=True)
+        _real("noise_std", self.noise_std, 0)
 
     def kappa(self, y: float, values: np.ndarray) -> np.ndarray:
-        _finite_time(y, "observation y")
+        _real("observation y", y)
         values = np.asarray(values, dtype=float)
-        if self.kind == VON_MISES:
-            return np.exp(self.scale * (np.cos(y - values) - 1.0))
+        if self.kind == VON_MISES:  # in place: one array, not four, a filter step
+            out = np.cos(y - values)
+            out -= 1.0
+            out *= self.scale
+            return np.exp(out, out=out)
         gap = np.abs((y - values + math.pi) % TWO_PI - math.pi)
         if self.kind == GAUSSIAN:
             return np.exp(-(gap**2) / (2.0 * self.scale**2))
@@ -223,7 +224,7 @@ class ObservationModel:
 
     def fourier_coeffs(self, y: float, bandwidth: int) -> dict:
         """Fourier coefficients of x -> kappa(y, x) on the circle (d=1)."""
-        _finite_time(y, "observation y")
+        _real("observation y", y)
         out = {}
         if self.kind == VON_MISES:
             row = von_mises_kernel_row(self.scale, bandwidth)
@@ -553,11 +554,9 @@ def run_torus_filter(
     if model.kind != VON_MISES:
         raise ValidationError("torus filtering uses the circular observation kernel")
     _count("steps", steps, 1)
-    _finite_time(x0, "x0")
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValidationError(f"dt must be finite and > 0, got {dt!r}")
-    if not (math.isfinite(kappa0) and kappa0 >= 0):
-        raise ValidationError(f"kappa0 must be finite and >= 0, got {kappa0!r}")
+    _real("x0", x0)
+    _real("dt", dt, 0, strict=True)
+    _real("kappa0", kappa0, 0)  # uncapped: classical mode runs it without Bessel ratios
     _count("grid_size", grid_size, 1)
     _count("bandwidth", bandwidth, 0)
     if mode not in (CLASSICAL, QUANTUM, QUANTUM_PROJECTED):
@@ -570,7 +569,7 @@ def run_torus_filter(
     else:
         rank = lat.size
 
-    alpha = float(sys.alpha[0])
+    shift = float(_phases(dt, sys.alpha, "dt")[0])  # dt alpha, the rotation of one step
     run_quantum = mode in (QUANTUM, QUANTUM_PROJECTED)
     # classical state as concentration vector (C, S) = kappa (cos mu, sin mu)
     c_vec = kappa0 * math.cos(x0)
@@ -584,7 +583,8 @@ def run_torus_filter(
         keep[_orbit_mode_order(lat.size)[:rank] + lat.J] = 1.0
         # step-invariant: rotation phases and T0, the square-root kernel's
         # magnitudes |k|_{j-l} on the kept rows
-        rotate = np.exp(-1j * dt * alpha * j_all)
+        # dt alpha J, the largest phase, can leave the float range where dt alpha does not
+        rotate = np.exp(-1j * _phases(shift, j_all, "dt*alpha"))
         kernel_abs = von_mises_kernel_row(model.scale / 2.0, 2 * lat.J)
         toeplitz = keep[:, None] * kernel_abs[j_all[:, None] - j_all + 2 * lat.J]
         # chi in the frame of y_0 = 0, where it is psi itself
@@ -593,7 +593,7 @@ def run_torus_filter(
         chi_pairs = chi.view(float).reshape(lat.size, 2)
 
     trace = FilterTrace(mode=mode)
-    truth = _rotation_orbit(float(wrap_angles(x0)[0]), dt * alpha, steps + 1)
+    truth = _rotation_orbit(float(wrap_angles(x0)[0]), shift, steps + 1)
     next(truth)  # the wrapped x0; step n observes the n-th point after it
     truths = np.fromiter(truth, float, steps)
     obs = _observe_run(model, truths, seed)
@@ -603,7 +603,7 @@ def run_torus_filter(
     evidences, failure = [], None
     for i, y in enumerate(obs.tolist()):
         # exact conjugate-family update
-        mu_prior = math.atan2(s_vec, c_vec) + dt * alpha
+        mu_prior = math.atan2(s_vec, c_vec) + shift
         kap_prior = math.hypot(c_vec, s_vec)
         c_vec = kap_prior * math.cos(mu_prior) + model.scale * math.cos(y)
         s_vec = kap_prior * math.sin(mu_prior) + model.scale * math.sin(y)

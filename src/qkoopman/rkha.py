@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import FourierObservable, _count, _finite_point, _finite_time, _same_dimension
+from .dynamics import _MAX_TERMS, FourierObservable, _count, _finite_point, _real, _same_dimension
 from .errors import OutOfLatticeError, ValidationError
 
 
@@ -49,11 +49,8 @@ class SubexpWeight:
     d: int = 1
 
     def __post_init__(self):
-        _finite_time(self.tau, "tau")
-        if not (self.tau > 0):
-            raise ValidationError("tau must be positive")
-        if not (0.0 < self.p < 1.0):
-            raise ValidationError("p must lie in (0, 1)")
+        _real("tau", self.tau, 0, strict=True)
+        _real("p", self.p, 0, 1, strict=True)
         _count("d", self.d, 1)
 
     def log_values(self, indices) -> np.ndarray:
@@ -241,10 +238,10 @@ def subconvolutivity_constant(w: SubexpWeight, lat: TruncatedLattice) -> float:
 
 def _gamma_terms(w: SubexpWeight, gamma, nmax: int):
     """s = sum_i |gamma_i|^p and n = 1..nmax, for a finite nonzero gamma and nmax >= 1."""
-    gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
-    if not np.all(np.isfinite(gamma)) or np.all(gamma == 0):
-        raise ValidationError("gamma must be finite and nonzero")
-    _count("nmax", nmax, 1)
+    gamma = _finite_point(gamma, np.size(gamma), "gamma")
+    if np.all(gamma == 0):
+        raise ValidationError("gamma must be nonzero")
+    _count("nmax", nmax, 1, _MAX_TERMS)  # refused before np.arange allocates it
     return float(np.sum(np.abs(gamma) ** w.p)), np.arange(1, nmax + 1, dtype=float)
 
 

@@ -14,12 +14,11 @@ eigensolver tolerance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import FourierObservable, RotationSystem, _finite_time, _same_dimension
+from .dynamics import FourierObservable, RotationSystem, _phases, _real, _same_dimension
 from .errors import DegeneracyError, RankDeficiencyError, ValidationError
 from .rkha import SubexpWeight, TruncatedLattice
 
@@ -64,8 +63,7 @@ class GeneratorSpec:
 
     def propagate(self, vec: np.ndarray, t: float) -> np.ndarray:
         """exp(tW) applied to a coefficient vector in lattice order."""
-        _finite_time(t)
-        phases = np.exp(1j * t * self.omega)
+        phases = np.exp(1j * _phases(t, self.omega))
         if self.vectors is None:
             return phases * vec
         v = self.vectors
@@ -107,12 +105,10 @@ def data_driven_generator(
     blocks of ``_SAMPLE_BLOCK`` interior samples, so the basis values held
     at once grow with the block and the lattice, not with the trajectory.
     """
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValidationError(f"dt must be finite and > 0, got {dt!r}")
+    _real("dt", dt, 0, strict=True)
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     _same_dimension(trajectory=samples.shape[1], lattice=lat.d)
-    if not np.all(np.isfinite(samples)):
-        raise ValidationError("trajectory samples must be finite")
+    _real("trajectory samples", samples)
     n = samples.shape[0]
     interior = n - 2
     if interior < lat.size:

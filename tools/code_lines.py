@@ -6,15 +6,21 @@ lines holding only a comment, blank space or part of a docstring are not
 counted.  The tokenizer gives each token's lines and the AST gives the
 docstrings' spans, so the count does not move with comments or prose.
 
-    python3 tools/code_lines.py [ROOT]
+    python3 tools/code_lines.py [--rev REV] [ROOT]
 
-ROOT defaults to the repository's src/ directory.  The report never fails.
+ROOT defaults to the repository's src/ directory.  With ``--rev`` the files
+under ROOT are also counted as they are at the git revision REV, and each
+line shows REV's count, the working tree's and the difference; a module
+missing on one side counts 0 there.  The report never fails: a revision
+that cannot be read is named, and the working tree's counts follow alone.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
@@ -43,14 +49,46 @@ def code_lines(source: str) -> int:
     return len(lines - skip)
 
 
+def _git(cwd: Path, *args: str) -> str:
+    return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True,
+                          text=True).stdout
+
+
+def revision_counts(root: Path, rev: str) -> dict:
+    """Code lines of each .py file under ``root`` at git revision ``rev``, by relative path."""
+    top = Path(_git(root, "rev-parse", "--show-toplevel").strip())
+    prefix = root.resolve().relative_to(top.resolve()).as_posix()
+    names = _git(top, "ls-tree", "-r", "--name-only", rev, "--", prefix).split()
+    return {Path(name).relative_to(prefix).as_posix(): code_lines(_git(top, "show", f"{rev}:{name}"))
+            for name in names if name.endswith(".py")}
+
+
 def main(argv: list) -> int:
-    root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent / "src"
-    total = 0
-    for path in sorted(root.rglob("*.py")):
-        count = code_lines(path.read_text())
-        total += count
-        print(f"{count:6d}  {path.relative_to(root)}")
-    print(f"{total:6d}  total")
+    parser = argparse.ArgumentParser(description="Code lines per module under src/.")
+    parser.add_argument("root", nargs="?", type=Path,
+                        default=Path(__file__).resolve().parent.parent / "src")
+    parser.add_argument("--rev", help="git revision to count beside the working tree")
+    args = parser.parse_args(argv[1:])
+    tree = {path.relative_to(args.root).as_posix(): code_lines(path.read_text())
+            for path in sorted(args.root.rglob("*.py"))}
+    base = None
+    if args.rev is not None:
+        try:
+            base = revision_counts(args.root, args.rev)
+        except (OSError, ValueError, subprocess.CalledProcessError) as err:
+            detail = getattr(err, "stderr", None) or err
+            print(f"revision {args.rev!r} not read ({str(detail).strip()}); working tree only")
+    if base is None:
+        for name, count in tree.items():
+            print(f"{count:6d}  {name}")
+        print(f"{sum(tree.values()):6d}  total")
+        return 0
+    print(f"{args.rev[:12]:>12}  {'tree':>6}  {'delta':>6}")
+    for name in sorted(set(base) | set(tree)):
+        old, new = base.get(name, 0), tree.get(name, 0)
+        print(f"{old:12d}  {new:6d}  {new - old:+6d}  {name}")
+    old, new = sum(base.values()), sum(tree.values())
+    print(f"{old:12d}  {new:6d}  {new - old:+6d}  total")
     return 0
 
 
