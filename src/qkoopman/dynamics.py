@@ -63,9 +63,17 @@ class RotationSystem:
 # float range, with a DegeneracyError naming t.
 
 
+def _floats(name: str, value) -> np.ndarray:
+    """``value`` as a float array; a number past the float range is refused naming ``name``."""
+    try:
+        return np.asarray(value, dtype=float)
+    except OverflowError:  # a Python int too large for a double
+        raise ValidationError(f"{name} must be finite, got a number past the float range") from None
+
+
 def _finite_point(x, d: int, name: str = "point") -> np.ndarray:
     """``x`` as a vector of d finite floats; ValidationError naming ``name`` otherwise."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = np.atleast_1d(_floats(name, x))
     if x.shape != (d,):
         raise ValidationError(f"{name} of shape {x.shape} does not match the dimension {d}")
     if not np.all(np.isfinite(x)):
@@ -101,7 +109,7 @@ def _real(name: str, value, lo: float = -math.inf, hi: float = math.inf, strict=
     if isinstance(value, float) and math.isfinite(value) and (
             lo < value < hi if strict else lo <= value <= hi):
         return
-    x = np.asarray(value, dtype=float)
+    x = _floats(name, value)
     ok = np.isfinite(x) & ((x > lo) & (x < hi) if strict else (x >= lo) & (x <= hi))
     if ok.all():
         return
@@ -110,6 +118,17 @@ def _real(name: str, value, lo: float = -math.inf, hi: float = math.inf, strict=
         raise ValidationError(f"{name} {bad!r} is above the cap of {hi:g}")
     interval = f"({lo:g}, {hi:g})" if strict else f"[{lo:g}, {hi:g}]"
     raise ValidationError(f"{name} must be finite and in {interval}, got {bad!r}")
+
+
+def _integer_key(j) -> tuple | None:
+    """j (a scalar or a sequence) as a tuple of ints, or None unless every entry is integral."""
+    try:
+        values = (j,) if np.isscalar(j) else tuple(j)
+    except TypeError:  # neither a scalar nor a sequence
+        return None
+    if all(isinstance(v, numbers.Real) and math.isfinite(v) and v == int(v) for v in values):
+        return tuple(int(v) for v in values)
+    return None
 
 
 def _phases(t: float, freqs, name: str = "time") -> np.ndarray:
@@ -138,18 +157,25 @@ def flow(sys: RotationSystem, theta, t: float) -> np.ndarray:
     return wrap_angles(theta + _phases(t, sys.alpha))
 
 
+def _wrap_angle(x: float) -> float:
+    """One float angle in [0, 2*pi), bitwise the entry ``wrap_angles`` gives.
+
+    Python's float % is the IEEE double operation np.remainder performs,
+    and the fold is the one in ``wrap_angles``.
+    """
+    x %= TWO_PI
+    return 0.0 if x >= TWO_PI else x
+
+
 def _rotation_orbit(x: float, step: float, n: int):
     """Yield x and n - 1 further angles, each (previous + step) mod 2*pi.
 
-    Python's float + and % are the IEEE double operations numpy's + and
-    np.remainder perform, and the fold is the one in ``wrap_angles``, so
-    every angle is bitwise what repeated ``flow`` calls give.
+    Each angle is ``_wrap_angle`` of a float sum, so every one is bitwise
+    what repeated ``flow`` calls give.
     """
     for _ in range(n):
         yield x
-        x = (x + step) % TWO_PI
-        if x >= TWO_PI:
-            x = 0.0
+        x = _wrap_angle(x + step)
 
 
 def sample_trajectory(sys: RotationSystem, x0, dt: float, n: int) -> np.ndarray:
@@ -221,7 +247,10 @@ class FourierObservable:
 
     The represented function is f(theta) = sum_j c_j exp(i j.theta).  A real
     valued function requires c_{-j} = conj(c_j) for every stored index.
-    Every coefficient is finite.
+    Every coefficient is finite.  An index is an integer or a sequence of
+    integers (integral floats included, as ``_integer_key`` reads it); a
+    non-integral index, or two keys naming one index, such as ``2`` and
+    ``(2,)``, is refused.
     """
 
     __slots__ = ("coeffs", "d")
@@ -229,7 +258,11 @@ class FourierObservable:
     def __init__(self, coeffs: dict, d: int | None = None):
         items = {}
         for j, c in coeffs.items():
-            key = (int(j),) if np.isscalar(j) else tuple(int(v) for v in j)
+            key = _integer_key(j)
+            if key is None:
+                raise ValidationError(f"index {j!r} must be an integer or a tuple of integers")
+            if key in items:
+                raise ValidationError(f"index {j!r} repeats the index {key}")
             items[key] = complex(c)
         values = np.array(list(items.values()), dtype=complex)
         _finite_point(values.view(float), 2 * values.size, "coefficients")
@@ -249,8 +282,8 @@ class FourierObservable:
 
     @classmethod
     def harmonic(cls, j, value: complex = 1.0) -> "FourierObservable":
-        key = (int(j),) if np.isscalar(j) else tuple(int(v) for v in j)
-        return cls({key: value}, d=len(key))
+        """exp(i j.theta) times ``value``; ``j`` is an integer or a sequence of them."""
+        return cls({j if np.isscalar(j) else tuple(j): value})
 
     @property
     def bandwidth(self) -> int:
@@ -332,7 +365,8 @@ def _i0e(kappa: float) -> float:
     asymptotic series e^kappa / sqrt(2 pi kappa) sum_k ((2k-1)!!)^2 /
     (k! (8 kappa)^k) (A&S 9.7.1), whose terms are also positive and fall
     below 1e-17 of the sum long before they start to grow.  Both are
-    within 2e-15 relative of the exact value.
+    within 2e-15 relative of the exact value.  Above about 2.86e307, where
+    2 pi kappa overflows, the root is taken as sqrt(2 pi) sqrt(kappa).
     """
     x = abs(float(kappa))
     term = total = 1.0
@@ -349,7 +383,8 @@ def _i0e(kappa: float) -> float:
         k += 1
         term *= (2 * k - 1) ** 2 / (8.0 * k * x)
         total += term
-    return total / math.sqrt(TWO_PI * x)
+    product = TWO_PI * x
+    return total / (math.sqrt(product) if product < math.inf else math.sqrt(TWO_PI) * math.sqrt(x))
 
 
 _BESSEL_RTOL = 1e-13  # agreement of successive Miller runs, whole sequence
@@ -479,6 +514,17 @@ def bessel_ratios(kappa, jmax: int) -> np.ndarray:
     return out if kappas.ndim else out[0]
 
 
+def _von_mises_rows(kappa, mu, J: int) -> np.ndarray:
+    """I_|j|(kappa)/I_0(kappa) e^{-i j mu} for j = -J..J, a row per (kappa, mu).
+
+    Row i holds the Fourier coefficients of the von Mises density with
+    concentration kappa[i] and location mu[i], truncated to |j| <= J;
+    ``kappa`` and ``mu`` are equal-length 1-d arrays.
+    """
+    j = np.arange(-J, J + 1)
+    return bessel_ratios(kappa, J)[:, np.abs(j)] * np.exp(-1j * j * mu[:, None])
+
+
 def von_mises_kernel_row(kappa: float, bandwidth: int) -> np.ndarray:
     """Fourier coefficients I_|j|(kappa) e^-kappa of exp(kappa (cos u - 1)), j = -J..J."""
     ratios = bessel_ratios(kappa, bandwidth) * _i0e(kappa)
@@ -529,18 +575,9 @@ def von_mises_fourier(p: VonMisesDensity, bandwidth: int) -> FourierObservable:
     these across dimensions.
     """
     _count("bandwidth", bandwidth, 0)
-    per_dim = []
-    for i in range(p.d):
-        ratios = bessel_ratios(p.kappa[i], bandwidth)
-        one = {
-            j: ratios[abs(j)] * complex(np.exp(-1j * j * p.mu[i]))
-            for j in range(-bandwidth, bandwidth + 1)
-        }
-        per_dim.append(one)
+    js = range(-bandwidth, bandwidth + 1)
     coeffs = {(): 1.0 + 0.0j}
-    for one in per_dim:
-        coeffs = {
-            key + (j,): c * cj for key, c in coeffs.items() for j, cj in one.items()
-        }
+    for row in _von_mises_rows(p.kappa, p.mu, bandwidth).tolist():
+        coeffs = {key + (j,): c * cj for key, c in coeffs.items() for j, cj in zip(js, row)}
     return FourierObservable(coeffs, d=p.d)
 

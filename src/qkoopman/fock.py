@@ -195,18 +195,12 @@ VACUUM: tuple = ()
 
 
 class FockVector:
-    """Finite combination of occupation basis vectors, amplitudes by key.
+    """Finite combination of occupation basis vectors, amplitudes by key."""
 
-    ``truncated_mass`` records the norm of any terms dropped by a grading
-    cutoff in the operation that produced this vector (0.0 when nothing was
-    dropped).
-    """
+    __slots__ = ("terms",)
 
-    __slots__ = ("terms", "truncated_mass")
-
-    def __init__(self, terms: dict | None = None, truncated_mass: float = 0.0):
+    def __init__(self, terms: dict | None = None):
         self.terms = dict(terms) if terms else {}
-        self.truncated_mass = truncated_mass
 
     @classmethod
     def vacuum(cls, amplitude: complex = 1.0) -> "FockVector":
@@ -257,31 +251,17 @@ def _merge_occupations(occ_a: tuple, occ_b: tuple) -> tuple:
     return tuple(sorted(counts.items()))
 
 
-def sym_product(
-    u: FockVector,
-    v: FockVector,
-    weight: FockWeight | None = None,
-    nmax: int | None = None,
-) -> FockVector:
+def sym_product(u: FockVector, v: FockVector) -> FockVector:
     """Symmetric product: occupations add, amplitudes multiply, bilinear.
 
     The vacuum is the unit and the product is commutative and associative.
-    With ``nmax`` set, terms whose grading exceeds the cutoff are dropped and
-    their norm is reported on the result (``weight`` is then required).
     """
-    if nmax is not None and weight is None:
-        raise ValidationError("a grading cutoff needs the weight to report dropped mass")
     out: dict = {}
-    dropped: dict = {}
     for occ_a, a in u.terms.items():
         for occ_b, b in v.terms.items():
             occ = _merge_occupations(occ_a, occ_b)
-            target = out if nmax is None or grading(occ) <= nmax else dropped
-            target[occ] = target.get(occ, 0.0) + a * b
-    result = FockVector(out)
-    if dropped:
-        result.truncated_mass = FockVector(dropped).norm(weight)
-    return result
+            out[occ] = out.get(occ, 0.0) + a * b
+    return FockVector(out)
 
 
 def vector_power(amplitudes: dict, n: int) -> FockVector:

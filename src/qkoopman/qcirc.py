@@ -30,12 +30,13 @@ from .dynamics import (
     RotationSystem,
     _count,
     _finite_point,
+    _integer_key,
     _phases,
     _real,
     _same_dimension,
 )
 from .errors import NotAffineError, ValidationError
-from .rkha import SubexpWeight, _feature_vector, _integer_key, fourier_multiplier_matrix
+from .rkha import SubexpWeight, _feature_vector, fourier_multiplier_matrix
 
 # the dense observable of shot sampling, 2^10 x 2^10 complex, takes 16 MiB
 MAX_DENSE_QUBITS = 10

@@ -37,7 +37,8 @@ from .dynamics import (
     _phases,
     _real,
     _rotation_orbit,
-    bessel_ratios,
+    _von_mises_rows,
+    _wrap_angle,
     grid_sum,
     von_mises_kernel_row,
     wrap_angles,
@@ -75,15 +76,20 @@ def classical_forecast(sys: PeriodicOrbitSystem, sigma: np.ndarray) -> np.ndarra
     return np.roll(np.asarray(sigma, dtype=float), 1)
 
 
-def classical_analysis(sigma: np.ndarray, likelihood: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Bayes update: pointwise product with the likelihood, renormalized."""
+def classical_analysis(sigma: np.ndarray, likelihood: np.ndarray, mu: np.ndarray) -> tuple:
+    """Bayes update: the posterior (sigma * likelihood / evidence) and the evidence.
+
+    The evidence is mu.(sigma * likelihood), the prior probability of the
+    observation.
+    """
     sigma = np.asarray(sigma, dtype=float)
     likelihood = np.asarray(likelihood, dtype=float)
     _real("likelihood", likelihood, 0)
-    evidence = float(np.dot(mu, sigma * likelihood))
+    joint = sigma * likelihood
+    evidence = float(np.dot(mu, joint))
     if evidence <= 1e-300:
         raise ZeroEvidenceError("observation has zero evidence under the prior")
-    return sigma * likelihood / evidence
+    return joint / evidence, evidence
 
 
 def _effect_real_form(dft: np.ndarray, rank: int) -> np.ndarray:
@@ -166,6 +172,12 @@ def consistency_chain_gap(sys: PeriodicOrbitSystem, sigma: np.ndarray, f: np.nda
     )
 
 
+# Scales, per kind, whose kernel arithmetic stays in the float range: the
+# von Mises exponent scale (cos - 1) reaches -2 scale, the box's series
+# takes m scale / 2, and the Gaussian divides pi^2 by 2 scale^2.
+_SCALES = {VON_MISES: (0.0, 1e300), EVENT: (0.0, 1e300), GAUSSIAN: (1e-150, 1e150)}
+
+
 @dataclass(frozen=True)
 class ObservationModel:
     """Observation map plus a kernel likelihood in [0, 1].
@@ -178,6 +190,7 @@ class ObservationModel:
     kind "vonmises": kappa(y, v) = exp(scale (cos(y-v) - 1)), circular values
     kind "event":    kappa(y, v) = 1 if g <= scale/2 else 0, the box
                      ``fourier_coeffs`` expands
+    ``scale`` lies in the open interval ``_SCALES`` gives its kind.
     ``noise_std`` is the standard deviation of additive Gaussian observation
     noise used when generating synthetic observations.
     """
@@ -187,9 +200,9 @@ class ObservationModel:
     noise_std: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in (GAUSSIAN, VON_MISES, EVENT):
+        if self.kind not in _SCALES:
             raise ValidationError(f"unknown observation kind {self.kind!r}")
-        _real("scale", self.scale, 0, strict=True)
+        _real("scale", self.scale, *_SCALES[self.kind], strict=True)
         _real("noise_std", self.noise_std, 0)
 
     def kappa(self, y: float, values: np.ndarray) -> np.ndarray:
@@ -223,24 +236,23 @@ class ObservationModel:
         return y
 
     def fourier_coeffs(self, y: float, bandwidth: int) -> dict:
-        """Fourier coefficients of x -> kappa(y, x) on the circle (d=1)."""
+        """Fourier coefficients of x -> kappa(y, x) on the circle (d=1).
+
+        The kernel at y is the one at 0 translated by y, so both kinds take
+        their real coefficients at y = 0 times the phases e^{-i m y}.
+        """
         _real("observation y", y)
-        out = {}
+        _count("bandwidth", bandwidth, 0)
+        if self.kind == GAUSSIAN:
+            raise ValidationError("gaussian kernels have no closed-form Fourier series; use vonmises")
+        m = np.arange(-bandwidth, bandwidth + 1)
         if self.kind == VON_MISES:
-            row = von_mises_kernel_row(self.scale, bandwidth)
-            for m in range(-bandwidth, bandwidth + 1):
-                out[(m,)] = row[m + bandwidth] * complex(np.exp(-1j * m * y))
-            return out
-        if self.kind == EVENT:
-            half = self.scale / 2.0
-            for m in range(-bandwidth, bandwidth + 1):
-                if m == 0:
-                    mag = self.scale / TWO_PI
-                else:
-                    mag = math.sin(m * half) / (m * math.pi)
-                out[(m,)] = mag * complex(np.exp(-1j * m * y))
-            return out
-        raise ValidationError("gaussian kernels have no closed-form Fourier series; use vonmises")
+            mags = von_mises_kernel_row(self.scale, bandwidth)
+        else:  # the box: sin(m scale / 2) / (m pi), and scale / (2 pi) at m = 0
+            mags = np.sin(m * (self.scale / 2.0)) / (np.where(m == 0, 1, m) * math.pi)
+            mags[bandwidth] = self.scale / TWO_PI
+        row = mags * np.exp(-1j * m * y)
+        return {(k,): c for k, c in zip(m.tolist(), row.tolist())}
 
 
 def orbit_observation_values(sys: PeriodicOrbitSystem) -> np.ndarray:
@@ -364,7 +376,7 @@ def run_filter(
         likelihood = model.kappa(y, h_values)
         prior = classical_forecast(sys, sigma)
         try:
-            sigma = classical_analysis(prior, likelihood, mu)
+            sigma, evidence = classical_analysis(prior, likelihood, mu)
         except ZeroEvidenceError as err:
             failure = ZeroEvidenceError(f"zero evidence at step {n}: {err}")
             break
@@ -380,7 +392,7 @@ def run_filter(
                 break
             psi = psi / math.sqrt(quantum_evidence)
             trace.quantum_posteriors.append(psi if mode == QUANTUM else psi[publish])
-        evidences.append(float(np.dot(mu, prior * likelihood)))
+        evidences.append(evidence)
         trace.classical_posteriors.append(sigma)
 
     _score_orbit_steps(trace, sys, truths, evidences, freqs)
@@ -482,8 +494,7 @@ def _sqrt_von_mises_rows(mu, kappa, lat: TruncatedLattice) -> np.ndarray:
     whose coefficient at j is proportional to I_|j|(kappa/2) e^{-i j mu}.
     ``mu`` and ``kappa`` are equal-length 1-d arrays.
     """
-    j = lat.indices[:, 0]
-    rows = bessel_ratios(kappa / 2.0, lat.J)[:, np.abs(j)] * np.exp(-1j * j * mu[:, None])
+    rows = _von_mises_rows(kappa / 2.0, mu, lat.J)
     return rows / np.sqrt(_dots(rows, rows).real)[:, None]
 
 
@@ -608,7 +619,7 @@ def run_torus_filter(
         c_vec = kap_prior * math.cos(mu_prior) + model.scale * math.cos(y)
         s_vec = kap_prior * math.sin(mu_prior) + model.scale * math.sin(y)
         kap_post = math.hypot(c_vec, s_vec)
-        mu_post = math.atan2(s_vec, c_vec) % TWO_PI
+        mu_post = _wrap_angle(math.atan2(s_vec, c_vec))
         i0e_post = _i0e(kap_post)
         evidence = i0e_post / i0e_prior * math.exp(kap_post - kap_prior - model.scale)
         i0e_prior = i0e_post
@@ -678,5 +689,5 @@ def _torus_diagnostics(rows: np.ndarray, posteriors: list, lat: TruncatedLattice
     min_sqrt = (values * unit[:, None]).real.min(axis=1)
 
     first = np.sum(np.conj(rows[:, 1:]) * rows[:, :-1], axis=1)
-    estimates = [math.atan2(f.imag, f.real) % TWO_PI for f in first.tolist()]
+    estimates = [_wrap_angle(math.atan2(f.imag, f.real)) for f in first.tolist()]
     return consistency.tolist(), min_sqrt.tolist(), estimates

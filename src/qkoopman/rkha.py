@@ -20,24 +20,22 @@ exactly.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _MAX_TERMS, FourierObservable, _count, _finite_point, _real, _same_dimension
+from .dynamics import (
+    _MAX_TERMS,
+    FourierObservable,
+    _count,
+    _finite_point,
+    _floats,
+    _integer_key,
+    _real,
+    _same_dimension,
+    wrap_angles,
+)
 from .errors import OutOfLatticeError, ValidationError
-
-
-def _integer_key(j) -> tuple | None:
-    """j (a scalar or a sequence) as a tuple of ints, or None unless every entry is integral."""
-    try:
-        values = (j,) if np.isscalar(j) else tuple(j)
-    except TypeError:  # neither a scalar nor a sequence
-        return None
-    if all(isinstance(v, numbers.Real) and math.isfinite(v) and v == int(v) for v in values):
-        return tuple(int(v) for v in values)
-    return None
 
 
 @dataclass(frozen=True)
@@ -161,8 +159,12 @@ def _kernel_sum(w: SubexpWeight, lat: TruncatedLattice, diffs: np.ndarray) -> np
 
 
 def kernel_value(w: SubexpWeight, lat: TruncatedLattice, x, y) -> complex:
-    """Truncated Mercer sum k(x, y) = sum_{j in lat} lambda(j) exp(i j.(y-x)), exactly real."""
-    x, y = _finite_point(x, lat.d), _finite_point(y, lat.d)
+    """Truncated Mercer sum k(x, y) = sum_{j in lat} lambda(j) exp(i j.(y-x)), exactly real.
+
+    The points are wrapped into [0, 2 pi) first, so y - x stays finite for
+    every pair of finite points.
+    """
+    x, y = wrap_angles(_finite_point(x, lat.d)), wrap_angles(_finite_point(y, lat.d))
     return complex(_kernel_sum(w, lat, (y - x)[None, :])[0])
 
 
@@ -170,23 +172,23 @@ def kernel_row(w: SubexpWeight, lat: TruncatedLattice, x, grid: np.ndarray) -> n
     """Kernel section k(x, .) on 1-d grid points (d=1 only), bitwise ``kernel_value``'s."""
     if lat.d != 1:
         raise ValidationError("kernel_row is a d=1 convenience")
-    grid = _finite_point(np.ravel(grid), np.size(grid))
-    return _kernel_sum(w, lat, (grid - _finite_point(x, 1))[:, None])
+    grid = wrap_angles(_finite_point(np.ravel(grid), np.size(grid)))
+    return _kernel_sum(w, lat, (grid - wrap_angles(_finite_point(x, 1)))[:, None])
 
 
 def kernel_gram(w: SubexpWeight, lat: TruncatedLattice, points: np.ndarray) -> np.ndarray:
     """Matrix k(x_a, x_b) over a point set, each unordered pair once.
 
-    Pair a <= b is summed from its difference x_b - x_a, so entry (a, b) is
-    bitwise ``kernel_value(w, lat, x_a, x_b)``, and mirrored into (b, a).
-    The matrix is exactly Hermitian (real, held as complex) with a constant
-    diagonal.  Memory beyond it is the pairs' differences and
-    ``_GRAM_BATCH`` phases.
+    Pair a <= b is summed from the difference x_b - x_a of the wrapped
+    points, so entry (a, b) is bitwise ``kernel_value(w, lat, x_a, x_b)``,
+    and mirrored into (b, a).  The matrix is exactly Hermitian (real, held
+    as complex) with a constant diagonal.  Memory beyond it is the pairs'
+    differences and ``_GRAM_BATCH`` phases.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = np.atleast_2d(_floats("points", points))
     if pts.ndim != 2 or pts.shape[1] != lat.d:
         raise ValidationError(f"points have shape {pts.shape}, the lattice dimension is {lat.d}")
-    _finite_point(pts.reshape(-1), pts.size)
+    pts = wrap_angles(_finite_point(pts.reshape(-1), pts.size)).reshape(pts.shape)
     gram = np.zeros((pts.shape[0],) * 2, dtype=complex)
     rows, cols = np.triu_indices(pts.shape[0])
     gram.real[rows, cols] = gram.real[cols, rows] = _kernel_sum(w, lat, pts[cols] - pts[rows])

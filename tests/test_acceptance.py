@@ -10,9 +10,9 @@ import json
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
-import scipy.linalg
 
 from qkoopman.cli import main as cli_main
 from qkoopman.dynamics import (
@@ -354,12 +354,11 @@ def test_criterion_10_second_quantization_sweep():
         res = second_quantization_forecast(COS, ROT, params, [x], t)
         # dense oracle: kernel regression with the m-th power of the section pairing
         from qkoopman.dynamics import bessel_ratios
-        from scipy.special import i0e
 
         lat = TruncatedLattice(1, params.bandwidth)
         lam = SubexpWeight(params.sigma, params.p).lattice_values(lat)
-        cj = bessel_ratios(params.obs_concentration, params.bandwidth) * i0e(
-            params.obs_concentration
+        cj = bessel_ratios(params.obs_concentration, params.bandwidth) * float(
+            mpmath.besseli(0, params.obs_concentration) * mpmath.exp(-params.obs_concentration)
         )
         c = cj[np.abs(lat.indices[:, 0])]
         grid = np.arange(params.grid_size) * 2 * math.pi / params.grid_size
@@ -469,12 +468,13 @@ def test_criterion_13_factorized_unitary():
             for k in range(n):
                 term = np.kron(term, z if k == i else np.eye(2))
             dense += v[i] * term
+        assert np.count_nonzero(dense - np.diag(np.diag(dense))) == 0
         for _ in range(20):
             t = float(rng.uniform(-3, 3))
             psi = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
             psi /= np.linalg.norm(psi)
             fast = evolve_statevector(coeffs, psi, t)
-            slow = scipy.linalg.expm(t * dense) @ psi
+            slow = np.exp(t * np.diag(dense)) * psi  # expm of the diagonal dense
             worst = max(worst, float(np.max(np.abs(fast - slow))))
     assert worst <= 1e-10
     elapsed = time.time() - start

@@ -37,7 +37,7 @@ def count(name, call):
     return pytest.param(call, ValidationError, rf"^{name} must be an integer", id=f"count-{name}")
 
 
-# the 26 count arguments given a non-integral value or NaN
+# the 27 count arguments given a non-integral value or NaN
 COUNT_PROBES = [
     count("J", lambda: rkha.TruncatedLattice(1, 2.5)),
     count("J", lambda: rkha.TruncatedLattice(1, NAN)),
@@ -65,6 +65,7 @@ COUNT_PROBES = [
     count("J", lambda: rkha.kernel_gram(WEIGHT, rkha.TruncatedLattice(1, 2.5), [[0.0]])),
     count("nmax", lambda: rkha.grs_sequence(WEIGHT, (1,), 2.5)),
     count("rank", lambda: qmda.compress(np.eye(4), 2.5)),
+    count("bandwidth", lambda: qmda.ObservationModel("event", 1.0).fourier_coeffs(0.0, 2.5)),
 ]
 
 # non-finite values once accepted without a word, an overflow once left to
@@ -84,6 +85,15 @@ VALUE_PROBES = [
                  r"sigma0 of shape \(3,\) does not match the dimension 8", id="sigma0-length"),
     pytest.param(lambda: rkha.TruncatedLattice(True, 2), ValidationError,
                  "^d must be an integer", id="count-bool"),
+    # an index was truncated by int(): {2: 1, (2.5,): 3} became {(2,): 3}
+    pytest.param(lambda: dynamics.FourierObservable({2.5: 1.0}), ValidationError,
+                 r"^index 2\.5 must be an integer", id="index-non-integral"),
+    pytest.param(lambda: dynamics.FourierObservable({2: 1.0, (2.5,): 3.0}), ValidationError,
+                 r"^index \(2\.5,\) must be an integer", id="index-truncated"),
+    pytest.param(lambda: dynamics.FourierObservable({2: 1.0, (2,): 3.0}), ValidationError,
+                 r"^index \(2,\) repeats the index", id="index-repeated"),
+    pytest.param(lambda: dynamics.FourierObservable.harmonic(3.7), ValidationError,
+                 r"^index 3\.7 must be an integer", id="harmonic-non-integral"),
 ]
 
 
@@ -149,6 +159,18 @@ REAL_PROBES = [
          lambda: dynamics.rational_dependence_warnings([1.0, NAN])),
     real("torus-point-nan", "amplitudes",
          lambda: fock.SpectrumTorusPoint((0, 1), [NAN, 0.1], [1.0, 1j])),
+    # a Python int past the float range was numpy's OverflowError
+    real("huge-int", "tau", lambda: rkha.SubexpWeight(10**400, 0.5),
+         message="must be finite, got a number past the float range"),
+    real("gram-huge-int", "points", lambda: rkha.kernel_gram(WEIGHT, rkha.TruncatedLattice(1, 2),
+                                                            [[10**400]]),
+         message="must be finite, got a number past the float range"),
+    # scale (cos - 1) overflowed in kappa, and 2 scale^2 underflowed to a 0/0
+    real("vonmises-scale-1e308", "scale", lambda: qmda.ObservationModel(scale=1e308),
+         message=r"must be finite and in \(0, 1e\+300\), got 1e\+308"),
+    real("gaussian-scale-1e-300", "scale",
+         lambda: qmda.ObservationModel(kind="gaussian", scale=1e-300),
+         message=r"must be finite and in \(1e-150, 1e\+150\), got 1e-300"),
 ]
 
 
@@ -191,6 +213,22 @@ def test_closed_interval_ends_accepted(alarm):
     assert np.all(np.isfinite(dynamics.bessel_ratios(1e8, 4)))
     assert 0.0 < dynamics.VonMisesDensity([0.0], [1e8]).density([0.0]) < math.inf
     assert 0.0 < FOCK_WEIGHT.inv_square_tail(0) < math.inf
+
+
+def test_extreme_finite_values_accepted(alarm):
+    # y - x overflowed at the points +-1e308; they are wrapped first
+    lat = rkha.TruncatedLattice(1, 4)
+    far = [[1e308], [-1e308]]
+    near = dynamics.wrap_angles(np.ravel(far))
+    value = rkha.kernel_value(WEIGHT, lat, far[0], far[1])
+    assert value == rkha.kernel_value(WEIGHT, lat, [near[0]], [near[1]])
+    gram = rkha.kernel_gram(WEIGHT, lat, far)
+    assert gram[0, 1] == value and np.all(np.isfinite(gram))
+    # 2 pi kappa overflowed in _i0e, so the scaled I_0 was 0 and the
+    # classical evidence a ZeroDivisionError
+    trace = qmda.run_torus_filter(ROTATION, MODEL, 1.0, 5, 0.1, kappa0=1e308, mode="classical")
+    assert len(trace.steps) == 5
+    assert dynamics._i0e(1e308) == pytest.approx(1.0 / math.sqrt(2e308 * math.pi), rel=1e-15)
 
 
 def test_overflowing_two_sigma_names_sigma(alarm):

@@ -115,13 +115,15 @@ class TestClassicalFilter:
         rng = np.random.default_rng(2)
         sigma = random_density(rng, 5)
         mu = np.full(5, 0.2)
-        out = classical_analysis(sigma, np.ones(5), mu)
+        out, evidence = classical_analysis(sigma, np.ones(5), mu)
+        assert evidence == pytest.approx(1.0)
         assert np.allclose(out, sigma)
 
     def test_indicator_likelihood(self):
         sigma = np.array([1.0, 1.0, 1.0, 1.0])
         mu = np.full(4, 0.25)
-        out = classical_analysis(sigma, np.array([0.0, 1.0, 0.0, 0.0]), mu)
+        out, evidence = classical_analysis(sigma, np.array([0.0, 1.0, 0.0, 0.0]), mu)
+        assert evidence == 0.25
         assert np.allclose(out, [0.0, 4.0, 0.0, 0.0])
 
     def test_matches_brute_force(self):
@@ -131,8 +133,9 @@ class TestClassicalFilter:
         mu = np.full(m, 1 / m)
         h = orbit_observation_values(PeriodicOrbitSystem(m))
         like = np.exp(-((1.3 - h) ** 2) / 0.5)
-        got = classical_analysis(sigma, like, mu)
+        got, evidence = classical_analysis(sigma, like, mu)
         brute = sigma * like
+        assert evidence == np.dot(mu, brute)
         brute = brute / np.dot(mu, brute)
         assert np.max(np.abs(got - brute)) < 1e-14
 
@@ -208,7 +211,7 @@ class TestQuantumSteps:
         rho = embed_density(sigma, mu)
         effect = multiplication_operator_point(like)
         got = quantum_analysis(rho, effect)
-        expected = embed_density(classical_analysis(sigma, like, mu), mu)
+        expected = embed_density(classical_analysis(sigma, like, mu)[0], mu)
         assert trace_norm(got - expected) < 1e-12
 
     def test_analysis_output_valid(self):
@@ -510,7 +513,7 @@ def dense_filter(sys, model, x0, steps, mode, rank, seed):
         x = sys.step(x)
         like = model.kappa(model.observe(h[x], rng), h)
         prior = classical_forecast(sys, sigma)
-        sigma = classical_analysis(prior, like, mu)
+        sigma, _ = classical_analysis(prior, like, mu)
         rho = quantum_forecast(transfer, rho)
         effect = compressed(multiplication_operator_point(like))
         rho = quantum_analysis(rho / np.trace(rho).real, effect)
@@ -684,6 +687,18 @@ class TestTorusFilter:
         )
         assert trace.consistency_max() < 1e-6  # truncation only
         assert max(s.estimate_error for s in trace.steps) < 0.2
+
+    @pytest.mark.parametrize("mode,rank", [(CLASSICAL, None), (QUANTUM, None),
+                                           (QUANTUM_PROJECTED, 9)])
+    def test_angles_fold_into_the_circle(self, mode, rank):
+        # a rotation by -1e-300 leaves every posterior mean at atan2 = -1e-300,
+        # whose remainder mod 2 pi rounds up to 2 pi; wrap_angles folds it to 0
+        model = ObservationModel(kind="vonmises", scale=4.0, noise_std=0.0)
+        trace = run_torus_filter(RotationSystem([-1e-300]), model, 0.0, 3, 1.0, bandwidth=8,
+                                 mode=mode, rank=rank)
+        assert [s.truth for s in trace.steps] == [0.0] * 3
+        assert [s.estimate for s in trace.steps] == [0.0] * 3
+        assert [mu for mu, _ in trace.classical_posteriors] == [0.0] * 3
 
     def test_projected_leaves_the_classical_cone(self):
         trace = run_torus_filter(
@@ -881,7 +896,7 @@ class TestTorusFilter:
         def refuse(*args, **kwargs):
             raise AssertionError("the filter started before it checked its inputs")
 
-        monkeypatch.setattr(qmda, "bessel_ratios", refuse)
+        monkeypatch.setattr(dynamics, "bessel_ratios", refuse)
         monkeypatch.setattr(qmda, "_rotation_orbit", refuse)
         inputs = dict(x0=1.0, dt=0.3, kappa0=6.0)
         inputs[name] = value

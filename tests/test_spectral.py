@@ -4,7 +4,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from qkoopman.dynamics import (
     FourierObservable,
@@ -105,7 +104,7 @@ class TestSpectralForm:
         gen = analytic_generator(sys, lat)
         v = rng.standard_normal(lat.size) + 1j * rng.standard_normal(lat.size)
         for t in (0.0, 0.3, -2.9):
-            dense = scipy.linalg.expm(t * np.diag(1j * gen.omega)) @ v
+            dense = np.exp(t * 1j * gen.omega) * v  # expm of the diagonal generator
             assert np.max(np.abs(gen.propagate(v, t) - dense)) <= 1e-14
 
     def test_matches_eigendecomposition(self):
