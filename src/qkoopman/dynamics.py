@@ -63,10 +63,13 @@ class RotationSystem:
 # float range, with a DegeneracyError naming t.
 
 
-def _floats(name: str, value) -> np.ndarray:
-    """``value`` as a float array; a number past the float range is refused naming ``name``."""
+def _floats(name: str, value, dtype=float) -> np.ndarray:
+    """``value`` as an array of ``dtype``, float or complex.
+
+    A number past the float range is refused naming ``name``.
+    """
     try:
-        return np.asarray(value, dtype=float)
+        return np.asarray(value, dtype=dtype)
     except OverflowError:  # a Python int too large for a double
         raise ValidationError(f"{name} must be finite, got a number past the float range") from None
 
@@ -263,9 +266,10 @@ class FourierObservable:
                 raise ValidationError(f"index {j!r} must be an integer or a tuple of integers")
             if key in items:
                 raise ValidationError(f"index {j!r} repeats the index {key}")
-            items[key] = complex(c)
-        values = np.array(list(items.values()), dtype=complex)
-        _finite_point(values.view(float), 2 * values.size, "coefficients")
+            items[key] = c
+        values = _floats("coefficients", list(items.values()), complex)
+        _finite_point(values.view(float), 2 * len(items), "coefficients")
+        items = dict(zip(items, values.tolist()))
         if d is None:
             if not items:
                 raise ValidationError("dimension required for an empty observable")
@@ -337,7 +341,7 @@ def grid_sum(indices, coeffs, grid_size: int) -> np.ndarray:
     """
     _count("grid_size", grid_size, 1)
     indices = np.asarray(indices, dtype=int)
-    coeffs = np.asarray(coeffs, dtype=complex)
+    coeffs = _floats("coefficients", coeffs, complex)
     _finite_point(np.ravel(coeffs).view(float), 2 * coeffs.size, "coefficients")
     d = indices.shape[1]
     box = np.zeros(coeffs.shape[:-1] + (grid_size,) * d, dtype=complex)

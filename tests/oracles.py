@@ -264,7 +264,12 @@ def stepwise_torus_filter(
         s_vec = kap_prior * math.sin(mu_prior) + model.scale * math.sin(y)
         kap_post = math.hypot(c_vec, s_vec)
         mu_post = math.atan2(s_vec, c_vec) % TWO_PI
-        evidence = _i0e(kap_post) / _i0e(kap_prior) * math.exp(kap_post - kap_prior - model.scale)
+        # kap_post - kap_prior - scale as -4 kap_prior scale sin^2((y - mu_prior) / 2)
+        # / (kap_post + kap_prior + scale), the sum in quarters: no cancellation, no overflow
+        half_gap = math.sin(0.5 * (y - mu_prior))
+        weight = 0.25 * kap_prior / (0.25 * kap_post + 0.25 * kap_prior + 0.25 * model.scale)
+        exponent = -4.0 * model.scale * half_gap * half_gap * weight
+        evidence = min(1.0, _i0e(kap_post) / _i0e(kap_prior) * math.exp(exponent))
         if evidence <= 1e-300:
             raise ZeroEvidenceError(f"zero evidence at step {n}")
 

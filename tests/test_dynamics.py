@@ -328,10 +328,12 @@ class TestI0e:
                 assert abs(_i0e(kappa) - exact) <= 2e-15 * exact, kappa
 
     def test_against_scipy(self):
-        from scipy.special import i0e
-
-        for kappa in self.KAPPAS:
-            assert _i0e(kappa) == pytest.approx(float(i0e(kappa)), rel=3e-15), kappa
+        # the cross-check scipy.special.i0e gave, from mpmath, so that the tests
+        # need no scipy; the asymptotic series out to 1e300 as well
+        with mpmath.workdps(40):
+            for kappa in [*self.KAPPAS, *np.geomspace(1e5, 1e300, 31)]:
+                exact = float(mpmath.besseli(0, kappa) * mpmath.exp(-kappa))
+                assert _i0e(kappa) == pytest.approx(exact, rel=3e-15), kappa
 
 
 class TestBesselRatios:

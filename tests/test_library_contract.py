@@ -165,6 +165,13 @@ REAL_PROBES = [
     real("gram-huge-int", "points", lambda: rkha.kernel_gram(WEIGHT, rkha.TruncatedLattice(1, 2),
                                                             [[10**400]]),
          message="must be finite, got a number past the float range"),
+    real("observable-huge-int", "coefficients", lambda: dynamics.FourierObservable({1: 10**400}),
+         message="must be finite, got a number past the float range"),
+    real("grid-sum-huge-int", "coefficients", lambda: dynamics.grid_sum([[1]], [10**400], 4),
+         message="must be finite, got a number past the float range"),
+    real("likelihood-huge-int", "likelihood",
+         lambda: qmda.classical_analysis(np.ones(2), [10**400, 1.0], np.full(2, 0.5)),
+         message="must be finite, got a number past the float range"),
     # scale (cos - 1) overflowed in kappa, and 2 scale^2 underflowed to a 0/0
     real("vonmises-scale-1e308", "scale", lambda: qmda.ObservationModel(scale=1e308),
          message=r"must be finite and in \(0, 1e\+300\), got 1e\+308"),

@@ -640,6 +640,20 @@ class TestProjectedStep:
         assert np.linalg.norm(dense - exact) <= bound
         assert np.linalg.norm(real - exact) <= bound
 
+    def test_frame_run_takes_one_eigh(self, monkeypatch):
+        # filter-orbit's shape: every step's window is the rotated reference
+        eigh, shapes = np.linalg.eigh, []
+
+        def counted(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        trace = run_filter(PeriodicOrbitSystem(128), FILTER_ORBIT, 3, 10,
+                           mode=QUANTUM_PROJECTED, rank=64, seed=1)
+        assert shapes == [(64, 64)]
+        assert trace.frame_steps == 10
+
     @pytest.mark.parametrize("mode,rank", [(CLASSICAL, None), (QUANTUM, None),
                                            (QUANTUM_PROJECTED, 9)])
     def test_scored_once_per_block_of_rows(self, monkeypatch, mode, rank):
@@ -661,6 +675,142 @@ class TestProjectedStep:
         got = run_filter(*args, mode=mode, rank=rank, seed=5)
         assert calls == ([] if mode == CLASSICAL else [3] * 6 + [2])
         assert got.steps == want.steps
+
+
+FILTER_ORBIT = ObservationModel(kind="vonmises", scale=6.0, noise_std=0.05)
+
+
+def mode_effect(like):
+    """The effect of ``like`` on every orbit mode, in the mode order 0, +1, -1, ..."""
+    modes = orbit_mode_transform(len(like))
+    return modes @ np.diag(like) @ modes.conj().T
+
+
+def stepwise_projected(sys, model, observations, rank):
+    """psi per step of a projected run from a uniform prior, each step's root
+    from its own ``eigh``: what run_filter computed on every step before it
+    took roots in the observation's frame, operation for operation."""
+    freqs = qmda._orbit_mode_order(sys.M)[:rank]
+    band = np.sort(freqs)
+    publish = freqs - band[0]
+    shift = np.exp(-2j * math.pi * band / sys.M)
+    h = orbit_observation_values(sys)
+    psi = np.fft.fft(np.sqrt(np.maximum(sys.mu * np.ones(sys.M), 0.0)))[band] / math.sqrt(sys.M)
+    psi /= np.linalg.norm(psi)
+    out = []
+    for y in observations.tolist():
+        dft = np.fft.fft(model.kappa(y, h)) / sys.M
+        psi = qmda._real_form_root_apply(qmda._effect_real_form(dft, rank), shift * psi)
+        psi = psi / math.sqrt(float(np.vdot(psi, psi).real))
+        out.append(psi[publish])
+    return np.array(out)
+
+
+def projected_run(m, model, rank, seed, steps):
+    """A projected run from x0 = seed, its observations and the per-step oracle's psi."""
+    sys = PeriodicOrbitSystem(m)
+    truths = (seed + np.arange(1, steps + 1)) % m
+    obs = qmda._observe_run(model, orbit_observation_values(sys)[truths], seed)
+    trace = run_filter(sys, model, seed, steps, mode=QUANTUM_PROJECTED, rank=rank,
+                       observations=obs)
+    return trace, stepwise_projected(sys, model, obs, rank)
+
+
+class TestFrameIdentity:
+    """C_y = D_y C_0 D_y*, D_y = diag(e^{-i k y}) on the band, and the runs that use it."""
+
+    @pytest.mark.parametrize("kind", sorted(KERNELS))
+    @pytest.mark.parametrize("m", [7, 8, 31, 32, 128])
+    def test_on_the_grid_at_every_rank(self, m, kind):
+        # a cyclic shift by g is exactly the phase e^{-2 pi i k g / M} per mode
+        model = KERNELS[kind](m)
+        h = orbit_observation_values(PeriodicOrbitSystem(m))
+        base = mode_effect(model.kappa(0.0, h))
+        for g in sorted({1, m // 3, m - 1}):
+            shifted = mode_effect(model.kappa(h[g], h))
+            phases = np.exp(-2j * math.pi * ((qmda._orbit_mode_order(m) * g) % m) / m)
+            rotated = phases[:, None] * base * phases.conj()
+            for rank in range(1, m + 1):
+                # every leading block, the ascending bands of every L <= M
+                gap = np.abs(shifted[:rank, :rank] - rotated[:rank, :rank]).max()
+                assert gap <= 1e-14, (g, rank)  # 3.6e-15 at most: the dense products' rounding
+
+    @pytest.mark.parametrize("scale", [4.0, 6.0])
+    @pytest.mark.parametrize("m", [64, 128])
+    def test_off_the_grid_for_von_mises_up_to_half_the_orbit(self, m, scale):
+        # every band gap |k_a - k_b| < M/2, and the kernel's tail past M/2 is
+        # below rounding (its coefficient at M/2 = 32 is 1e-20 at scale 6)
+        model = ObservationModel(kind="vonmises", scale=scale)
+        h = orbit_observation_values(PeriodicOrbitSystem(m))
+        base = mode_effect(model.kappa(0.0, h))
+        freqs = qmda._orbit_mode_order(m)
+        for y in np.random.default_rng(m).uniform(0.0, 2 * math.pi, 3):
+            shifted = mode_effect(model.kappa(y, h))
+            phases = np.exp(-1j * freqs * y)
+            rotated = phases[:, None] * base * phases.conj()
+            for rank in range(1, m // 2 + 1):
+                assert np.abs(shifted[:rank, :rank] - rotated[:rank, :rank]).max() <= 1e-14
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_filter_orbit_runs_take_the_frame(self, seed):
+        trace, want = projected_run(128, FILTER_ORBIT, 64, seed, 60)
+        assert trace.frame_steps == 60
+        assert np.abs(np.array(trace.quantum_posteriors) - want).max() <= 1e-13
+
+    @pytest.mark.parametrize("m,rank,model,tol", [
+        (33, 31, ObservationModel(kind="vonmises", scale=6.0), 1e-13),  # on the grid, L > M/2
+        (64, 32, ObservationModel(kind="vonmises", scale=8.0, noise_std=0.1), 1e-13),
+        # on the grid at the CLI's default L = M - 2, the phases of exact shifts
+        (128, 126, ObservationModel(kind="vonmises", scale=6.0), 1e-13),
+        (128, 126, ObservationModel(kind="gaussian", scale=0.8), 1e-13),
+        # on the grid; 53 of the box's 64 eigenvalues lie below the clamp,
+        # where the square root is least stable
+        (128, 64, ObservationModel(kind="event", scale=0.5), 1e-12),
+    ])
+    def test_frame_runs_match_per_step_roots(self, m, rank, model, tol):
+        for seed in (0, 1, 2):
+            trace, want = projected_run(m, model, rank, seed, 20)
+            assert trace.frame_steps == 20
+            assert np.abs(np.array(trace.quantum_posteriors) - want).max() <= tol
+
+    @pytest.mark.parametrize("m,rank,model", [
+        (128, 126, FILTER_ORBIT),  # off the grid, L > M/2: band gaps alias
+        (17, 9, ObservationModel(kind="gaussian", scale=0.8, noise_std=0.1)),
+        (128, 64, ObservationModel(kind="gaussian", scale=0.8, noise_std=0.05)),  # the cut at pi
+        (128, 64, ObservationModel(kind="event", scale=0.5, noise_std=0.05)),  # the box
+    ])
+    def test_window_check_refuses_where_the_identity_fails(self, m, rank, model):
+        # no step qualifies, so the run is the per-step loop, bit for bit
+        trace, want = projected_run(m, model, rank, 4, 12)
+        assert trace.frame_steps == 0
+        assert bits(np.array(trace.quantum_posteriors).view(float)) == bits(want.view(float))
+
+    def test_narrow_kernel_roots_against_mpmath(self):
+        # von Mises 30: a third of the effect's eigenvalues lie below the
+        # clamp, where |sqrt(A) - sqrt(B)| <= |A - B|^(1/2) bounds both paths
+        m, rank = 96, 48
+        model = ObservationModel(kind="vonmises", scale=30.0)
+        h = orbit_observation_values(PeriodicOrbitSystem(m))
+        rng = np.random.default_rng(7)
+        y = float(rng.uniform(0.0, 2 * math.pi))
+        like = model.kappa(y, h)
+        psi = rng.standard_normal(rank) + 1j * rng.standard_normal(rank)
+        psi /= np.linalg.norm(psi)
+        exact, top = mp_root_apply(like, rank, psi)
+        bound = 2.0 * math.sqrt(rank * np.finfo(float).eps * top)
+        band = np.sort(qmda._orbit_mode_order(m)[:rank])
+        gaps = np.arange(1 - rank, rank)
+        reference = np.fft.fft(model.kappa(0.0, h)) / m
+        phases = qmda._frame_phases(y, gaps, m)
+        dft = np.fft.fft(like) / m
+        assert np.abs(dft[gaps] - reference[gaps] * phases).max() <= qmda._rounding_floor(
+            rank, reference[gaps])  # the step qualifies
+        frame = phases[band + rank - 1]
+        root0 = qmda._real_form_root(qmda._effect_real_form(reference, rank))
+        framed = frame * qmda._root_apply(root0, frame.conj() * psi)
+        per_step = qmda._real_form_root_apply(qmda._effect_real_form(dft, rank), psi)
+        assert np.linalg.norm(framed - exact) <= bound
+        assert np.linalg.norm(per_step - exact) <= bound
 
 
 def bits(values):
@@ -772,6 +922,27 @@ class TestTorusFilter:
         with pytest.raises(ValidationError, match="grid_size"):
             run_torus_filter(self.SYS, self.MODEL, 1.0, 5, dt=0.3, mode=mode, rank=rank,
                              grid_size=grid_size)
+
+    @pytest.mark.parametrize("kappa0", [1e12, 1e17, 1e20, 1e308])
+    def test_evidence_at_high_concentration_against_mpmath(self, kappa0):
+        # kap_post - kap_prior, taken as a difference of two hypot results,
+        # lost kap eps: a largest evidence of 1.00012 at 1e12, 162754.8 at
+        # 1e17 and an OverflowError at 1e20
+        model = ObservationModel(kind="vonmises", scale=4.0)
+        trace = run_torus_filter(self.SYS, model, 1.0, 20, 0.1, kappa0=kappa0, mode=CLASSICAL)
+        shift = 0.1 * float(self.SYS.alpha[0])
+        c_vec, s_vec = kappa0 * math.cos(1.0), kappa0 * math.sin(1.0)
+        mu, kappa = math.atan2(s_vec, c_vec), math.hypot(c_vec, s_vec)
+        # 40 digits past the 308 that kappa - kappa_post spends
+        with mpmath.workdps(350):
+            for step, posterior in zip(trace.steps, trace.classical_posteriors):
+                prior = mpmath.mpf(kappa) * mpmath.expj(mpmath.mpf(mu) + mpmath.mpf(shift))
+                post = abs(prior + model.scale * mpmath.expj(step.truth))  # noiseless: y = truth
+                exact = (mpmath.besseli(0, post) / mpmath.besseli(0, kappa)
+                         * mpmath.exp(-model.scale))
+                assert abs(step.evidence - exact) <= 1e-14 * exact, step.step
+                assert step.evidence <= 1.0
+                mu, kappa = posterior
 
     def test_consistency_against_mpmath(self):
         # distances far below sqrt(eps): 1 - |<ref, psi>|^2 cancels them to 0
