@@ -396,11 +396,24 @@ _BESSEL_DOUBLINGS = 12
 # Fewer concentrations than this run as float loops: a lane step costs about
 # as much as 20 float steps, and the lanes that start first run alone.
 _MILLER_MIN_LANES = 32
-# Largest concentration accepted.  The Miller start grows as 2 sqrt(kappa):
-# at the cap one concentration runs in ~0.03 s and 256 lanes in ~0.75 s,
-# where kappa = 1e12 took 2.4 s and 1e200 overflowed the int64 start index.
-# The filters reach ~1e5.
+# Largest concentration accepted.  The Miller start grows as sqrt(37 kappa):
+# at the cap (jmax = 32, one BLAS thread, 2 vCPUs) one concentration runs in
+# ~0.014 s and 256 lanes in ~0.21 s, where kappa = 1e12 took 2.4 s and 1e200
+# overflowed the int64 start index.  The filters reach ~1e5.
 _BESSEL_MAX_KAPPA = 1e8
+
+
+def _miller_start(kappa: float, jmax: int) -> int:
+    """The first Miller run's start index for one concentration.
+
+    A start N leaves entry j a relative error near e^{-(N^2 - j^2)/kappa}
+    once kappa >> j, since there I_m/I_0 ~ e^{-m^2/2kappa}; that is below
+    1e-16 for N^2 >= jmax^2 + 37 kappa.  The start is the larger of that and
+    jmax + 2 sqrt(max(jmax, kappa) + 1) + 10 (at least jmax + 20), which
+    already converges for kappa below about 3 jmax.
+    """
+    base = jmax + max(20, int(2.0 * math.sqrt(max(jmax, kappa) + 1)) + 10)
+    return max(base, int(math.sqrt(jmax * jmax + 37.0 * kappa)) + 10)
 
 
 def _miller_float(kappa: float, start: int, jmax: int) -> np.ndarray:
@@ -462,7 +475,10 @@ def bessel_ratios(kappa, jmax: int) -> np.ndarray:
     however small, overflows the run.  The start index is doubled until two
     successive runs agree to 1e-13 relative in every entry 0..jmax (entries
     below 1e-300 compare absolutely), ten times below the 1e-12 accuracy
-    promised here.  A stricter test, such as 1e-15, sits below the rounding
+    promised here.  The first start, ``_miller_start``, is at least
+    sqrt(jmax^2 + 37 kappa) + 10, from which the run has already converged
+    to rounding, so the run from twice it agrees: every concentration takes
+    exactly two runs.  A stricter test, such as 1e-15, sits below the rounding
     floor of a long recurrence: for jmax in the hundreds successive runs
     keep differing by a few ulps however far the start moves, so the test
     is never met.  If no two runs agree within twelve doublings a
@@ -476,8 +492,10 @@ def bessel_ratios(kappa, jmax: int) -> np.ndarray:
     the first one, in input order, that never agrees.  A round of runs over
     fewer than ``_MILLER_MIN_LANES`` concentrations is a Python-float loop
     per concentration, a larger one runs them as numpy lanes (one lane alone
-    costs about 20 times its float loop).  The two are bitwise equal, so a
-    row never depends on the other concentrations passed with it.
+    costs about 20 times its float loop); the opening pair of runs, from
+    starts s and 2s, is then one lane pass over twice the lanes, 2s steps
+    long instead of 3s.  The two forms are bitwise equal, so a row never
+    depends on the other concentrations passed with it.
     """
     kappas = np.asarray(kappa, dtype=float)
     if kappas.ndim > 1:
@@ -488,24 +506,29 @@ def bessel_ratios(kappa, jmax: int) -> np.ndarray:
     out = np.zeros((rows.size, jmax + 1))
     out[:, 0] = 1.0
     todo = np.flatnonzero(rows != 0.0)  # input order
-    starts = np.array([
-        jmax + max(20, int(2.0 * math.sqrt(max(jmax, k) + 1)) + 10) for k in rows[todo].tolist()
-    ], dtype=np.int64)
+    starts = np.array([_miller_start(k, jmax) for k in rows[todo].tolist()], dtype=np.int64)
 
-    def run(lanes, starts):
+    def run(lanes, *columns):
+        """A run per concentration and start column: an (n columns, n lanes, jmax + 1) block."""
+        tiled = np.tile(rows[lanes], len(columns))
+        starts = np.concatenate(columns)
         if lanes.size < _MILLER_MIN_LANES:
-            return np.array([
+            block = np.array([
                 _miller_float(kappa, start, jmax)
-                for kappa, start in zip(rows[lanes].tolist(), starts.tolist())
-            ]).reshape(-1, jmax + 1)
-        return _miller_lanes(rows[lanes], starts, jmax)
+                for kappa, start in zip(tiled.tolist(), starts.tolist())
+            ])
+        else:
+            block = _miller_lanes(tiled, starts, jmax)
+        return block.reshape(len(columns), lanes.size, jmax + 1)
 
-    prev = run(todo, starts)
-    for _ in range(_BESSEL_DOUBLINGS):
+    for doubling in range(_BESSEL_DOUBLINGS):
         if not todo.size:
             break
+        if doubling:
+            (cur,) = run(todo, 2 * starts)
+        else:  # the opening pair, starts s and 2s, in one pass
+            prev, cur = run(todo, starts, 2 * starts)
         starts = 2 * starts
-        cur = run(todo, starts)
         scale = np.maximum(np.abs(cur), 1e-300)
         done = np.max(np.abs(cur - prev) / scale, axis=1) < _BESSEL_RTOL
         out[todo[done]] = cur[done]

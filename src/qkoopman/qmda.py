@@ -487,10 +487,11 @@ def _score_orbit_steps(trace: FilterTrace, sys: PeriodicOrbitSystem, truths: np.
 
     Each step gets what one step of the filter computes for it: the distance
     between the embedded classical posterior and the operator state, and the
-    argmax of the point marginals.  ``freqs`` are the projected mode's kept
-    frequencies in mode order, or None in the point basis.  A block holds at
-    most ``_SCORE_BATCH`` point values (one row if M is larger), so scoring
-    holds a bounded slice of what the trace already stores.
+    smallest index whose point marginal is within ``_ESTIMATE_TIE_RTOL`` of
+    the top.  ``freqs`` are the projected mode's kept frequencies in mode
+    order, or None in the point basis.  A block holds at most
+    ``_SCORE_BATCH`` point values (one row if M is larger), so scoring holds
+    a bounded slice of what the trace already stores.
     """
     mu, m = sys.mu, sys.M
     batch = max(1, _SCORE_BATCH // m)
@@ -511,9 +512,10 @@ def _score_orbit_steps(trace: FilterTrace, sys: PeriodicOrbitSystem, truths: np.
                 values /= root_m
                 marginals = np.abs(values) ** 2
             consistency = _pure_state_distance(embedded, psis)
+        top = marginals.max(axis=1, keepdims=True)
+        estimates = np.argmax(marginals >= (1.0 - _ESTIMATE_TIE_RTOL) * top, axis=1)
         _record_steps(trace, lo + 1, m, truths[lo : lo + batch].tolist(),
-                      evidences[lo : lo + batch], consistency.tolist(),
-                      np.argmax(marginals, axis=1).tolist())
+                      evidences[lo : lo + batch], consistency.tolist(), estimates.tolist())
 
 
 def _record_steps(trace: FilterTrace, first: int, period, truths, evidences, consistency,
@@ -589,6 +591,10 @@ _GRID_BATCH = 2**20
 # array): 60 steps on M = 128 in one block of 7,680 values held ~0.2 MiB
 # more peak RSS than scoring step by step; blocks of 4,096 held none.
 _SCORE_BATCH = 2**12
+# Point marginals within this relative distance of the top tie for the orbit
+# filter's estimate, which is the smallest tied index: rounding alone then
+# does not pick the estimate between equal marginals.
+_ESTIMATE_TIE_RTOL = 1e-12
 
 
 def run_torus_filter(

@@ -35,7 +35,7 @@ from .dynamics import (
     _same_dimension,
     wrap_angles,
 )
-from .errors import OutOfLatticeError, ValidationError
+from .errors import DegeneracyError, OutOfLatticeError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,8 @@ class TruncatedLattice:
     The box is a product of d copies of [-J, J], so membership and position
     are arithmetic: j is in the box when it has d integral entries, each
     |j_i| <= J, and sits at row sum_i (j_i + J) (2J+1)^(d-1-i) of
-    ``indices``.  A non-integral entry is not in the box.
+    ``indices``.  A non-integral entry is not in the box.  A box of more
+    than ``_MAX_TERMS`` modes is refused before its index table is built.
     """
 
     __slots__ = ("d", "J", "indices")
@@ -87,6 +88,11 @@ class TruncatedLattice:
     def __init__(self, d: int, J: int):
         _count("d", d, 1)
         _count("J", J, 0)
+        modes = 1
+        for _ in range(d if J else 0):  # (2J+1)^d, stopped past the cap
+            modes *= 2 * J + 1
+            if modes > _MAX_TERMS:
+                raise ValidationError(f"lattice d={d}, J={J} has more than {_MAX_TERMS} modes")
         self.d = d
         self.J = J
         grid = np.indices((2 * J + 1,) * d, dtype=int).reshape(d, -1) - J
@@ -297,7 +303,11 @@ def feature_coefficients(w: SubexpWeight, lat: TruncatedLattice, x) -> np.ndarra
 def _feature_vector(w: SubexpWeight, indices: np.ndarray, x) -> np.ndarray:
     """sqrt(lambda(j)) exp(-i j.x) per row j of an index table (also ``qcirc``'s amplitudes)."""
     x = _finite_point(x, indices.shape[1])
-    return np.sqrt(np.exp(w.log_values(indices))) * np.exp(-1j * (indices @ x))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN for d >= 2
+        phases = indices @ x
+    if not np.all(np.isfinite(phases)):
+        raise DegeneracyError(f"point x={x.tolist()!r} takes a phase past the float range")
+    return np.sqrt(np.exp(w.log_values(indices))) * np.exp(-1j * phases)
 
 
 K_TAU = "K_tau"

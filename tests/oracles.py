@@ -15,7 +15,10 @@ cosine sum and one vectorized digit decoder, or (the projected filter's
 effect root) the complex ``eigh`` form of one the package now takes from a
 real symmetric matrix, or (the orbit's mode order) the loop that appends
 the frequencies a closed form now gives.  Nothing in ``src/`` calls them;
-the tests compare the fast paths against them.
+the tests compare the fast paths against them.  One is not an oracle but an
+old rule kept to provoke a failure: the Bessel recurrence's former start
+index, too low for large concentrations, which then need more than one
+doubling.
 """
 
 from __future__ import annotations
@@ -308,6 +311,19 @@ def stepwise_torus_filter(
             )
         )
     return trace
+
+
+# --- dynamics: the Bessel recurrence's former start ---------------------------
+
+
+def short_miller_start(kappa: float, jmax: int) -> int:
+    """``dynamics._miller_start`` before it grew as sqrt(37 kappa).
+
+    jmax + 2 sqrt(max(jmax, kappa) + 1) + 10, at least jmax + 20: too low
+    once kappa passes about 3 jmax, where the first doubling of the start
+    does not converge.  Tests patch it in to reach the doubling limit.
+    """
+    return jmax + max(20, int(2.0 * math.sqrt(max(jmax, kappa) + 1)) + 10)
 
 
 # --- rkha and qcirc: the complex Mercer sum and the loop decoder --------------

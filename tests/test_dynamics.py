@@ -1,3 +1,4 @@
+import collections
 import math
 import re
 import signal
@@ -29,7 +30,7 @@ from qkoopman.fock import FockWeight
 from qkoopman.qmda import ObservationModel
 from qkoopman.rkha import SubexpWeight
 
-from oracles import direct_grid_values
+from oracles import direct_grid_values, short_miller_start
 
 TWO_PI = 2.0 * math.pi
 
@@ -416,13 +417,79 @@ class TestBesselRatios:
         assert np.array_equal(lanes, np.tile(exact, (lanes.shape[0], 1)))
 
     def test_lanes_stop_doubling_on_their_own(self, monkeypatch):
-        # one doubling settles kappa = 2 and 3 but not 600 or 900
+        # from the former start, one doubling settles kappa = 2 and 3 but
+        # not 600 or 900
+        monkeypatch.setattr(dynamics, "_miller_start", short_miller_start)
         monkeypatch.setattr(dynamics, "_BESSEL_DOUBLINGS", 1)
         settled = np.repeat([2.0, 3.0], dynamics._MILLER_MIN_LANES)
         assert np.array_equal(bessel_ratios(settled, 32),
                               [bessel_ratios(float(k), 32) for k in settled])
         with pytest.raises(DegeneracyError, match=r"kappa=900\.0, jmax=32"):
             bessel_ratios(np.concatenate([settled, [900.0, 3.0, 600.0]]), 32)
+
+    # kappa = 1e-3 to the cap; the former start took three runs at
+    # kappa = 600, jmax = 32 and four from about 1,500
+    RUN_KAPPAS = np.concatenate([[1e-3, 0.1, 1.0, 3.0, 10.0, 30.0], np.geomspace(50.0, 1e8, 27)])
+
+    @pytest.mark.parametrize("jmax", [1, 5, 32, 264, 600])  # jmax = 0 is the row (1,)
+    def test_every_concentration_takes_two_runs(self, monkeypatch, jmax):
+        # the start converges, so the first doubling's test is the only one
+        runs = collections.Counter()
+        float_run, lanes_run = dynamics._miller_float, dynamics._miller_lanes
+
+        def counted_float(kappa, start, jmax):
+            runs[kappa] += 1
+            return float_run(kappa, start, jmax)
+
+        def counted_lanes(kappas, starts, jmax):
+            runs.update(kappas.tolist())
+            return lanes_run(kappas, starts, jmax)
+
+        monkeypatch.setattr(dynamics, "_miller_float", counted_float)
+        monkeypatch.setattr(dynamics, "_miller_lanes", counted_lanes)
+        kappas = self.RUN_KAPPAS.tolist()
+        assert len(kappas) >= dynamics._MILLER_MIN_LANES
+        for kappa in kappas:
+            bessel_ratios(kappa, jmax)
+        assert runs == dict.fromkeys(kappas, 2)
+        runs.clear()
+        bessel_ratios(self.RUN_KAPPAS, jmax)
+        assert runs == dict.fromkeys(kappas, 2)
+
+    @pytest.mark.parametrize("kappa", [100.0, 600.0, 1800.0, 1e5])
+    def test_large_concentrations_against_mpmath(self, kappa):
+        # entries below 1e-300 compare absolutely, as the runs do
+        with mpmath.workdps(40):
+            i0 = mpmath.besseli(0, kappa)
+            exact = [float(mpmath.besseli(j, kappa) / i0) for j in range(265)]
+        for jmax in (0, 32, 264):
+            got = bessel_ratios(kappa, jmax)
+            want = np.array(exact[: jmax + 1])
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(want, 1e-300)), jmax
+
+    def test_opening_pair_is_one_lane_pass(self, monkeypatch):
+        # starts s and 2s over 2n lanes, each lane bitwise its float run
+        calls = []
+        lanes_run = dynamics._miller_lanes
+
+        def recorded(kappas, starts, jmax):
+            out = lanes_run(kappas, starts, jmax)
+            calls.append((kappas, starts, out))
+            return out
+
+        monkeypatch.setattr(dynamics, "_miller_lanes", recorded)
+        kappas = np.random.default_rng(5).permutation(np.geomspace(1e-3, 1e6, 64))
+        got = bessel_ratios(kappas, 32)
+        assert len(calls) == 1
+        lanes, starts, out = calls[0]
+        first = np.array([dynamics._miller_start(k, 32) for k in kappas.tolist()])
+        assert len(set(first.tolist())) > 20  # mixed starts
+        assert np.array_equal(lanes, np.tile(kappas, 2))
+        assert np.array_equal(starts, np.concatenate([first, 2 * first]))
+        floats = np.array([dynamics._miller_float(k, start, 32)
+                           for k, start in zip(lanes.tolist(), starts.tolist())])
+        assert np.array_equal(out.view(np.uint64), floats.view(np.uint64))
+        assert np.array_equal(got.view(np.uint64), floats[64:].view(np.uint64))
 
     @pytest.mark.parametrize("kappas, first", [([0.0, 6.0, 2.0, 0.5], "6.0"),
                                                ([0.0, 0.5, 600.0, 6.0], "0.5")])

@@ -94,6 +94,24 @@ VALUE_PROBES = [
                  r"^index \(2,\) repeats the index", id="index-repeated"),
     pytest.param(lambda: dynamics.FourierObservable.harmonic(3.7), ValidationError,
                  r"^index 3\.7 must be an integer", id="harmonic-non-integral"),
+    # numpy's "array is too big", and below its limit an allocation
+    pytest.param(lambda: rkha.TruncatedLattice(40, 1), ValidationError,
+                 r"^lattice d=40, J=1 has more than 1000000 modes", id="lattice-d-too-big"),
+    pytest.param(lambda: rkha.TruncatedLattice(6, 1023), ValidationError,
+                 r"^lattice d=6, J=1023 has more than 1000000 modes", id="lattice-J-too-big"),
+    pytest.param(lambda: rkha.TruncatedLattice(1, 500_000), ValidationError,
+                 r"^lattice d=1, J=500000 has more than", id="lattice-one-past-the-cap"),
+    # indices @ x overflowed in a RuntimeWarning
+    pytest.param(lambda: rkha.feature_coefficients(WEIGHT, rkha.TruncatedLattice(1, 2), [1e308]),
+                 DegeneracyError, r"^point x=\[1e\+308\] takes a phase past the float range",
+                 id="feature-overflow"),
+    pytest.param(lambda: rkha.feature_coefficients(WEIGHT, rkha.TruncatedLattice(1, 2), [-1e308]),
+                 DegeneracyError, r"^point x=\[-1e\+308\] takes a phase",
+                 id="feature-overflow-neg"),
+    pytest.param(lambda: rkha.feature_coefficients(rkha.SubexpWeight(1.0, 0.5, 2),
+                                                   rkha.TruncatedLattice(2, 1), [1e308, -1e308]),
+                 DegeneracyError, r"^point x=\[1e\+308, -1e\+308\] takes a phase",
+                 id="feature-overflow-inf-minus-inf"),
 ]
 
 
@@ -203,6 +221,7 @@ def test_bad_input_raises_a_package_error(alarm, call, error, message):
 def test_numpy_integer_counts_accepted(alarm):
     n = np.int64
     assert rkha.TruncatedLattice(n(1), n(3)).size == 7
+    assert rkha.TruncatedLattice(n(1), n(499_999)).size == 999_999  # the largest box of d = 1
     assert qcirc.QubitEncoding(n(1), n(2)).dim == 8
     assert dynamics.bessel_ratios(1.0, n(4)).tolist() == dynamics.bessel_ratios(1.0, 4).tolist()
     assert dynamics.sample_trajectory(ROTATION, [0.0], 0.1, n(3)).shape == (3, 1)
@@ -231,6 +250,10 @@ def test_extreme_finite_values_accepted(alarm):
     assert value == rkha.kernel_value(WEIGHT, lat, [near[0]], [near[1]])
     gram = rkha.kernel_gram(WEIGHT, lat, far)
     assert gram[0, 1] == value and np.all(np.isfinite(gram))
+    # a feature vector's phases are taken as given, not wrapped
+    j = lat.indices[:, 0]
+    want = np.sqrt(WEIGHT.lattice_values(lat)) * np.exp(-1j * (j * 1e307))
+    assert np.array_equal(rkha.feature_coefficients(WEIGHT, lat, [1e307]), want)
     # 2 pi kappa overflowed in _i0e, so the scaled I_0 was 0 and the
     # classical evidence a ZeroDivisionError
     trace = qmda.run_torus_filter(ROTATION, MODEL, 1.0, 5, 0.1, kappa0=1e308, mode="classical")

@@ -43,6 +43,7 @@ from oracles import (
     orbit_mode_transform,
     quantum_analysis,
     quantum_forecast,
+    short_miller_start,
     sqrt_von_mises_coeffs,
     stepwise_torus_filter,
     torus_grid_matrix,
@@ -785,6 +786,19 @@ class TestFrameIdentity:
         assert trace.frame_steps == 0
         assert bits(np.array(trace.quantum_posteriors).view(float)) == bits(want.view(float))
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tied_estimates_do_not_depend_on_the_path(self, monkeypatch, seed):
+        # noiseless event 0.5: the box ties many point marginals, whose last
+        # bits differ between the frame and the per-step roots; the estimate
+        # is the smallest index within the tie tolerance on either path
+        sys, model = PeriodicOrbitSystem(128), ObservationModel(kind="event", scale=0.5)
+        frame = run_filter(sys, model, seed, 30, mode=QUANTUM_PROJECTED, rank=64, seed=seed)
+        # NaN phases fail the window check, so every step takes its own eigh
+        monkeypatch.setattr(qmda, "_frame_phases", lambda y, gaps, m: np.full(gaps.shape, np.nan))
+        per_step = run_filter(sys, model, seed, 30, mode=QUANTUM_PROJECTED, rank=64, seed=seed)
+        assert (frame.frame_steps, per_step.frame_steps) == (30, 0)
+        assert [s.estimate for s in frame.steps] == [s.estimate for s in per_step.steps]
+
     def test_narrow_kernel_roots_against_mpmath(self):
         # von Mises 30: a third of the effect's eigenvalues lie below the
         # clamp, where |sqrt(A) - sqrt(B)| <= |A - B|^(1/2) bounds both paths
@@ -1129,8 +1143,8 @@ class TestTorusFilterFirstError:
     SYS = RotationSystem(np.array([np.sqrt(2.0)]))
     # seed 1: an observation far from a sharp prior underflows the evidence
     EVIDENCE = ObservationModel(kind="vonmises", scale=400.0, noise_std=0.8)
-    # seed 7 with one doubling: the posterior concentration outgrows the
-    # Bessel recurrence's start
+    # seed 7 with one doubling from the former Bessel start
+    # (``short_miller_start``): the posterior concentration outgrows it
     SLOW = ObservationModel(kind="vonmises", scale=0.6, noise_std=0.1)
     MODES = [(CLASSICAL, None), (QUANTUM, None), (QUANTUM_PROJECTED, 9)]
 
@@ -1168,6 +1182,7 @@ class TestTorusFilterFirstError:
         return step
 
     def bessel_step(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_miller_start", short_miller_start)
         monkeypatch.setattr(dynamics, "_BESSEL_DOUBLINGS", 1)
         trace = run_torus_filter(self.SYS, self.SLOW, 1.3, 600, 0.3, mode=CLASSICAL, seed=7)
         for step, (_, kappa) in enumerate(trace.classical_posteriors, 1):
