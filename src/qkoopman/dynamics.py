@@ -27,7 +27,8 @@ GAUSSIAN = "gaussian"
 VON_MISES = "vonmises"
 EVENT = "event"
 MAX_STATEVECTOR_QUBITS = 20
-# Largest grading, series cutoff (nmax) or shot count accepted: each takes a
+# Largest grading, series cutoff (nmax, jmax, bandwidth), shot count,
+# trajectory length, lattice dimension or lattice box accepted: each takes a
 # float per term, 8 MB at the cap; tests and demos use at most 200,000.
 _MAX_TERMS = 10**6
 
@@ -92,6 +93,16 @@ def _count(name: str, value, lo: float, hi: float = math.inf) -> None:
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not lo <= value <= hi:
         raise ValidationError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
+
+
+def _lattice_modes(d: int, J: int) -> None:
+    """ValidationError unless the box |j_i| <= J in Z^d has at most ``_MAX_TERMS`` modes.
+
+    The box has (2J+1)^d modes; the exponent stops at 20, since 3^20 is
+    already past the cap, so a huge d costs nothing.
+    """
+    if (2 * J + 1) ** min(d, 20) > _MAX_TERMS:
+        raise ValidationError(f"lattice d={d}, J={J} has more than {_MAX_TERMS} modes")
 
 
 def _same_dimension(**dims: int) -> None:
@@ -188,7 +199,7 @@ def sample_trajectory(sys: RotationSystem, x0, dt: float, n: int) -> np.ndarray:
     2*pi from the wrapped x0, so consecutive rows are bitwise the flow step
     ``flow(sys, row, dt)`` without a numpy call per sample.
     """
-    _count("n", n, 1)
+    _count("n", n, 1, _MAX_TERMS)
     _real("dt", dt, 0, strict=True)
     start = wrap_angles(_finite_point(x0, sys.d))
     out = np.empty((n, sys.d))
@@ -333,16 +344,23 @@ def grid_sum(indices, coeffs, grid_size: int) -> np.ndarray:
     On the grid exp(i j.y) depends on j only through j mod G, so placing
     every coefficient at j mod G (repeats add up: the aliasing is exact) and
     taking the unscaled inverse DFT gives the sum, in O(G^d log G) for any
-    support.  ``indices`` is an (n, d) integer array and ``coeffs`` holds
-    its n coefficients on the last axis; leading axes of ``coeffs`` are a
-    batch of sums, each placed and transformed on its own.  The result has
-    shape coeffs.shape[:-1] + (G,) * d.  A non-finite coefficient is
-    refused, once per call.
+    support.  ``indices`` is an (n, d) table of integral values, and
+    ``coeffs`` holds its n coefficients on the last axis; leading axes of
+    ``coeffs`` are a batch of sums, each placed and transformed on its own.
+    The result has shape coeffs.shape[:-1] + (G,) * d.  A non-finite
+    coefficient, or an index table of another shape or with a non-integral
+    entry, is refused, once per call.
     """
     _count("grid_size", grid_size, 1)
-    indices = np.asarray(indices, dtype=int)
     coeffs = _floats("coefficients", coeffs, complex)
     _finite_point(np.ravel(coeffs).view(float), 2 * coeffs.size, "coefficients")
+    indices = np.asarray(indices)
+    if indices.dtype.kind == "f" and np.all((abs(indices) < 2.0**63)
+                                            & (indices == np.floor(indices))):
+        indices = indices.astype(int)
+    if indices.dtype.kind not in "iu" or indices.ndim != 2 or indices.shape[:1] != coeffs.shape[-1:]:
+        raise ValidationError(f"indices of shape {indices.shape} ({indices.dtype}) must be a table "
+                              f"of integers, a row per coefficient of shape {coeffs.shape}")
     d = indices.shape[1]
     box = np.zeros(coeffs.shape[:-1] + (grid_size,) * d, dtype=complex)
     np.add.at(box, (Ellipsis,) + tuple((indices % grid_size).T), coeffs)
@@ -391,15 +409,14 @@ def _i0e(kappa: float) -> float:
     return total / (math.sqrt(product) if product < math.inf else math.sqrt(TWO_PI) * math.sqrt(x))
 
 
-_BESSEL_RTOL = 1e-13  # agreement of successive Miller runs, whole sequence
-_BESSEL_DOUBLINGS = 12
+_BESSEL_RTOL = 1e-13  # agreement of the runs from s and 2s, whole sequence
 # Fewer concentrations than this run as float loops: a lane step costs about
 # as much as 20 float steps, and the lanes that start first run alone.
 _MILLER_MIN_LANES = 32
 # Largest concentration accepted.  The Miller start grows as sqrt(37 kappa):
-# at the cap (jmax = 32, one BLAS thread, 2 vCPUs) one concentration runs in
-# ~0.014 s and 256 lanes in ~0.21 s, where kappa = 1e12 took 2.4 s and 1e200
-# overflowed the int64 start index.  The filters reach ~1e5.
+# at the cap (jmax = 32, one BLAS thread, 2 vCPUs) one concentration's pair
+# of runs takes ~0.014 s and 256 lanes' ~0.21 s, where kappa = 1e12 took
+# 2.4 s and 1e200 overflowed the int64 start index.  The filters reach ~1e5.
 _BESSEL_MAX_KAPPA = 1e8
 
 
@@ -472,72 +489,55 @@ def bessel_ratios(kappa, jmax: int) -> np.ndarray:
     start well above jmax, where I_{start+1} is taken as 0, run
     r_m = I_m/I_{m-1} = kappa/(2m + kappa r_{m+1}) downward and return the
     products r_1 ... r_j.  Every r_m lies in [0, 1], so no concentration,
-    however small, overflows the run.  The start index is doubled until two
-    successive runs agree to 1e-13 relative in every entry 0..jmax (entries
-    below 1e-300 compare absolutely), ten times below the 1e-12 accuracy
-    promised here.  The first start, ``_miller_start``, is at least
+    however small, overflows the run.  Each concentration takes two runs,
+    from s = ``_miller_start(kappa, jmax)``, at least
     sqrt(jmax^2 + 37 kappa) + 10, from which the run has already converged
-    to rounding, so the run from twice it agrees: every concentration takes
-    exactly two runs.  A stricter test, such as 1e-15, sits below the rounding
-    floor of a long recurrence: for jmax in the hundreds successive runs
-    keep differing by a few ulps however far the start moves, so the test
-    is never met.  If no two runs agree within twelve doublings a
-    DegeneracyError is raised instead of returning an unconverged sequence.
-    kappa = 0 returns (1, 0, ..., 0) at once; a concentration above
-    ``_BESSEL_MAX_KAPPA`` is refused before any run.
+    to rounding, and from 2s; the run from 2s is returned.  The pair is the
+    safety check: both must agree to 1e-13 relative in every entry 0..jmax
+    (entries below 1e-300 compare absolutely), ten times below the 1e-12
+    accuracy promised here, or a DegeneracyError names the first
+    concentration, in input order, whose pair disagrees, with jmax and both
+    starts, instead of returning an unconverged sequence.  A stricter test,
+    such as 1e-15, sits below the rounding floor of a long recurrence: for
+    jmax in the hundreds two runs keep differing by a few ulps however far
+    apart their starts are.  kappa = 0 returns (1, 0, ..., 0) at once; a
+    concentration above ``_BESSEL_MAX_KAPPA``, or a jmax above
+    ``_MAX_TERMS``, is refused before any run.
 
     ``kappa`` is one concentration, giving shape (jmax + 1,), or a 1-d
-    array of them, giving one row each.  Every concentration starts at its
-    own index and stops doubling once its own runs agree; the error names
-    the first one, in input order, that never agrees.  A round of runs over
-    fewer than ``_MILLER_MIN_LANES`` concentrations is a Python-float loop
-    per concentration, a larger one runs them as numpy lanes (one lane alone
-    costs about 20 times its float loop); the opening pair of runs, from
-    starts s and 2s, is then one lane pass over twice the lanes, 2s steps
-    long instead of 3s.  The two forms are bitwise equal, so a row never
+    array of them, giving one row each, every one from its own start.
+    Fewer than ``_MILLER_MIN_LANES`` nonzero concentrations run as a
+    Python-float loop per run; more run both starts as one pass of numpy
+    lanes over twice the concentrations (one lane alone costs about 20
+    times its float loop).  The two forms are bitwise equal, so a row never
     depends on the other concentrations passed with it.
     """
     kappas = np.asarray(kappa, dtype=float)
     if kappas.ndim > 1:
         raise ValidationError("kappa must be a number or a 1-d array")
     _real("concentration", kappa, 0, _BESSEL_MAX_KAPPA)
-    _count("jmax", jmax, 0)
+    _count("jmax", jmax, 0, _MAX_TERMS)
     rows = kappas.reshape(-1)
     out = np.zeros((rows.size, jmax + 1))
     out[:, 0] = 1.0
     todo = np.flatnonzero(rows != 0.0)  # input order
-    starts = np.array([_miller_start(k, jmax) for k in rows[todo].tolist()], dtype=np.int64)
-
-    def run(lanes, *columns):
-        """A run per concentration and start column: an (n columns, n lanes, jmax + 1) block."""
-        tiled = np.tile(rows[lanes], len(columns))
-        starts = np.concatenate(columns)
-        if lanes.size < _MILLER_MIN_LANES:
-            block = np.array([
-                _miller_float(kappa, start, jmax)
-                for kappa, start in zip(tiled.tolist(), starts.tolist())
-            ])
-        else:
-            block = _miller_lanes(tiled, starts, jmax)
-        return block.reshape(len(columns), lanes.size, jmax + 1)
-
-    for doubling in range(_BESSEL_DOUBLINGS):
-        if not todo.size:
-            break
-        if doubling:
-            (cur,) = run(todo, 2 * starts)
-        else:  # the opening pair, starts s and 2s, in one pass
-            prev, cur = run(todo, starts, 2 * starts)
-        starts = 2 * starts
-        scale = np.maximum(np.abs(cur), 1e-300)
-        done = np.max(np.abs(cur - prev) / scale, axis=1) < _BESSEL_RTOL
-        out[todo[done]] = cur[done]
-        todo, starts, prev = todo[~done], starts[~done], cur[~done]
-    if todo.size:
+    first = [_miller_start(k, jmax) for k in rows[todo].tolist()]
+    lanes = np.tile(rows[todo], 2)
+    starts = first + [2 * s for s in first]
+    if todo.size < _MILLER_MIN_LANES:
+        runs = np.array([_miller_float(k, s, jmax) for k, s in zip(lanes.tolist(), starts)])
+    else:
+        runs = _miller_lanes(lanes, np.array(starts, dtype=np.int64), jmax)
+    prev, cur = runs.reshape(2, todo.size, jmax + 1)
+    scale = np.maximum(np.abs(cur), 1e-300)
+    agree = np.max(np.abs(cur - prev) / scale, axis=1) < _BESSEL_RTOL
+    if not agree.all():
+        i = int(np.argmin(agree))
         raise DegeneracyError(
-            f"bessel_ratios(kappa={float(rows[todo[0]])!r}, jmax={jmax}): successive Miller "
-            f"runs did not agree to {_BESSEL_RTOL:g} within {_BESSEL_DOUBLINGS} doublings"
+            f"bessel_ratios(kappa={float(rows[todo[i]])!r}, jmax={jmax}): the Miller runs "
+            f"from starts {first[i]} and {2 * first[i]} did not agree to {_BESSEL_RTOL:g}"
         )
+    out[todo] = cur
     return out if kappas.ndim else out[0]
 
 
@@ -599,9 +599,11 @@ def von_mises_fourier(p: VonMisesDensity, bandwidth: int) -> FourierObservable:
 
     Per factor the coefficient at frequency j is I_|j|(kappa)/I_0(kappa)
     times the location phase exp(-i j mu); the product density multiplies
-    these across dimensions.
+    these across dimensions.  More than ``_MAX_TERMS`` coefficients are
+    refused before any is computed.
     """
     _count("bandwidth", bandwidth, 0)
+    _lattice_modes(p.d, bandwidth)
     js = range(-bandwidth, bandwidth + 1)
     coeffs = {(): 1.0 + 0.0j}
     for row in _von_mises_rows(p.kappa, p.mu, bandwidth).tolist():

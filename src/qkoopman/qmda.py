@@ -38,6 +38,7 @@ from .dynamics import (
     VON_MISES,
     PeriodicOrbitSystem,
     RotationSystem,
+    _MAX_TERMS,
     _count,
     _finite_point,
     _floats,
@@ -290,7 +291,7 @@ class ObservationModel:
         their real coefficients at y = 0 times the phases e^{-i m y}.
         """
         _real("observation y", y)
-        _count("bandwidth", bandwidth, 0)
+        _count("bandwidth", bandwidth, 0, _MAX_TERMS)
         if self.kind == GAUSSIAN:
             raise ValidationError("gaussian kernels have no closed-form Fourier series; use vonmises")
         m = np.arange(-bandwidth, bandwidth + 1)

@@ -31,6 +31,7 @@ from .dynamics import (
     _finite_point,
     _floats,
     _integer_key,
+    _lattice_modes,
     _real,
     _same_dimension,
     wrap_angles,
@@ -80,23 +81,23 @@ class TruncatedLattice:
     are arithmetic: j is in the box when it has d integral entries, each
     |j_i| <= J, and sits at row sum_i (j_i + J) (2J+1)^(d-1-i) of
     ``indices``.  A non-integral entry is not in the box.  A box of more
-    than ``_MAX_TERMS`` modes is refused before its index table is built.
+    than ``_MAX_TERMS`` modes, or of a dimension d above it, is refused
+    before its index table is built.
     """
 
     __slots__ = ("d", "J", "indices")
 
     def __init__(self, d: int, J: int):
-        _count("d", d, 1)
+        _count("d", d, 1, _MAX_TERMS)
         _count("J", J, 0)
-        modes = 1
-        for _ in range(d if J else 0):  # (2J+1)^d, stopped past the cap
-            modes *= 2 * J + 1
-            if modes > _MAX_TERMS:
-                raise ValidationError(f"lattice d={d}, J={J} has more than {_MAX_TERMS} modes")
+        _lattice_modes(d, J)
         self.d = d
         self.J = J
-        grid = np.indices((2 * J + 1,) * d, dtype=int).reshape(d, -1) - J
-        self.indices = np.ascontiguousarray(grid.T)
+        if J:  # then d <= 12, since 3^13 is past the cap
+            grid = np.indices((2 * J + 1,) * d, dtype=int).reshape(d, -1) - J
+            self.indices = np.ascontiguousarray(grid.T)
+        else:  # one mode; np.indices would build a (d + 1)-dimensional array
+            self.indices = np.zeros((1, d), dtype=int)
 
     @property
     def size(self) -> int:

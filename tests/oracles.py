@@ -17,8 +17,8 @@ real symmetric matrix, or (the orbit's mode order) the loop that appends
 the frequencies a closed form now gives.  Nothing in ``src/`` calls them;
 the tests compare the fast paths against them.  One is not an oracle but an
 old rule kept to provoke a failure: the Bessel recurrence's former start
-index, too low for large concentrations, which then need more than one
-doubling.
+index, too low for large concentrations, whose runs from it and from twice
+it then disagree.
 """
 
 from __future__ import annotations
@@ -313,15 +313,16 @@ def stepwise_torus_filter(
     return trace
 
 
-# --- dynamics: the Bessel recurrence's former start ---------------------------
+# --- dynamics: a former Bessel start, whose pair of Miller runs disagrees -----
 
 
 def short_miller_start(kappa: float, jmax: int) -> int:
     """``dynamics._miller_start`` before it grew as sqrt(37 kappa).
 
     jmax + 2 sqrt(max(jmax, kappa) + 1) + 10, at least jmax + 20: too low
-    once kappa passes about 3 jmax, where the first doubling of the start
-    does not converge.  Tests patch it in to reach the doubling limit.
+    once kappa passes about 3 jmax, where the run from it has not converged
+    and disagrees with the run from twice it.  Tests patch it in to provoke
+    that DegeneracyError.
     """
     return jmax + max(20, int(2.0 * math.sqrt(max(jmax, kappa) + 1)) + 10)
 

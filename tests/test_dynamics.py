@@ -382,9 +382,9 @@ class TestBesselRatios:
             bessel_ratios(6.0, 40)
 
     # 1e-300 and 1e-12 take the products below the 1e-300 floor, where runs
-    # compare absolutely; 6..700 and 1e5 stop after different numbers of
-    # doublings.  Shuffled, so the lanes' start order differs from the input
-    # order; enough of them to run as numpy lanes.
+    # compare absolutely; 6..700 and 1e5 start at different indices.
+    # Shuffled, so the lanes' start order differs from the input order;
+    # enough of them to run as numpy lanes.
     LANE_KAPPAS = np.random.default_rng(11).permutation(
         np.concatenate([[0.0, 1e-300, 1e-12, 1e-3], np.geomspace(6.0, 700.0, 96), [1e5]]))
 
@@ -416,11 +416,10 @@ class TestBesselRatios:
         lanes = bessel_ratios(np.full(64, kappa), 8)
         assert np.array_equal(lanes, np.tile(exact, (lanes.shape[0], 1)))
 
-    def test_lanes_stop_doubling_on_their_own(self, monkeypatch):
-        # from the former start, one doubling settles kappa = 2 and 3 but
-        # not 600 or 900
+    def test_each_lane_checks_its_own_pair(self, monkeypatch):
+        # from the former start s, the runs from s and 2s agree at kappa = 2
+        # and 3 but not at 600 or 900
         monkeypatch.setattr(dynamics, "_miller_start", short_miller_start)
-        monkeypatch.setattr(dynamics, "_BESSEL_DOUBLINGS", 1)
         settled = np.repeat([2.0, 3.0], dynamics._MILLER_MIN_LANES)
         assert np.array_equal(bessel_ratios(settled, 32),
                               [bessel_ratios(float(k), 32) for k in settled])
@@ -431,9 +430,12 @@ class TestBesselRatios:
     # kappa = 600, jmax = 32 and four from about 1,500
     RUN_KAPPAS = np.concatenate([[1e-3, 0.1, 1.0, 3.0, 10.0, 30.0], np.geomspace(50.0, 1e8, 27)])
 
-    @pytest.mark.parametrize("jmax", [1, 5, 32, 264, 600])  # jmax = 0 is the row (1,)
+    # jmax = 0 is the row (1,); 4,100 = 4 * 1023 + 8 is the largest
+    # tensor-power row the command line reaches
+    @pytest.mark.parametrize("jmax", [1, 5, 32, 264, 600, 4100])
     def test_every_concentration_takes_two_runs(self, monkeypatch, jmax):
-        # the start converges, so the first doubling's test is the only one
+        # bessel_ratios raises DegeneracyError where the runs from s and 2s
+        # disagree, so each call returning asserts that its pairs agree
         runs = collections.Counter()
         float_run, lanes_run = dynamics._miller_float, dynamics._miller_lanes
 
@@ -497,7 +499,6 @@ class TestBesselRatios:
     def test_lanes_name_the_first_unconverged_concentration(self, monkeypatch, kappas,
                                                              first, copies):
         monkeypatch.setattr(dynamics, "_BESSEL_RTOL", 0.0)
-        monkeypatch.setattr(dynamics, "_BESSEL_DOUBLINGS", 2)
         with pytest.raises(DegeneracyError, match=rf"kappa={first}, jmax=40\)"):
             bessel_ratios(np.tile(kappas, copies), 40)
 

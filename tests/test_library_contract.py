@@ -4,11 +4,16 @@ Bad input to a public library call raises ``ValidationError`` naming the
 argument, and arithmetic that leaves the float range raises
 ``DegeneracyError``: never a bare numpy or Python error, a RuntimeWarning, a
 hang, or a value accepted without a word.  The rows are direct calls; each
-runs under a 5 s alarm with RuntimeWarnings as errors.
+runs under a 5 s alarm with RuntimeWarnings as errors; a size past a cap,
+which a lost cap would allocate, runs in a child process instead.
 """
 
 import math
+import os
+import re
 import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -75,6 +80,15 @@ VALUE_PROBES = [
                  "coefficients must be finite", id="observable-nan"),
     pytest.param(lambda: dynamics.grid_sum([[1], [2]], [1.0, NAN], 8), ValidationError,
                  "coefficients must be finite", id="grid_sum-nan"),
+    # the one coefficient was broadcast to both indices, 1.5 was truncated
+    # to 1, and a 1-d table was a bare IndexError
+    pytest.param(lambda: dynamics.grid_sum([[1], [2]], [1.0], 4), ValidationError,
+                 r"^indices of shape \(2, 1\) \(int64\) must be a table of integers, a row per "
+                 r"coefficient of shape \(1,\)", id="grid_sum-rows"),
+    pytest.param(lambda: dynamics.grid_sum([[1.5]], [1.0], 4), ValidationError,
+                 r"^indices of shape \(1, 1\) \(float64\)", id="grid_sum-non-integral"),
+    pytest.param(lambda: dynamics.grid_sum([1, 2], [1.0, 2.0], 4), ValidationError,
+                 r"^indices of shape \(2,\) \(int64\)", id="grid_sum-1d"),
     pytest.param(lambda: qcirc.walsh_coefficients([NAN, 1.0]), ValidationError,
                  "frequencies must be finite", id="walsh-nan"),
     pytest.param(lambda: rkha.SubexpWeight(math.inf, 0.5), ValidationError,
@@ -259,6 +273,50 @@ def test_extreme_finite_values_accepted(alarm):
     trace = qmda.run_torus_filter(ROTATION, MODEL, 1.0, 5, 0.1, kappa0=1e308, mode="classical")
     assert len(trace.steps) == 5
     assert dynamics._i0e(1e308) == pytest.approx(1.0 / math.sqrt(2e308 * math.pi), rel=1e-15)
+
+
+def test_one_mode_lattice_of_any_dimension(alarm):
+    # np.indices((1,) * d) built a (d + 1)-dimensional array, past numpy's
+    # 64 dimensions from d = 64
+    for d in (64, 1000):
+        lat = rkha.TruncatedLattice(d, 0)
+        assert lat.indices.shape == (1, d) and not lat.indices.any()
+        assert lat.position((0,) * d) == 0
+
+
+# Sizes past ``_MAX_TERMS`` (10^6), each once allocated unchecked, or for
+# the lattice of d = 10^9 built as a tuple of 10^9 entries.  Each runs in a
+# child under a 1 GiB address-space limit, so a lost cap ends there in a
+# MemoryError, never in the test process's memory.
+CAP_PROBES = [
+    ("rkha.TruncatedLattice(10**9, 0)", r"d must be an integer in \[1, 1000000\]"),
+    ("dynamics.bessel_ratios(1.0, 10**6 + 1)", r"jmax must be an integer in \[0, 1000000\]"),
+    ("qmda.ObservationModel('event', 1.0).fourier_coeffs(0.0, 10**6 + 1)",
+     r"bandwidth must be an integer in \[0, 1000000\]"),
+    ("dynamics.von_mises_fourier(dynamics.VonMisesDensity([0.0, 0.0], [1.0, 1.0]), 500)",
+     r"lattice d=2, J=500 has more than 1000000 modes"),  # 1001^2 coefficients
+    ("dynamics.sample_trajectory(ROTATION, [0.0], 0.1, 10**6 + 1)",
+     r"n must be an integer in \[1, 1000000\]"),
+]
+CHILD = """
+import math, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from qkoopman import dynamics, qmda, rkha
+from qkoopman.errors import ValidationError
+ROTATION = dynamics.RotationSystem([math.sqrt(2.0)])
+try:
+    eval(sys.argv[1])
+except ValidationError as err:
+    print(err)
+"""
+
+
+@pytest.mark.parametrize("call,message", CAP_PROBES, ids=[c.split("(")[0] for c, _ in CAP_PROBES])
+def test_size_past_the_cap_refused_before_allocating(call, message):
+    proc = subprocess.run([sys.executable, "-c", CHILD, call], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+    assert proc.returncode == 0, proc.stderr
+    assert re.match(message, proc.stdout), proc.stdout
 
 
 def test_overflowing_two_sigma_names_sigma(alarm):
