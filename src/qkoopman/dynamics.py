@@ -181,30 +181,83 @@ def _wrap_angle(x: float) -> float:
     return 0.0 if x >= TWO_PI else x
 
 
-def _rotation_orbit(x: float, step: float, n: int):
-    """Yield x and n - 1 further angles, each (previous + step) mod 2*pi.
+# shortest run _rotation_orbit scans; below it a numpy call per run costs
+# more than the scalar loop
+_MIN_SCAN_RUN = 24
 
-    Each angle is ``_wrap_angle`` of a float sum, so every one is bitwise
-    what repeated ``flow`` calls give.
+
+def _rotation_orbit(x: float, step: float, n: int) -> np.ndarray:
+    """x and n - 1 further angles, each ``_wrap_angle`` of (previous + step).
+
+    Every angle is bitwise the scalar recurrence, and so what repeated
+    ``flow`` calls give, but the sums are taken by ``np.add.accumulate``, a
+    sequential left fold, over runs of about 2*pi/|step| + 2 steps.
+    ``_wrap_angle`` is the identity on [0, 2*pi), and from an angle there the
+    sums move one way, so only the first sum to leave it is wrapped, by
+    itself, and the scan restarts from it.  A step above 2*pi/24 wraps so
+    often that the scalar loop is faster.
     """
-    for _ in range(n):
-        yield x
-        x = _wrap_angle(x + step)
+    span = TWO_PI / abs(step) if step else math.inf
+    if span < _MIN_SCAN_RUN:
+        angles = [x]
+        for _ in range(n - 1):
+            x = _wrap_angle(x + step)
+            angles.append(x)
+        return np.array(angles[:n], dtype=float)
+    out = np.empty(n)
+    out[:1] = x
+    run = int(span) + 2 if span < n else n  # TWO_PI / 5e-324 is inf, past int()
+    sums = np.full(run, step)  # sums[0] is each run's start
+    k = 1  # out[k] is final and in [0, 2*pi), and a run starts from it
+    out[1:2] = _wrap_angle(x + step)  # so x itself need not be in [0, 2*pi)
+    while k + 1 < n:
+        seg = out[k : k + run]
+        sums[0] = seg[0]
+        np.add.accumulate(sums[: seg.size], out=seg)
+        if step > 0.0:  # the first sum at or past 2*pi
+            first = 1 + int(seg[1:].searchsorted(TWO_PI))
+        else:  # the first sum below 0
+            first = seg.size - int(seg[:0:-1].searchsorted(0.0))
+        if first < seg.size:
+            seg[first] = _wrap_angle(float(seg[first]))
+            k += first
+        else:
+            k += seg.size - 1
+    return out
+
+
+def _characters(theta, J: int) -> np.ndarray:
+    """e^{ij theta} for j = -J..J on a new last axis, from one exp per angle.
+
+    The characters multiply, e^{ij theta} = (e^{i theta})^j: j > 0 is a
+    cumulative product, j < 0 its exact conjugate, j = 0 exactly 1.  Entry j
+    is within 4 |j| eps of exp(1j * j * theta) for theta in [0, 2*pi) (2.3
+    |j| eps measured), about the rounding that j * theta itself carries.
+    """
+    theta = np.asarray(theta, dtype=float)
+    out = np.empty(theta.shape + (2 * J + 1,), dtype=complex)
+    out[..., J] = 1.0
+    if J:
+        up = out[..., J + 1 :]
+        up[...] = np.exp(1j * theta)[..., None]
+        np.multiply.accumulate(up, axis=-1, out=up)
+        np.conjugate(up[..., ::-1], out=out[..., :J])
+    return out
 
 
 def sample_trajectory(sys: RotationSystem, x0, dt: float, n: int) -> np.ndarray:
     """Return the n points x0, Phi^dt(x0), ..., Phi^((n-1)dt)(x0).
 
-    Each coordinate is a scalar recurrence x_i -> (x_i + dt alpha_i) mod
-    2*pi from the wrapped x0, so consecutive rows are bitwise the flow step
-    ``flow(sys, row, dt)`` without a numpy call per sample.
+    Each coordinate is one ``_rotation_orbit`` scan of x_i -> (x_i + dt
+    alpha_i) mod 2*pi from the wrapped x0, so consecutive rows are bitwise
+    the flow step ``flow(sys, row, dt)`` without a numpy call per sample.
     """
     _count("n", n, 1, _MAX_TERMS)
     _real("dt", dt, 0, strict=True)
     start = wrap_angles(_finite_point(x0, sys.d))
     out = np.empty((n, sys.d))
     for i, step in enumerate(_phases(dt, sys.alpha, "dt")):
-        out[:, i] = np.fromiter(_rotation_orbit(float(start[i]), float(step), n), float, count=n)
+        out[:, i] = _rotation_orbit(float(start[i]), float(step), n)
     return out
 
 
@@ -216,10 +269,12 @@ def rational_dependence_warnings(alpha, tol: float = 1e-9, max_denominator: int 
     of a rational with denominator <= ``max_denominator``.  Returns a list
     of (i, k, Fraction) triples; an empty list means nothing was flagged.
     """
-    from fractions import Fraction  # only here, so importing the package skips it
-
     alpha = _finite_point(alpha, np.size(alpha), "alpha")
     flagged = []
+    if alpha.size < 2:  # no pair, and no import of fractions (and decimal) to scan none
+        return flagged
+    from fractions import Fraction
+
     for i in range(alpha.size):
         for k in range(i + 1, alpha.size):
             ratio = alpha[i] / alpha[k]
@@ -354,7 +409,11 @@ def grid_sum(indices, coeffs, grid_size: int) -> np.ndarray:
     _count("grid_size", grid_size, 1)
     coeffs = _floats("coefficients", coeffs, complex)
     _finite_point(np.ravel(coeffs).view(float), 2 * coeffs.size, "coefficients")
-    indices = np.asarray(indices)
+    try:
+        indices = np.asarray(indices)
+    except ValueError:  # a ragged list
+        raise ValidationError(f"indices must be a table of integers, a row per coefficient of "
+                              f"shape {coeffs.shape}, not rows of unequal length") from None
     if indices.dtype.kind == "f" and np.all((abs(indices) < 2.0**63)
                                             & (indices == np.floor(indices))):
         indices = indices.astype(int)

@@ -39,6 +39,7 @@ from .dynamics import (
     PeriodicOrbitSystem,
     RotationSystem,
     _MAX_TERMS,
+    _characters,
     _count,
     _finite_point,
     _floats,
@@ -632,15 +633,18 @@ def run_torus_filter(
     chi_n = D(y_n) psi_n, and a step is chi <- T0 (E_n chi) / |T0 E_n chi|
     with E_n = D(y_n) D(y_{n-1})* times the rotation phases: one real
     matrix product per step, the complex vector taken as its (re, im) pairs.
+    The frames D(y) take one exponential per observation: the characters
+    multiply, e^{ijy} = (e^{iy})^j (``_characters``).
 
-    The run has the orbit filter's shape: one draw of every observation
-    (``_observe_run``), one loop running both tracks that records the first
-    failure (zero classical evidence, then an annihilated operator state)
-    and stores psi_n = D(y_n)* chi_n, taking D(y_n)* and E_n for
-    ``_TORUS_BLOCK`` steps at once as it enters them, then scoring in
-    batches (``_torus_diagnostics``), where an unconverged Bessel ratio
-    raises ahead of the recorded failure.  So the first failing step raises what a
-    step-by-step run raises; the states agree with it to rounding (1e-13),
+    The run has the orbit filter's shape: one ``_rotation_orbit`` scan of
+    the truths from the wrapped x0 (bitwise the trajectory's rows), one draw
+    of every observation (``_observe_run``), one loop running both tracks
+    that records the first failure (zero classical evidence, then an
+    annihilated operator state) and stores psi_n = D(y_n)* chi_n, taking
+    D(y_n)* and E_n for ``_TORUS_BLOCK`` steps at once as it enters them,
+    then scoring in batches (``_torus_diagnostics``), where an unconverged
+    Bessel ratio raises ahead of the recorded failure.  So the first failing
+    step raises what a step-by-step run raises; the states agree with it to rounding (1e-13),
     the classical track bitwise.  Memory grows with steps times the lattice
     size, never with steps times ``grid_size``.  Classical mode builds none
     of the operator track's set-up (kept modes, rotation phases, half
@@ -691,9 +695,8 @@ def run_torus_filter(
         chi_pairs = chi.view(float).reshape(lat.size, 2)
 
     trace = FilterTrace(mode=mode)
-    truth = _rotation_orbit(float(wrap_angles(x0)[0]), shift, steps + 1)
-    next(truth)  # the wrapped x0; step n observes the n-th point after it
-    truths = np.fromiter(truth, float, steps)
+    # after the wrapped x0, step n observes the n-th point
+    truths = _rotation_orbit(float(wrap_angles(x0)[0]), shift, steps + 1)[1:]
     obs = _observe_run(model, truths, seed)
     if run_quantum:
         rows = np.empty((steps, lat.size), dtype=complex)  # psi_n
@@ -726,7 +729,7 @@ def run_torus_filter(
         if run_quantum:
             k = i % _TORUS_BLOCK
             if k == 0:  # the block's D(y_n)* and E_n = D(y_n) D(y_{n-1})* rotate
-                frames = np.exp(1j * np.multiply.outer(frame_ys[i : i + _TORUS_BLOCK + 1], j_all))
+                frames = _characters(frame_ys[i : i + _TORUS_BLOCK + 1], lat.J)
                 back = frames[1:].conj()
                 phases = frames[1:] * frames[:-1].conj() * rotate
             step = _toeplitz_step(toeplitz, phases[k] * chi)

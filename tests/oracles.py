@@ -14,11 +14,12 @@ per-axis loop forms of sums the package now takes as one real half-lattice
 cosine sum and one vectorized digit decoder, or (the projected filter's
 effect root) the complex ``eigh`` form of one the package now takes from a
 real symmetric matrix, or (the orbit's mode order) the loop that appends
-the frequencies a closed form now gives.  Nothing in ``src/`` calls them;
-the tests compare the fast paths against them.  One is not an oracle but an
-old rule kept to provoke a failure: the Bessel recurrence's former start
-index, too low for large concentrations, whose runs from it and from twice
-it then disagree.
+the frequencies a closed form now gives, or (the rotation orbit) the
+scalar recurrence the package now takes as a scan between wraps.  Nothing
+in ``src/`` calls them; the tests compare the fast paths against them.  One
+is not an oracle but an old rule kept to provoke a failure: the Bessel
+recurrence's former start index, too low for large concentrations, whose
+runs from it and from twice it then disagree.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from qkoopman.dynamics import (
     RotationSystem,
     VonMisesDensity,
     _i0e,
-    _rotation_orbit,
+    _wrap_angle,
     bessel_ratios,
     grid_sum,
     koopman_exact,
@@ -255,7 +256,7 @@ def stepwise_torus_filter(
     kernel_abs = half_kernel[np.abs(m_all)]
 
     trace = FilterTrace(mode=mode)
-    truth = _rotation_orbit(float(wrap_angles(x0)[0]), dt * alpha, steps + 1)
+    truth = rotation_orbit(float(wrap_angles(x0)[0]), dt * alpha, steps + 1)
     next(truth)  # the wrapped x0; step n observes the n-th point after it
     for n, x in enumerate(truth, 1):
         y = model.observe(x, rng)
@@ -311,6 +312,20 @@ def stepwise_torus_filter(
             )
         )
     return trace
+
+
+# --- dynamics: the rotation orbit one scalar step at a time -------------------
+
+
+def rotation_orbit(x: float, step: float, n: int):
+    """Yield x and n - 1 further angles, each (previous + step) mod 2*pi.
+
+    ``dynamics._rotation_orbit`` before it scanned between wraps: each angle
+    is ``_wrap_angle`` of a float sum, one Python step per angle.
+    """
+    for _ in range(n):
+        yield x
+        x = _wrap_angle(x + step)
 
 
 # --- dynamics: a former Bessel start, whose pair of Miller runs disagrees -----

@@ -433,10 +433,13 @@ def test_import_loads_only_the_shared_modules():
 @pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
 def test_command_loads_only_its_modules(tmp_path, command):
     cfg = write_config(tmp_path / "c.json", TestDeterminism().configs()[command])
-    code, modules, (_, openssl, _) = footprint(
+    code, modules, (_, openssl, fractions) = footprint(
         [command, "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == 0
     assert modules == sorted(SHARED + COMMAND_MODULES[command])
+    # every config here is d = 1: the rational-dependence scan has no pair,
+    # so fractions (and the decimal module it imports) stays unloaded
+    assert not fractions
     # the config hash adds no OpenSSL; on NumPy 2 the filter's
     # np.random.default_rng loads numpy.random, and with it hashlib
     if command != "filter":

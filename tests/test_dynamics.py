@@ -1,7 +1,10 @@
 import collections
+import fractions
 import math
 import re
 import signal
+import subprocess
+import sys
 import time
 
 import mpmath
@@ -30,7 +33,7 @@ from qkoopman.fock import FockWeight
 from qkoopman.qmda import ObservationModel
 from qkoopman.rkha import SubexpWeight
 
-from oracles import direct_grid_values, short_miller_start
+from oracles import direct_grid_values, rotation_orbit, short_miller_start
 
 TWO_PI = 2.0 * math.pi
 
@@ -151,6 +154,63 @@ class TestTrajectory:
             for n in (1, 4):
                 with pytest.raises(ValidationError):
                     sample_trajectory(sys, x0, 0.1, n)
+
+
+class TestRotationOrbit:
+    """The scan between wraps against the scalar recurrence it replaced."""
+
+    BELOW_TWO_PI = math.nextafter(TWO_PI, 0.0)
+
+    @staticmethod
+    def assert_bitwise(x, step, n):
+        got = dynamics._rotation_orbit(x, step, n)
+        expected = np.fromiter(rotation_orbit(x, step, n), float, count=n)
+        assert got.shape == (n,)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), (x, step, n)
+
+    @pytest.mark.parametrize("x", [0.0, BELOW_TWO_PI, 1.3, -0.0, -1.0, 10.0])
+    # 2 pi / 24.5 is scanned, 2 pi / 23.5 and above take the scalar loop
+    @pytest.mark.parametrize("step", [
+        0.0, -0.0, 5e-324, -5e-324, 1e-16, -1e-16, 1e-3, -1e-3, 0.3, -0.3,
+        TWO_PI / 24.5, -TWO_PI / 24.5, TWO_PI / 23.5, -TWO_PI / 23.5,
+        math.pi, TWO_PI, -TWO_PI, 7.5, -7.5,
+    ])
+    def test_matches_scalar_recurrence(self, x, step):
+        for n in (0, 1, 2, 3, 50, 2000):
+            self.assert_bitwise(x, step, n)
+
+    @pytest.mark.parametrize("step", [1e-16, -1e-16, 5e-324, -5e-324])
+    def test_near_two_pi(self, step):
+        # a step below half an ulp of the angle never moves it; one below a
+        # full ulp moves it a whole ulp, up to the wrap at 2 pi
+        for x in (self.BELOW_TWO_PI, math.nextafter(self.BELOW_TWO_PI, 0.0), 1e-300, 0.0):
+            self.assert_bitwise(x, step, 40)
+
+    def test_sums_landing_on_the_seam(self):
+        # a sum of exactly 2 pi wraps to 0, and one of exactly 0 stays
+        step = 2.0**-6  # every sum below is exact
+        self.assert_bitwise(TWO_PI - 3 * step, step, 10)
+        self.assert_bitwise(3 * step, -step, 10)
+        assert dynamics._rotation_orbit(TWO_PI - 3 * step, step, 4)[3] == 0.0
+
+    def test_million_angles(self):
+        self.assert_bitwise(0.0, 0.01 * math.sqrt(2.0), 10**6)
+        self.assert_bitwise(self.BELOW_TWO_PI, -0.01 * math.sqrt(2.0), 10**6)
+
+
+class TestCharacters:
+    @pytest.mark.parametrize("J", [0, 1, 32, 1023])
+    def test_matches_exp_of_each_phase(self, J):
+        rng = np.random.default_rng(J)
+        theta = np.concatenate((rng.uniform(0.0, TWO_PI, 300),
+                                [0.0, math.pi, math.nextafter(TWO_PI, 0.0)])).reshape(3, -1)
+        got = dynamics._characters(theta, J)
+        assert got.shape == theta.shape + (2 * J + 1,)
+        j = np.arange(-J, J + 1)
+        expected = np.exp(1j * np.multiply.outer(theta, j))
+        assert np.max(np.abs(got - expected), initial=0.0) <= 4 * J * np.finfo(float).eps
+        assert np.all(got[..., J] == 1.0)
+        assert np.array_equal(got[..., :J], np.conj(got[..., :J:-1]))
 
 
 class TestEvaluate:
@@ -554,6 +614,42 @@ def test_rational_dependence_scan():
     flagged = rational_dependence_warnings(np.array([2.0, 3.0]))
     assert flagged and float(flagged[0][2]) == pytest.approx(2.0 / 3.0)
     assert rational_dependence_warnings(np.array([1.0, math.sqrt(2.0)])) == []
+
+
+def test_rational_dependence_scan_of_pairs_unchanged():
+    # the scan as it was when it imported fractions for every call
+    def every_pair(alpha, tol=1e-9, max_denominator=100):
+        flagged = []
+        for i in range(alpha.size):
+            for k in range(i + 1, alpha.size):
+                ratio = alpha[i] / alpha[k]
+                best = fractions.Fraction(ratio).limit_denominator(max_denominator)
+                if abs(ratio - float(best)) <= tol:
+                    flagged.append((i, k, best))
+        return flagged
+
+    rng = np.random.default_rng(3)
+    for d in (2, 3, 6, 16):
+        for _ in range(20):
+            alpha = rng.uniform(-5.0, 5.0, d)
+            alpha[rng.integers(d)] = alpha[0] * rng.integers(1, 9) / rng.integers(1, 9)
+            got = rational_dependence_warnings(alpha)
+            assert got == every_pair(alpha)
+            assert all(type(frac) is fractions.Fraction for _, _, frac in got)
+    assert rational_dependence_warnings([2.0, 3.0, 4.0, math.sqrt(2.0)], 1e-3, 7) == every_pair(
+        np.array([2.0, 3.0, 4.0, math.sqrt(2.0)]), 1e-3, 7)
+
+
+def test_one_frequency_scan_imports_no_fractions():
+    # a d = 1 call has no pair to scan, so it leaves fractions (and the
+    # decimal module it pulls in) unloaded, as every d = 1 command does
+    code = ("import sys\n"
+            "from qkoopman import dynamics\n"
+            "assert dynamics.rational_dependence_warnings([1.5]) == []\n"
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize(

@@ -89,6 +89,10 @@ VALUE_PROBES = [
                  r"^indices of shape \(1, 1\) \(float64\)", id="grid_sum-non-integral"),
     pytest.param(lambda: dynamics.grid_sum([1, 2], [1.0, 2.0], 4), ValidationError,
                  r"^indices of shape \(2,\) \(int64\)", id="grid_sum-1d"),
+    # a ragged list was numpy's bare "inhomogeneous shape" ValueError
+    pytest.param(lambda: dynamics.grid_sum([[1], [2, 3]], [1.0, 2.0], 4), ValidationError,
+                 r"^indices must be a table of integers, a row per coefficient of shape \(2,\), "
+                 r"not rows of unequal length", id="grid_sum-ragged"),
     pytest.param(lambda: qcirc.walsh_coefficients([NAN, 1.0]), ValidationError,
                  "frequencies must be finite", id="walsh-nan"),
     pytest.param(lambda: rkha.SubexpWeight(math.inf, 0.5), ValidationError,

@@ -896,9 +896,10 @@ class TestTorusFilter:
         # the truth track once took one wrap_angles call per step; run the
         # filter on that track and require every recorded number to be equal
         def orbit_by_wrap_angles(x, step, n):
-            for _ in range(n):
-                yield x
-                x = float(wrap_angles(x + step)[0])
+            angles = [x]
+            for _ in range(n - 1):
+                angles.append(float(wrap_angles(angles[-1] + step)[0]))
+            return np.array(angles)
 
         def record(trace):
             rows = [dataclasses.astuple(s) for s in trace.steps]
