@@ -181,8 +181,9 @@ def _wrap_angle(x: float) -> float:
     return 0.0 if x >= TWO_PI else x
 
 
-# shortest run _rotation_orbit scans; below it a numpy call per run costs
-# more than the scalar loop
+# fewest angles a run of _rotation_orbit's scan from a wrapped sum must
+# advance; after a shorter one the scalar loop finishes the orbit, since a
+# numpy call per run costs more than it there
 _MIN_SCAN_RUN = 24
 
 
@@ -194,22 +195,19 @@ def _rotation_orbit(x: float, step: float, n: int) -> np.ndarray:
     sequential left fold, over runs of about 2*pi/|step| + 2 steps.
     ``_wrap_angle`` is the identity on [0, 2*pi), and from an angle there the
     sums move one way, so only the first sum to leave it is wrapped, by
-    itself, and the scan restarts from it.  A step above 2*pi/24 wraps so
-    often that the scalar loop is faster.
+    itself, and the scan restarts from it.  A run from a wrapped sum that
+    advances fewer than ``_MIN_SCAN_RUN`` angles hands the rest of the orbit
+    to the scalar loop: a step above about 2*pi/23 wraps that often, and a
+    negative step below half an ulp of 2*pi wraps 0 to 0 and leaves [0,
+    2*pi) at every step.  So the work stays O(n).
     """
-    span = TWO_PI / abs(step) if step else math.inf
-    if span < _MIN_SCAN_RUN:
-        angles = [x]
-        for _ in range(n - 1):
-            x = _wrap_angle(x + step)
-            angles.append(x)
-        return np.array(angles[:n], dtype=float)
     out = np.empty(n)
     out[:1] = x
+    out[1:2] = _wrap_angle(x + step)  # so x itself need not be in [0, 2*pi)
+    span = TWO_PI / abs(step) if step else math.inf
     run = int(span) + 2 if span < n else n  # TWO_PI / 5e-324 is inf, past int()
     sums = np.full(run, step)  # sums[0] is each run's start
     k = 1  # out[k] is final and in [0, 2*pi), and a run starts from it
-    out[1:2] = _wrap_angle(x + step)  # so x itself need not be in [0, 2*pi)
     while k + 1 < n:
         seg = out[k : k + run]
         sums[0] = seg[0]
@@ -218,11 +216,21 @@ def _rotation_orbit(x: float, step: float, n: int) -> np.ndarray:
             first = 1 + int(seg[1:].searchsorted(TWO_PI))
         else:  # the first sum below 0
             first = seg.size - int(seg[:0:-1].searchsorted(0.0))
-        if first < seg.size:
-            seg[first] = _wrap_angle(float(seg[first]))
-            k += first
-        else:
+        if first == seg.size:
             k += seg.size - 1
+            continue
+        seg[first] = _wrap_angle(float(seg[first]))
+        short = first < _MIN_SCAN_RUN and k > 1
+        k += first
+        if short:
+            break
+    if k + 1 < n:  # after a short run, the scalar loop
+        x = float(out[k])
+        tail = []
+        for _ in range(n - k - 1):
+            x = _wrap_angle(x + step)
+            tail.append(x)
+        out[k + 1 :] = tail
     return out
 
 

@@ -169,7 +169,8 @@ class TestRotationOrbit:
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), (x, step, n)
 
     @pytest.mark.parametrize("x", [0.0, BELOW_TWO_PI, 1.3, -0.0, -1.0, 10.0])
-    # 2 pi / 24.5 is scanned, 2 pi / 23.5 and above take the scalar loop
+    # after a wrap, 2 pi / 24.5 advances at least 24 angles a run and stays on
+    # the scan; 2 pi / 23.5 and above hand the rest to the scalar loop
     @pytest.mark.parametrize("step", [
         0.0, -0.0, 5e-324, -5e-324, 1e-16, -1e-16, 1e-3, -1e-3, 0.3, -0.3,
         TWO_PI / 24.5, -TWO_PI / 24.5, TWO_PI / 23.5, -TWO_PI / 23.5,
@@ -196,6 +197,21 @@ class TestRotationOrbit:
     def test_million_angles(self):
         self.assert_bitwise(0.0, 0.01 * math.sqrt(2.0), 10**6)
         self.assert_bitwise(self.BELOW_TWO_PI, -0.01 * math.sqrt(2.0), 10**6)
+
+    @pytest.mark.parametrize("step", [-1e-16, -5e-324])
+    def test_stuck_at_zero_is_linear(self, step):
+        # 0 + step < 0 and 2 pi + step rounds to 2 pi, so the wrap returns 0
+        # at every step: each scan run advances one angle, and a scan of
+        # 2 pi/|step| > n sums per run would take O(n^2) adds (minutes here)
+        n = 10**6
+        start = time.perf_counter()
+        got = dynamics._rotation_orbit(0.0, step, n)
+        elapsed = time.perf_counter() - start
+        start = time.perf_counter()
+        expected = np.fromiter(rotation_orbit(0.0, step, n), float, count=n)
+        scalar = time.perf_counter() - start
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        assert elapsed < 5 * scalar + 1.0, (elapsed, scalar)
 
 
 class TestCharacters:
