@@ -5,7 +5,9 @@ before any computation, and writes CSV whose first line records the schema
 version, a hash of the config as written, and the package version.  Given
 the same config and seed the output is byte-identical across runs.  Exit
 codes: 0 success, every CSV value finite; 2 a bad config or observation
-file, or a size over a cap; 3 a numerical degeneracy.
+file, or a size over a cap; 3 a numerical degeneracy, which the library
+raises where it meets it, such as a time or a point with a phase of 2**52
+rad or more (``dynamics._phase_check``).
 
 Every command imports the library modules it runs when it runs, and calls
 them as module attributes (``qmda.run_filter``), so that no command loads
@@ -258,23 +260,9 @@ def _kernel_weight(config: dict, d: int):
     return rkha.SubexpWeight(config["kernel.tau"], config["kernel.p"], d)
 
 
-def _check_phases(key: str, t_grid, sys_: RotationSystem, bandwidth: int) -> None:
-    """DegeneracyError (exit 3), raised before any work, when a phase t j.alpha
-    over the modes with every |j_i| <= bandwidth reaches 2**52 rad, where one
-    ulp of the phase is a whole radian."""
-    top = bandwidth * float(np.sum(np.abs(sys_.alpha)))  # the largest |j.alpha|
-    for t in t_grid:
-        if abs(t) * top >= 2.0**52:
-            raise DegeneracyError(
-                f"{key} entry t={t!r} times the largest evolved frequency {top!r} "
-                f"reaches 2**52 rad, where the phase keeps no digit"
-            )
-
-
 def cmd_rotate(config: dict, out: Path, digest: str) -> list[Path]:
     sys_ = _rotation_system(config)
     dt = config["rotate.dt"]
-    _check_phases("rotate.dt", [dt], sys_, 1)
     x0 = _point(config, "system.x0", sys_.d, 0.0)
     trajectory = sample_trajectory(sys_, x0, dt, config["rotate.n"])
     columns = ["t"] + [f"theta_{i}" for i in range(sys_.d)]
@@ -379,10 +367,6 @@ def cmd_koopman(config: dict, out: Path, digest: str) -> list[Path]:
     tn_params = [
         fock.TensorNetworkParams(n=n, bandwidth=bandwidth) for n in config["koopman.n_values"]
     ]
-    _check_phases("koopman.t_grid", config["koopman.t_grid"], sys_, max(bandwidth, f.bandwidth))
-    dt = config["koopman.dt"]
-    small_lat = rkha.TruncatedLattice(sys_.d, small_J)
-    _check_phases("koopman.dt", [dt], sys_, small_lat.J)
     lat = rkha.TruncatedLattice(sys_.d, bandwidth)
     gen = spectral.analytic_generator(sys_, lat)
     state = VonMisesDensity(x0, np.full(sys_.d, config["koopman.state_kappa"]))
@@ -404,8 +388,9 @@ def cmd_koopman(config: dict, out: Path, digest: str) -> list[Path]:
                  tn.truncation_bound, residual)
             )
 
-    trajectory = sample_trajectory(sys_, x0, dt, n_samples)
-    data_gen = spectral.data_driven_generator(trajectory, dt, small_lat)
+    trajectory = sample_trajectory(sys_, x0, config["koopman.dt"], n_samples)
+    small_lat = rkha.TruncatedLattice(sys_.d, small_J)
+    data_gen = spectral.data_driven_generator(trajectory, config["koopman.dt"], small_lat)
     reference = spectral.analytic_generator(sys_, small_lat)
     freq_rows = spectral.frequency_table(data_gen, reference)
     paths = [out / "koopman.csv", out / "eigenfrequencies.csv"]
@@ -433,7 +418,6 @@ def cmd_qcirc(config: dict, out: Path, digest: str) -> list[Path]:
     encodings = [qcirc.QubitEncoding(d=sys_.d, q=q) for q in q_values]
     x0 = _point(config, "qcirc.x0", sys_.d, 1.0)
     f = _observable(config, "qcirc.observable", sys_.d)
-    _check_phases("qcirc.t_grid", t_grid, sys_, max(2 ** max(q_values), f.bandwidth))
 
     rows = []
     for enc in encodings:

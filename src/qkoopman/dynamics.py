@@ -60,8 +60,9 @@ class RotationSystem:
 
 # The library's argument rules, one function each; every entry point that
 # applies a rule calls it once, before any work, and its ValidationError
-# names the argument.  ``_phases`` also refuses a t * frequency past the
-# float range, with a DegeneracyError naming t.
+# names the argument.  One rule is checked where its numbers are formed:
+# ``_phase_check`` refuses a phase of ``_MAX_PHASE`` rad or more, a t * omega
+# (``_phases``) or a j.x, with a DegeneracyError naming the time or the point.
 
 
 def _floats(name: str, value, dtype=float) -> np.ndarray:
@@ -145,26 +146,45 @@ def _integer_key(j) -> tuple | None:
     return None
 
 
+# One ulp of a phase this large is a whole radian: the phase keeps no digit.
+_MAX_PHASE = 2.0**52
+
+
+def _phase_check(form, name: str, value):
+    """The phases ``form()`` returns, real or complex, each below ``_MAX_PHASE`` rad.
+
+    A larger or NaN phase raises a DegeneracyError naming ``name`` and
+    ``value``, the time or the point the phases are formed from; a
+    ``value`` that is a table of points, a row per row of phases, is named
+    by its first point with such a phase.  ``form`` runs with overflow
+    ignored, since a phase past the float range is refused with the rest,
+    and callers use the phases returned, so the check and the arithmetic
+    are one.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN for d >= 2
+        phases = form()
+    ok = np.abs(phases) < _MAX_PHASE
+    if ok.all():
+        return phases
+    arg = np.asarray(value if np.ndim(value) < 2 else value[np.argmin(ok.all(axis=1))]).tolist()
+    raise DegeneracyError(f"{name}={arg!r} takes a phase of 2**52 rad or more: it keeps no digit")
+
+
 def _phases(t: float, freqs, name: str = "time") -> np.ndarray:
     """The phases t * freqs for a finite ``t`` (checked by ``_real``).
 
-    A product past the float range raises a DegeneracyError naming ``t``;
-    callers use the product returned, so the check and the arithmetic are
-    one.
+    A phase of 2**52 rad or more, or one past the float range, raises a
+    DegeneracyError naming ``t`` (``_phase_check``).
     """
     _real(name, t)
-    with np.errstate(over="ignore"):
-        phases = t * np.asarray(freqs)
-    if not np.all(np.isfinite(phases)):
-        raise DegeneracyError(f"{name} t={t!r} takes a phase past the float range")
-    return phases
+    return _phase_check(lambda: t * np.asarray(freqs), f"{name} t", t)
 
 
 def flow(sys: RotationSystem, theta, t: float) -> np.ndarray:
     """Advance a torus point by time t: (theta + t*alpha) mod 2*pi.
 
     A single fused mod is applied after the arithmetic so repeated calls
-    are bitwise reproducible.  A t*alpha past the float range raises a
+    are bitwise reproducible.  A t*alpha of 2**52 rad or more raises a
     DegeneracyError naming t (``_phases``).
     """
     theta = _finite_point(theta, sys.d)
@@ -371,10 +391,8 @@ class FourierObservable:
 
     def evaluate(self, theta) -> complex:
         theta = _finite_point(theta, self.d)
-        total = 0.0 + 0.0j
-        for j, c in self.coeffs.items():
-            total += c * np.exp(1j * float(np.dot(j, theta)))
-        return total
+        phases = _phase_check(lambda: [float(theta.dot(j)) for j in self.coeffs], "point x", theta)
+        return sum((c * np.exp(1j * p) for c, p in zip(self.coeffs.values(), phases)), 0.0 + 0.0j)
 
     def conjugate(self) -> "FourierObservable":
         return FourierObservable(
@@ -616,7 +634,8 @@ def _von_mises_rows(kappa, mu, J: int) -> np.ndarray:
     ``kappa`` and ``mu`` are equal-length 1-d arrays.
     """
     j = np.arange(-J, J + 1)
-    return bessel_ratios(kappa, J)[:, np.abs(j)] * np.exp(-1j * j * mu[:, None])
+    phases = _phase_check(lambda: j * mu[:, None], "location mu", mu[:, None])
+    return bessel_ratios(kappa, J)[:, np.abs(j)] * np.exp(-1j * phases)
 
 
 def von_mises_kernel_row(kappa: float, bandwidth: int) -> np.ndarray:

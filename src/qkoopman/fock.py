@@ -42,6 +42,7 @@ from .dynamics import (
     VonMisesDensity,
     _count,
     _finite_point,
+    _phase_check,
     _phases,
     _real,
     _same_dimension,
@@ -486,9 +487,10 @@ def second_quantization_forecast(
     with np.errstate(over="ignore", invalid="ignore"):
         lam_sigma = np.exp(-params.sigma * power)
         eta2 = float(np.sum(np.exp(-(2.0 * params.sigma - params.tau) * power)))
+    phases = _phase_check(lambda: np.outer(x + shift, j), "point x+t*alpha", x + shift)
     varpi2 = float(np.sum(lam_sigma))  # one axis: varpi^2 is its d-th power
     c = von_mises_kernel_row(params.obs_concentration, J)
-    a = (lam_sigma * c / varpi2) * np.exp(1j * np.outer(x + shift, j))  # row i: a_i
+    a = (lam_sigma * c / varpi2) * np.exp(1j * phases)  # row i: a_i
     if not (np.all(np.isfinite(a)) and math.isfinite(eta2)):
         raise DegeneracyError(f"the section pairing is not finite at sigma={params.sigma!r}")
     k_pow = np.fft.ifft(grid_sum(-j[:, None], a, g) ** params.m, axis=-1)  # row i: K_i
@@ -576,7 +578,7 @@ def tensor_network_expectation(
 
     # factor truncation bound: coefficient tail of the root density beyond J
     tail = 2.0 * float(np.sum(ratios[:, J + 1 :]))
-    u_l1 = float(np.sum(functools.reduce(np.multiply.outer, rows)))  # sum_j |u_j|
+    u_l1 = math.prod(float(np.sum(row)) for row in rows)  # sum_j |u_j|, a product over axes
     f_l1 = sum(abs(c) for c in f.coeffs.values())
     sup_diff = n * (u_l1 + tail) ** (n - 1) * tail
     slack = (2.0 * math.sqrt(den) + sup_diff) * sup_diff

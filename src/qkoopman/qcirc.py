@@ -31,6 +31,7 @@ from .dynamics import (
     _count,
     _finite_point,
     _integer_key,
+    _phase_check,
     _phases,
     _real,
     _same_dimension,
@@ -273,9 +274,10 @@ def circuit_expectation(
     coeffs = walsh_coefficients(table @ sys.alpha)
     if shots is None:
         lam = np.exp(w.log_values(table))
-        chi_t = evolve_statevector(coeffs, np.exp(-1j * (table @ _finite_point(x, enc.d))), -t)
-        value = np.vdot(chi_t, _apply_convolution(table, f, lam * chi_t)).real
-        return float(value / np.sum(lam))
+        x = _finite_point(x, enc.d)
+        chi = np.exp(-1j * _phase_check(lambda: table @ x, "point x", x))
+        chi_t = evolve_statevector(coeffs, chi, -t)
+        return float(np.vdot(chi_t, _apply_convolution(table, f, lam * chi_t)).real / np.sum(lam))
     psi_t = evolve_statevector(coeffs, feature_state(enc, w, x), -t)
     eigenvalues, vectors = np.linalg.eigh(_projected_observable(table, w, f))
     probs = np.abs(vectors.conj().T @ psi_t) ** 2

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -44,6 +45,7 @@ from .dynamics import (
     _finite_point,
     _floats,
     _i0e,
+    _phase_check,
     _phases,
     _real,
     _rotation_orbit,
@@ -54,6 +56,9 @@ from .dynamics import (
     wrap_angles,
 )
 from .errors import DegeneracyError, ValidationError, ZeroEvidenceError
+
+if TYPE_CHECKING:  # the orbit filter loads no rkha; the torus filter imports it when it runs
+    from .rkha import TruncatedLattice
 
 
 def check_density(values: np.ndarray, mu: np.ndarray, tol: float = 1e-10):
@@ -301,7 +306,7 @@ class ObservationModel:
         else:  # the box: sin(m scale / 2) / (m pi), and scale / (2 pi) at m = 0
             mags = np.sin(m * (self.scale / 2.0)) / (np.where(m == 0, 1, m) * math.pi)
             mags[bandwidth] = self.scale / TWO_PI
-        row = mags * np.exp(-1j * m * y)
+        row = mags * np.exp(-1j * _phase_check(lambda: m * y, "observation y", y))
         return {(k,): c for k, c in zip(m.tolist(), row.tolist())}
 
 

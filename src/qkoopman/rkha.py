@@ -32,11 +32,12 @@ from .dynamics import (
     _floats,
     _integer_key,
     _lattice_modes,
+    _phase_check,
     _real,
     _same_dimension,
     wrap_angles,
 )
-from .errors import DegeneracyError, OutOfLatticeError, ValidationError
+from .errors import OutOfLatticeError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -304,10 +305,7 @@ def feature_coefficients(w: SubexpWeight, lat: TruncatedLattice, x) -> np.ndarra
 def _feature_vector(w: SubexpWeight, indices: np.ndarray, x) -> np.ndarray:
     """sqrt(lambda(j)) exp(-i j.x) per row j of an index table (also ``qcirc``'s amplitudes)."""
     x = _finite_point(x, indices.shape[1])
-    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN for d >= 2
-        phases = indices @ x
-    if not np.all(np.isfinite(phases)):
-        raise DegeneracyError(f"point x={x.tolist()!r} takes a phase past the float range")
+    phases = _phase_check(lambda: indices @ x, "point x", x)
     return np.sqrt(np.exp(w.log_values(indices))) * np.exp(-1j * phases)
 
 

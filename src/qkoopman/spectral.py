@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import FourierObservable, RotationSystem, _phases, _real, _same_dimension
+from .dynamics import (FourierObservable, RotationSystem, _phase_check, _phases, _real,
+                       _same_dimension)
 from .errors import DegeneracyError, RankDeficiencyError, ValidationError
 from .rkha import SubexpWeight, TruncatedLattice
 
@@ -121,7 +122,8 @@ def data_driven_generator(
     a = np.zeros((lat.size, lat.size), dtype=complex)
     for lo in range(0, interior, _SAMPLE_BLOCK):
         hi = min(lo + _SAMPLE_BLOCK, interior)
-        basis = np.exp(1j * (samples[lo : hi + 2] @ lat.indices.T))  # (hi - lo + 2, lat.size)
+        block = samples[lo : hi + 2]  # basis: (hi - lo + 2, lat.size)
+        basis = np.exp(1j * _phase_check(lambda: block @ lat.indices.T, "sample x", block))
         diff = (basis[2:] - basis[:-2]) / (2.0 * dt)
         a += (basis[1:-1].conj() * w[lo:hi, None]).T @ diff
     if not np.all(np.isfinite(a)):  # as when 1/(2 dt) overflows

@@ -6,7 +6,8 @@ or (the torus filter) the step-by-step convolution form of one it now
 conditions by Toeplitz products and scores in batches, or (the data-driven
 generator) the one-shot form of a sum it now accumulates over sample
 blocks, or (the tensor-power forecast) the state-evolving form of one that
-now evolves the observable, or (the grading-m forecast) the G^d grid form of one that now runs on d
+now evolves the observable, and the box sum of its factor's l1 norm, now a
+product of row sums, or (the grading-m forecast) the G^d grid form of one that now runs on d
 one-dimensional grids, or (the pure-state distance and the square-root von
 Mises row) the one-vector form of one that now broadcasts over rows, or
 (the Mercer kernel and the qubit decoder) the complex-exponential and
@@ -24,6 +25,7 @@ runs from it and from twice it then disagree.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -478,6 +480,43 @@ def state_evolved_tensor_expectation(
     norm2 = math.sqrt(den)
     slack = (2.0 * norm2 + sup_diff) * sup_diff
     value = float((num / den).real)
+    guard = den - slack
+    trivial = f_l1 + abs(value)
+    bound = min(trivial * slack / guard, trivial) if guard > 0 else trivial
+    return TensorNetworkResult(value=value, truncation_bound=bound)
+
+
+def outer_sum_tensor_expectation(
+    f: FourierObservable,
+    state: VonMisesDensity,
+    sys: RotationSystem,
+    params: TensorNetworkParams,
+    t: float,
+) -> TensorNetworkResult:
+    """``fock.tensor_network_expectation`` with the factor's l1 norm as a sum over its box.
+
+    The factor is the outer product of one row per axis, so this builds all
+    (2J+1)^d of its entries to sum them, where the package multiplies the
+    rows' sums.
+    """
+    J, n = params.bandwidth, params.n
+    root = state.nth_root(n)
+    ratios = bessel_ratios(root.kappa, 4 * J + 8)
+    rows = ratios[:, np.abs(np.arange(-J, J + 1))]
+    powers = [functools.reduce(np.convolve, [row] * n) for row in rows]
+    side = 2 * n * J + 1
+    num = 0.0 + 0.0j
+    for k, c in koopman_exact(f, sys, t).coeffs.items():
+        if max(abs(v) for v in k) < side:
+            pair = math.prod(np.dot(q[abs(v) :], q[: side - abs(v)]) for q, v in zip(powers, k))
+            num += c * pair * np.exp(1j * np.dot(k, root.mu))
+    den = float(math.prod(np.dot(q, q) for q in powers))
+    tail = 2.0 * float(np.sum(ratios[:, J + 1 :]))
+    u_l1 = float(np.sum(functools.reduce(np.multiply.outer, rows)))
+    f_l1 = sum(abs(c) for c in f.coeffs.values())
+    sup_diff = n * (u_l1 + tail) ** (n - 1) * tail
+    slack = (2.0 * math.sqrt(den) + sup_diff) * sup_diff
+    value = float(num.real / den)
     guard = den - slack
     trivial = f_l1 + abs(value)
     bound = min(trivial * slack / guard, trivial) if guard > 0 else trivial

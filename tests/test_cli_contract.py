@@ -16,11 +16,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qkoopman import cli, fock, qmda, rkha, spectral
+from qkoopman import cli, dynamics, fock, qmda, rkha, spectral
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -102,6 +103,9 @@ DEGENERATE_PROBES = {
     # |t| max|j.alpha| >= 2**52 rad: one ulp of the phase is a whole radian
     "koopman-t-huge": ("koopman", '{"kernel": {"J": 4}, "koopman": {"t_grid": [1e300]}}'),
     "qcirc-t-huge": ("qcirc", '{"qcirc": {"t_grid": [1e300]}}'),
+    # the same for a phase j.x at the point: both exited 0 with meaningless rows
+    "koopman-x0-huge": ("koopman", '{"kernel": {"J": 4}, "koopman": {"x0": [1e20]}}'),
+    "qcirc-x0-huge": ("qcirc", '{"qcirc": {"x0": [1e300]}}'),
     # a step dt alpha past 2**52 rad froze the trajectory and the estimate at 0
     "rotate-dt-huge": ("rotate", '{"rotate": {"dt": 1e300}}'),
     "koopman-dt-huge": ("koopman", '{"kernel": {"J": 4}, "koopman": {"dt": 1e300}}'),
@@ -260,17 +264,21 @@ def test_probe_exits_3_with_one_line(tmp_path, name):
     assert not list((tmp_path / "out").iterdir())
     if "-t-" in name or "-dt-huge" in name:
         assert "t=" in lines[0]
+    if "-x0-" in name:
+        assert re.search(r"point x=\[1e\+(20|300)\] takes a phase of 2\*\*52 rad", lines[0])
     if "-noise-" in name:
         assert re.search(r"noise_std 1e\+308 .* at step \d+$", lines[0]), lines[0]
 
 
 def test_phase_check_threshold():
-    # max |j.alpha| over |j_i| <= 2 with alpha = (1, -3) is 2 * (1 + 3) = 8 = 2**3
-    sys_ = cli.RotationSystem([1.0, -3.0])
-    cli._check_phases("t_grid", [0.0, 2.0**49 - 1.0, -(2.0**49 - 1.0)], sys_, 2)
+    # max |j.alpha| over |j_i| <= 2 with alpha = (1, -3) is 2 * (1 + 3) = 8 = 2**3;
+    # the commands take the rule from the library, where each phase is formed
+    freqs = rkha.TruncatedLattice(2, 2).indices @ np.array([1.0, -3.0])
+    for t in (0.0, 2.0**49 - 1.0, -(2.0**49 - 1.0)):
+        dynamics._phases(t, freqs)
     for t in (2.0**49, -(2.0**49)):
         with pytest.raises(cli.DegeneracyError, match="t="):
-            cli._check_phases("t_grid", [1.0, t], sys_, 2)
+            dynamics._phases(t, freqs)
 
 
 @pytest.mark.parametrize("command,text", [

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import signal
@@ -14,6 +15,7 @@ from qkoopman.dynamics import (
     FourierObservable,
     RotationSystem,
     VonMisesDensity,
+    bessel_ratios,
     koopman_exact,
     von_mises_fourier,
 )
@@ -44,6 +46,7 @@ from oracles import (
     eta_from_feature,
     gelfand_eval,
     grid_forecast,
+    outer_sum_tensor_expectation,
     state_evolved_tensor_expectation,
 )
 
@@ -704,6 +707,31 @@ class TestTensorNetworkExpectation:
             new = tensor_network_expectation(f, state, sys_, params, t)
             old = state_evolved_tensor_expectation(f, state, sys_, params, t)
             assert abs(new.value - old.value) <= 1e-13 + f_l1 * phase_error
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bound_matches_box_sum_of_the_factor(self, d):
+        # The factor's l1 norm as the product of its rows' sums is within
+        # 1e-15 of the sum over all (2J+1)^d entries of their outer product.
+        # It enters the bound through (l1 + tail)^(n-1), at most twice, so
+        # the bound is bitwise at n = 1 or d = 1 and within 2 (n-1) 1e-15.
+        sys_ = RotationSystem(self.EXACT_ALPHA[np.arange(d) % 2] * (1.0 + np.arange(d)))
+        f = FourierObservable({(1,) + (0,) * (d - 1): 0.5, (-1,) + (0,) * (d - 1): 0.5}, d=d)
+        for n, J, kappa in itertools.product((1, 2, 3), (1, 4, 12), (0.0, 5.0, 150.0)):
+            state = VonMisesDensity(np.linspace(0.4, 1.3, d), np.full(d, kappa))
+            ratios = bessel_ratios(state.nth_root(n).kappa, 4 * J + 8)
+            rows = ratios[:, np.abs(np.arange(-J, J + 1))]
+            box = float(np.sum(functools.reduce(np.multiply.outer, rows)))
+            l1 = math.prod(float(np.sum(row)) for row in rows)
+            assert l1 == pytest.approx(box, rel=1e-15, abs=0)
+            params = TensorNetworkParams(n=n, bandwidth=J)
+            new = tensor_network_expectation(f, state, sys_, params, 0.7)
+            old = outer_sum_tensor_expectation(f, state, sys_, params, 0.7)
+            assert new.value == old.value
+            if n == 1 or d == 1:
+                assert new.truncation_bound == old.truncation_bound
+            else:
+                assert new.truncation_bound == pytest.approx(old.truncation_bound,
+                                                             rel=2 * (n - 1) * 1e-15, abs=0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_time_rejected(self, bad):

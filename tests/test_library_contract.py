@@ -121,7 +121,7 @@ VALUE_PROBES = [
                  r"^lattice d=1, J=500000 has more than", id="lattice-one-past-the-cap"),
     # indices @ x overflowed in a RuntimeWarning
     pytest.param(lambda: rkha.feature_coefficients(WEIGHT, rkha.TruncatedLattice(1, 2), [1e308]),
-                 DegeneracyError, r"^point x=\[1e\+308\] takes a phase past the float range",
+                 DegeneracyError, r"^point x=\[1e\+308\] takes a phase of 2\*\*52 rad or more",
                  id="feature-overflow"),
     pytest.param(lambda: rkha.feature_coefficients(WEIGHT, rkha.TruncatedLattice(1, 2), [-1e308]),
                  DegeneracyError, r"^point x=\[-1e\+308\] takes a phase",
@@ -130,6 +130,29 @@ VALUE_PROBES = [
                                                    rkha.TruncatedLattice(2, 1), [1e308, -1e308]),
                  DegeneracyError, r"^point x=\[1e\+308, -1e\+308\] takes a phase",
                  id="feature-overflow-inf-minus-inf"),
+    # a phase j.x of 2**52 rad or more keeps no digit: the circuit's exact
+    # path gave 0.633 at x = 1e20, where f(x) read 0.764, and NaN with
+    # three RuntimeWarnings at 1e308; the other callers' values meant as little
+    *(pytest.param(call, DegeneracyError, rf"^{name}={point} takes a phase of 2\*\*52 rad or more",
+                   id=f"point-{probe}")
+      for probe, call, name, point in [
+          ("circuit-1e20", lambda: qcirc.circuit_expectation(
+              ENCODING, WEIGHT, ROTATION, COS, [1e20], 0.5), "point x", r"\[1e\+20\]"),
+          ("circuit-1e308", lambda: qcirc.circuit_expectation(
+              ENCODING, WEIGHT, ROTATION, COS, [1e308], 0.5), "point x", r"\[1e\+308\]"),
+          ("evaluate", lambda: COS.evaluate([1e20]), "point x", r"\[1e\+20\]"),
+          ("evaluate-inf-minus-inf", lambda: dynamics.FourierObservable({(2, 2): 1.0}).evaluate(
+              [1e308, -1e308]), "point x", r"\[1e\+308, -1e\+308\]"),
+          ("second-quantization", lambda: fock.second_quantization_forecast(
+              COS, ROTATION, fock.SecondQuantizationParams(), [1e20], 0.0),
+           r"point x\+t\*alpha", r"\[1e\+20\]"),
+          ("fourier-coeffs", lambda: MODEL.fourier_coeffs(1e308, 2), "observation y", r"1e\+308"),
+          ("data-driven", lambda: spectral.data_driven_generator(
+              [[0.0], [1e20]] * 4, 0.1, rkha.TruncatedLattice(1, 1)),
+           "sample x", r"\[1e\+20\]"),
+          ("torus-filter-x0", lambda: qmda.run_torus_filter(ROTATION, MODEL, 1e20, 5, 0.1),
+           "location mu", r"\[1e\+20\]"),
+      ]),
 ]
 
 
@@ -162,7 +185,7 @@ REAL_PROBES = [
          message=r"1000000000\.0 is above the cap"),
     real("sample-trajectory-overflow", "dt",
          lambda: dynamics.sample_trajectory(HUGE, [0.0], 10.0, 3), DegeneracyError,
-         r"t=10\.0 takes a phase past the float range"),
+         r"t=10\.0 takes a phase of 2\*\*52 rad or more"),
     real("koopman-exact-overflow", "time",
          lambda: dynamics.koopman_exact(dynamics.FourierObservable({(1,): 1.0}), HUGE, 10.0),
          DegeneracyError, r"t=10\.0 takes a phase"),
@@ -180,10 +203,10 @@ REAL_PROBES = [
     count("shots", shots(0)),
     count("nmax", lambda: rkha.beurling_domar_sum(WEIGHT, (1,), 10**12)),
     count("nmax", lambda: rkha.grs_sequence(WEIGHT, (1,), 10**12)),
-    # dt alpha is finite, its largest rotation phase dt alpha J is not
+    # dt alpha is below 2**52 rad, its largest rotation phase dt alpha J is not
     real("torus-filter-rotation", r"dt\*alpha",
-         lambda: qmda.run_torus_filter(ROTATION, MODEL, 1.0, 5, 1e308), DegeneracyError,
-         r"t=1\.4142135623730951e\+308 takes a phase"),
+         lambda: qmda.run_torus_filter(ROTATION, MODEL, 1.0, 5, 2.0**48), DegeneracyError,
+         r"t=398065729532860\.8 takes a phase"),
     real("evolve-lifted-nan", "time",
          lambda: fock.evolve_lifted(FREQS, fock.FockVector.vacuum(), NAN)),
     real("rotate-phase-point-nan", "time",
@@ -268,15 +291,40 @@ def test_extreme_finite_values_accepted(alarm):
     assert value == rkha.kernel_value(WEIGHT, lat, [near[0]], [near[1]])
     gram = rkha.kernel_gram(WEIGHT, lat, far)
     assert gram[0, 1] == value and np.all(np.isfinite(gram))
-    # a feature vector's phases are taken as given, not wrapped
-    j = lat.indices[:, 0]
-    want = np.sqrt(WEIGHT.lattice_values(lat)) * np.exp(-1j * (j * 1e307))
-    assert np.array_equal(rkha.feature_coefficients(WEIGHT, lat, [1e307]), want)
+    # a feature vector's phases are taken as given, not wrapped, so j x of
+    # 2**52 rad or more is refused
+    with pytest.raises(DegeneracyError, match=r"^point x=\[1e\+307\] takes a phase of 2\*\*52"):
+        rkha.feature_coefficients(WEIGHT, lat, [1e307])
     # 2 pi kappa overflowed in _i0e, so the scaled I_0 was 0 and the
     # classical evidence a ZeroDivisionError
     trace = qmda.run_torus_filter(ROTATION, MODEL, 1.0, 5, 0.1, kappa0=1e308, mode="classical")
     assert len(trace.steps) == 5
     assert dynamics._i0e(1e308) == pytest.approx(1.0 / math.sqrt(2e308 * math.pi), rel=1e-15)
+
+
+# Every phase maker at a largest phase of t = 2**52 rad, and one ulp below
+# it: one ulp of such a phase is a whole radian.  Each frequency is 1, or
+# -1 for the export's rz angle -2 t Im v_i.
+UNIT = dynamics.RotationSystem([1.0])
+PHASE_MAKERS = {
+    "flow": lambda t: dynamics.flow(UNIT, [0.0], t),
+    "koopman-exact": lambda t: dynamics.koopman_exact(COS, UNIT, t),
+    "propagate": lambda t: spectral.analytic_generator(UNIT, rkha.TruncatedLattice(1, 1))
+    .propagate(np.ones(3), t),
+    "evolve-statevector": lambda t: qcirc.evolve_statevector(
+        qcirc.WalshCoefficients(np.array([1j])), np.ones(2, dtype=complex), t),
+    "export-circuit": lambda t: qcirc.export_circuit(
+        qcirc.WalshCoefficients(np.full(3, 0.5j)), ENCODING, t),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PHASE_MAKERS))
+def test_phase_of_2_52_refused_and_below_accepted(alarm, name):
+    call = PHASE_MAKERS[name]
+    call(np.nextafter(2.0**52, 0.0))
+    with pytest.raises(DegeneracyError,
+                       match=r"^time t=4503599627370496\.0 takes a phase of 2\*\*52 rad or more"):
+        call(2.0**52)
 
 
 def test_one_mode_lattice_of_any_dimension(alarm):
@@ -291,7 +339,9 @@ def test_one_mode_lattice_of_any_dimension(alarm):
 # Sizes past ``_MAX_TERMS`` (10^6), each once allocated unchecked, or for
 # the lattice of d = 10^9 built as a tuple of 10^9 entries.  Each runs in a
 # child under a 1 GiB address-space limit, so a lost cap ends there in a
-# MemoryError, never in the test process's memory.
+# MemoryError, never in the test process's memory.  The last row is no cap
+# but a call that needs no large array: the tensor powers at d = 6, J = 12
+# once summed the (2J+1)^d = 25^6 entries of the factor, 1.82 GiB.
 CAP_PROBES = [
     ("rkha.TruncatedLattice(10**9, 0)", r"d must be an integer in \[1, 1000000\]"),
     ("dynamics.bessel_ratios(1.0, 10**6 + 1)", r"jmax must be an integer in \[0, 1000000\]"),
@@ -301,15 +351,19 @@ CAP_PROBES = [
      r"lattice d=2, J=500 has more than 1000000 modes"),  # 1001^2 coefficients
     ("dynamics.sample_trajectory(ROTATION, [0.0], 0.1, 10**6 + 1)",
      r"n must be an integer in \[1, 1000000\]"),
+    ("fock.tensor_network_expectation(dynamics.FourierObservable.constant(1.0, 6), "
+     "dynamics.VonMisesDensity([0.5] * 6, [20.0] * 6), dynamics.RotationSystem(range(1, 7)), "
+     "fock.TensorNetworkParams(n=1, bandwidth=12), 1.0)",
+     r"TensorNetworkResult\(value=1\.0, truncation_bound="),
 ]
 CHILD = """
 import math, resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-from qkoopman import dynamics, qmda, rkha
+from qkoopman import dynamics, fock, qmda, rkha
 from qkoopman.errors import ValidationError
 ROTATION = dynamics.RotationSystem([math.sqrt(2.0)])
 try:
-    eval(sys.argv[1])
+    print(eval(sys.argv[1]))
 except ValidationError as err:
     print(err)
 """
