@@ -201,56 +201,39 @@ def _wrap_angle(x: float) -> float:
     return 0.0 if x >= TWO_PI else x
 
 
-# fewest angles a run of _rotation_orbit's scan from a wrapped sum must
-# advance; after a shorter one the scalar loop finishes the orbit, since a
-# numpy call per run costs more than it there
-_MIN_SCAN_RUN = 24
+# TWO_PI's leading 24 bits and the rest (Cody-Waite): q * _TURN_HI is exact
+# for |q| < 2**29 and q * _TURN_LO, of at most 29 bits, for |q| < 2**24
+_TURN_HI = math.floor(TWO_PI * 2.0**21) / 2.0**21
+_TURN_LO = TWO_PI - _TURN_HI
 
 
 def _rotation_orbit(x: float, step: float, n: int) -> np.ndarray:
-    """x and n - 1 further angles, each ``_wrap_angle`` of (previous + step).
+    """x and the n - 1 angles (x + k step) mod 2*pi, k = 1..n-1, in closed form.
 
-    Every angle is bitwise the scalar recurrence, and so what repeated
-    ``flow`` calls give, but the sums are taken by ``np.add.accumulate``, a
-    sequential left fold, over runs of about 2*pi/|step| + 2 steps.
-    ``_wrap_angle`` is the identity on [0, 2*pi), and from an angle there the
-    sums move one way, so only the first sum to leave it is wrapped, by
-    itself, and the scan restarts from it.  A run from a wrapped sum that
-    advances fewer than ``_MIN_SCAN_RUN`` angles hands the rest of the orbit
-    to the scalar loop: a step above about 2*pi/23 wraps that often, and a
-    negative step below half an ulp of 2*pi wraps 0 to 0 and leaves [0,
-    2*pi) at every step.  So the work stays O(n).
+    The step is reduced exactly (``math.fmod``) and split into hi + lo,
+    hi of 26 bits (Veltkamp), so k hi is exact for k < 2**27.  Its whole
+    turns q = rint(k hi / 2 pi) leave k hi - q ``_TURN_HI`` exactly, a
+    number in (-4, 4); -q ``_TURN_LO`` + k lo, x wrapped and one fold into
+    [0, 2*pi) follow.  For k <= ``_MAX_TERMS`` every angle after x lies in
+    [0, 2*pi) and within 2e-15 rad of (x + k step) mod 2*pi taken exactly
+    on these floats (1.1e-15 measured), where the recurrence x <- (x +
+    step) mod 2*pi drifts by a rounding a step.
     """
-    out = np.empty(n)
+    step = math.fmod(step, TWO_PI)
+    split = step * 134217729.0  # 2**27 + 1
+    hi = split - (split - step)
+    k = np.arange(n, dtype=float)
+    out = k * hi
+    turns = np.rint(out / TWO_PI)
+    out -= turns * _TURN_HI
+    k *= step - hi
+    turns *= _TURN_LO
+    k -= turns
+    out += k
+    out += _wrap_angle(x)
+    np.add(out, TWO_PI, out=out, where=out < 0.0)
+    np.subtract(out, TWO_PI, out=out, where=out >= TWO_PI)  # also a sum rounded up to 2 pi
     out[:1] = x
-    out[1:2] = _wrap_angle(x + step)  # so x itself need not be in [0, 2*pi)
-    span = TWO_PI / abs(step) if step else math.inf
-    run = int(span) + 2 if span < n else n  # TWO_PI / 5e-324 is inf, past int()
-    sums = np.full(run, step)  # sums[0] is each run's start
-    k = 1  # out[k] is final and in [0, 2*pi), and a run starts from it
-    while k + 1 < n:
-        seg = out[k : k + run]
-        sums[0] = seg[0]
-        np.add.accumulate(sums[: seg.size], out=seg)
-        if step > 0.0:  # the first sum at or past 2*pi
-            first = 1 + int(seg[1:].searchsorted(TWO_PI))
-        else:  # the first sum below 0
-            first = seg.size - int(seg[:0:-1].searchsorted(0.0))
-        if first == seg.size:
-            k += seg.size - 1
-            continue
-        seg[first] = _wrap_angle(float(seg[first]))
-        short = first < _MIN_SCAN_RUN and k > 1
-        k += first
-        if short:
-            break
-    if k + 1 < n:  # after a short run, the scalar loop
-        x = float(out[k])
-        tail = []
-        for _ in range(n - k - 1):
-            x = _wrap_angle(x + step)
-            tail.append(x)
-        out[k + 1 :] = tail
     return out
 
 
@@ -276,9 +259,10 @@ def _characters(theta, J: int) -> np.ndarray:
 def sample_trajectory(sys: RotationSystem, x0, dt: float, n: int) -> np.ndarray:
     """Return the n points x0, Phi^dt(x0), ..., Phi^((n-1)dt)(x0).
 
-    Each coordinate is one ``_rotation_orbit`` scan of x_i -> (x_i + dt
-    alpha_i) mod 2*pi from the wrapped x0, so consecutive rows are bitwise
-    the flow step ``flow(sys, row, dt)`` without a numpy call per sample.
+    Each coordinate is one ``_rotation_orbit`` call: row k holds (x0_i + k
+    dt alpha_i) mod 2*pi from the wrapped x0, in closed form, so no row
+    inherits the rounding of the rows before it, as repeated ``flow`` calls
+    would.
     """
     _count("n", n, 1, _MAX_TERMS)
     _real("dt", dt, 0, strict=True)
@@ -505,17 +489,18 @@ _MILLER_MIN_LANES = 32
 _BESSEL_MAX_KAPPA = 1e8
 
 
-def _miller_start(kappa: float, jmax: int) -> int:
-    """The first Miller run's start index for one concentration.
+def _miller_start(kappa: np.ndarray, jmax: int) -> np.ndarray:
+    """The first Miller run's start index for each concentration, as int64.
 
     A start N leaves entry j a relative error near e^{-(N^2 - j^2)/kappa}
     once kappa >> j, since there I_m/I_0 ~ e^{-m^2/2kappa}; that is below
     1e-16 for N^2 >= jmax^2 + 37 kappa.  The start is the larger of that and
     jmax + 2 sqrt(max(jmax, kappa) + 1) + 10 (at least jmax + 20), which
-    already converges for kappa below about 3 jmax.
+    already converges for kappa below about 3 jmax.  Each square root is
+    truncated toward zero.
     """
-    base = jmax + max(20, int(2.0 * math.sqrt(max(jmax, kappa) + 1)) + 10)
-    return max(base, int(math.sqrt(jmax * jmax + 37.0 * kappa)) + 10)
+    base = jmax + np.maximum(20, (2.0 * np.sqrt(np.maximum(jmax, kappa) + 1)).astype(np.int64) + 10)
+    return np.maximum(base, np.sqrt(jmax * jmax + 37.0 * kappa).astype(np.int64) + 10)
 
 
 def _miller_float(kappa: float, start: int, jmax: int) -> np.ndarray:
@@ -606,13 +591,13 @@ def bessel_ratios(kappa, jmax: int) -> np.ndarray:
     out = np.zeros((rows.size, jmax + 1))
     out[:, 0] = 1.0
     todo = np.flatnonzero(rows != 0.0)  # input order
-    first = [_miller_start(k, jmax) for k in rows[todo].tolist()]
+    first = _miller_start(rows[todo], jmax)
     lanes = np.tile(rows[todo], 2)
-    starts = first + [2 * s for s in first]
+    starts = np.concatenate((first, 2 * first))
     if todo.size < _MILLER_MIN_LANES:
-        runs = np.array([_miller_float(k, s, jmax) for k, s in zip(lanes.tolist(), starts)])
+        runs = np.array([_miller_float(k, s, jmax) for k, s in zip(lanes.tolist(), starts.tolist())])
     else:
-        runs = _miller_lanes(lanes, np.array(starts, dtype=np.int64), jmax)
+        runs = _miller_lanes(lanes, starts, jmax)
     prev, cur = runs.reshape(2, todo.size, jmax + 1)
     scale = np.maximum(np.abs(cur), 1e-300)
     agree = np.max(np.abs(cur - prev) / scale, axis=1) < _BESSEL_RTOL

@@ -272,13 +272,16 @@ def circuit_expectation(
         _count("shots", shots, 1, _MAX_TERMS)
     table = enc.index_table()
     coeffs = walsh_coefficients(table @ sys.alpha)
+    # exp(-t V) as exp(t (-V)): the same phases, bit for bit, and a phase
+    # error names the caller's t
+    back = WalshCoefficients(v=-coeffs.v)
     if shots is None:
         lam = np.exp(w.log_values(table))
         x = _finite_point(x, enc.d)
         chi = np.exp(-1j * _phase_check(lambda: table @ x, "point x", x))
-        chi_t = evolve_statevector(coeffs, chi, -t)
+        chi_t = evolve_statevector(back, chi, t)
         return float(np.vdot(chi_t, _apply_convolution(table, f, lam * chi_t)).real / np.sum(lam))
-    psi_t = evolve_statevector(coeffs, feature_state(enc, w, x), -t)
+    psi_t = evolve_statevector(back, feature_state(enc, w, x), t)
     eigenvalues, vectors = np.linalg.eigh(_projected_observable(table, w, f))
     probs = np.abs(vectors.conj().T @ psi_t) ** 2
     probs = np.maximum(probs, 0.0)

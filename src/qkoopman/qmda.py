@@ -641,8 +641,11 @@ def run_torus_filter(
     The frames D(y) take one exponential per observation: the characters
     multiply, e^{ijy} = (e^{iy})^j (``_characters``).
 
-    The run has the orbit filter's shape: one ``_rotation_orbit`` scan of
-    the truths from the wrapped x0 (bitwise the trajectory's rows), one draw
+    The state and the truths start from the wrapped x0, the density being
+    2*pi-periodic; an x0 of 2**52 rad or more keeps no digit of its angle
+    and is refused (``_phase_check``), as are more than ``_MAX_TERMS``
+    steps.  The run has the orbit filter's shape: one ``_rotation_orbit``
+    call for the truths (bitwise the trajectory's rows), one draw
     of every observation (``_observe_run``), one loop running both tracks
     that records the first failure (zero classical evidence, then an
     annihilated operator state) and stores psi_n = D(y_n)* chi_n, taking
@@ -660,7 +663,7 @@ def run_torus_filter(
         raise ValidationError("the torus filter is implemented for d=1")
     if model.kind != VON_MISES:
         raise ValidationError("torus filtering uses the circular observation kernel")
-    _count("steps", steps, 1)
+    _count("steps", steps, 1, _MAX_TERMS)
     _real("x0", x0)
     _real("dt", dt, 0, strict=True)
     _real("kappa0", kappa0, 0)  # uncapped: classical mode runs it without Bessel ratios
@@ -675,6 +678,7 @@ def run_torus_filter(
         _count("rank", rank, 1, lat.size)
     else:
         rank = lat.size
+    x0 = _wrap_angle(_phase_check(lambda: x0, "x0", x0))
 
     shift = float(_phases(dt, sys.alpha, "dt")[0])  # dt alpha, the rotation of one step
     run_quantum = mode in (QUANTUM, QUANTUM_PROJECTED)
@@ -701,7 +705,7 @@ def run_torus_filter(
 
     trace = FilterTrace(mode=mode)
     # after the wrapped x0, step n observes the n-th point
-    truths = _rotation_orbit(float(wrap_angles(x0)[0]), shift, steps + 1)[1:]
+    truths = _rotation_orbit(x0, shift, steps + 1)[1:]
     obs = _observe_run(model, truths, seed)
     if run_quantum:
         rows = np.empty((steps, lat.size), dtype=complex)  # psi_n

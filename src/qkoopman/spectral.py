@@ -25,10 +25,14 @@ from .rkha import SubexpWeight, TruncatedLattice
 
 
 def _spectral_order(omega: np.ndarray) -> np.ndarray:
-    # |omega| ascending, positive member of each +/- pair first, stable tie-break
-    return np.lexsort(
-        (np.arange(omega.size), (omega < 0).astype(int), np.round(np.abs(omega), 12))
-    )
+    # |omega| ascending, positive member of each +/- pair first, stable
+    # tie-break; a magnitude within 1e-12 of the next smaller one ties with
+    # it, so no rounding boundary splits a pair (rounding to 12 decimals did)
+    mags = np.abs(omega)
+    by_mag = np.argsort(mags, kind="stable")
+    ties = np.empty(omega.size, dtype=int)
+    ties[by_mag] = np.cumsum(np.diff(mags[by_mag], prepend=0.0) > 1e-12)
+    return np.lexsort((np.arange(omega.size), omega < 0, ties))
 
 
 @dataclass(frozen=True)

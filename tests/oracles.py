@@ -15,18 +15,20 @@ per-axis loop forms of sums the package now takes as one real half-lattice
 cosine sum and one vectorized digit decoder, or (the projected filter's
 effect root) the complex ``eigh`` form of one the package now takes from a
 real symmetric matrix, or (the orbit's mode order) the loop that appends
-the frequencies a closed form now gives, or (the rotation orbit) the
-scalar recurrence the package now takes as a scan between wraps.  Nothing
-in ``src/`` calls them; the tests compare the fast paths against them.  One
-is not an oracle but an old rule kept to provoke a failure: the Bessel
-recurrence's former start index, too low for large concentrations, whose
-runs from it and from twice it then disagree.
+the frequencies a closed form now gives, or (the Bessel recurrence's start
+index) the scalar rule the package now applies to arrays.  One is exact
+where the package rounds: the rotation orbit in rational arithmetic.
+Nothing in ``src/`` calls them; the tests compare the fast paths against
+them.  One is not an oracle but an old rule kept to provoke a failure: the
+Bessel recurrence's former start index, too low for large concentrations,
+whose runs from it and from twice it then disagree.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -36,7 +38,7 @@ from qkoopman.dynamics import (
     RotationSystem,
     VonMisesDensity,
     _i0e,
-    _wrap_angle,
+    _rotation_orbit,
     bessel_ratios,
     grid_sum,
     koopman_exact,
@@ -258,8 +260,8 @@ def stepwise_torus_filter(
     kernel_abs = half_kernel[np.abs(m_all)]
 
     trace = FilterTrace(mode=mode)
-    truth = rotation_orbit(float(wrap_angles(x0)[0]), dt * alpha, steps + 1)
-    next(truth)  # the wrapped x0; step n observes the n-th point after it
+    # the package's orbit: this filter checks the blocks, not the orbit
+    truth = _rotation_orbit(float(wrap_angles(x0)[0]), dt * alpha, steps + 1)[1:].tolist()
     for n, x in enumerate(truth, 1):
         y = model.observe(x, rng)
 
@@ -316,24 +318,41 @@ def stepwise_torus_filter(
     return trace
 
 
-# --- dynamics: the rotation orbit one scalar step at a time -------------------
+# --- dynamics: the rotation orbit in exact arithmetic -------------------------
 
 
-def rotation_orbit(x: float, step: float, n: int):
-    """Yield x and n - 1 further angles, each (previous + step) mod 2*pi.
+def exact_rotation_orbit(x: float, step: float, rows) -> np.ndarray:
+    """(x + k step) mod TWO_PI for each k in ``rows``, each rounded once.
 
-    ``dynamics._rotation_orbit`` before it scanned between wraps: each angle
-    is ``_wrap_angle`` of a float sum, one Python step per angle.
+    ``Fraction`` arithmetic on the floats given, so nothing rounds before
+    the final float, which can be TWO_PI itself (compare by
+    ``angle_gap``).  The recurrence x <- (x + step) mod 2*pi that
+    ``dynamics._rotation_orbit`` replaced drifted from it by a rounding a
+    step: 1.2e-10 rad after 10^6 steps of 0.01 sqrt(2).
     """
-    for _ in range(n):
-        yield x
-        x = _wrap_angle(x + step)
+    fx, fstep, turn = Fraction(x), Fraction(step), Fraction(TWO_PI)
+    return np.array([float((fx + k * fstep) % turn) for k in rows])
+
+
+def angle_gap(a, b) -> np.ndarray:
+    """Distance between angles in [0, TWO_PI] on the circle of length TWO_PI."""
+    gap = np.abs(np.asarray(a) - np.asarray(b))
+    return np.minimum(gap, TWO_PI - gap)
+
+
+# --- dynamics: the Bessel start index, one concentration at a time -----------
+
+
+def scalar_miller_start(kappa: float, jmax: int) -> int:
+    """``dynamics._miller_start`` for one concentration, in Python arithmetic."""
+    base = jmax + max(20, int(2.0 * math.sqrt(max(jmax, kappa) + 1)) + 10)
+    return max(base, int(math.sqrt(jmax * jmax + 37.0 * kappa)) + 10)
 
 
 # --- dynamics: a former Bessel start, whose pair of Miller runs disagrees -----
 
 
-def short_miller_start(kappa: float, jmax: int) -> int:
+def short_miller_start(kappa: np.ndarray, jmax: int) -> np.ndarray:
     """``dynamics._miller_start`` before it grew as sqrt(37 kappa).
 
     jmax + 2 sqrt(max(jmax, kappa) + 1) + 10, at least jmax + 20: too low
@@ -341,7 +360,8 @@ def short_miller_start(kappa: float, jmax: int) -> int:
     and disagrees with the run from twice it.  Tests patch it in to provoke
     that DegeneracyError.
     """
-    return jmax + max(20, int(2.0 * math.sqrt(max(jmax, kappa) + 1)) + 10)
+    return np.array([jmax + max(20, int(2.0 * math.sqrt(max(jmax, k) + 1)) + 10)
+                     for k in np.asarray(kappa, dtype=float).tolist()], dtype=np.int64)
 
 
 # --- rkha and qcirc: the complex Mercer sum and the loop decoder --------------

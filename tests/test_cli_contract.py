@@ -264,6 +264,8 @@ def test_probe_exits_3_with_one_line(tmp_path, name):
     assert not list((tmp_path / "out").iterdir())
     if "-t-" in name or "-dt-huge" in name:
         assert "t=" in lines[0]
+    if name == "qcirc-t-huge":  # the circuit evolves by -t; the message names t
+        assert "t=1e+300" in lines[0], lines[0]
     if "-x0-" in name:
         assert re.search(r"point x=\[1e\+(20|300)\] takes a phase of 2\*\*52 rad", lines[0])
     if "-noise-" in name:

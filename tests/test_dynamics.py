@@ -33,7 +33,8 @@ from qkoopman.fock import FockWeight
 from qkoopman.qmda import ObservationModel
 from qkoopman.rkha import SubexpWeight
 
-from oracles import direct_grid_values, rotation_orbit, short_miller_start
+from oracles import (angle_gap, direct_grid_values, exact_rotation_orbit, scalar_miller_start,
+                     short_miller_start)
 
 TWO_PI = 2.0 * math.pi
 
@@ -132,6 +133,9 @@ class TestTrajectory:
         return out
 
     def test_matches_flow_loop(self):
+        # row 0 is the wrapped x0 and row k the exact (x0 + k dt alpha) mod
+        # 2 pi to 2e-15 rad; each flow step rounds the sum and the wrap, at
+        # most (|dt alpha| + 4 pi) eps / 2 rad, so the loop drifts from it
         rng = np.random.default_rng(11)
         cases = [(np.array([-1e-17]), np.array([0.0]), 1.0, 50)]  # the 0/2 pi seam
         for d in (1, 2, 4, 16):
@@ -143,10 +147,16 @@ class TestTrajectory:
         for alpha, x0, dt, n in cases:
             sys = RotationSystem(alpha)
             got = sample_trajectory(sys, x0, dt, n)
-            expected = self.flow_loop(sys, x0, dt, n)
-            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), (alpha, dt, n)
+            loop = self.flow_loop(sys, x0, dt, n)
+            assert np.array_equal(got[0].view(np.uint64), loop[0].view(np.uint64))
+            drift = np.arange(n)[:, None] * (np.abs(dt * alpha) + 2 * TWO_PI) * 2.0**-52
+            assert np.all(angle_gap(got, loop) <= drift + 2e-15), (alpha, dt, n)
+            rows = sorted({1, n - 1, *range(1, n, 97)} - {0, n})
+            for i, (start, step) in enumerate(zip(loop[0], dt * alpha)):
+                exact = exact_rotation_orbit(start, step, rows)
+                assert np.all(angle_gap(got[rows, i], exact) <= 2e-15), (alpha, dt, n)
         seam = sample_trajectory(RotationSystem(np.array([-1e-17])), [0.0], 1.0, 3)
-        assert np.all(seam == 0.0)  # -1e-17 mod 2 pi rounds to 2 pi, folded to 0
+        assert np.all(seam == 0.0)  # 2 pi - k 1e-17 rounds to 2 pi, folded to 0
 
     def test_wrong_dimension_rejected(self):
         sys = RotationSystem(np.array([1.0, 2.0]))
@@ -157,20 +167,23 @@ class TestTrajectory:
 
 
 class TestRotationOrbit:
-    """The scan between wraps against the scalar recurrence it replaced."""
+    """The closed form against the exact orbit, where the recurrence it
+    replaced drifted by a rounding a step; the tests keep its names."""
 
     BELOW_TWO_PI = math.nextafter(TWO_PI, 0.0)
 
     @staticmethod
-    def assert_bitwise(x, step, n):
+    def assert_exact(x, step, n, rows=None):
         got = dynamics._rotation_orbit(x, step, n)
-        expected = np.fromiter(rotation_orbit(x, step, n), float, count=n)
         assert got.shape == (n,)
-        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), (x, step, n)
+        assert np.array_equal(got[:1].view(np.uint64), np.array([x])[:n].view(np.uint64))
+        rows = range(1, n) if rows is None else rows
+        assert np.all((got[1:] >= 0.0) & (got[1:] < TWO_PI)), (x, step, n)
+        gaps = angle_gap(got[rows], exact_rotation_orbit(x, step, rows))
+        assert np.all(gaps <= 2e-15), (x, step, n, gaps.max())
+        return got
 
     @pytest.mark.parametrize("x", [0.0, BELOW_TWO_PI, 1.3, -0.0, -1.0, 10.0])
-    # after a wrap, 2 pi / 24.5 advances at least 24 angles a run and stays on
-    # the scan; 2 pi / 23.5 and above hand the rest to the scalar loop
     @pytest.mark.parametrize("step", [
         0.0, -0.0, 5e-324, -5e-324, 1e-16, -1e-16, 1e-3, -1e-3, 0.3, -0.3,
         TWO_PI / 24.5, -TWO_PI / 24.5, TWO_PI / 23.5, -TWO_PI / 23.5,
@@ -178,39 +191,52 @@ class TestRotationOrbit:
     ])
     def test_matches_scalar_recurrence(self, x, step):
         for n in (0, 1, 2, 3, 50, 2000):
-            self.assert_bitwise(x, step, n)
+            self.assert_exact(x, step, n)
 
     @pytest.mark.parametrize("step", [1e-16, -1e-16, 5e-324, -5e-324])
     def test_near_two_pi(self, step):
-        # a step below half an ulp of the angle never moves it; one below a
-        # full ulp moves it a whole ulp, up to the wrap at 2 pi
+        # a step below half an ulp of the angle moves it only once the sum
+        # of the steps passes that half ulp
         for x in (self.BELOW_TWO_PI, math.nextafter(self.BELOW_TWO_PI, 0.0), 1e-300, 0.0):
-            self.assert_bitwise(x, step, 40)
+            self.assert_exact(x, step, 40)
 
     def test_sums_landing_on_the_seam(self):
         # a sum of exactly 2 pi wraps to 0, and one of exactly 0 stays
         step = 2.0**-6  # every sum below is exact
-        self.assert_bitwise(TWO_PI - 3 * step, step, 10)
-        self.assert_bitwise(3 * step, -step, 10)
+        self.assert_exact(TWO_PI - 3 * step, step, 10)
+        self.assert_exact(3 * step, -step, 10)
         assert dynamics._rotation_orbit(TWO_PI - 3 * step, step, 4)[3] == 0.0
+        assert dynamics._rotation_orbit(3 * step, -step, 4)[3] == 0.0
+
+    @pytest.mark.parametrize("step", [1e5, -3487.17, 2.0**51, -(2.0**51)])
+    def test_steps_of_many_turns(self, step):
+        self.assert_exact(1.3, step, 2000)
 
     def test_million_angles(self):
-        self.assert_bitwise(0.0, 0.01 * math.sqrt(2.0), 10**6)
-        self.assert_bitwise(self.BELOW_TWO_PI, -0.01 * math.sqrt(2.0), 10**6)
+        rows = [*range(1, 10**6, 9973), 10**6 - 1]
+        self.assert_exact(0.0, 0.01 * math.sqrt(2.0), 10**6, rows)
+        self.assert_exact(self.BELOW_TWO_PI, -0.01 * math.sqrt(2.0), 10**6, rows)
 
     @pytest.mark.parametrize("step", [-1e-16, -5e-324])
     def test_stuck_at_zero_is_linear(self, step):
-        # 0 + step < 0 and 2 pi + step rounds to 2 pi, so the wrap returns 0
-        # at every step: each scan run advances one angle, and a scan of
-        # 2 pi/|step| > n sums per run would take O(n^2) adds (minutes here)
+        # the recurrence stayed at 0: 0 + step < 0, and 2 pi + step rounds to
+        # 2 pi, which wraps to 0.  The exact orbit 2 pi - k |step| rounds to
+        # 2 pi, so 0, until k |step| passes half an ulp of 2 pi, and then to
+        # the floats below it: for -1e-16 the angle just below 2 pi from k = 5
         n = 10**6
         start = time.perf_counter()
         got = dynamics._rotation_orbit(0.0, step, n)
         elapsed = time.perf_counter() - start
+        self.assert_exact(0.0, step, n, [*range(1, n, 9973), n - 1])
+        x = 0.0
         start = time.perf_counter()
-        expected = np.fromiter(rotation_orbit(0.0, step, n), float, count=n)
+        for _ in range(n):
+            x = x + step
         scalar = time.perf_counter() - start
-        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        if step == -1e-16:
+            assert np.all(got[:5] == 0.0) and got[5] == self.BELOW_TWO_PI
+        else:
+            assert np.all(got == 0.0)
         assert elapsed < 5 * scalar + 1.0, (elapsed, scalar)
 
 
@@ -545,6 +571,13 @@ class TestBesselRatios:
             want = np.array(exact[: jmax + 1])
             assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(want, 1e-300)), jmax
 
+    @pytest.mark.parametrize("jmax", [0, 1, 32, 64, 264, 4100])
+    def test_starts_match_the_scalar_rule(self, jmax):
+        kappas = np.geomspace(1e-300, dynamics._BESSEL_MAX_KAPPA, 2000)
+        got = dynamics._miller_start(kappas, jmax)
+        assert got.dtype == np.int64
+        assert got.tolist() == [scalar_miller_start(k, jmax) for k in kappas.tolist()]
+
     def test_opening_pair_is_one_lane_pass(self, monkeypatch):
         # starts s and 2s over 2n lanes, each lane bitwise its float run
         calls = []
@@ -560,7 +593,7 @@ class TestBesselRatios:
         got = bessel_ratios(kappas, 32)
         assert len(calls) == 1
         lanes, starts, out = calls[0]
-        first = np.array([dynamics._miller_start(k, 32) for k in kappas.tolist()])
+        first = dynamics._miller_start(kappas, 32)
         assert len(set(first.tolist())) > 20  # mixed starts
         assert np.array_equal(lanes, np.tile(kappas, 2))
         assert np.array_equal(starts, np.concatenate([first, 2 * first]))

@@ -119,6 +119,10 @@ VALUE_PROBES = [
                  r"^lattice d=6, J=1023 has more than 1000000 modes", id="lattice-J-too-big"),
     pytest.param(lambda: rkha.TruncatedLattice(1, 500_000), ValidationError,
                  r"^lattice d=1, J=500000 has more than", id="lattice-one-past-the-cap"),
+    # the truths' closed-form orbit is within 2e-15 rad of the exact one for k <= 10**6
+    pytest.param(lambda: qmda.run_torus_filter(ROTATION, MODEL, 1.0, 10**6 + 1, 0.1),
+                 ValidationError, r"^steps must be an integer in \[1, 1000000\]",
+                 id="torus-steps-one-past-the-cap"),
     # indices @ x overflowed in a RuntimeWarning
     pytest.param(lambda: rkha.feature_coefficients(WEIGHT, rkha.TruncatedLattice(1, 2), [1e308]),
                  DegeneracyError, r"^point x=\[1e\+308\] takes a phase of 2\*\*52 rad or more",
@@ -151,7 +155,7 @@ VALUE_PROBES = [
               [[0.0], [1e20]] * 4, 0.1, rkha.TruncatedLattice(1, 1)),
            "sample x", r"\[1e\+20\]"),
           ("torus-filter-x0", lambda: qmda.run_torus_filter(ROTATION, MODEL, 1e20, 5, 0.1),
-           "location mu", r"\[1e\+20\]"),
+           "x0", r"1e\+20"),
       ]),
 ]
 
@@ -194,7 +198,7 @@ REAL_PROBES = [
          .propagate(np.ones(5), 1e308), DegeneracyError, r"t=1e\+308 takes a phase"),
     real("circuit-overflow", "time",
          lambda: qcirc.circuit_expectation(ENCODING, WEIGHT, ROTATION, COS, [0.0], 1e308),
-         DegeneracyError, r"t=-1e\+308 takes a phase"),  # the state evolves by -t
+         DegeneracyError, r"t=1e\+308 takes a phase"),
     count("n", lambda: fock.vector_power({0: 0.5}, 2.5)),
     count("n", lambda: fock.vector_power({0: 0.5}, -1)),
     count("nmax", lambda: fock.xi_vector({0: 0.5}, FOCK_WEIGHT, 2.5)),
@@ -299,6 +303,11 @@ def test_extreme_finite_values_accepted(alarm):
     # classical evidence a ZeroDivisionError
     trace = qmda.run_torus_filter(ROTATION, MODEL, 1.0, 5, 0.1, kappa0=1e308, mode="classical")
     assert len(trace.steps) == 5
+    # x0 = 2**49 took a phase of 2**52 rad or more in J x0; the filter starts
+    # from the wrapped x0, as its truths do
+    far, near = 2.0**49, float(dynamics.wrap_angles(2.0**49)[0])
+    assert (qmda.run_torus_filter(ROTATION, MODEL, far, 5, 0.1).steps
+            == qmda.run_torus_filter(ROTATION, MODEL, near, 5, 0.1).steps)
     assert dynamics._i0e(1e308) == pytest.approx(1.0 / math.sqrt(2e308 * math.pi), rel=1e-15)
 
 

@@ -894,12 +894,12 @@ class TestTorusFilter:
                                            (QUANTUM_PROJECTED, 9)])
     def test_trace_matches_wrap_angles_truth(self, monkeypatch, mode, rank):
         # the truth track once took one wrap_angles call per step; run the
-        # filter on that track and require every recorded number to be equal
-        def orbit_by_wrap_angles(x, step, n):
-            angles = [x]
-            for _ in range(n - 1):
-                angles.append(float(wrap_angles(angles[-1] + step)[0]))
-            return np.array(angles)
+        # filter on a track taken one closed-form angle per step and require
+        # every recorded number to be equal
+        orbit = qmda._rotation_orbit
+
+        def orbit_step_by_step(x, step, n):
+            return np.array([orbit(x, step, k + 1)[k] for k in range(n)])
 
         def record(trace):
             rows = [dataclasses.astuple(s) for s in trace.steps]
@@ -909,7 +909,7 @@ class TestTorusFilter:
         args = (self.SYS, self.MODEL, 1.3, 200)
         kwargs = dict(dt=0.3, bandwidth=32, mode=mode, rank=rank, seed=5)
         fast = record(run_torus_filter(*args, **kwargs))
-        monkeypatch.setattr(qmda, "_rotation_orbit", orbit_by_wrap_angles)
+        monkeypatch.setattr(qmda, "_rotation_orbit", orbit_step_by_step)
         assert record(run_torus_filter(*args, **kwargs)) == fast
 
     @pytest.mark.parametrize("grid_size", [1, 2, 9, 64, 256])

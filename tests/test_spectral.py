@@ -88,10 +88,13 @@ class TestAnalyticGenerator:
 
 def sorted_eigensystem(omega, vectors):
     """The eigenpair order GeneratorSpec.eigen_omega reproduces: |omega|
-    ascending, positive member of each +/- pair first, stable tie-break."""
-    order = np.lexsort(
-        (np.arange(omega.size), (omega < 0).astype(int), np.round(np.abs(omega), 12))
-    )
+    ascending, a magnitude within 1e-12 of the next smaller one tied with
+    it, positive member of each tie first, stable tie-break."""
+    tie, prev, ties = 0, None, {}
+    for i in sorted(range(omega.size), key=lambda i: abs(omega[i])):
+        tie += prev is not None and abs(omega[i]) - prev > 1e-12
+        ties[i], prev = tie, abs(omega[i])
+    order = sorted(range(omega.size), key=lambda i: (ties[i], omega[i] < 0, i))
     return omega[order], vectors[:, order]
 
 
@@ -124,6 +127,13 @@ class TestSpectralForm:
         gen = analytic_generator(sys, lat)
         omega, _ = sorted_eigensystem(gen.omega.copy(), np.eye(lat.size, dtype=complex))
         assert gen.eigen_omega.tobytes() == omega.tobytes()
+
+    def test_pair_across_a_rounding_boundary(self):
+        # the pair's magnitudes straddle 0.0036889824455: rounded to 12
+        # decimals they parted, and the negative member came first
+        lat = TruncatedLattice(1, 2)
+        omega = np.array([0.0, -3.6889824454996068e-03, 3.6889824455039011e-03, 9.06, -9.06])
+        assert GeneratorSpec(lat, omega).eigen_omega.tolist() == omega[[0, 2, 1, 3, 4]].tolist()
 
     def test_data_driven_order(self):
         traj = sample_trajectory(RotationSystem(np.array([1.0, math.sqrt(2.0)])),
