@@ -20,6 +20,7 @@ from qkoopman.qmda import (
     QUANTUM_PROJECTED,
     ObservationModel,
     consistency_chain_gap,
+    min_sqrt_density,
     run_filter,
     run_torus_filter,
 )
@@ -67,7 +68,7 @@ print(f"  full lattice: consistency {full.consistency_max():.1e} (truncation onl
 proj = run_torus_filter(
     rotation, circular, 1.0, 15, dt=0.3, mode=QUANTUM_PROJECTED, rank=9, seed=2
 )
-neg = min(v for _, v in proj.quantum_posteriors)
+neg = min_sqrt_density(proj.quantum_posteriors).min()
 print(
     f"  9 modes kept: consistency {proj.consistency_max():.3f}, square-root density "
     f"dips to {neg:.3f} on the grid, estimate error <= "

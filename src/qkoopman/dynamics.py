@@ -31,6 +31,11 @@ MAX_STATEVECTOR_QUBITS = 20
 # trajectory length, lattice dimension or lattice box accepted: each takes a
 # float per term, 8 MB at the cap; tests and demos use at most 200,000.
 _MAX_TERMS = 10**6
+# Largest side n of a dense n x n array a library call builds: a projected
+# orbit effect's real form (rank), the torus filter's T0 (2J+1), a Fourier
+# multiplier matrix (lattice size) and a Gram matrix (point count).  2048^2
+# complex entries take 64 MiB; the command line's MAX_LATTICE_MODES is 2048.
+_MAX_DENSE_SIDE = 2048
 
 
 def wrap_angles(theta) -> np.ndarray:
@@ -413,8 +418,9 @@ def grid_sum(indices, coeffs, grid_size: int) -> np.ndarray:
     ``coeffs`` holds its n coefficients on the last axis; leading axes of
     ``coeffs`` are a batch of sums, each placed and transformed on its own.
     The result has shape coeffs.shape[:-1] + (G,) * d.  A non-finite
-    coefficient, or an index table of another shape or with a non-integral
-    entry, is refused, once per call.
+    coefficient, an index table of another shape or with a non-integral
+    entry, or a grid of more than ``_MAX_TERMS`` points G^d (the exponent
+    stops at 20, as in ``_lattice_modes``) is refused, once per call.
     """
     _count("grid_size", grid_size, 1)
     coeffs = _floats("coefficients", coeffs, complex)
@@ -431,6 +437,9 @@ def grid_sum(indices, coeffs, grid_size: int) -> np.ndarray:
         raise ValidationError(f"indices of shape {indices.shape} ({indices.dtype}) must be a table "
                               f"of integers, a row per coefficient of shape {coeffs.shape}")
     d = indices.shape[1]
+    if grid_size ** min(d, 20) > _MAX_TERMS:
+        raise ValidationError(f"grid d={d}, grid_size={grid_size} has more than {_MAX_TERMS} "
+                              f"points")
     box = np.zeros(coeffs.shape[:-1] + (grid_size,) * d, dtype=complex)
     np.add.at(box, (Ellipsis,) + tuple((indices % grid_size).T), coeffs)
     return np.fft.ifftn(box, axes=tuple(range(-d, 0)), norm="forward")

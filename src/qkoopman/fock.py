@@ -423,7 +423,8 @@ class SecondQuantizationParams:
         if not (0.0 < self.tau <= self.sigma / 2.0):
             raise ValidationError("need 0 < tau <= sigma/2")
         _count("bandwidth", self.bandwidth, 0)
-        _count("grid_size", self.grid_size, 2 * self.bandwidth + 2)  # resolves the lattice
+        # at least 2J + 2 points resolve the lattice
+        _count("grid_size", self.grid_size, 2 * self.bandwidth + 2, _MAX_TERMS)
         _real("p", self.p, 0, 1, strict=True)
         _real("obs_concentration", self.obs_concentration, 0, strict=True)
 

@@ -39,6 +39,7 @@ from .dynamics import (
     VON_MISES,
     PeriodicOrbitSystem,
     RotationSystem,
+    _MAX_DENSE_SIDE,
     _MAX_TERMS,
     _characters,
     _count,
@@ -196,10 +197,12 @@ def multiplication_operator_fourier(coeffs: dict, lat: TruncatedLattice) -> np.n
     """Matrix of multiplication by sum_m c_m gamma_m on the lattice basis.
 
     Entries are c(i - j); a real multiplier (conjugate-symmetric c) gives a
-    Hermitian Toeplitz-style matrix.
+    Hermitian Toeplitz-style matrix.  A lattice of more than
+    ``_MAX_DENSE_SIDE`` modes is refused.
     """
     from .rkha import fourier_multiplier_matrix
 
+    _count("lattice size", lat.size, 1, _MAX_DENSE_SIDE)
     return fourier_multiplier_matrix(coeffs, lat.indices)
 
 
@@ -334,6 +337,15 @@ class FilterStep:
 
 @dataclass
 class FilterTrace:
+    """A filter run, step by step.
+
+    ``quantum_posteriors`` holds the operator state psi of each step in
+    either filter: on the orbit, over its points or (projected) its modes
+    0, +1, -1, ...; on the torus, its lattice coefficients j = -J..J, whose
+    positivity margin ``min_sqrt_density`` gives on request.  The classical
+    mode keeps none.
+    """
+
     mode: str
     steps: list = field(default_factory=list)
     classical_posteriors: list = field(default_factory=list)
@@ -413,8 +425,8 @@ def run_filter(
         observations = _finite_point(observations[:steps], steps, "observations")
     if mode not in (CLASSICAL, QUANTUM, QUANTUM_PROJECTED):
         raise ValidationError(f"unknown filter mode {mode!r}")
-    if mode == QUANTUM_PROJECTED:
-        _count("rank", rank, 1, sys.M)
+    if mode == QUANTUM_PROJECTED:  # its effect's real form is rank x rank
+        _count("rank", rank, 1, min(sys.M, _MAX_DENSE_SIDE))
 
     mu = sys.mu
     h_values = orbit_observation_values(sys)
@@ -587,13 +599,14 @@ def _sqrt_von_mises_rows(mu, kappa, lat: TruncatedLattice) -> np.ndarray:
     return rows / np.sqrt(_dots(rows, rows).real)[:, None]
 
 
-# Steps of the torus filter whose rotating frames are taken at once, and
-# the most it scores at once: bessel_ratios runs a batch's concentrations
-# as numpy lanes, which beat its float loop from ~64 on.
+# Steps of the torus filter whose rotating frames are taken at once, the
+# most it scores at once (bessel_ratios runs a batch's concentrations as
+# numpy lanes, which beat its float loop from ~64 on), and the torus states
+# min_sqrt_density evaluates at once: 1 MiB of grid values on _MARGIN_GRID.
 _TORUS_BLOCK = 256
-# Grid values evaluated at once, in complex entries (16 MiB): a scoring
-# batch is _TORUS_BLOCK rows unless grid_size is above 4096.
-_GRID_BATCH = 2**20
+# Points of the uniform circle grid on which min_sqrt_density evaluates a
+# torus state.
+_MARGIN_GRID = 256
 # Orbit point values the orbit filter scores at once (64 KiB a complex
 # array): 60 steps on M = 128 in one block of 7,680 values held ~0.2 MiB
 # more peak RSS than scoring step by step; blocks of 4,096 held none.
@@ -615,7 +628,6 @@ def run_torus_filter(
     mode: str = QUANTUM,
     rank: int | None = None,
     seed: int = 0,
-    grid_size: int = 256,
 ) -> FilterTrace:
     """Filter a circle rotation: exact von Mises track vs truncated Fourier track.
 
@@ -625,10 +637,11 @@ def run_torus_filter(
     lattice coefficients, conditions by convolving with the square root of
     the observation kernel, and in projected mode truncates to the leading
     ``rank`` modes ordered 0, +1, -1, ...  The consistency column is the
-    trace-norm distance between the two pure states on the lattice, and the
-    wavefunction's most negative grid value is recorded: a projected
-    square-root density generally stops being a nonnegative function even
-    though the operator state stays positive.
+    trace-norm distance between the two pure states on the lattice, and
+    ``quantum_posteriors`` holds psi per step, as the orbit filter's do.  A
+    projected square-root density generally stops being a nonnegative
+    function even though the operator state stays positive;
+    ``min_sqrt_density`` measures that on the stored states.
 
     Conditioning on y convolves with the kernel k_m e^{-imy}, whose phases
     are translation by y, diagonal on the lattice: the truncated convolution
@@ -650,14 +663,14 @@ def run_torus_filter(
     that records the first failure (zero classical evidence, then an
     annihilated operator state) and stores psi_n = D(y_n)* chi_n, taking
     D(y_n)* and E_n for ``_TORUS_BLOCK`` steps at once as it enters them,
-    then scoring in batches (``_torus_diagnostics``), where an unconverged
-    Bessel ratio raises ahead of the recorded failure.  So the first failing
-    step raises what a step-by-step run raises; the states agree with it to rounding (1e-13),
-    the classical track bitwise.  Memory grows with steps times the lattice
-    size, never with steps times ``grid_size``.  Classical mode builds none
+    then scoring ``_TORUS_BLOCK`` steps at a time (``_torus_diagnostics``),
+    where an unconverged Bessel ratio raises ahead of the recorded failure.
+    So the first failing step raises what a step-by-step run raises; the
+    states agree with it to rounding (1e-13), the classical track bitwise.
+    Memory grows with steps times the lattice size.  Classical mode builds none
     of the operator track's set-up (kept modes, rotation phases, half
     kernel, T0), so only the operator modes refuse a half kernel above the
-    Bessel cap.
+    Bessel cap, or a T0 of side 2J+1 above ``_MAX_DENSE_SIDE``.
     """
     if sys.d != 1:
         raise ValidationError("the torus filter is implemented for d=1")
@@ -667,10 +680,11 @@ def run_torus_filter(
     _real("x0", x0)
     _real("dt", dt, 0, strict=True)
     _real("kappa0", kappa0, 0)  # uncapped: classical mode runs it without Bessel ratios
-    _count("grid_size", grid_size, 1)
-    _count("bandwidth", bandwidth, 0)
     if mode not in (CLASSICAL, QUANTUM, QUANTUM_PROJECTED):
         raise ValidationError(f"unknown filter mode {mode!r}")
+    # the operator modes build T0, of side 2J+1
+    _count("bandwidth", bandwidth, 0,
+           math.inf if mode == CLASSICAL else (_MAX_DENSE_SIDE - 1) // 2)
     from .rkha import TruncatedLattice
 
     lat = TruncatedLattice(1, bandwidth)
@@ -752,15 +766,14 @@ def run_torus_filter(
         evidences.append(evidence)
 
     done = len(evidences)
-    batch = max(1, min(_TORUS_BLOCK, _GRID_BATCH // grid_size))
-    for lo in range(0, done, batch):
-        hi = min(lo + batch, done)
+    for lo in range(0, done, _TORUS_BLOCK):
+        hi = min(lo + _TORUS_BLOCK, done)
         posteriors = trace.classical_posteriors[lo:hi]
         consistency, estimates = [0.0] * (hi - lo), [mu for mu, _ in posteriors]
         if run_quantum:
             psis = rows[lo:hi]
-            consistency, min_sqrt, estimates = _torus_diagnostics(psis, posteriors, lat, grid_size)
-            trace.quantum_posteriors.extend(zip(psis, min_sqrt))
+            consistency, estimates = _torus_diagnostics(psis, posteriors, lat)
+            trace.quantum_posteriors.extend(psis)
         _record_steps(trace, lo + 1, TWO_PI, truths[lo:hi].tolist(), evidences[lo:hi],
                       consistency, estimates)
     if failure is not None:
@@ -777,26 +790,47 @@ def _toeplitz_step(toeplitz: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return toeplitz @ vec.view(float).reshape(-1, 2)
 
 
-def _torus_diagnostics(rows: np.ndarray, posteriors: list, lat: TruncatedLattice, grid_size: int):
-    """Per row of operator states: consistency, most negative grid value, estimate.
+def _torus_diagnostics(rows: np.ndarray, posteriors: list, lat: TruncatedLattice):
+    """Per row of operator states: consistency and estimate.
 
     ``posteriors`` holds each row's classical (mu, kappa).  Every row gets
     what one step of the filter computes for it: the distance to the unit
-    square root of the von Mises posterior, the most negative real part of
-    the grid values after rotating the largest one onto the positive axis,
-    and the phase of the first autocorrelation of the coefficients.  The
-    rows are one scoring batch, whose grid values are one ``grid_sum`` call
-    of at most ``_GRID_BATCH`` entries (or one row).
+    square root of the von Mises posterior, and the phase of the first
+    autocorrelation of the coefficients.
     """
     mu, kappa = np.array(posteriors).T
     consistency = _pure_state_distance(_sqrt_von_mises_rows(mu, kappa, lat), rows)
-
-    values = grid_sum(lat.indices, rows, grid_size)
-    peak = values[np.arange(len(values)), np.argmax(np.abs(values), axis=1)]
-    # what Python's complex abs() computes; numpy's array abs can differ by an ulp
-    unit = peak.conjugate() / np.hypot(peak.real, peak.imag)
-    min_sqrt = (values * unit[:, None]).real.min(axis=1)
-
     first = np.sum(np.conj(rows[:, 1:]) * rows[:, :-1], axis=1)
     estimates = [_wrap_angle(math.atan2(f.imag, f.real)) for f in first.tolist()]
-    return consistency.tolist(), min_sqrt.tolist(), estimates
+    return consistency.tolist(), estimates
+
+
+def min_sqrt_density(rows) -> np.ndarray:
+    """Each torus state's most negative value on the grid: its positivity margin.
+
+    ``rows`` holds square-root density coefficients over j = -J..J, a row
+    per state, as the torus filter's ``quantum_posteriors``.  A row is
+    evaluated on the ``_MARGIN_GRID``-point uniform circle grid, its value
+    of largest modulus rotated onto the positive real axis (a state's phase
+    is arbitrary), and the smallest real part kept.  It is negative where
+    the square-root density has stopped being a nonnegative function, as a
+    projected one does though the operator state stays positive.  Rows go
+    to ``grid_sum`` ``_TORUS_BLOCK`` at a time.  A table that is not 2-d
+    with 2J+1 columns, or a row that vanishes on the grid and so has no
+    phase, is refused.
+    """
+    rows = _floats("rows", rows, complex)
+    if rows.ndim != 2 or rows.shape[1] % 2 != 1:
+        raise ValidationError(f"rows of shape {rows.shape} must be a table of torus states, "
+                              f"2J+1 coefficients a row")
+    indices = np.arange(rows.shape[1])[:, None] - rows.shape[1] // 2  # j = -J..J
+    out = np.empty(len(rows))
+    for lo in range(0, len(rows), _TORUS_BLOCK):
+        values = grid_sum(indices, rows[lo : lo + _TORUS_BLOCK], _MARGIN_GRID)
+        peak = values[np.arange(len(values)), np.argmax(np.abs(values), axis=1)]
+        if not peak.all():
+            raise ValidationError(f"row {lo + int(np.argmin(abs(peak)))} vanishes on the grid")
+        # what Python's complex abs() computes; numpy's array abs can differ by an ulp
+        unit = peak.conjugate() / np.hypot(peak.real, peak.imag)
+        out[lo : lo + _TORUS_BLOCK] = (values * unit[:, None]).real.min(axis=1)
+    return out

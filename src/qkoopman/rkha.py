@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
+    _MAX_DENSE_SIDE,
     _MAX_TERMS,
     FourierObservable,
     _count,
@@ -191,11 +192,13 @@ def kernel_gram(w: SubexpWeight, lat: TruncatedLattice, points: np.ndarray) -> n
     points, so entry (a, b) is bitwise ``kernel_value(w, lat, x_a, x_b)``,
     and mirrored into (b, a).  The matrix is exactly Hermitian (real, held
     as complex) with a constant diagonal.  Memory beyond it is the pairs'
-    differences and ``_GRAM_BATCH`` phases.
+    differences and ``_GRAM_BATCH`` phases.  More than ``_MAX_DENSE_SIDE``
+    points are refused.
     """
     pts = np.atleast_2d(_floats("points", points))
     if pts.ndim != 2 or pts.shape[1] != lat.d:
         raise ValidationError(f"points have shape {pts.shape}, the lattice dimension is {lat.d}")
+    _count("point count", pts.shape[0], 0, _MAX_DENSE_SIDE)
     pts = wrap_angles(_finite_point(pts.reshape(-1), pts.size)).reshape(pts.shape)
     gram = np.zeros((pts.shape[0],) * 2, dtype=complex)
     rows, cols = np.triu_indices(pts.shape[0])

@@ -205,7 +205,9 @@ def stepwise_torus_filter(
 
     Each step scores its operator state against a von Mises reference from
     its own scalar ``bessel_ratios`` call, by ``np.vdot`` products, and
-    evaluates it on the grid with its own ``grid_sum``, and conditions by
+    evaluates it on the ``grid_size``-point grid with its own ``grid_sum``
+    (the most negative value, in ``trace.min_sqrt``, is the oracle of
+    ``qmda.min_sqrt_density``), and conditions by
     ``np.convolve`` with the kernel k_m e^{-imy}; the package runs the same
     steps in one loop, conditioning by one fixed real Toeplitz product in the
     observation's frame, and scores them in batches after it.  The initial
@@ -219,10 +221,8 @@ def stepwise_torus_filter(
     lattice coefficients, conditions by convolving with the square root of
     the observation kernel, and in projected mode truncates to the leading
     ``rank`` modes ordered 0, +1, -1, ...  The consistency column is the
-    trace-norm distance between the two pure states on the lattice, and the
-    wavefunction's most negative grid value is recorded: a projected
-    square-root density generally stops being a nonnegative function even
-    though the operator state stays positive.
+    trace-norm distance between the two pure states on the lattice;
+    ``quantum_posteriors`` holds psi per step.
     """
     if sys.d != 1:
         raise ValidationError("the torus filter is implemented for d=1")
@@ -260,6 +260,7 @@ def stepwise_torus_filter(
     kernel_abs = half_kernel[np.abs(m_all)]
 
     trace = FilterTrace(mode=mode)
+    trace.min_sqrt = []
     # the package's orbit: this filter checks the blocks, not the orbit
     truth = _rotation_orbit(float(wrap_angles(x0)[0]), dt * alpha, steps + 1)[1:].tolist()
     for n, x in enumerate(truth, 1):
@@ -282,7 +283,6 @@ def stepwise_torus_filter(
             raise ZeroEvidenceError(f"zero evidence at step {n}")
 
         consistency = 0.0
-        min_sqrt = 0.0
         if run_quantum:
             psi = psi * rotate
             kernel_coeffs = kernel_abs * np.exp(-1j * m_all * y)
@@ -297,10 +297,10 @@ def stepwise_torus_filter(
             consistency = vdot_pure_state_distance(reference, psi)
             values = grid_sum(lat.indices, psi, grid_size)
             phase = values[int(np.argmax(np.abs(values)))]
-            min_sqrt = float((values * (phase.conjugate() / abs(phase))).real.min())
+            trace.min_sqrt.append(float((values * (phase.conjugate() / abs(phase))).real.min()))
             first = complex(np.sum(np.conj(psi[1:]) * psi[:-1]))
             estimate = math.atan2(first.imag, first.real) % TWO_PI
-            trace.quantum_posteriors.append((psi, min_sqrt))
+            trace.quantum_posteriors.append(psi)
         else:
             estimate = mu_post
         gap = abs((estimate - x + math.pi) % TWO_PI - math.pi)

@@ -52,7 +52,7 @@ COUNT_PROBES = [
     count("steps", lambda: qmda.run_filter(ORBIT, MODEL, 0, NAN)),
     count("x0", lambda: qmda.run_filter(ORBIT, MODEL, NAN, 5)),
     count("steps", lambda: qmda.run_torus_filter(ROTATION, MODEL, 1.0, 2.5, 0.1)),
-    count("grid_size", lambda: qmda.run_torus_filter(ROTATION, MODEL, 1.0, 5, 0.1, grid_size=2.5)),
+    count("grid_size", lambda: fock.SecondQuantizationParams(grid_size=2.5)),
     count("bandwidth", lambda: qmda.run_torus_filter(ROTATION, MODEL, 1.0, 5, 0.1, bandwidth=2.5)),
     count("n", lambda: dynamics.sample_trajectory(ROTATION, [0.0], 0.1, 2.5)),
     count("n", lambda: dynamics.sample_trajectory(ROTATION, [0.0], 0.1, NAN)),
@@ -93,6 +93,20 @@ VALUE_PROBES = [
     pytest.param(lambda: dynamics.grid_sum([[1], [2, 3]], [1.0, 2.0], 4), ValidationError,
                  r"^indices must be a table of integers, a row per coefficient of shape \(2,\), "
                  r"not rows of unequal length", id="grid_sum-ragged"),
+    # a table of torus states has 2J+1 columns
+    pytest.param(lambda: qmda.min_sqrt_density(np.ones((2, 4))), ValidationError,
+                 r"^rows of shape \(2, 4\) must be a table of torus states", id="margin-even"),
+    pytest.param(lambda: qmda.min_sqrt_density(np.ones(3)), ValidationError,
+                 r"^rows of shape \(3,\) must be a table", id="margin-1d"),
+    pytest.param(lambda: qmda.min_sqrt_density([[1.0, NAN, 1.0]]), ValidationError,
+                 "^coefficients must be finite", id="margin-nan"),
+    # a zero row has no phase to turn onto the positive axis: 0/0
+    pytest.param(lambda: qmda.min_sqrt_density(np.ones((300, 3)) * (np.arange(300) != 299)[:, None]),
+                 ValidationError, "^row 299 vanishes on the grid", id="margin-zero-row"),
+    # 2^64 grid points, refused without forming the power
+    pytest.param(lambda: dynamics.grid_sum(np.zeros((1, 64), dtype=int), [1.0], 2),
+                 ValidationError, r"^grid d=64, grid_size=2 has more than 1000000 points",
+                 id="grid_sum-d64"),
     pytest.param(lambda: qcirc.walsh_coefficients([NAN, 1.0]), ValidationError,
                  "frequencies must be finite", id="walsh-nan"),
     pytest.param(lambda: rkha.SubexpWeight(math.inf, 0.5), ValidationError,
@@ -311,6 +325,18 @@ def test_extreme_finite_values_accepted(alarm):
     assert dynamics._i0e(1e308) == pytest.approx(1.0 / math.sqrt(2e308 * math.pi), rel=1e-15)
 
 
+def test_dense_side_cap_admits_its_bound(alarm):
+    # the operator modes' T0 of side 2J+1 = 2047, and a multiplier matrix of
+    # as many modes, are built; classical mode builds no T0, so no dense cap
+    # limits its bandwidth
+    trace = qmda.run_torus_filter(ROTATION, MODEL, 1.0, 1, 0.1, bandwidth=1023)
+    assert trace.quantum_posteriors[0].shape == (2047,)
+    lat = rkha.TruncatedLattice(1, 1023)
+    assert qmda.multiplication_operator_fourier({(1,): 1.0}, lat).shape == (2047, 2047)
+    trace = qmda.run_torus_filter(ROTATION, MODEL, 1.0, 5, 0.1, bandwidth=10**5, mode="classical")
+    assert len(trace.steps) == 5
+
+
 # Every phase maker at a largest phase of t = 2**52 rad, and one ulp below
 # it: one ulp of such a phase is a whole radian.  Each frequency is 1, or
 # -1 for the export's rz angle -2 t Im v_i.
@@ -345,7 +371,8 @@ def test_one_mode_lattice_of_any_dimension(alarm):
         assert lat.position((0,) * d) == 0
 
 
-# Sizes past ``_MAX_TERMS`` (10^6), each once allocated unchecked, or for
+# Sizes past ``_MAX_TERMS`` (10^6) or ``_MAX_DENSE_SIDE``, each once
+# allocated unchecked (numpy's bare MemoryError in the child), or for
 # the lattice of d = 10^9 built as a tuple of 10^9 entries.  Each runs in a
 # child under a 1 GiB address-space limit, so a lost cap ends there in a
 # MemoryError, never in the test process's memory.  The last row is no cap
@@ -360,6 +387,25 @@ CAP_PROBES = [
      r"lattice d=2, J=500 has more than 1000000 modes"),  # 1001^2 coefficients
     ("dynamics.sample_trajectory(ROTATION, [0.0], 0.1, 10**6 + 1)",
      r"n must be an integer in \[1, 1000000\]"),
+    # grid points G^d, 14.9 GiB and 149 GiB of grid values
+    ("dynamics.grid_sum([[0]], [1.0], 10**9)",
+     r"grid d=1, grid_size=1000000000 has more than 1000000 points"),
+    ("dynamics.grid_sum([[0, 0]], [1.0], 10**5)",
+     r"grid d=2, grid_size=100000 has more than 1000000 points"),
+    ("fock.second_quantization_forecast(dynamics.FourierObservable({(1,): 1.0}), ROTATION, "
+     "fock.SecondQuantizationParams(grid_size=10**9), [0.0], 1.0)",
+     r"grid_size must be an integer in \[34, 1000000\]"),
+    # dense n x n arrays past _MAX_DENSE_SIDE: the torus filter's T0 (298
+    # GiB), a projected orbit effect's real form (7.28 TiB), a multiplier
+    # matrix (298 GiB) and a Gram matrix (149 GiB)
+    ("qmda.run_torus_filter(ROTATION, qmda.ObservationModel(), 1.0, 5, 0.1, bandwidth=10**5)",
+     r"bandwidth must be an integer in \[0, 1023\]"),
+    ("qmda.run_filter(dynamics.PeriodicOrbitSystem(10**6), qmda.ObservationModel(), 0, 1, "
+     "mode='quantum-projected', rank=10**6)", r"rank must be an integer in \[1, 2048\]"),
+    ("qmda.multiplication_operator_fourier({(1,): 1.0}, rkha.TruncatedLattice(1, 10**5))",
+     r"lattice size must be an integer in \[1, 2048\]"),
+    ("rkha.kernel_gram(rkha.SubexpWeight(1.0, 0.5), rkha.TruncatedLattice(1, 2), "
+     "[[0.0]] * 10**5)", r"point count must be an integer in \[0, 2048\]"),
     ("fock.tensor_network_expectation(dynamics.FourierObservable.constant(1.0, 6), "
      "dynamics.VonMisesDensity([0.5] * 6, [20.0] * 6), dynamics.RotationSystem(range(1, 7)), "
      "fock.TensorNetworkParams(n=1, bandwidth=12), 1.0)",

@@ -23,6 +23,7 @@ from qkoopman.qmda import (
     compress,
     consistency_chain_gap,
     embed_density,
+    min_sqrt_density,
     multiplication_operator_fourier,
     multiplication_operator_point,
     orbit_observation_values,
@@ -871,7 +872,7 @@ class TestTorusFilter:
         )
         assert trace.consistency_max() > 1e-3
         # the projected square-root density dips negative on the grid
-        assert min(neg for _, neg in trace.quantum_posteriors) < -1e-3
+        assert min_sqrt_density(trace.quantum_posteriors).min() < -1e-3
         # yet the estimates still track the true phase
         assert max(s.estimate_error for s in trace.steps) < 0.3
 
@@ -904,7 +905,7 @@ class TestTorusFilter:
         def record(trace):
             rows = [dataclasses.astuple(s) for s in trace.steps]
             return rows, trace.classical_posteriors, [
-                (psi.tobytes(), neg) for psi, neg in trace.quantum_posteriors]
+                psi.tobytes() for psi in trace.quantum_posteriors]
 
         args = (self.SYS, self.MODEL, 1.3, 200)
         kwargs = dict(dt=0.3, bandwidth=32, mode=mode, rank=rank, seed=5)
@@ -914,14 +915,18 @@ class TestTorusFilter:
 
     @pytest.mark.parametrize("grid_size", [1, 2, 9, 64, 256])
     @pytest.mark.parametrize("mode,rank", [(QUANTUM, None), (QUANTUM_PROJECTED, 9)])
-    def test_min_sqrt_matches_dense_grid_matrix(self, mode, rank, grid_size):
-        # the G x (2J+1) evaluation matrix the FFT replaced, on grids both
-        # coarser (aliasing) and finer than the 2J+1 = 65 lattice modes
+    def test_min_sqrt_matches_dense_grid_matrix(self, monkeypatch, mode, rank, grid_size):
+        # min_sqrt_density against the G x (2J+1) evaluation matrix the FFT
+        # replaced, on grids both coarser (aliasing) and finer than the
+        # 2J+1 = 65 lattice modes
         lat = TruncatedLattice(1, 32)
         on_grid = torus_grid_matrix(grid_size, lat)
         trace = run_torus_filter(self.SYS, self.MODEL, 1.3, 40, dt=0.3, bandwidth=32,
-                                 mode=mode, rank=rank, seed=4, grid_size=grid_size)
-        for psi, min_sqrt in trace.quantum_posteriors:
+                                 mode=mode, rank=rank, seed=4)
+        monkeypatch.setattr(qmda, "_MARGIN_GRID", grid_size)
+        margins = min_sqrt_density(trace.quantum_posteriors)
+        assert margins.shape == (40,)
+        for psi, min_sqrt in zip(trace.quantum_posteriors, margins.tolist()):
             values = on_grid @ psi
             mags = np.sort(np.abs(values))
             if mags.size > 1 and mags[-1] - mags[-2] <= 1e-9 * mags[-1]:
@@ -929,14 +934,6 @@ class TestTorusFilter:
             phase = values[int(np.argmax(np.abs(values)))]
             dense = float((values * (phase.conjugate() / abs(phase))).real.min())
             assert abs(min_sqrt - dense) <= 1e-13
-
-    @pytest.mark.parametrize("grid_size", [0, -3])
-    @pytest.mark.parametrize("mode,rank", [(CLASSICAL, None), (QUANTUM, None),
-                                           (QUANTUM_PROJECTED, 9)])
-    def test_grid_size_below_one_rejected(self, mode, rank, grid_size):
-        with pytest.raises(ValidationError, match="grid_size"):
-            run_torus_filter(self.SYS, self.MODEL, 1.0, 5, dt=0.3, mode=mode, rank=rank,
-                             grid_size=grid_size)
 
     @pytest.mark.parametrize("kappa0", [1e12, 1e17, 1e20, 1e308])
     def test_evidence_at_high_concentration_against_mpmath(self, kappa0):
@@ -967,7 +964,7 @@ class TestTorusFilter:
             mode=QUANTUM, seed=5,
         )
         with mpmath.workdps(50):
-            for step, (mu, kappa), (psi, _) in zip(
+            for step, (mu, kappa), psi in zip(
                 trace.steps, trace.classical_posteriors, trace.quantum_posteriors
             ):
                 exact = mp_pure_state_distance(sqrt_von_mises_coeffs(mu, kappa, lat), psi)
@@ -995,18 +992,18 @@ class TestTorusFilter:
             exact = mp_torus_operator_track(psi0 / np.linalg.norm(psi0), observations, rotate,
                                             magnitudes, keep)
         for run in (want, got):
-            gaps = [np.max(np.abs(psi - ref)) for (psi, _), ref in zip(run.quantum_posteriors, exact)]
+            gaps = [np.max(np.abs(psi - ref)) for psi, ref in zip(run.quantum_posteriors, exact)]
             assert len(gaps) == 40 and max(gaps) <= 1e-13, max(gaps)
 
 
     @pytest.mark.parametrize("steps", [1, 255, 256, 257, 600])  # across block edges
-    @pytest.mark.parametrize("grid_size", [1, 9, 256])
+    @pytest.mark.parametrize("grid_size", [1, 9, 256])  # min_sqrt_density's grid
     @pytest.mark.parametrize("mode,rank", [(CLASSICAL, None), (QUANTUM, None),
                                            (QUANTUM_PROJECTED, 9)])
-    def test_blocks_match_stepwise_oracle(self, mode, rank, grid_size, steps):
+    def test_blocks_match_stepwise_oracle(self, monkeypatch, mode, rank, grid_size, steps):
         args = (self.SYS, self.MODEL, 1.3, steps, 0.3)
-        kwargs = dict(bandwidth=32, mode=mode, rank=rank, seed=7, grid_size=grid_size)
-        want = stepwise_torus_filter(*args, **kwargs)
+        kwargs = dict(bandwidth=32, mode=mode, rank=rank, seed=7)
+        want = stepwise_torus_filter(*args, grid_size=grid_size, **kwargs)
         got = run_torus_filter(*args, **kwargs)
         assert [s.step for s in got.steps] == list(range(1, steps + 1))
         for name in ("truth", "evidence"):
@@ -1016,10 +1013,13 @@ class TestTorusFilter:
         assert len(got.quantum_posteriors) == len(want.quantum_posteriors)
         # the package conditions by one real Toeplitz product in the
         # observation's frame, the oracle by np.convolve: equal to rounding
-        for (psi, min_sqrt), (psi_want, min_sqrt_want) in zip(got.quantum_posteriors,
-                                                              want.quantum_posteriors):
+        for psi, psi_want in zip(got.quantum_posteriors, want.quantum_posteriors):
             assert np.max(np.abs(psi - psi_want)) <= 1e-13
-            assert abs(min_sqrt - min_sqrt_want) <= 1e-13
+        # the package's margins in batches, the oracle's a grid_sum a step
+        if mode != CLASSICAL:
+            monkeypatch.setattr(qmda, "_MARGIN_GRID", grid_size)
+            margins = min_sqrt_density(got.quantum_posteriors)
+            assert np.abs(margins - want.min_sqrt).max() <= 1e-13
         for step, oracle in zip(got.steps, want.steps):
             assert abs(step.consistency - oracle.consistency) <= 1e-13 + 1e-12 * oracle.consistency
             assert abs(step.estimate - oracle.estimate) <= 1e-14
@@ -1058,16 +1058,28 @@ class TestTorusFilter:
 
     @pytest.mark.parametrize("mode,rank", [(QUANTUM, None), (QUANTUM_PROJECTED, 9)])
     def test_grid_values_in_batches_of_rows(self, monkeypatch, mode, rank):
-        # 1000 grid entries at grid_size 9: batches of 111 rows, the last
-        # partial, against the default batch, which holds a block's rows
-        args = (self.SYS, self.MODEL, 1.3, 300, 0.3)
-        kwargs = dict(bandwidth=32, mode=mode, rank=rank, seed=7, grid_size=9)
-        want = run_torus_filter(*args, **kwargs).quantum_posteriors
-        monkeypatch.setattr(qmda, "_GRID_BATCH", 1000)
-        got = run_torus_filter(*args, **kwargs).quantum_posteriors
-        assert bits([m for _, m in got]) == bits([m for _, m in want])
-        assert all(psi.tobytes() == psi_want.tobytes()
-                   for (psi, _), (psi_want, _) in zip(got, want))
+        # min_sqrt_density in batches of 7 rows, the last partial, against
+        # the default batch of 256 rows: bitwise the same margins
+        trace = run_torus_filter(self.SYS, self.MODEL, 1.3, 300, 0.3, bandwidth=32, mode=mode,
+                                 rank=rank, seed=7)
+        want = min_sqrt_density(trace.quantum_posteriors)
+        monkeypatch.setattr(qmda, "_TORUS_BLOCK", 7)
+        assert bits(min_sqrt_density(trace.quantum_posteriors)) == bits(want)
+        # and a row on its own is its own batch
+        assert bits([min_sqrt_density(psi[None])[0] for psi in trace.quantum_posteriors]) == bits(
+            want)
+
+    @pytest.mark.parametrize("mode,rank", [(QUANTUM, None), (QUANTUM_PROJECTED, 9)])
+    def test_filter_evaluates_no_grid(self, monkeypatch, mode, rank):
+        # the filter keeps psi; the grid is min_sqrt_density's, on request
+        def refuse(*args):
+            raise AssertionError("the torus filter evaluated its states on a grid")
+
+        monkeypatch.setattr(qmda, "grid_sum", refuse)
+        trace = run_torus_filter(self.SYS, self.MODEL, 1.3, 300, 0.3, mode=mode, rank=rank,
+                                 seed=7)
+        assert len(trace.quantum_posteriors) == 300
+        assert all(psi.shape == (65,) for psi in trace.quantum_posteriors)
 
     @pytest.mark.parametrize("name,value", [
         ("x0", math.nan), ("x0", math.inf), ("dt", math.inf), ("dt", math.nan), ("dt", 0.0),
@@ -1090,13 +1102,33 @@ class TestTorusFilter:
             run_torus_filter(self.SYS, self.MODEL, steps=5, mode=mode, rank=rank, **inputs)
 
     def test_memory_grows_with_steps_times_lattice_not_grid(self):
-        # 1500 more steps of 4096 complex grid values would hold 98 MB; the
-        # trace keeps under 1 KB a step at J = 4 (psi, posteriors, FilterStep)
+        # the trace keeps under 1 KB a step at J = 4 (psi, posteriors, FilterStep)
         def peak(steps):
             tracemalloc.start()
             try:
                 run_torus_filter(self.SYS, self.MODEL, 1.3, steps, 0.3, bandwidth=4,
-                                 mode=QUANTUM, seed=1, grid_size=4096)
+                                 mode=QUANTUM, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        growth = peak(2000) - peak(500)
+        assert growth < 1500 * 2048, growth
+
+    def test_margin_memory_is_bounded_by_a_batch(self, monkeypatch):
+        # at 4096 grid points, 1500 more rows evaluated at once would hold
+        # 98 MB of grid values; in batches of 256 rows both peaks hold one
+        # batch (16 MiB), so they differ by little more than the 8-byte
+        # margin a row
+        monkeypatch.setattr(qmda, "_MARGIN_GRID", 4096)
+        trace = run_torus_filter(self.SYS, self.MODEL, 1.3, 2000, 0.3, bandwidth=4,
+                                 mode=QUANTUM, seed=1)
+        rows = np.array(trace.quantum_posteriors)
+
+        def peak(count):
+            tracemalloc.start()
+            try:
+                assert min_sqrt_density(rows[:count]).shape == (count,)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -1171,7 +1203,7 @@ class TestTorusFilterFirstError:
             calls.clear()
             with pytest.raises(DegeneracyError) as info:
                 run(self.SYS, model, 1.3, 600, 0.3, bandwidth=32, mode=mode, rank=rank,
-                    seed=seed, grid_size=9)
+                    seed=seed)
             out.append((type(info.value), str(info.value)))
         return out
 
