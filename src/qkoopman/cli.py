@@ -30,6 +30,7 @@ from .dynamics import (
     GAUSSIAN,
     MAX_STATEVECTOR_QUBITS,
     VON_MISES,
+    _MAX_STORED,
     FourierObservable,
     PeriodicOrbitSystem,
     RotationSystem,
@@ -59,11 +60,6 @@ MAX_LATTICE_MODES = 2048
 # about 0.4 s on a 2-vCPU x86 host, nearly all of it writing the CSV (the
 # trajectory itself about 2 ms), and one of 1e6 rows about 3 s
 MAX_SAMPLES = 10**6
-# koopman's data-driven estimate does n_samples * modes^2 work, accumulated
-# over sample blocks, and filter keeps its trace (one M-vector per step); both
-# are capped at this many sample-mode or step-point values, and 9 modes at the
-# sample cap is the data-driven lattice of d = 2
-MAX_STORED_VALUES = 9 * MAX_SAMPLES
 # torus dimension: rotate's rational-dependence scan is quadratic in it
 MAX_DIMENSION = 16
 # entries of one list-valued key; each t, m, n or q entry is a forecast or
@@ -301,11 +297,6 @@ def cmd_filter(config: dict, out: Path, digest: str) -> list[Path]:
     if len(x0) != 1 or not x0[0].is_integer():
         raise ValidationError("system.x0 of an orbit must be one integer")
     steps = config["qmda.steps"]
-    if steps * m > MAX_STORED_VALUES:
-        raise ValidationError(
-            f"qmda.steps {steps} times system.M {m} stores {steps * m} values, "
-            f"more than the cap of {MAX_STORED_VALUES}"
-        )
     rank = max(1, m - 2) if config["qmda.L"] is None else config["qmda.L"]
     model = qmda.ObservationModel(
         kind=config["qmda.observation.kind"],
@@ -349,10 +340,12 @@ def cmd_koopman(config: dict, out: Path, digest: str) -> list[Path]:
     small_J = 3 if sys_.d == 1 else 1  # the data-driven generator's lattice
     small_modes = (2 * small_J + 1) ** sys_.d
     n_samples = config["koopman.n_samples"]
-    if n_samples * small_modes > MAX_STORED_VALUES:
+    # the data-driven estimate does n_samples * modes^2 work, accumulated over
+    # sample blocks; the filters' traces meet the same cap in qmda
+    if n_samples * small_modes > _MAX_STORED:
         raise ValidationError(
             f"koopman.n_samples {n_samples} times the {small_modes} data-driven modes "
-            f"is {n_samples * small_modes} values, more than the cap of {MAX_STORED_VALUES}"
+            f"is {n_samples * small_modes} values, more than the cap of {_MAX_STORED}"
         )
     x0 = _point(config, "koopman.x0", sys_.d, 1.0)
     fock_weight = fock.FockWeight(config["fock.sigma_w"], config["fock.p_w"], config["fock.Nmax"])

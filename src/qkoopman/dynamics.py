@@ -31,11 +31,18 @@ MAX_STATEVECTOR_QUBITS = 20
 # trajectory length, lattice dimension or lattice box accepted: each takes a
 # float per term, 8 MB at the cap; tests and demos use at most 200,000.
 _MAX_TERMS = 10**6
-# Largest side n of a dense n x n array a library call builds: a projected
-# orbit effect's real form (rank), the torus filter's T0 (2J+1), a Fourier
+# Largest side n of a dense n x n array a library call builds, checked by
+# the function that allocates it: the orbit's Koopman matrix (M), an
+# embedded density and a point multiplier (point count), a projected orbit
+# effect's real form (rank), the torus filter's T0 (2J+1), a Fourier
 # multiplier matrix (lattice size) and a Gram matrix (point count).  2048^2
 # complex entries take 64 MiB; the command line's MAX_LATTICE_MODES is 2048.
 _MAX_DENSE_SIDE = 2048
+# Largest number of values a run keeps or a design accumulates: a filter's
+# trace (steps times the state's length, qmda) and the command line's
+# data-driven samples times modes.  9 modes at 10^6 samples is the
+# data-driven lattice of d = 2; 144 MB of complex values at the cap.
+_MAX_STORED = 9 * 10**6
 
 
 def wrap_angles(theta) -> np.ndarray:
@@ -278,13 +285,13 @@ def sample_trajectory(sys: RotationSystem, x0, dt: float, n: int) -> np.ndarray:
     return out
 
 
-def rational_dependence_warnings(alpha, tol: float = 1e-9, max_denominator: int = 100):
+def rational_dependence_warnings(alpha):
     """Frequency-ratio pairs suspiciously close to a small rational.
 
     Rational independence cannot be certified in floating point; this scan
-    flags every pair (i, k) whose ratio alpha_i/alpha_k lies within ``tol``
-    of a rational with denominator <= ``max_denominator``.  Returns a list
-    of (i, k, Fraction) triples; an empty list means nothing was flagged.
+    flags every pair (i, k) whose ratio alpha_i/alpha_k lies within 1e-9 of
+    a rational with denominator <= 100.  Returns a list of (i, k, Fraction)
+    triples; an empty list means nothing was flagged.
     """
     alpha = _finite_point(alpha, np.size(alpha), "alpha")
     flagged = []
@@ -295,8 +302,8 @@ def rational_dependence_warnings(alpha, tol: float = 1e-9, max_denominator: int 
     for i in range(alpha.size):
         for k in range(i + 1, alpha.size):
             ratio = alpha[i] / alpha[k]
-            best = Fraction(ratio).limit_denominator(max_denominator)
-            if abs(ratio - float(best)) <= tol:
+            best = Fraction(ratio).limit_denominator(100)
+            if abs(ratio - float(best)) <= 1e-9:
                 flagged.append((i, k, best))
     return flagged
 
@@ -318,7 +325,11 @@ class PeriodicOrbitSystem:
         return (i + 1) % self.M
 
     def koopman_matrix(self) -> np.ndarray:
-        """Permutation matrix of f -> f o Phi in the orthonormal point basis."""
+        """Permutation matrix of f -> f o Phi in the orthonormal point basis.
+
+        Dense M x M, so an M above ``_MAX_DENSE_SIDE`` is refused.
+        """
+        _count("M", self.M, 1, _MAX_DENSE_SIDE)
         u = np.zeros((self.M, self.M))
         u[np.arange(self.M), (np.arange(self.M) + 1) % self.M] = 1.0
         return u
@@ -368,9 +379,9 @@ class FourierObservable:
         return cls({(0,) * d: value}, d=d)
 
     @classmethod
-    def harmonic(cls, j, value: complex = 1.0) -> "FourierObservable":
-        """exp(i j.theta) times ``value``; ``j`` is an integer or a sequence of them."""
-        return cls({j if np.isscalar(j) else tuple(j): value})
+    def harmonic(cls, j) -> "FourierObservable":
+        """exp(i j.theta); ``j`` is an integer or a sequence of them."""
+        return cls({j if np.isscalar(j) else tuple(j): 1.0})
 
     @property
     def bandwidth(self) -> int:
@@ -389,10 +400,11 @@ class FourierObservable:
             d=self.d,
         )
 
-    def is_real(self, tol: float = 1e-12) -> bool:
+    def is_real(self) -> bool:
+        """Whether every c_{-j} is within 1e-12 of conj(c_j)."""
         for j, c in self.coeffs.items():
             mirror = self.coeffs.get(tuple(-v for v in j), 0.0)
-            if abs(mirror - c.conjugate()) > tol:
+            if abs(mirror - c.conjugate()) > 1e-12:
                 return False
         return True
 

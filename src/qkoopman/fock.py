@@ -204,12 +204,13 @@ class FockVector:
         self.terms = dict(terms) if terms else {}
 
     @classmethod
-    def vacuum(cls, amplitude: complex = 1.0) -> "FockVector":
-        return cls({VACUUM: complex(amplitude)})
+    def vacuum(cls) -> "FockVector":
+        return cls({VACUUM: 1.0 + 0.0j})
 
     @classmethod
-    def mode(cls, label, amplitude: complex = 1.0) -> "FockVector":
-        return cls({((label, 1),): complex(amplitude)})
+    def mode(cls, label) -> "FockVector":
+        """The grading-1 basis vector zeta_label."""
+        return cls({((label, 1),): 1.0 + 0.0j})
 
     @classmethod
     def from_modes(cls, amplitudes: dict) -> "FockVector":

@@ -30,13 +30,14 @@ from .dynamics import (
     RotationSystem,
     _count,
     _finite_point,
+    _floats,
     _integer_key,
     _phase_check,
     _phases,
     _real,
     _same_dimension,
 )
-from .errors import NotAffineError, ValidationError
+from .errors import DegeneracyError, NotAffineError, ValidationError
 from .rkha import SubexpWeight, _feature_vector, fourier_multiplier_matrix
 
 # the dense observable of shot sampling, 2^10 x 2^10 complex, takes 16 MiB
@@ -141,11 +142,11 @@ class WalshCoefficients:
         return self.v.size
 
 
-def walsh_coefficients(freqs: np.ndarray, rel_tol: float = 1e-10) -> WalshCoefficients:
+def walsh_coefficients(freqs: np.ndarray) -> WalshCoefficients:
     """Extract the n weight-1 Walsh coefficients of a frequency vector.
 
     Raises if the constant term or any weight >= 2 coefficient exceeds
-    rel_tol times max|freq|, since that breaks the single-qubit phase
+    1e-10 times max|freq|, since that breaks the single-qubit phase
     factorization of the evolution, and refuses a non-finite frequency.
     """
     freqs = _finite_point(freqs, np.size(freqs), "frequencies")
@@ -159,7 +160,7 @@ def walsh_coefficients(freqs: np.ndarray, rel_tol: float = 1e-10) -> WalshCoeffi
     weight = np.zeros(size, dtype=int)
     for bit in range(n):
         weight += (masks >> bit) & 1
-    offending = np.flatnonzero((weight != 1) & (np.abs(coeffs) > rel_tol * scale))
+    offending = np.flatnonzero((weight != 1) & (np.abs(coeffs) > 1e-10 * scale))
     if offending.size:
         s = int(offending[0])
         raise NotAffineError(
@@ -193,9 +194,21 @@ def feature_amplitudes(enc: QubitEncoding, w: SubexpWeight, x) -> np.ndarray:
     return _feature_vector(w, enc.index_table(), x)
 
 
+def _weight_total(total: float, w: SubexpWeight) -> float:
+    """``total``, a norm or sum of the weights on the encoded indices, unless it is 0.
+
+    It is 0 when every weight underflows, as at a huge tau, and the
+    normalized state would be 0/0: that raises a DegeneracyError naming tau.
+    """
+    if total == 0.0:
+        raise DegeneracyError(f"tau={w.tau!r}: every weight on the encoded indices underflows to 0")
+    return total
+
+
 def feature_state(enc: QubitEncoding, w: SubexpWeight, x) -> np.ndarray:
+    """The unit feature state; every weight underflowing raises (``_weight_total``)."""
     amps = feature_amplitudes(enc, w, x)
-    return amps / np.linalg.norm(amps)
+    return amps / _weight_total(np.linalg.norm(amps), w)
 
 
 def _check_observable(enc: QubitEncoding, f: FourierObservable) -> None:
@@ -263,13 +276,16 @@ def circuit_expectation(
     nothing is divided by a weight.  With ``shots`` the expectation is
     estimated by sampling measurement outcomes in the observable's eigenbasis
     with a seeded generator; only that path builds the dense S_f, so it is
-    limited to MAX_DENSE_QUBITS qubits.
+    limited to MAX_DENSE_QUBITS qubits.  Where every weight on the encoded
+    indices underflows, both paths raise a DegeneracyError naming tau; a
+    seed outside [0, 2**64 - 1] is refused before any work.
     """
     _same_dimension(encoding=enc.d, system=sys.d)
     _check_observable(enc, f)
     _real("time", t)
     if shots is not None:
         _count("shots", shots, 1, _MAX_TERMS)
+    _count("seed", seed, 0, 2**64 - 1)
     table = enc.index_table()
     coeffs = walsh_coefficients(table @ sys.alpha)
     # exp(-t V) as exp(t (-V)): the same phases, bit for bit, and a phase
@@ -277,10 +293,11 @@ def circuit_expectation(
     back = WalshCoefficients(v=-coeffs.v)
     if shots is None:
         lam = np.exp(w.log_values(table))
+        total = _weight_total(np.sum(lam), w)
         x = _finite_point(x, enc.d)
         chi = np.exp(-1j * _phase_check(lambda: table @ x, "point x", x))
         chi_t = evolve_statevector(back, chi, t)
-        return float(np.vdot(chi_t, _apply_convolution(table, f, lam * chi_t)).real / np.sum(lam))
+        return float(np.vdot(chi_t, _apply_convolution(table, f, lam * chi_t)).real / total)
     psi_t = evolve_statevector(back, feature_state(enc, w, x), t)
     eigenvalues, vectors = np.linalg.eigh(_projected_observable(table, w, f))
     probs = np.abs(vectors.conj().T @ psi_t) ** 2
@@ -291,19 +308,18 @@ def circuit_expectation(
     return float(np.mean(outcomes))
 
 
-def export_circuit(
-    coeffs: WalshCoefficients,
-    enc: QubitEncoding,
-    t: float,
-    prep: np.ndarray | None = None,
-) -> str:
+def export_circuit(coeffs: WalshCoefficients, enc: QubitEncoding, t: float, prep: np.ndarray) -> str:
     """Deterministic text form of the factorized evolution.
 
     One Z-rotation line per qubit with angle theta_i = -2 t Im(v_i) (the
     standard rz convention reproduces the per-qubit phases exactly); state
     preparation and measurement are described as amplitude lists rather than
-    synthesized into gates.
+    synthesized into gates.  ``prep`` holds the register's 2^n amplitudes,
+    each finite; another length, or a NaN or infinite part, is refused.
     """
+    prep = _floats("prep", prep, complex)
+    for part in (prep.real, prep.imag):
+        _finite_point(part, enc.dim, "prep")
     thetas = _phases(t, -2.0 * coeffs.v.imag).tolist()  # (-2t) v_i bitwise: doubling is exact
     lines = [
         "# diagonal phase circuit",
@@ -312,17 +328,18 @@ def export_circuit(
     for i, theta in enumerate(thetas):
         lines.append(f"rz({format(theta, '.17g')}) q[{i}]")
     lines.append("# state preparation amplitudes (computational basis order)")
-    if prep is not None:
-        for k, a in enumerate(prep):
-            lines.append(
-                f"prep[{k}] {format(a.real, '.17g')} {format(a.imag, '.17g')}"
-            )
+    for k, a in enumerate(prep):
+        lines.append(f"prep[{k}] {format(a.real, '.17g')} {format(a.imag, '.17g')}")
     lines.append("# measurement: amplitude-list expectation of the exported observable")
     return "\n".join(lines) + "\n"
 
 
 def parse_circuit(text: str):
-    """Invert export_circuit: returns (n, d, q, t, angles, prep or None)."""
+    """Invert export_circuit: returns (n, d, q, t, angles, prep).
+
+    A text without its header, its rotation lines or its ``prep`` lines is
+    refused.
+    """
     n = d = q = None
     t = 0.0
     angles = []
@@ -340,18 +357,16 @@ def parse_circuit(text: str):
             prep[int(idx)] = float(re_part) + 1j * float(im_part)
     if n is None or len(angles) != n:
         raise ValidationError("circuit text is missing the header or rotation lines")
-    prep_vec = None
-    if prep:
-        prep_vec = np.zeros(2**n, dtype=complex)
-        for k, a in prep.items():
-            prep_vec[k] = a
+    if not prep:
+        raise ValidationError("circuit text carries no preparation amplitudes")
+    prep_vec = np.zeros(2**n, dtype=complex)
+    for k, a in prep.items():
+        prep_vec[k] = a
     return n, d, q, t, np.array(angles), prep_vec
 
 
 def simulate_exported(text: str) -> np.ndarray:
     """Replay an exported circuit: rz phase pairs applied to the prep amplitudes."""
     _, _, _, _, angles, prep = parse_circuit(text)
-    if prep is None:
-        raise ValidationError("circuit text carries no preparation amplitudes")
     # rz(angle) on qubit i is exp(-i angle/2 Z_i): one unit step of v_i = -i angle/2
     return evolve_statevector(WalshCoefficients(v=-0.5j * angles), prep, 1.0)

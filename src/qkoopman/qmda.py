@@ -40,6 +40,7 @@ from .dynamics import (
     PeriodicOrbitSystem,
     RotationSystem,
     _MAX_DENSE_SIDE,
+    _MAX_STORED,
     _MAX_TERMS,
     _characters,
     _count,
@@ -62,13 +63,17 @@ if TYPE_CHECKING:  # the orbit filter loads no rkha; the torus filter imports it
     from .rkha import TruncatedLattice
 
 
-def check_density(values: np.ndarray, mu: np.ndarray, tol: float = 1e-10):
+def check_density(values: np.ndarray, mu: np.ndarray):
+    """ValidationError unless ``values`` is a finite density against ``mu``, to 1e-10.
+
+    No value may lie below -1e-10, and mu.values must be within 1e-10 of 1.
+    """
     if not np.all(np.isfinite(values)):
         raise ValidationError("density has a non-finite value")
-    if np.min(values) < -tol:
+    if np.min(values) < -1e-10:
         raise ValidationError("density has a negative value")
     total = float(np.dot(mu, values))
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > 1e-10:
         raise ValidationError(f"density integrates to {total}, not 1")
 
 
@@ -76,9 +81,11 @@ def embed_density(sigma: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """Rank-1 projector onto the unit vector sqrt(sigma) in the mu-weighted space.
 
     In the orthonormal point basis the matrix entries are
-    sqrt(mu_i sigma_i) * sqrt(mu_j sigma_j); the trace is exactly 1.
+    sqrt(mu_i sigma_i) * sqrt(mu_j sigma_j); the trace is exactly 1.  Dense,
+    so more than ``_MAX_DENSE_SIDE`` points are refused.
     """
     sigma = np.asarray(sigma, dtype=float)
+    _count("point count", sigma.size, 1, _MAX_DENSE_SIDE)
     if not np.all(np.isfinite(sigma)):
         raise ValidationError("density has a non-finite value")
     if np.max(sigma) <= 0:
@@ -190,6 +197,8 @@ def compress(matrix: np.ndarray, rank: int) -> np.ndarray:
 
 
 def multiplication_operator_point(f_values: np.ndarray) -> np.ndarray:
+    """Diagonal matrix of f's point values; more than ``_MAX_DENSE_SIDE`` are refused."""
+    _count("point count", np.size(f_values), 0, _MAX_DENSE_SIDE)
     return np.diag(np.asarray(f_values, dtype=complex))
 
 
@@ -197,12 +206,11 @@ def multiplication_operator_fourier(coeffs: dict, lat: TruncatedLattice) -> np.n
     """Matrix of multiplication by sum_m c_m gamma_m on the lattice basis.
 
     Entries are c(i - j); a real multiplier (conjugate-symmetric c) gives a
-    Hermitian Toeplitz-style matrix.  A lattice of more than
-    ``_MAX_DENSE_SIDE`` modes is refused.
+    Hermitian Toeplitz-style matrix.  ``rkha.fourier_multiplier_matrix``
+    refuses a lattice of more than ``_MAX_DENSE_SIDE`` modes.
     """
     from .rkha import fourier_multiplier_matrix
 
-    _count("lattice size", lat.size, 1, _MAX_DENSE_SIDE)
     return fourier_multiplier_matrix(coeffs, lat.indices)
 
 
@@ -366,6 +374,16 @@ QUANTUM = "quantum"
 QUANTUM_PROJECTED = "quantum-projected"
 
 
+def _trace_size(steps: int, name: str, width: int) -> None:
+    """ValidationError if a trace of ``steps`` rows of ``width`` values passes ``_MAX_STORED``.
+
+    Each filter calls it before it allocates, ``name`` naming the width.
+    """
+    if steps * width > _MAX_STORED:
+        raise ValidationError(f"steps {steps} times {name} {width} stores {steps * width} values, "
+                              f"more than the cap of {_MAX_STORED}")
+
+
 def run_filter(
     sys: PeriodicOrbitSystem,
     model: ObservationModel,
@@ -416,9 +434,15 @@ def run_filter(
     psi, and records the first zero evidence, classical before operator.
     Every step it finished is then scored in blocks of rows
     (``_score_orbit_steps``) before that failure is raised.
+
+    The trace keeps an M-vector a step, so steps times M above
+    ``_MAX_STORED`` is refused before any work (``_trace_size``), as is a
+    seed outside [0, 2**64 - 1].
     """
     _count("steps", steps, 1)
+    _trace_size(steps, "M", sys.M)
     _count("x0", x0, -math.inf)
+    _count("seed", seed, 0, 2**64 - 1)
     if observations is not None:
         if len(observations) < steps:
             raise ValidationError(f"need {steps} observations, got {len(observations)}")
@@ -667,10 +691,13 @@ def run_torus_filter(
     where an unconverged Bessel ratio raises ahead of the recorded failure.
     So the first failing step raises what a step-by-step run raises; the
     states agree with it to rounding (1e-13), the classical track bitwise.
-    Memory grows with steps times the lattice size.  Classical mode builds none
+    Memory grows with steps times the lattice size: the operator modes
+    refuse steps times 2J+1 above ``_MAX_STORED`` (``_trace_size``), while
+    classical mode keeps two floats a step.  Classical mode builds none
     of the operator track's set-up (kept modes, rotation phases, half
     kernel, T0), so only the operator modes refuse a half kernel above the
-    Bessel cap, or a T0 of side 2J+1 above ``_MAX_DENSE_SIDE``.
+    Bessel cap, or a T0 of side 2J+1 above ``_MAX_DENSE_SIDE``.  A seed
+    outside [0, 2**64 - 1] is refused before any work.
     """
     if sys.d != 1:
         raise ValidationError("the torus filter is implemented for d=1")
@@ -685,6 +712,9 @@ def run_torus_filter(
     # the operator modes build T0, of side 2J+1
     _count("bandwidth", bandwidth, 0,
            math.inf if mode == CLASSICAL else (_MAX_DENSE_SIDE - 1) // 2)
+    if mode != CLASSICAL:
+        _trace_size(steps, "2J+1", 2 * bandwidth + 1)
+    _count("seed", seed, 0, 2**64 - 1)
     from .rkha import TruncatedLattice
 
     lat = TruncatedLattice(1, bandwidth)

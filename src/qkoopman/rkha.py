@@ -211,8 +211,10 @@ def fourier_multiplier_matrix(coeffs: dict, indices: np.ndarray) -> np.ndarray:
 
     Entries are gathered, not recomputed, from a box holding the coefficients
     by index difference, so each one equals its dict value exactly (zero where
-    the difference carries no coefficient).
+    the difference carries no coefficient).  The matrix is dense, so a table
+    of no rows or of more than ``_MAX_DENSE_SIDE`` is refused.
     """
+    _count("lattice size", len(indices), 1, _MAX_DENSE_SIDE)
     indices = np.asarray(indices, dtype=int).reshape(len(indices), -1)
     span = indices.max(axis=0) - indices.min(axis=0)
     box = np.zeros(tuple(2 * span + 1), dtype=complex)

@@ -168,15 +168,14 @@ def smoothing_identity_residual(
     return float(np.linalg.norm(left - right))
 
 
-def frequency_table(gen: GeneratorSpec, reference: GeneratorSpec | None = None):
+def frequency_table(gen: GeneratorSpec, reference: GeneratorSpec):
     """Rows (index, omega, abs error vs the reference generator's spectrum).
 
     The r-th smallest estimate is scored against the r-th smallest reference
     frequency, so an estimate collapsed to all zeros does not read zero error.
     """
     omega = gen.eigen_omega
-    err = np.zeros(omega.size)
-    if reference is not None:
-        _same_dimension(generator=omega.size, reference=reference.omega.size)
-        err[np.argsort(omega, kind="stable")] = np.abs(np.sort(omega) - np.sort(reference.omega))
+    _same_dimension(generator=omega.size, reference=reference.omega.size)
+    err = np.empty(omega.size)
+    err[np.argsort(omega, kind="stable")] = np.abs(np.sort(omega) - np.sort(reference.omega))
     return [(k, float(om), float(e)) for k, (om, e) in enumerate(zip(omega, err))]

@@ -188,6 +188,20 @@ def torus_grid_matrix(grid_size: int, lat: TruncatedLattice) -> np.ndarray:
     return np.exp(1j * np.outer(theta_grid, lat.indices[:, 0]))
 
 
+def grid_margin(psi: np.ndarray, grid_size: int) -> float:
+    """One torus state's most negative value on the ``grid_size``-point grid.
+
+    ``psi`` holds coefficients over j = -J..J; the values come from one
+    ``grid_sum``, are turned so that the one of largest modulus is positive
+    real (Python's complex ``abs``), and the smallest real part is returned:
+    the per-step formula ``qmda.min_sqrt_density`` batches.
+    """
+    indices = np.arange(psi.size)[:, None] - psi.size // 2
+    values = grid_sum(indices, psi, grid_size)
+    phase = values[int(np.argmax(np.abs(values)))]
+    return float((values * (phase.conjugate() / abs(phase))).real.min())
+
+
 def stepwise_torus_filter(
     sys: RotationSystem,
     model: ObservationModel,
@@ -205,9 +219,8 @@ def stepwise_torus_filter(
 
     Each step scores its operator state against a von Mises reference from
     its own scalar ``bessel_ratios`` call, by ``np.vdot`` products, and
-    evaluates it on the ``grid_size``-point grid with its own ``grid_sum``
-    (the most negative value, in ``trace.min_sqrt``, is the oracle of
-    ``qmda.min_sqrt_density``), and conditions by
+    evaluates it on the ``grid_size``-point grid (``grid_margin``, kept in
+    ``trace.min_sqrt``), and conditions by
     ``np.convolve`` with the kernel k_m e^{-imy}; the package runs the same
     steps in one loop, conditioning by one fixed real Toeplitz product in the
     observation's frame, and scores them in batches after it.  The initial
@@ -295,9 +308,7 @@ def stepwise_torus_filter(
             psi = psi / norm
             reference = sqrt_von_mises_coeffs(mu_post, kap_post, lat)
             consistency = vdot_pure_state_distance(reference, psi)
-            values = grid_sum(lat.indices, psi, grid_size)
-            phase = values[int(np.argmax(np.abs(values)))]
-            trace.min_sqrt.append(float((values * (phase.conjugate() / abs(phase))).real.min()))
+            trace.min_sqrt.append(grid_margin(psi, grid_size))
             first = complex(np.sum(np.conj(psi[1:]) * psi[:-1]))
             estimate = math.atan2(first.imag, first.real) % TWO_PI
             trace.quantum_posteriors.append(psi)

@@ -424,7 +424,7 @@ def test_criterion_12_walsh_affinity():
         for q in (1, 2, 3, 4):
             enc = QubitEncoding(d=d, q=q)
             freqs = frequency_vector(enc, RotationSystem(alpha))
-            coeffs = walsh_coefficients(freqs, rel_tol=1e-10)  # raises beyond tolerance
+            coeffs = walsh_coefficients(freqs)  # raises past 1e-10 max|freq|
             n = enc.n_qubits
             rebuilt = np.zeros(enc.dim)
             for b in range(enc.dim):

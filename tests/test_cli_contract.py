@@ -175,9 +175,11 @@ def torus_config(d, J, koopman):
     })
 
 
-# Sizes whose stored values pass cli.MAX_STORED_VALUES.  Each once ran to
+# Sizes whose stored values pass dynamics._MAX_STORED.  Each once ran to
 # its allocation: a 1e6 x 3^6 complex design matrix (about 42 GiB), a 3^16-row
 # data-driven lattice, or 1e6 filter posteriors of 2048 values in each mode.
+# The filter's trace is refused by qmda.run_filter itself, before it draws
+# its first observation.
 CAP_PROBES = {
     "koopman-design-d6": ("koopman", torus_config(
         6, 1, {"grid_size": 8, "n_samples": 10**6})),
@@ -196,14 +198,14 @@ def test_stored_value_cap_exits_2_before_work(tmp_path, monkeypatch, name):
     for module, heavy in ((rkha, "TruncatedLattice"), (cli, "sample_trajectory"),
                           (spectral, "data_driven_generator"), (spectral, "analytic_generator"),
                           (fock, "second_quantization_forecast"),
-                          (fock, "tensor_network_expectation"), (qmda, "run_filter")):
+                          (fock, "tensor_network_expectation"), (qmda, "_observe_run")):
         monkeypatch.setattr(module, heavy, refuse)
     command, text = CAP_PROBES[name]
     code, err = run(command, text, tmp_path / "out")
     assert code == 2, err
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert f"cap of {cli.MAX_STORED_VALUES}" in lines[0]
+    assert f"cap of {dynamics._MAX_STORED}" in lines[0]
     assert not list((tmp_path / "out").iterdir())
 
 
@@ -234,7 +236,8 @@ class Reached(Exception):
 
 
 # At the cap, not past it: d = 2 (9 data-driven modes) and d = 1 (7) at the
-# sample cap, and a filter storing exactly MAX_STORED_VALUES values.
+# sample cap, and a filter storing exactly dynamics._MAX_STORED values, which
+# qmda.run_filter admits and goes on to draw its observations.
 @pytest.mark.parametrize("command,text", [
     ("koopman", torus_config(2, 4, {"n_samples": 10**6})),
     ("koopman", torus_config(1, 4, {"n_samples": 10**6})),
@@ -245,7 +248,7 @@ def test_stored_value_cap_admits_its_bound(tmp_path, monkeypatch, command, text)
         raise Reached
 
     monkeypatch.setattr(rkha, "TruncatedLattice", reached)
-    monkeypatch.setattr(qmda, "run_filter", reached)
+    monkeypatch.setattr(qmda, "_observe_run", reached)
     with pytest.raises(Reached):
         run(command, text, tmp_path / "out")
 

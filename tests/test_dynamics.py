@@ -400,7 +400,8 @@ class TestVonMises:
     def test_conjugate_symmetry(self):
         p = VonMisesDensity(np.array([0.3, 5.0]), np.array([2.0, 0.5]))
         f = von_mises_fourier(p, 2)
-        assert f.is_real(tol=1e-14)
+        gaps = [abs(f.coeffs[tuple(-v for v in j)] - c.conjugate()) for j, c in f.coeffs.items()]
+        assert max(gaps) <= 1e-14
 
     def test_density_normalization(self):
         p = VonMisesDensity(np.array([2.0]), np.array([3.0]))
@@ -667,13 +668,13 @@ def test_rational_dependence_scan():
 
 def test_rational_dependence_scan_of_pairs_unchanged():
     # the scan as it was when it imported fractions for every call
-    def every_pair(alpha, tol=1e-9, max_denominator=100):
+    def every_pair(alpha):
         flagged = []
         for i in range(alpha.size):
             for k in range(i + 1, alpha.size):
                 ratio = alpha[i] / alpha[k]
-                best = fractions.Fraction(ratio).limit_denominator(max_denominator)
-                if abs(ratio - float(best)) <= tol:
+                best = fractions.Fraction(ratio).limit_denominator(100)
+                if abs(ratio - float(best)) <= 1e-9:
                     flagged.append((i, k, best))
         return flagged
 
@@ -685,8 +686,6 @@ def test_rational_dependence_scan_of_pairs_unchanged():
             got = rational_dependence_warnings(alpha)
             assert got == every_pair(alpha)
             assert all(type(frac) is fractions.Fraction for _, _, frac in got)
-    assert rational_dependence_warnings([2.0, 3.0, 4.0, math.sqrt(2.0)], 1e-3, 7) == every_pair(
-        np.array([2.0, 3.0, 4.0, math.sqrt(2.0)]), 1e-3, 7)
 
 
 def test_one_frequency_scan_imports_no_fractions():

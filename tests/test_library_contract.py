@@ -32,6 +32,7 @@ DENSITY = dynamics.VonMisesDensity([0.5], [4.0])
 HUGE = dynamics.RotationSystem([1e308])  # t * alpha overflows at t = 10
 COS = dynamics.FourierObservable({(1,): 0.5, (-1,): 0.5})
 ENCODING = qcirc.QubitEncoding(1, 2)
+WALSH = qcirc.WalshCoefficients(np.full(3, 0.5j))  # ENCODING's three qubits
 FOCK_WEIGHT = fock.FockWeight(3.0, 0.5, 6)
 FREQS = {0: 0.0, 1: 1.0}
 TORUS_POINT = fock.SpectrumTorusPoint((0, 1), [0.5, 0.5], [1.0, 1j])
@@ -71,6 +72,12 @@ COUNT_PROBES = [
     count("nmax", lambda: rkha.grs_sequence(WEIGHT, (1,), 2.5)),
     count("rank", lambda: qmda.compress(np.eye(4), 2.5)),
     count("bandwidth", lambda: qmda.ObservationModel("event", 1.0).fourier_coeffs(0.0, 2.5)),
+    # a negative seed was numpy's bare ValueError, a non-integral one a TypeError
+    *(count("seed", call) for value in (-1, 1.5) for call in (
+        lambda value=value: qmda.run_filter(ORBIT, MODEL, 0, 5, seed=value),
+        lambda value=value: qmda.run_torus_filter(ROTATION, MODEL, 1.0, 5, 0.1, seed=value),
+        lambda value=value: qcirc.circuit_expectation(ENCODING, WEIGHT, ROTATION, COS, [0.0], 0.5,
+                                                      seed=value))),
 ]
 
 # non-finite values once accepted without a word, an overflow once left to
@@ -109,6 +116,25 @@ VALUE_PROBES = [
                  id="grid_sum-d64"),
     pytest.param(lambda: qcirc.walsh_coefficients([NAN, 1.0]), ValidationError,
                  "frequencies must be finite", id="walsh-nan"),
+    # the export wrote a NaN prep line, which replayed as NaN, and zero-padded
+    # a short prep; a text without prep lines parsed with prep None
+    pytest.param(lambda: qcirc.export_circuit(WALSH, ENCODING, 1.0, [NAN] + [0.0] * 7),
+                 ValidationError, "^prep must be finite", id="export-prep-nan"),
+    pytest.param(lambda: qcirc.export_circuit(WALSH, ENCODING, 1.0, np.full(8, complex(0, math.inf))),
+                 ValidationError, "^prep must be finite", id="export-prep-inf-imag"),
+    pytest.param(lambda: qcirc.export_circuit(WALSH, ENCODING, 1.0, np.ones(3)), ValidationError,
+                 r"^prep of shape \(3,\) does not match the dimension 8", id="export-prep-length"),
+    pytest.param(lambda: qcirc.parse_circuit("# n=1 d=1 q=0 t=0\nrz(0) q[0]\n"), ValidationError,
+                 "^circuit text carries no preparation amplitudes", id="parse-no-prep"),
+    # every weight on the encoded set underflows at tau = 1e300: the state
+    # and the exact expectation were 0/0, NaN
+    pytest.param(lambda: qcirc.feature_state(ENCODING, rkha.SubexpWeight(1e300, 0.5), [0.0]),
+                 DegeneracyError, r"^tau=1e\+300: every weight on the encoded indices underflows",
+                 id="feature-state-underflow"),
+    pytest.param(lambda: qcirc.circuit_expectation(ENCODING, rkha.SubexpWeight(1e300, 0.5), ROTATION,
+                                                   COS, [0.0], 0.5),
+                 DegeneracyError, r"^tau=1e\+300: every weight on the encoded indices underflows",
+                 id="circuit-underflow"),
     pytest.param(lambda: rkha.SubexpWeight(math.inf, 0.5), ValidationError,
                  "tau must be finite", id="weight-tau-inf"),
     pytest.param(lambda: dynamics.flow(dynamics.RotationSystem([1e308]), [0.0], 10.0),
@@ -335,6 +361,7 @@ def test_dense_side_cap_admits_its_bound(alarm):
     assert qmda.multiplication_operator_fourier({(1,): 1.0}, lat).shape == (2047, 2047)
     trace = qmda.run_torus_filter(ROTATION, MODEL, 1.0, 5, 0.1, bandwidth=10**5, mode="classical")
     assert len(trace.steps) == 5
+    assert dynamics.PeriodicOrbitSystem(2048).koopman_matrix().shape == (2048, 2048)
 
 
 # Every phase maker at a largest phase of t = 2**52 rad, and one ulp below
@@ -349,7 +376,7 @@ PHASE_MAKERS = {
     "evolve-statevector": lambda t: qcirc.evolve_statevector(
         qcirc.WalshCoefficients(np.array([1j])), np.ones(2, dtype=complex), t),
     "export-circuit": lambda t: qcirc.export_circuit(
-        qcirc.WalshCoefficients(np.full(3, 0.5j)), ENCODING, t),
+        qcirc.WalshCoefficients(np.full(3, 0.5j)), ENCODING, t, np.ones(8)),
 }
 
 
@@ -410,6 +437,25 @@ CAP_PROBES = [
      "dynamics.VonMisesDensity([0.5] * 6, [20.0] * 6), dynamics.RotationSystem(range(1, 7)), "
      "fock.TensorNetworkParams(n=1, bandwidth=12), 1.0)",
      r"TensorNetworkResult\(value=1\.0, truncation_bound="),
+    # the dense allocators that took no cap: 74.5, 74.5, 149 and 74.5 GiB,
+    # and a multiplier matrix from its index table, 74.5 GiB
+    ("dynamics.PeriodicOrbitSystem(10**5).koopman_matrix()", r"M must be an integer in \[1, 2048\]"),
+    ("qmda.embed_density([1.0] * 10**5, [1e-5] * 10**5)",
+     r"point count must be an integer in \[1, 2048\]"),
+    ("qmda.multiplication_operator_point([1.0] * 10**5)",
+     r"point count must be an integer in \[0, 2048\]"),
+    ("qmda.consistency_chain_gap(dynamics.PeriodicOrbitSystem(10**5), [1.0] * 10**5, "
+     "[1.0] * 10**5)", r"M must be an integer in \[1, 2048\]"),
+    ("rkha.fourier_multiplier_matrix({(1,): 1.0}, [[0]] * 10**5)",
+     r"lattice size must be an integer in \[1, 2048\]"),
+    # the filters' traces past dynamics._MAX_STORED: the orbit filter ran 3.9 s
+    # toward 16 GB, the torus filter asked for 30.5 GiB
+    ("qmda.run_filter(dynamics.PeriodicOrbitSystem(2048), qmda.ObservationModel(), 0, 10**6)",
+     r"steps 1000000 times M 2048 stores 2048000000 values, more than the cap of 9000000",
+     "qmda.run_filter-trace"),
+    ("qmda.run_torus_filter(ROTATION, qmda.ObservationModel(), 0.5, 10**6, 0.1, bandwidth=1023)",
+     r"steps 1000000 times 2J\+1 2047 stores 2047000000 values, more than the cap of 9000000",
+     "qmda.run_torus_filter-trace"),
 ]
 CHILD = """
 import math, resource, sys
@@ -424,7 +470,13 @@ except ValidationError as err:
 """
 
 
-@pytest.mark.parametrize("call,message", CAP_PROBES, ids=[c.split("(")[0] for c, _ in CAP_PROBES])
+def cap_id(row):
+    """A row's own id, else the name it calls."""
+    return row[2] if len(row) > 2 else row[0].split("(")[0]
+
+
+@pytest.mark.parametrize("call,message", [row[:2] for row in CAP_PROBES],
+                         ids=[cap_id(row) for row in CAP_PROBES])
 def test_size_past_the_cap_refused_before_allocating(call, message):
     proc = subprocess.run([sys.executable, "-c", CHILD, call], capture_output=True, text=True,
                           timeout=60, env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))

@@ -499,7 +499,7 @@ class TestExport:
         enc = QubitEncoding(d=1, q=2)
         freqs = frequency_vector(enc, RotationSystem(np.array([1.0])))
         coeffs = walsh_coefficients(freqs)
-        text = export_circuit(coeffs, enc, 0.0)
+        text = export_circuit(coeffs, enc, 0.0, np.eye(enc.dim)[0])
         rz_lines = [l for l in text.splitlines() if l.startswith("rz(")]
         assert len(rz_lines) == enc.n_qubits
         assert all(l.startswith("rz(0)") or l.startswith("rz(-0)") for l in rz_lines)
@@ -509,7 +509,7 @@ class TestExport:
         enc = QubitEncoding(d=1, q=2)
         coeffs = walsh_coefficients(frequency_vector(enc, RotationSystem(np.array([1.0]))))
         with pytest.raises(ValidationError, match="finite"):
-            export_circuit(coeffs, enc, math.nan)
+            export_circuit(coeffs, enc, math.nan, np.eye(enc.dim)[0])
 
     def test_roundtrip_reproduces_evolution(self):
         enc = QubitEncoding(d=1, q=3)

@@ -40,6 +40,7 @@ from oracles import (
     classical_forecast_rotation,
     effect_from_observation,
     effect_sqrt,
+    grid_margin,
     orbit_mode_order,
     orbit_mode_transform,
     quantum_analysis,
@@ -996,15 +997,24 @@ class TestTorusFilter:
             assert len(gaps) == 40 and max(gaps) <= 1e-13, max(gaps)
 
 
+    # (mode, rank, steps) -> the package's and the oracle's trace: neither
+    # filter reads a grid, so the three grid ids share one run of each
+    _RUNS = {}
+
+    def _runs(self, mode, rank, steps):
+        key = (mode, rank, steps)
+        if key not in self._RUNS:
+            args = (self.SYS, self.MODEL, 1.3, steps, 0.3)
+            kwargs = dict(bandwidth=32, mode=mode, rank=rank, seed=7)
+            self._RUNS[key] = run_torus_filter(*args, **kwargs), stepwise_torus_filter(*args, **kwargs)
+        return self._RUNS[key]
+
     @pytest.mark.parametrize("steps", [1, 255, 256, 257, 600])  # across block edges
     @pytest.mark.parametrize("grid_size", [1, 9, 256])  # min_sqrt_density's grid
     @pytest.mark.parametrize("mode,rank", [(CLASSICAL, None), (QUANTUM, None),
                                            (QUANTUM_PROJECTED, 9)])
     def test_blocks_match_stepwise_oracle(self, monkeypatch, mode, rank, grid_size, steps):
-        args = (self.SYS, self.MODEL, 1.3, steps, 0.3)
-        kwargs = dict(bandwidth=32, mode=mode, rank=rank, seed=7)
-        want = stepwise_torus_filter(*args, grid_size=grid_size, **kwargs)
-        got = run_torus_filter(*args, **kwargs)
+        got, want = self._runs(mode, rank, steps)
         assert [s.step for s in got.steps] == list(range(1, steps + 1))
         for name in ("truth", "evidence"):
             assert bits([getattr(s, name) for s in got.steps]) == bits(
@@ -1015,11 +1025,13 @@ class TestTorusFilter:
         # observation's frame, the oracle by np.convolve: equal to rounding
         for psi, psi_want in zip(got.quantum_posteriors, want.quantum_posteriors):
             assert np.max(np.abs(psi - psi_want)) <= 1e-13
-        # the package's margins in batches, the oracle's a grid_sum a step
+        # the package's margins in batches, the oracle's a grid_sum a step,
+        # each on its own run's states
         if mode != CLASSICAL:
             monkeypatch.setattr(qmda, "_MARGIN_GRID", grid_size)
             margins = min_sqrt_density(got.quantum_posteriors)
-            assert np.abs(margins - want.min_sqrt).max() <= 1e-13
+            oracle = [grid_margin(psi, grid_size) for psi in want.quantum_posteriors]
+            assert np.abs(margins - oracle).max() <= 1e-13
         for step, oracle in zip(got.steps, want.steps):
             assert abs(step.consistency - oracle.consistency) <= 1e-13 + 1e-12 * oracle.consistency
             assert abs(step.estimate - oracle.estimate) <= 1e-14
